@@ -347,10 +347,19 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
         seed = 0
     if isinstance(raw.get("call_duration_s"), (int, float)) and \
             isinstance(raw.get("switch_time_s"), (int, float)):
-        if not raw["switch_time_s"] < raw["call_duration_s"]:
+        # In us, as the run checks them (CallSpec.validate).
+        t, d = s_to_us(raw["switch_time_s"]), s_to_us(raw["call_duration_s"])
+        jitter = raw.get("switch_jitter_s")
+        j = s_to_us(jitter) if isinstance(jitter, (int, float)) else 0
+        if not t < d:
             bad.append(
                 f"switch_time_s: must be before call_duration_s "
                 f"({raw['switch_time_s']} >= {raw['call_duration_s']})")
+        elif raw["switch_time_s"] > 0 and not (0 < t - j and t + j < d):
+            bad.append(
+                f"switch_jitter_s: switch_time_s +- switch_jitter_s must fall "
+                f"inside the call ({raw['switch_time_s']} +- {jitter} in "
+                f"{raw['call_duration_s']})")
     for key, cls in (("signaling", SignalingConfig), ("emodel", EModelParams)):
         section = raw.get(key) or {}
         if not isinstance(section, dict):
@@ -638,41 +647,10 @@ def run_campaign(config: ExperimentConfig,
 
 
 def _config_as_dict(config: ExperimentConfig) -> dict:
-    return {
-        "scenario": config.scenario,
-        "codecs": config.codecs,
-        "procedures": config.procedures,
-        "directions": config.directions,
-        "interfaces": {
-            iface_id: {
-                "technology": s.technology, "q_weight": s.q_weight,
-                "bitrate_kbps": s.link.bitrate_kbps,
-                "prop_delay_us": list(s.link.prop_delay_us)
-                if isinstance(s.link.prop_delay_us, tuple)
-                else s.link.prop_delay_us,
-                "queue_capacity_pkts": s.link.queue_capacity_pkts,
-                "loss_prob": s.link.loss_prob,
-            } for iface_id, s in config.interfaces.items()
-        },
-        "codec_profiles": {
-            name: dataclasses.asdict(profile)
-            for name, profile in config.codec_profiles.items()
-        },
-        "call_duration_s": config.call_duration_s,
-        "switch_time_s": config.switch_time_s,
-        "switch_jitter_s": config.switch_jitter_s,
-        "window_len_ms": config.window_len_ms,
-        "stride_ms": config.stride_ms,
-        "repetitions": config.repetitions,
-        "base_seed": config.base_seed,
-        "out_dir": config.out_dir,
-        "header_overhead_bytes": config.header_overhead_bytes,
-        "use_burst_ratio": config.use_burst_ratio,
-        "watchdog_s": config.watchdog_s,
-        "log_events": config.log_events,
-        "signaling": dataclasses.asdict(config.signaling),
-        "emodel": dataclasses.asdict(config.emodel),
-    }
+    settings = dataclasses.asdict(config)
+    for iface in settings["interfaces"].values():
+        iface.update(iface.pop("link"))
+    return settings
 
 
 def _find_manifest(trace_path: Path) -> Optional[Path]:
@@ -701,6 +679,11 @@ def recompute_metrics(trace_file: str,
              f"pass --manifest"])
     manifest = json.loads(manifest_file.read_text())
     run_id, trace = read_trace(str(trace_path))
+    if not run_id:
+        # A header-only trace (run aborted before media) names no run; the
+        # campaign layout <cell_id>/rNNN/trace.csv does.
+        run_dir = trace_path.resolve().parent
+        run_id = f"{run_dir.parent.name}_{run_dir.name}"
 
     codec_name = None
     for cell in manifest.get("cells", []):

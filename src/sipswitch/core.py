@@ -96,11 +96,6 @@ class CodecProfile:
         return ms_to_us(self.packet_interval_ms)
 
 
-def codec_packet_rate(codec: CodecProfile) -> float:
-    """Packets per second implied by the packetization interval."""
-    return 1000.0 / codec.packet_interval_ms
-
-
 def validate_codec(codec: CodecProfile) -> list[str]:
     """Return every violated codec invariant; an empty list means valid."""
     violations = []

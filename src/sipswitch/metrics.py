@@ -121,39 +121,6 @@ def burst_ratio(loss_flags, ppl: float) -> float:
     return observed * (1.0 - ppl)
 
 
-def loss_ratio(trace: PacketTrace, window_start: SimTime, window_len_us: int,
-               direction: Optional[str] = None) -> float:
-    """Lost/generated over [window_start, window_start+len), by gen time."""
-    end = window_start + window_len_us
-    generated = 0
-    lost = 0
-    for row in trace.rows:
-        if direction is not None and row[1] != direction:
-            continue
-        if window_start <= row[3] < end:
-            generated += 1
-            if row[6] is not None:
-                lost += 1
-    if generated == 0:
-        raise ValueError("window contains no generated packets")
-    return lost / generated
-
-
-def mean_delay(trace: PacketTrace, window_start: SimTime, window_len_us: int,
-               direction: Optional[str] = None) -> float:
-    """Mean one-way delay in ms over delivered packets in the window."""
-    end = window_start + window_len_us
-    delays: list[float] = []
-    for row in trace.rows:
-        if direction is not None and row[1] != direction:
-            continue
-        if window_start <= row[3] < end and row[5] is not None:
-            delays.append((row[5] - row[3]) / US_PER_MS)
-    if not delays:
-        raise ValueError("window contains no delivered packets")
-    return fsum(delays) / len(delays)
-
-
 def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
                   window_len_ms: float = 60.0,
                   stride_ms: Optional[float] = None,
@@ -266,20 +233,3 @@ def write_metrics(path: str, run_id: str, series: list[WindowMetrics]) -> None:
                         m.burst_r, m.r_factor, int(m.carried),
                         int(m.carried_delay)))
 
-
-def read_metrics(path: str) -> tuple[str, list[WindowMetrics]]:
-    run_id = ""
-    series: list[WindowMetrics] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != METRICS_COLUMNS:
-            raise ValueError(f"{path}: unexpected metrics columns {header}")
-        for row in reader:
-            run_id = row[0]
-            series.append(WindowMetrics(
-                window_start=int(row[1]), window_len_ms=0.0,
-                mean_delay_ms=float(row[2]), ppl=float(row[3]),
-                burst_r=float(row[4]), r_factor=float(row[5]),
-                carried=bool(int(row[6])), carried_delay=bool(int(row[7]))))
-    return run_id, series

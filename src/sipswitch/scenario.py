@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import (
     DL,
@@ -46,18 +46,17 @@ from .handoff import (
     mn_on_ok,
     mn_trigger,
 )
-from .simnet import Engine, Link, LinkState, RngStream
+from .simnet import Engine, Link, RngStream
 from .sip import (
     ForwardTransaction,
     Registrar,
-    ReregTrigger,
     SessionDescriptor,
     SignalingConfig,
     SignalingLog,
     SipMessage,
     SipMethod,
     build_register,
-    needs_reregistration,
+    retransmit,
 )
 from .traffic import (
     DEFAULT_HEADER_OVERHEAD_BYTES,
@@ -122,8 +121,10 @@ class CallSpec:
             bad.append("switch_from equals switch_to")
         if self.call_duration_us <= 0:
             bad.append("call duration must be positive")
-        if not 0 < self.switch_offset_us < self.call_duration_us:
-            bad.append("switch offset must fall inside the call")
+        lo = self.switch_offset_us - self.switch_jitter_us
+        hi = self.switch_offset_us + self.switch_jitter_us
+        if not 0 < lo <= hi < self.call_duration_us:
+            bad.append("switch offset +- jitter must fall inside the call")
         if self.header_overhead_bytes < 0:
             bad.append("header overhead must be non-negative")
         return bad
@@ -178,7 +179,7 @@ class _CallRuntime:
         for link_id in spec.down_links:
             for link in (*self.links_ul.values(), *self.links_dl.values()):
                 if link.link_id == link_id:
-                    link.set_state(LinkState.DOWN)
+                    link.set_state(IfaceState.DOWN)
 
         mn_addresses = {i.iface_id: i.address for i in spec.interfaces}
         self.cn_address = Address(CN_URI, CN_IFACE, MEDIA_PORT)
@@ -197,19 +198,15 @@ class _CallRuntime:
 
         # Setup-phase handshake bookkeeping.
         self._invite_id = 0
-        self._mn_established = False
         self._cn_established = False
         self._mn_seen_invites: set[int] = set()
         self._setup_ok: Optional[SipMessage] = None
         self._setup_ok_acked = False
-        self._setup_ok_rtx_left = spec.signaling.max_retransmissions
 
         # Handoff handshake bookkeeping.
         self._reinvite: Optional[SipMessage] = None
-        self._reinvite_rtx_left = spec.signaling.max_retransmissions
         self._handoff_ok: Optional[SipMessage] = None
         self._handoff_ok_acked = False
-        self._handoff_ok_rtx_left = spec.signaling.max_retransmissions
         self._drop_counts = {"REINVITE": 0, "OK": 0}
 
     # -- signaling plumbing ------------------------------------------------
@@ -230,6 +227,19 @@ class _CallRuntime:
         self._drop_counts[key] = occurrence + 1
         return (key, occurrence) in self.spec.signaling_drop_plan
 
+    def _send(self, msg: SipMessage, link: Link,
+              receive: Callable[[SipMessage], None]) -> None:
+        """Offer a signaling message to a link and log its fate."""
+        if self._forced_drop(msg):
+            self.signaling.record(self.engine.now, msg, "dropped:forced")
+            return
+        arrival, cause = link.transmit(
+            msg.size_bytes, on_arrive=lambda t: receive(msg),
+            note=f"sip-{msg.method.value}")
+        outcome = (f"delivered@{arrival}" if cause is None
+                   else f"dropped:{cause}")
+        self.signaling.record(self.engine.now, msg, outcome)
+
     def _mn_send(self, msg: SipMessage) -> None:
         """MN emits a signaling message over its via_iface uplink."""
         iface = msg.via_iface
@@ -237,29 +247,17 @@ class _CallRuntime:
             raise InternalInvariantError(
                 f"MN tried to send {msg.method.value} from Closed "
                 f"interface {iface}")
-        if self._forced_drop(msg):
-            self.signaling.record(self.engine.now, msg, "dropped:forced")
-            return
-        arrival, cause = self.links_ul[iface].transmit(
-            msg.size_bytes,
-            on_arrive=lambda t, m=msg: self._core_receive(m),
-            note=f"sip-{msg.method.value}")
-        outcome = (f"delivered@{arrival}" if cause is None
-                   else f"dropped:{cause}")
-        self.signaling.record(self.engine.now, msg, outcome)
+        self._send(msg, self.links_ul[iface], self._core_receive)
 
     def _cn_send(self, msg: SipMessage) -> None:
         """CN emits a signaling message over the via_iface downlink."""
-        if self._forced_drop(msg):
-            self.signaling.record(self.engine.now, msg, "dropped:forced")
-            return
-        arrival, cause = self.links_dl[msg.via_iface].transmit(
-            msg.size_bytes,
-            on_arrive=lambda t, m=msg: self._mn_receive(m),
-            note=f"sip-{msg.method.value}")
-        outcome = (f"delivered@{arrival}" if cause is None
-                   else f"dropped:{cause}")
-        self.signaling.record(self.engine.now, msg, outcome)
+        self._send(msg, self.links_dl[msg.via_iface], self._mn_receive)
+
+    def _keep_resending(self, resend: Callable[[], None],
+                        pending: Callable[[], bool], subject: str) -> None:
+        retransmit(self.engine, resend, pending,
+                   self.spec.signaling.rtx_interval_ms * 1000,
+                   self.spec.signaling.max_retransmissions, subject)
 
     def _registrar_send(self, msg: SipMessage, contact: Address) -> None:
         attempt = replace(msg, via_iface=self.iface_by_address[contact])
@@ -321,7 +319,6 @@ class _CallRuntime:
             if msg.in_reply_to == (self._setup_ok.msg_id
                                    if self._setup_ok else -1):
                 self._setup_ok_acked = True
-                self._mn_established = True
 
     def _mn_on_invite(self, msg: SipMessage) -> None:
         if msg.msg_id in self._mn_seen_invites and self._setup_ok is not None:
@@ -339,30 +336,17 @@ class _CallRuntime:
                         in_reply_to=msg.msg_id)
         self._setup_ok = ok
         self._mn_send(ok)
-        if self._setup_ok_rtx_left > 0:
-            self.engine.schedule_in(
-                self.spec.signaling.rtx_interval_ms * 1000,
-                self._setup_ok_rtx, kind="sip-rtx", subject="setup-ok")
-
-    def _setup_ok_rtx(self) -> None:
-        if not self._setup_ok_acked and self._setup_ok_rtx_left > 0:
-            self._setup_ok_rtx_left -= 1
-            self._mn_send(self._setup_ok)
-            if self._setup_ok_rtx_left > 0:
-                self.engine.schedule_in(
-                    self.spec.signaling.rtx_interval_ms * 1000,
-                    self._setup_ok_rtx, kind="sip-rtx", subject="setup-ok")
+        self._keep_resending(lambda: self._mn_send(ok),
+                             lambda: not self._setup_ok_acked, "setup-ok")
 
     def _setup_guard(self) -> None:
-        if not (self._mn_established and self._cn_established):
+        if not (self._setup_ok_acked and self._cn_established):
             self._abort("setup-incomplete")
 
     # -- handoff phase -----------------------------------------------------
 
     def _on_trigger(self) -> None:
         t = self.engine.now
-        if needs_reregistration(ReregTrigger.MID_CALL_SWITCH):
-            self._send_register()  # structurally unreachable by design
         before = self.state.phase.value
         actions = mn_trigger(self.state, self.spec.procedure, t)
         for action in actions:
@@ -385,10 +369,9 @@ class _CallRuntime:
                              session=session, msg_id=self._next_id())
             self._reinvite = msg
             self._mn_send(msg)
-            if self._reinvite_rtx_left > 0:
-                self.engine.schedule_in(
-                    self.spec.signaling.rtx_interval_ms * 1000,
-                    self._reinvite_rtx, kind="sip-rtx", subject="reinvite")
+            self._keep_resending(
+                lambda: self._mn_send(msg),
+                lambda: self.state.phase is HandoffPhase.SWITCHING, "reinvite")
         elif kind == "close-iface":
             self.closed_old_at = t
             self.handoff_log.record(t, "MN", f"close-{action[1]}",
@@ -401,16 +384,6 @@ class _CallRuntime:
         elif kind == "warn":
             self.handoff_log.record(t, "MN", f"warn:{action[1]}",
                                     phase_before, self.state.phase.value)
-
-    def _reinvite_rtx(self) -> None:
-        if (self.state.phase is HandoffPhase.SWITCHING
-                and self._reinvite_rtx_left > 0):
-            self._reinvite_rtx_left -= 1
-            self._mn_send(self._reinvite)
-            if self._reinvite_rtx_left > 0:
-                self.engine.schedule_in(
-                    self.spec.signaling.rtx_interval_ms * 1000,
-                    self._reinvite_rtx, kind="sip-rtx", subject="reinvite")
 
     def _cn_on_reinvite(self, msg: SipMessage) -> None:
         t = self.engine.now
@@ -425,11 +398,10 @@ class _CallRuntime:
                 first = self._handoff_ok is None
                 self._handoff_ok = ok
                 self._cn_send(ok)
-                if first and self._handoff_ok_rtx_left > 0:
-                    self.engine.schedule_in(
-                        self.spec.signaling.rtx_interval_ms * 1000,
-                        self._handoff_ok_rtx, kind="sip-rtx",
-                        subject="handoff-ok")
+                if first:  # one timer; it resends the latest OK
+                    self._keep_resending(
+                        lambda: self._cn_send(self._handoff_ok),
+                        lambda: not self._handoff_ok_acked, "handoff-ok")
             elif action[0] == "set-cn-dst":
                 self.handoff_log.record(t, "CN", "dst-switch",
                                         self.state.phase.value,
@@ -438,16 +410,6 @@ class _CallRuntime:
                 self.handoff_log.record(t, "CN", f"warn:{action[1]}",
                                         self.state.phase.value,
                                         self.state.phase.value)
-
-    def _handoff_ok_rtx(self) -> None:
-        if not self._handoff_ok_acked and self._handoff_ok_rtx_left > 0:
-            self._handoff_ok_rtx_left -= 1
-            self._cn_send(self._handoff_ok)
-            if self._handoff_ok_rtx_left > 0:
-                self.engine.schedule_in(
-                    self.spec.signaling.rtx_interval_ms * 1000,
-                    self._handoff_ok_rtx, kind="sip-rtx",
-                    subject="handoff-ok")
 
     def _mn_on_handoff_ok(self, msg: SipMessage) -> None:
         if self._reinvite is None or msg.in_reply_to != self._reinvite.msg_id:

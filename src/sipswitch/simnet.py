@@ -11,6 +11,7 @@ from .core import (
     LOSS_LINK_DOWN,
     LOSS_QUEUE,
     LOSS_RANDOM,
+    IfaceState,
     SimulationError,
 )
 
@@ -128,9 +129,7 @@ UNLIMITED = None
 PropDelay = Union[int, tuple[int, int]]
 
 
-class LinkState:
-    UP = "Up"
-    DOWN = "Down"
+_DOWN = IfaceState.DOWN  # transmit checks it per packet: a global is cheaper
 
 
 class Link:
@@ -168,7 +167,7 @@ class Link:
         self.queue_capacity_pkts = queue_capacity_pkts
         self.loss_prob = loss_prob
         self.rng = rng if rng is not None else random.Random(0)
-        self.state = LinkState.UP
+        self.state = IfaceState.UP
         self.offered = 0
         self.delivered = 0
         self.dropped = 0
@@ -181,10 +180,10 @@ class Link:
         # bits / kbps gives ms; times 1000 gives us.
         return round(size_bytes * 8000 / self.bitrate_kbps)
 
-    def set_state(self, state: str) -> None:
+    def set_state(self, state: IfaceState) -> None:
         """Up/Down the link. Packets already in flight are still delivered."""
-        if state not in (LinkState.UP, LinkState.DOWN):
-            raise ValueError(f"unknown link state {state!r}")
+        if state not in (IfaceState.UP, IfaceState.DOWN):
+            raise ValueError(f"link state must be Up or Down, got {state!r}")
         self.state = state
 
     def transmit(self, size_bytes: int,
@@ -200,7 +199,7 @@ class Link:
             raise ValueError("size_bytes must be positive")
         t = self.engine.now
         self.offered += 1
-        if self.state == LinkState.DOWN:
+        if self.state is _DOWN:
             self.dropped += 1
             return None, LOSS_LINK_DOWN
         busy = self._busy

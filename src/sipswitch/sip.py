@@ -1,5 +1,6 @@
 """SIP signaling model: messages, the registrar's q-weight priority list,
-serial forwarding with fallback, and re-registration trigger rules."""
+serial forwarding with fallback, and the one retransmission timer every
+unanswered message uses."""
 
 from __future__ import annotations
 
@@ -82,6 +83,14 @@ class SignalingConfig:
     max_retransmissions: int = 1
     fallback_timeout_ms: int = 2000
 
+    def __post_init__(self):
+        for name in ("invite_bytes", "register_bytes", "ok_bytes", "ack_bytes",
+                     "rtx_interval_ms", "fallback_timeout_ms"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.max_retransmissions < 0:
+            raise ValueError("max_retransmissions must be non-negative")
+
     def size_for(self, method: SipMethod) -> int:
         if method in (SipMethod.INVITE, SipMethod.REINVITE):
             return self.invite_bytes
@@ -100,16 +109,23 @@ class RegistrarBinding:
     entries: tuple[Contact, ...]
 
 
-class ReregTrigger(enum.Enum):
-    POWER_ON = "PowerOn"
-    NEW_INTERFACE_UP = "NewInterfaceUp"
-    PRIORITY_CHANGE = "PriorityChange"
-    MID_CALL_SWITCH = "MidCallSwitch"
+def retransmit(engine: Engine, resend: Callable[[], None],
+               pending: Callable[[], bool], interval_us: int, times: int,
+               subject: str) -> None:
+    """Resend every interval_us, at most `times` times, while pending().
 
+    Call right after the first send. Each timer is armed only when the one
+    before it has resent, so an answered message leaves at most one no-op
+    timer behind.
+    """
+    def fire() -> None:
+        if pending():
+            resend()
+            retransmit(engine, resend, pending, interval_us, times - 1,
+                       subject)
 
-def needs_reregistration(trigger: ReregTrigger) -> bool:
-    """Mid-call switches are signaled to the peer only, never the registrar."""
-    return trigger is not ReregTrigger.MID_CALL_SWITCH
+    if times > 0:
+        engine.schedule_in(interval_us, fire, kind="sip-rtx", subject=subject)
 
 
 def build_register(uri: str, interfaces: list[InterfaceDescriptor],
@@ -153,6 +169,7 @@ class ForwardTransaction:
         self.status = PENDING
         self.via_address: Optional[Address] = None
         self.attempts: list[tuple[Address, int]] = []
+        self.attempt_idx = 0  # priority entry currently being tried
         self.completed_at: Optional[int] = None
         self.on_complete = on_complete
 
@@ -175,10 +192,6 @@ class SignalingLog:
             f" {msg.via_iface}, {outcome})"
         )
 
-    def count(self, method: SipMethod) -> int:
-        tag = f" {method.value},"
-        return sum(1 for line in self.lines if tag in line)
-
 
 class Registrar:
     """Holds bindings and forwards messages serially down the priority list.
@@ -196,7 +209,6 @@ class Registrar:
         self.config = config
         self.bindings: dict[str, RegistrarBinding] = {}
         self._pending: dict[int, ForwardTransaction] = {}
-        self._attempt_idx: dict[int, int] = {}
 
     def handle_register(self, msg: SipMessage) -> RegistrarBinding:
         binding = apply_register(msg)
@@ -225,38 +237,27 @@ class Registrar:
             return
         if idx >= len(binding.entries):
             self._pending.pop(txn.msg.msg_id, None)
-            self._attempt_idx.pop(txn.msg.msg_id, None)
             txn._finish(UNREACHABLE, self.engine.now)
             return
-        self._attempt_idx[txn.msg.msg_id] = idx
-        contact = binding.entries[idx]
-        self._send_once(txn, contact)
+        txn.attempt_idx = idx
+        address = binding.entries[idx].address
+
+        def send_once() -> None:
+            txn.attempts.append((address, self.engine.now))
+            self.send(txn.msg, address)
+
+        send_once()
+        # No resend at or after the fallback timeout.
         rtx_us = self.config.rtx_interval_ms * 1000
-        for k in range(1, self.config.max_retransmissions + 1):
-            if k * rtx_us >= timeout_us:
-                break
-            self.engine.schedule_in(
-                k * rtx_us,
-                lambda c=contact, i=idx, t=txn: self._retransmit(t, c, i),
-                kind="sip-rtx", subject=txn.msg.method.value)
+        retransmit(self.engine, send_once,
+                   lambda: txn.status == PENDING and txn.attempt_idx == idx,
+                   rtx_us, min(self.config.max_retransmissions,
+                               (timeout_us - 1) // rtx_us),
+                   txn.msg.method.value)
         self.engine.schedule_in(
             timeout_us,
-            lambda i=idx: self._on_timeout(txn, binding, i, timeout_us),
+            lambda: self._attempt(txn, binding, idx + 1, timeout_us),
             kind="sip-fallback-timeout", subject=txn.msg.method.value)
-
-    def _send_once(self, txn: ForwardTransaction, contact: Contact) -> None:
-        txn.attempts.append((contact.address, self.engine.now))
-        self.send(txn.msg, contact.address)
-
-    def _retransmit(self, txn: ForwardTransaction, contact: Contact,
-                    idx: int) -> None:
-        if txn.status == PENDING and self._attempt_idx.get(txn.msg.msg_id) == idx:
-            self._send_once(txn, contact)
-
-    def _on_timeout(self, txn: ForwardTransaction, binding: RegistrarBinding,
-                    idx: int, timeout_us: int) -> None:
-        if txn.status == PENDING and self._attempt_idx.get(txn.msg.msg_id) == idx:
-            self._attempt(txn, binding, idx + 1, timeout_us)
 
     def deliver_answer(self, answer: SipMessage,
                        from_address: Optional[Address] = None) -> bool:
@@ -272,6 +273,5 @@ class Registrar:
             txn.via_address = from_address
         elif txn.attempts:
             txn.via_address = txn.attempts[-1][0]
-        self._attempt_idx.pop(answer.in_reply_to, None)
         txn._finish(DELIVERED, self.engine.now)
         return True

@@ -91,9 +91,6 @@ class PacketTrace:
     def lost(self) -> int:
         return sum(1 for r in self.rows if r[6] is not None)
 
-    def lost_by_cause(self, cause: str) -> int:
-        return sum(1 for r in self.rows if r[6] == cause)
-
 
 class MediaStream:
     """Self-scheduling constant-cadence packet source.

@@ -320,6 +320,54 @@ def test_recompute_metrics_needs_a_manifest(tmp_path, capsys):
     assert "no manifest.json" in capsys.readouterr().err
 
 
+def test_recompute_metrics_on_a_run_aborted_before_media(tmp_path, capsys):
+    # every link drops everything: setup never completes, the trace is empty
+    cfg = write_config(tmp_path, f"""
+codecs: [G729]
+procedures: [hard]
+directions: [wlan-to-cellular]
+repetitions: 1
+call_duration_s: 6
+switch_time_s: 3
+out_dir: {tmp_path / 'out'}
+interfaces:
+  wlan:
+    loss_prob: 1.0
+  cellular:
+    loss_prob: 1.0
+""")
+    assert main(["run", cfg]) == 2
+    run_dir = tmp_path / "out" / "G729_hard_wlan-to-cellular" / "r000"
+    assert len((run_dir / "trace.csv").read_text().splitlines()) == 1
+    assert main(["recompute-metrics", str(run_dir / "trace.csv")]) == 0
+    for name in ("ul", "dl"):
+        original = (run_dir / f"metrics_{name}.csv").read_bytes()
+        recomputed = (run_dir / f"recomputed_metrics_{name}.csv").read_bytes()
+        assert original == recomputed
+
+
+@pytest.mark.parametrize("switch_time,jitter", [
+    (0.5, 5),   # earliest trigger before the call starts
+    (5, 5),     # earliest trigger at the call start
+    (55, 5),    # latest trigger at the call end
+])
+def test_validate_rejects_a_jitter_window_outside_the_call(
+        tmp_path, capsys, switch_time, jitter):
+    cfg = write_config(tmp_path, f"switch_time_s: {switch_time}\n"
+                                 f"switch_jitter_s: {jitter}\n")
+    assert main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error: switch_jitter_s:" in err
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_validate_accepts_the_benchmark_jitter_window(tmp_path, capsys):
+    cfg = write_config(tmp_path, "switch_jitter_s: 5\n")  # 30 +- 5 s in 60 s
+    assert main(["validate", cfg]) == 0
+    for preset in ("campaign-A", "campaign-B"):
+        assert main(["validate", cfg, "--preset", preset]) == 0
+
+
 def test_validate_command_reports_ok_or_violations(tmp_path, capsys):
     good = write_config(tmp_path, TINY)
     assert main(["validate", good]) == 0

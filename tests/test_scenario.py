@@ -13,7 +13,7 @@ from sipswitch.core import (
 )
 from sipswitch.handoff import HandoffPhase, HandoffProcedure
 from sipswitch.scenario import CallSpec, LinkParams, run_call
-from sipswitch.sip import DELIVERED, SipMethod
+from sipswitch.sip import DELIVERED, SignalingConfig
 
 WLAN_ADDR = Address("mn", "wlan", 5004)
 CELL_ADDR = Address("mn", "cellular", 5004)
@@ -115,7 +115,7 @@ def test_different_seeds_differ():
 
 def test_single_register_carries_both_interfaces_sorted_by_q():
     result = run_call(base_spec())
-    assert result.signaling.count(SipMethod.REGISTER) == 1
+    assert sum(", REGISTER," in l for l in result.signaling.lines) == 1
     entries = result.registrar.bindings["mn"].entries
     assert [c.address for c in entries] == [CELL_ADDR, WLAN_ADDR]
     assert [c.q_weight for c in entries] == [0.9, 0.5]
@@ -175,6 +175,21 @@ def test_forced_drop_plan_is_recovered_by_retransmission():
     assert result.t_completed - result.t_trigger > 500_000
 
 
+def test_two_dropped_reinvites_complete_on_the_third_send():
+    spec = base_spec(
+        signaling=SignalingConfig(max_retransmissions=2),
+        signaling_drop_plan=frozenset({("REINVITE", 0), ("REINVITE", 1)}))
+    result = run_call(spec)
+    assert not result.aborted
+    assert result.state.phase is HandoffPhase.COMPLETED
+    reinvites = [l for l in result.signaling.lines if ", REINVITE," in l]
+    t0 = result.t_trigger
+    assert [l.split(",")[0] for l in reinvites] == \
+        [f"({t0}", f"({t0 + 500_000}", f"({t0 + 1_000_000}"]
+    assert ["dropped:forced" in l for l in reinvites] == [True, True, False]
+    assert result.t_completed - t0 > 1_000_000
+
+
 def test_watchdog_aborts_a_dead_handshake():
     plan = frozenset({("REINVITE", 0), ("REINVITE", 1),
                       ("OK", 0), ("OK", 1)})
@@ -207,7 +222,7 @@ def test_down_uplink_records_link_down_losses_until_the_switch():
     assert all(r[6] == LOSS_LINK_DOWN for r in ul_lost)
     # packets on [1 s, 6 s) at 20 ms cadence
     assert len(ul_lost) == 250
-    assert result.trace.lost_by_cause(LOSS_LINK_DOWN) == 250
+    assert [r[6] for r in result.trace.rows].count(LOSS_LINK_DOWN) == 250
     assert all(r[6] is None for r in result.trace.rows_for(DL))
 
 
@@ -230,5 +245,14 @@ def test_invalid_specs_are_rejected_with_reasons():
     spec.switch_offset_us = spec.call_duration_us
     with pytest.raises(SimulationError, match="switch offset"):
         run_call(spec)
+
+    # the jittered trigger must stay inside the call on both sides
+    for offset, jitter in ((500_000, 5_000_000), (5_000_000, 5_000_000),
+                           (8_000_000, 2_000_000), (5_000_000, -1)):
+        spec = base_spec(switch_offset_us=offset, switch_jitter_us=jitter)
+        with pytest.raises(SimulationError,
+                           match="invalid call spec: switch offset"):
+            run_call(spec)
+    assert base_spec(switch_jitter_us=4_999_999).validate() == []
 
     assert base_spec().validate() == []

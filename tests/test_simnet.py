@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from sipswitch.core import LOSS_LINK_DOWN, LOSS_QUEUE, LOSS_RANDOM
+from sipswitch.core import LOSS_LINK_DOWN, LOSS_QUEUE, LOSS_RANDOM, IfaceState
 from sipswitch.simnet import (
     UNLIMITED,
     Engine,
     Link,
-    LinkState,
     RngStream,
     SchedulingInPastError,
 )
@@ -200,12 +199,14 @@ def test_queue_drains_as_time_advances():
 def test_down_link_drops_everything():
     eng = Engine()
     link = _link(eng, UNLIMITED, 0)
-    link.set_state(LinkState.DOWN)
+    link.set_state(IfaceState.DOWN)
     assert link.transmit(100) == (None, LOSS_LINK_DOWN)
-    link.set_state(LinkState.UP)
+    link.set_state(IfaceState.UP)
     assert link.transmit(100) == (0, None)
     with pytest.raises(ValueError):
         link.set_state("Sideways")
+    with pytest.raises(ValueError):  # Closed is an endpoint state, not a link's
+        link.set_state(IfaceState.CLOSED)
 
 
 def test_bernoulli_loss_extremes():

@@ -8,7 +8,6 @@ from sipswitch.sip import (
     UNREACHABLE,
     Contact,
     Registrar,
-    ReregTrigger,
     SessionDescriptor,
     SignalingConfig,
     SignalingLog,
@@ -17,7 +16,7 @@ from sipswitch.sip import (
     SipMethod,
     apply_register,
     build_register,
-    needs_reregistration,
+    retransmit,
 )
 
 WLAN = Address("mn", "wlan", 5060)
@@ -106,29 +105,21 @@ def test_apply_register_rejects_other_methods():
         apply_register(SipMessage(SipMethod.INVITE, "cn", "mn", "cn0", 700))
 
 
-def test_reregistration_trigger_table():
-    assert needs_reregistration(ReregTrigger.POWER_ON)
-    assert needs_reregistration(ReregTrigger.NEW_INTERFACE_UP)
-    assert needs_reregistration(ReregTrigger.PRIORITY_CHANGE)
-    # a mid-call switch renegotiates with the peer only
-    assert not needs_reregistration(ReregTrigger.MID_CALL_SWITCH)
-
-
 def test_signaling_log_format_and_count():
     log = SignalingLog()
     msg = SipMessage(SipMethod.INVITE, "cn", "mn", "cn0", 700)
     log.record(200_000, msg, "delivered@214583")
     assert log.lines == ["(200000, INVITE, cn, mn, cn0, delivered@214583)"]
-    assert log.count(SipMethod.INVITE) == 1
-    assert log.count(SipMethod.REGISTER) == 0
+    assert sum(", INVITE," in line for line in log.lines) == 1
+    assert sum(", REGISTER," in line for line in log.lines) == 0
 
 
 # ---------------------------------------------------------------------------
 # serial forwarding with fallback
 
 
-def _registered_registrar(engine, send):
-    reg = Registrar(engine, send)
+def _registered_registrar(engine, send, config=SignalingConfig()):
+    reg = Registrar(engine, send, config)
     reg.handle_register(build_register("mn", [
         _iface("wlan", WLAN, 0.5),
         _iface("cellular", CELL, 0.9),
@@ -260,3 +251,78 @@ def test_answer_after_fallback_does_not_resurrect_earlier_entry():
     assert txn.completed_at == 2_100_000
     # no retransmissions fire after delivery
     assert all(t <= 2_100_000 for t, _ in sends)
+
+
+# ---------------------------------------------------------------------------
+# the retransmission timer
+
+
+def test_retransmit_resends_on_the_interval_up_to_times():
+    eng = Engine()
+    sends = []
+    retransmit(eng, lambda: sends.append(eng.now), lambda: True,
+               500_000, 3, "x")
+    eng.run_until(10_000_000)
+    assert sends == [500_000, 1_000_000, 1_500_000]
+
+
+def test_retransmit_stops_once_no_longer_pending():
+    eng = Engine(log_events=True)
+    sends = []
+    retransmit(eng, lambda: sends.append(eng.now), lambda: len(sends) < 2,
+               500_000, 5, "x")
+    eng.run_until(10_000_000)
+    assert sends == [500_000, 1_000_000]
+    # the timer armed by the last resend finds nothing pending and stops
+    assert eng.event_log == ["500000 sip-rtx x", "1000000 sip-rtx x",
+                             "1500000 sip-rtx x"]
+
+
+def test_retransmit_zero_times_schedules_nothing():
+    eng = Engine()
+    retransmit(eng, lambda: None, lambda: True, 500_000, 0, "x")
+    assert eng.run_until(10_000_000) == 0
+
+
+def test_registrar_resends_every_interval_then_falls_back():
+    eng = Engine()
+    reg_holder = []
+
+    def send(msg, addr):
+        if addr == WLAN:
+            eng.schedule_in(10_000, lambda: reg_holder[0].deliver_answer(_ok()))
+
+    reg = _registered_registrar(eng, send,
+                                SignalingConfig(max_retransmissions=3))
+    reg_holder.append(reg)
+    txn = reg.forward_with_fallback(_invite())
+    eng.run_until(5_000_000)
+    assert txn.attempts == [(CELL, 0), (CELL, 500_000), (CELL, 1_000_000),
+                            (CELL, 1_500_000), (WLAN, 2_000_000)]
+    assert txn.attempt_idx == 1
+    assert txn.status == DELIVERED
+
+
+def test_answered_transaction_dispatches_no_further_retransmission():
+    eng = Engine(log_events=True)
+    reg_holder = []
+
+    def send(msg, addr):
+        eng.schedule_in(10_000, lambda: reg_holder[0].deliver_answer(_ok()))
+
+    reg = _registered_registrar(eng, send,
+                                SignalingConfig(max_retransmissions=3))
+    reg_holder.append(reg)
+    txn = reg.forward_with_fallback(_invite())
+    eng.run_until(5_000_000)
+    assert txn.attempts == [(CELL, 0)]
+    # only the timer armed with the first send fires, as a no-op
+    assert [l for l in eng.event_log if "sip-rtx" in l] == \
+        ["500000 sip-rtx INVITE"]
+
+
+def test_signaling_config_rejects_non_positive_timers():
+    for bad in ({"rtx_interval_ms": 0}, {"fallback_timeout_ms": -1},
+                {"max_retransmissions": -1}, {"ok_bytes": 0}):
+        with pytest.raises(ValueError):
+            SignalingConfig(**bad)
