@@ -126,6 +126,8 @@ _BASE: dict[str, Any] = {
     "emodel": {},
 }
 
+_IFACE_KEYS = set(_BASE["interfaces"]["wlan"])
+
 PRESETS: dict[str, dict[str, Any]] = {
     # Clean heterogeneous links, all codecs, both switch directions.
     "campaign-A": {
@@ -272,6 +274,8 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
         if not isinstance(fields, dict):
             bad.append(f"interfaces.{iface_id}: expected a mapping")
             continue
+        for sub in sorted(map(str, set(fields) - _IFACE_KEYS)):
+            bad.append(f"interfaces.{iface_id}.{sub}: unknown setting")
         tech = fields.get("technology")
         if tech not in known_tech:
             bad.append(f"interfaces.{iface_id}.technology: unknown "
@@ -527,11 +531,9 @@ def _run_one(task: tuple) -> dict:
         write_metrics(str(run_dir / f"metrics_{name}.csv"), spec.run_id,
                       series)
         out["series"][name] = series
-        if any(r[1] == direction for r in result.trace.rows):
-            out["summary"][name] = call_summary(
-                result.trace, direction, spec.codec, emodel, use_burst)
-        else:
-            out["summary"][name] = None
+        out["summary"][name] = (
+            call_summary(result.trace, direction, spec.codec, emodel,
+                         use_burst) if series else None)
         if result.t_trigger is not None and result.t_completed is not None:
             lo, hi = result.t_trigger, result.t_completed
             rows = [r for r in result.trace.rows
@@ -678,7 +680,10 @@ def recompute_metrics(trace_file: str,
             [f"{trace_file}: no manifest.json found in parent directories; "
              f"pass --manifest"])
     manifest = json.loads(manifest_file.read_text())
-    run_id, trace = read_trace(str(trace_path))
+    try:
+        run_id, trace = read_trace(str(trace_path))
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
     if not run_id:
         # A header-only trace (run aborted before media) names no run; the
         # campaign layout <cell_id>/rNNN/trace.csv does.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,8 +100,21 @@ class CodecProfile:
 def validate_codec(codec: CodecProfile) -> list[str]:
     """Return every violated codec invariant; an empty list means valid."""
     violations = []
+    for name in ("bitrate_kbps", "packet_interval_ms", "payload_bytes", "ie",
+                 "bpl"):
+        value = getattr(codec, name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                or not math.isfinite(value):
+            violations.append(
+                f"{codec.name}: {name} must be a finite number, got {value!r}")
+    if violations:
+        return violations
     if codec.packet_interval_ms <= 0:
         violations.append(f"{codec.name}: packet_interval_ms must be positive")
+    elif codec.packet_interval_us < 1:
+        violations.append(f"{codec.name}: packet_interval_ms "
+                          f"{codec.packet_interval_ms:g} rounds to 0 us; "
+                          f"the interval must be at least 1 us")
     if codec.bitrate_kbps <= 0:
         violations.append(f"{codec.name}: bitrate_kbps must be positive")
     if codec.payload_bytes <= 0:

@@ -138,8 +138,8 @@ def mn_on_ok(state: HandoffState, proc: HandoffProcedure,
     return actions
 
 
-def media_route(state: HandoffState, direction: str,
-                t: Optional[SimTime] = None) -> Optional[tuple[Address, Address]]:
+def media_route(state: HandoffState,
+                direction: str) -> Optional[tuple[Address, Address]]:
     """(src, dst) for a media packet generated now, or None when the packet
     has no route because the required MN interface is Closed.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum
 from typing import Optional
 
@@ -121,6 +121,24 @@ def burst_ratio(loss_flags, ppl: float) -> float:
     return observed * (1.0 - ppl)
 
 
+def _quality(rows: list[tuple], no_delivery_delay_ms: float,
+             codec: CodecProfile, params: EModelParams,
+             use_burst_ratio: bool) -> tuple[int, float, float, float, float]:
+    """(lost, ppl, mean delay ms, burst ratio, R) over rows in generation
+    order. The delay is no_delivery_delay_ms when nothing was delivered."""
+    flags = [r[6] is not None for r in rows]
+    lost = sum(flags)
+    delivered = len(rows) - lost
+    ppl = lost / len(rows)
+    if delivered:
+        delay = fsum((r[5] - r[3]) for r in rows
+                     if r[5] is not None) / (delivered * US_PER_MS)
+    else:
+        delay = no_delivery_delay_ms
+    br = burst_ratio(flags, ppl) if use_burst_ratio else 1.0
+    return lost, ppl, delay, br, r_factor(delay, ppl, br, codec, params)
+
+
 def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
                   window_len_ms: float = 60.0,
                   stride_ms: Optional[float] = None,
@@ -132,7 +150,7 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
     not pass the last one; stride defaults to the window length. With
     use_burst_ratio False every window uses burst_r = 1 (plain loss model).
     """
-    rows = sorted(trace.rows_for(direction), key=lambda r: (r[3], r[2]))
+    rows = trace.rows_for(direction)
     if not rows:
         return []
     window_us = round(window_len_ms * US_PER_MS)
@@ -150,34 +168,18 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
         hi = bisect_left(gens, start + window_us)
         generated = hi - lo
         if generated == 0:
-            # Nothing generated here: carry the previous window forward.
-            base = prev
-            wm = WindowMetrics(
-                window_start=start, window_len_ms=window_len_ms,
-                mean_delay_ms=base.mean_delay_ms if base else 0.0,
-                ppl=base.ppl if base else 0.0,
-                burst_r=base.burst_r if base else 1.0,
-                r_factor=base.r_factor if base else r_factor(
-                    0.0, 0.0, 1.0, codec, params),
-                carried=True, carried_delay=True, generated=0)
+            # Nothing generated here: carry the previous window forward. The
+            # first window holds the first packet, so a previous one exists.
+            wm = replace(prev, window_start=start, carried=True,
+                         carried_delay=True, generated=0)
         else:
-            segment = rows[lo:hi]
-            flags = [r[6] is not None for r in segment]
-            lost = sum(flags)
-            ppl = lost / generated
-            carried_delay = False
-            if lost < generated:
-                delay = fsum((r[5] - r[3]) for r in segment
-                             if r[5] is not None) / ((generated - lost) * US_PER_MS)
-            else:
-                delay = prev.mean_delay_ms if prev else 0.0
-                carried_delay = True
-            br = burst_ratio(flags, ppl) if use_burst_ratio else 1.0
+            lost, ppl, delay, br, r = _quality(
+                rows[lo:hi], prev.mean_delay_ms if prev else 0.0, codec,
+                params, use_burst_ratio)
             wm = WindowMetrics(
                 window_start=start, window_len_ms=window_len_ms,
-                mean_delay_ms=delay, ppl=ppl, burst_r=br,
-                r_factor=r_factor(delay, ppl, br, codec, params),
-                carried=False, carried_delay=carried_delay,
+                mean_delay_ms=delay, ppl=ppl, burst_r=br, r_factor=r,
+                carried=False, carried_delay=lost == generated,
                 generated=generated)
         out.append(wm)
         prev = wm
@@ -201,23 +203,14 @@ class CallSummary:
 def call_summary(trace: PacketTrace, direction: str, codec: CodecProfile,
                  params: EModelParams = DEFAULT_EMODEL,
                  use_burst_ratio: bool = True) -> CallSummary:
-    rows = sorted(trace.rows_for(direction), key=lambda r: (r[3], r[2]))
-    generated = len(rows)
-    if generated == 0:
+    rows = trace.rows_for(direction)
+    if not rows:
         raise ValueError(f"trace has no {direction} packets")
-    flags = [r[6] is not None for r in rows]
-    lost = sum(flags)
-    delivered = generated - lost
-    ppl = lost / generated
-    if delivered:
-        delay = fsum((r[5] - r[3]) for r in rows
-                     if r[5] is not None) / (delivered * US_PER_MS)
-    else:
-        delay = 0.0
-    br = burst_ratio(flags, ppl) if use_burst_ratio else 1.0
-    return CallSummary(generated=generated, delivered=delivered, lost=lost,
-                       ppl=ppl, mean_delay_ms=delay, burst_r=br,
-                       r_factor=r_factor(delay, ppl, br, codec, params))
+    lost, ppl, delay, br, r = _quality(rows, 0.0, codec, params,
+                                       use_burst_ratio)
+    return CallSummary(generated=len(rows), delivered=len(rows) - lost,
+                       lost=lost, ppl=ppl, mean_delay_ms=delay, burst_r=br,
+                       r_factor=r)
 
 
 METRICS_COLUMNS = ("run_id", "window_start_us", "mean_delay_ms", "ppl",

@@ -35,12 +35,14 @@ from .core import (
     InternalInvariantError,
     SimTime,
     SimulationError,
+    validate_codec,
 )
 from .handoff import (
     HandoffLog,
     HandoffPhase,
     HandoffProcedure,
     HandoffState,
+    check_state,
     cn_on_reinvite,
     media_route,
     mn_on_ok,
@@ -60,9 +62,8 @@ from .sip import (
 )
 from .traffic import (
     DEFAULT_HEADER_OVERHEAD_BYTES,
-    MediaPacket,
     PacketTrace,
-    start_stream,
+    expected_packet_count,
 )
 
 MN_URI = "mn"
@@ -121,6 +122,7 @@ class CallSpec:
             bad.append("switch_from equals switch_to")
         if self.call_duration_us <= 0:
             bad.append("call duration must be positive")
+        bad.extend(validate_codec(self.codec))
         lo = self.switch_offset_us - self.switch_jitter_us
         hi = self.switch_offset_us + self.switch_jitter_us
         if not 0 < lo <= hi < self.call_duration_us:
@@ -349,6 +351,7 @@ class _CallRuntime:
         t = self.engine.now
         before = self.state.phase.value
         actions = mn_trigger(self.state, self.spec.procedure, t)
+        self._check_state()
         for action in actions:
             self._apply_mn_action(action, before, "trigger")
 
@@ -388,6 +391,7 @@ class _CallRuntime:
     def _cn_on_reinvite(self, msg: SipMessage) -> None:
         t = self.engine.now
         actions = cn_on_reinvite(self.state, msg, t)
+        self._check_state()
         for action in actions:
             if action[0] == "send-ok":
                 ok = SipMessage(method=SipMethod.OK, from_uri=CN_URI,
@@ -418,6 +422,7 @@ class _CallRuntime:
         if self.state.phase is HandoffPhase.SWITCHING:
             before = self.state.phase.value
             actions = mn_on_ok(self.state, self.spec.procedure, t)
+            self._check_state()
             for action in actions:
                 self._apply_mn_action(action, before, "ok")
             self.handoff_log.record(t, "MN", "ok", before,
@@ -442,31 +447,66 @@ class _CallRuntime:
 
     # -- media -------------------------------------------------------------
 
-    def _emit_ul(self, pkt: MediaPacket) -> None:
-        route = media_route(self.state, UL)
-        if route is None:
-            self.trace.record(pkt.stream_id, UL, pkt.seq, pkt.gen_time,
-                              self.state.ul_media_iface, None, LOSS_CLOSED)
-            return
-        src, _dst = route
-        iface = src.iface
-        if self.state.iface_states[iface] is IfaceState.CLOSED:
-            raise InternalInvariantError(
-                f"media emission from Closed interface {iface}")
-        arrival, cause = self.links_ul[iface].transmit(pkt.size_bytes)
-        self.trace.record(pkt.stream_id, UL, pkt.seq, pkt.gen_time, iface,
-                          arrival, cause)
+    def _start_media(self, stream_id: str, direction: str) -> None:
+        """Generate the direction's media on the exact grid
+        call_start + seq * interval, one media-tick event per packet: route
+        it, offer it to the link, record its fate, schedule the next tick."""
+        spec = self.spec
+        t_start = spec.call_start_us
+        t_end = t_start + spec.call_duration_us
+        interval = spec.codec.packet_interval_us
+        size = spec.codec.payload_bytes + spec.header_overhead_bytes
+        state = self.state
+        uplink = direction == UL
+        links = self.links_ul if uplink else self.links_dl
 
-    def _emit_dl(self, pkt: MediaPacket) -> None:
-        route = media_route(self.state, DL)
-        if route is None:
-            self.trace.record(pkt.stream_id, DL, pkt.seq, pkt.gen_time,
-                              CN_IFACE, None, LOSS_CLOSED)
+        def tick() -> None:
+            gen = self.engine.now
+            seq = (gen - t_start) // interval
+            route = media_route(state, direction)
+            if route is None:
+                arrival, cause = None, LOSS_CLOSED
+            else:
+                mn_iface = (route[0] if uplink else route[1]).iface
+                if state.iface_states[mn_iface] is IfaceState.CLOSED:
+                    raise InternalInvariantError(
+                        f"{direction} media routed over Closed interface "
+                        f"{mn_iface}")
+                arrival, cause = links[mn_iface].transmit(size)
+            self.trace.record(stream_id, direction, seq, gen,
+                              state.ul_media_iface if uplink else CN_IFACE,
+                              arrival, cause)
+            if gen + interval <= t_end:
+                self.engine.schedule(gen + interval, tick, kind="media-tick",
+                                     subject=stream_id)
+
+        self.engine.schedule(t_start, tick, kind="media-tick",
+                             subject=stream_id)
+
+    def _check_state(self) -> None:
+        bad = check_state(self.state, self.spec.procedure)
+        if bad:
+            raise InternalInvariantError(
+                f"handoff state at {self.engine.now} us: " + "; ".join(bad))
+
+    def _check_conservation(self, call_end: SimTime) -> None:
+        """Every link's offers are delivered or dropped, and unless the run
+        aborted each stream generated its full packet count."""
+        for link in (*self.links_ul.values(), *self.links_dl.values()):
+            if link.offered != link.delivered + link.dropped:
+                raise InternalInvariantError(
+                    f"link {link.link_id}: offered {link.offered} != "
+                    f"delivered {link.delivered} + dropped {link.dropped}")
+        if self.aborted:
             return
-        _src, dst = route
-        arrival, cause = self.links_dl[dst.iface].transmit(pkt.size_bytes)
-        self.trace.record(pkt.stream_id, DL, pkt.seq, pkt.gen_time, CN_IFACE,
-                          arrival, cause)
+        want = expected_packet_count(self.spec.call_start_us, call_end,
+                                     self.spec.codec.packet_interval_us)
+        for stream_id in ("ul", "dl"):
+            got = self.trace.next_seq.get(stream_id, 0)
+            if got != want:
+                raise InternalInvariantError(
+                    f"stream {stream_id} generated {got} packets, "
+                    f"expected {want}")
 
     # -- run ---------------------------------------------------------------
 
@@ -484,10 +524,8 @@ class _CallRuntime:
                              subject="invite")
         self.engine.schedule(spec.call_start_us, self._setup_guard,
                              kind="setup-guard", subject="")
-        start_stream(self.engine, "ul", UL, spec.codec, spec.call_start_us,
-                     call_end, self._emit_ul, spec.header_overhead_bytes)
-        start_stream(self.engine, "dl", DL, spec.codec, spec.call_start_us,
-                     call_end, self._emit_dl, spec.header_overhead_bytes)
+        self._start_media("ul", UL)
+        self._start_media("dl", DL)
         self.engine.schedule(t_trigger, self._on_trigger, kind="handoff",
                              subject="trigger")
         self.engine.schedule(t_trigger + spec.watchdog_us, self._watchdog,
@@ -495,6 +533,7 @@ class _CallRuntime:
 
         horizon = max(call_end, t_trigger + spec.watchdog_us) + 1_000_000
         self.engine.run_until(horizon)
+        self._check_conservation(call_end)
 
         return RunResult(
             run_id=spec.run_id, trace=self.trace, signaling=self.signaling,

@@ -346,6 +346,35 @@ interfaces:
         assert original == recomputed
 
 
+def test_recompute_metrics_rejects_a_malformed_trace(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 0
+    trace = tmp_path / "out" / "G729_hard_cellular-to-wlan" / "r000" / \
+        "trace.csv"
+    header, *rows = trace.read_text().splitlines()
+    first, second = [row for row in rows if ",UL," in row][:2]
+    broken = {
+        "wrong header": [header.replace("seq", "sequence"), first],
+        "non-integer field": [header, first.replace(",0,", ",zero,", 1)],
+        "short row": [header, first.rsplit(",", 1)[0]],
+        "duplicate seq": [header, first, first],
+        "out of order": [header, second, first],
+    }
+    for name, lines in broken.items():
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["recompute-metrics", str(trace)]) == 1, name
+        assert f"config error: {trace}: " in capsys.readouterr().err, name
+
+
+def test_a_broken_invariant_exits_three(tmp_path, capsys, monkeypatch):
+    import sipswitch.scenario as scenario
+    monkeypatch.setattr(scenario, "check_state",
+                        lambda state, proc: ["injected violation"])
+    cfg = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 3
+    assert "injected violation" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("switch_time,jitter", [
     (0.5, 5),   # earliest trigger before the call starts
     (5, 5),     # earliest trigger at the call start
@@ -366,6 +395,28 @@ def test_validate_accepts_the_benchmark_jitter_window(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     for preset in ("campaign-A", "campaign-B"):
         assert main(["validate", cfg, "--preset", preset]) == 0
+
+
+@pytest.mark.parametrize("text,message", [
+    # a string where a number belongs used to raise TypeError
+    ("""codecs: [X]
+custom_codecs:
+  X: {bitrate_kbps: "8", packet_interval_ms: 20, payload_bytes: 20,
+      ie: 11, bpl: 19}
+""", "custom_codecs.X: X: bitrate_kbps must be a finite number, got '8'"),
+    # an interval that rounds to 0 us used to hang the run
+    ("""codecs: [X]
+custom_codecs:
+  X: {bitrate_kbps: 8000000, packet_interval_ms: 0.0001, payload_bytes: 100,
+      ie: 0, bpl: 25.1}
+""", "custom_codecs.X: X: packet_interval_ms 0.0001 rounds to 0 us"),
+    # unknown keys under an interface used to be ignored
+    ("interfaces:\n  wlan:\n    loss_probability: 0.1\n",
+     "interfaces.wlan.loss_probability: unknown setting"),
+])
+def test_validate_names_the_bad_field(tmp_path, capsys, text, message):
+    assert main(["validate", write_config(tmp_path, text)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_validate_command_reports_ok_or_violations(tmp_path, capsys):

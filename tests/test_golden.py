@@ -51,11 +51,11 @@ def tree_digests(out_dir: Path) -> dict[str, str]:
     return digests
 
 
-def run_golden_campaign(tmp_path: Path) -> Path:
+def run_golden_campaign(tmp_path: Path, *args: str) -> Path:
     out = tmp_path / "out"
     cfg = tmp_path / "golden.yaml"
     cfg.write_text(CONFIG + f"out_dir: {out}\n")
-    assert main(["run", str(cfg)]) == 2  # some runs abort under this loss
+    assert main(["run", str(cfg), *args]) == 2  # some runs abort here
     return out
 
 
@@ -74,3 +74,9 @@ def test_golden_campaign_tree_is_unchanged(tmp_path, capsys):
     if got != want:
         print(json.dumps(got, indent=2, sort_keys=True))
     assert got == want
+
+
+def test_golden_campaign_tree_is_unchanged_in_parallel(tmp_path, capsys):
+    # serial and parallel runs must write byte-identical trees
+    out = run_golden_campaign(tmp_path, "--parallel", "2")
+    assert tree_digests(out) == json.loads(GOLDEN.read_text())

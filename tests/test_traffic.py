@@ -1,23 +1,44 @@
+from dataclasses import replace
+
 import pytest
 
 from sipswitch.core import (
     CODEC_PRESETS,
+    CodecProfile,
     DL,
     LOSS_CLOSED,
     LOSS_RANDOM,
     UL,
+    Address,
+    InterfaceDescriptor,
+    Technology,
 )
-from sipswitch.simnet import UNLIMITED, Engine, Link
+from sipswitch.handoff import HandoffProcedure
+from sipswitch.scenario import CallSpec, LinkParams, run_call
 from sipswitch.traffic import (
     DEFAULT_HEADER_OVERHEAD_BYTES,
-    MediaStream,
     PacketTrace,
     TraceConservationError,
     expected_packet_count,
     read_trace,
-    start_stream,
     write_trace,
 )
+
+
+def call_spec(codec_name, wlan_kbps=54_000.0, **kw):
+    """A soft wlan-to-cellular call: lossless, so every packet arrives."""
+    interfaces = [
+        InterfaceDescriptor("wlan", Technology.WLAN_LIKE,
+                            Address("mn", "wlan", 5004), 0.5),
+        InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE,
+                            Address("mn", "cellular", 5004), 0.9),
+    ]
+    links = {"wlan": LinkParams(wlan_kbps, 5_000),
+             "cellular": LinkParams(384.0, (40_000, 80_000))}
+    return CallSpec(codec=CODEC_PRESETS[codec_name],
+                    procedure=HandoffProcedure.SOFT, switch_from="wlan",
+                    switch_to="cellular", interfaces=interfaces, links=links,
+                    **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -38,64 +59,52 @@ def test_expected_packet_count_inclusive_of_both_ends():
     ("G711", 3_001), ("G729", 3_001), ("G723.1", 2_001),
 ])
 def test_stream_emits_expected_count_over_a_minute(codec_name, expected):
-    eng = Engine()
+    result = run_call(call_spec(codec_name))
+    assert not result.aborted
     codec = CODEC_PRESETS[codec_name]
-    got = []
-    start_stream(eng, "ul", UL, codec, 1_000_000, 61_000_000, got.append)
-    eng.run_until(61_000_000)
-    assert len(got) == expected
-    assert len(got) == expected_packet_count(1_000_000, 61_000_000,
+    assert expected == expected_packet_count(1_000_000, 61_000_000,
                                              codec.packet_interval_us)
+    for direction in (UL, DL):
+        assert len(result.trace.rows_for(direction)) == expected
 
 
 def test_generation_grid_is_exact_and_drift_free():
-    eng = Engine()
-    codec = CODEC_PRESETS["G723.1"]
-    got = []
-    start_stream(eng, "dl", DL, codec, 500, 500 + 30_000 * 10, got.append)
-    eng.run_until(10_000_000)
-    assert [p.gen_time for p in got] == [500 + 30_000 * k for k in range(11)]
-    assert [p.seq for p in got] == list(range(11))
-    assert all(p.size_bytes == 24 + DEFAULT_HEADER_OVERHEAD_BYTES for p in got)
-
-
-def test_stream_stop_halts_generation():
-    eng = Engine()
-    codec = CODEC_PRESETS["G711"]
-    got = []
-    stream = start_stream(eng, "ul", UL, codec, 0, 1_000_000, got.append)
-    eng.schedule(100_000, stream.stop)
-    eng.run_until(1_000_000)
-    # the stop was scheduled before the 100 ms tick, so it dispatches first
-    # at that instant: only the packets at 0..80 ms were emitted
-    assert len(got) == 5
+    spec = call_spec("G723.1", call_start_us=1_000_500,
+                     call_duration_us=30_000 * 100,
+                     switch_offset_us=30_000 * 50)
+    result = run_call(spec)
+    assert not result.aborted
+    for direction in (UL, DL):
+        rows = result.trace.rows_for(direction)
+        assert [r[3] for r in rows] == \
+            [1_000_500 + 30_000 * k for k in range(101)]
+        assert [r[2] for r in rows] == list(range(101))
 
 
 def test_stream_rejects_bad_arguments():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        MediaStream(eng, "x", "sideways", CODEC_PRESETS["G711"], 0, 1,
-                    lambda p: None)
-    with pytest.raises(ValueError):
-        MediaStream(eng, "x", UL, CODEC_PRESETS["G711"], 10, 5, lambda p: None)
+    # A codec interval that rounds to 0 us would tick the same instant
+    # forever; it is rejected before anything runs.
+    fast = CodecProfile("fast", bitrate_kbps=8_000_000,
+                        packet_interval_ms=0.0001, payload_bytes=100, ie=0.0,
+                        bpl=25.1)
+    spec = replace(call_spec("G711"), codec=fast)
+    assert "fast: packet_interval_ms 0.0001 rounds to 0 us; the interval " \
+        "must be at least 1 us" in spec.validate()
+    spec = call_spec("G711", call_duration_us=0)
+    assert "call duration must be positive" in spec.validate()
 
 
 def test_offered_bitrate_matches_codec_plus_overhead():
-    # G711 with 40 B headers: 200 B per 20 ms = 80 kbps at IP level
-    eng = Engine()
-    link = Link(eng, "l", UNLIMITED, 0, queue_capacity_pkts=10_000)
-    sent_bits = 0
-
-    def emit(pkt):
-        nonlocal sent_bits
-        if pkt.gen_time < 10_000_000:  # count a 10 s span [0, 10 s)
-            sent_bits += pkt.size_bytes * 8
-        link.transmit(pkt.size_bytes)
-
-    start_stream(eng, "ul", UL, CODEC_PRESETS["G711"], 0, 10_000_000, emit)
-    eng.run_until(10_000_000)
-    offered_kbps = sent_bits / 10.0 / 1000.0
-    assert offered_kbps == pytest.approx(80.0, rel=0.01)
+    # G711 with 40 B headers: 200 B per 20 ms = 80 kbps at IP level. Over a
+    # 100 kbps link with 5 ms propagation the first uplink packet arrives
+    # after 200 B of serialization (16 ms), not 160 B (12.8 ms).
+    result = run_call(call_spec("G711", wlan_kbps=100.0))
+    first = result.trace.rows_for(UL)[0]
+    size = CODEC_PRESETS["G711"].payload_bytes + DEFAULT_HEADER_OVERHEAD_BYTES
+    assert first[4] == "wlan"
+    assert first[5] - first[3] == 5_000 + round(size * 8_000 / 100.0)
+    offered_kbps = size * 8 / CODEC_PRESETS["G711"].packet_interval_ms
+    assert offered_kbps == pytest.approx(80.0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +127,15 @@ def test_trace_counts_and_cause_tallies():
 def test_trace_rejects_duplicate_sequence_numbers():
     tr = PacketTrace()
     tr.record("ul", UL, 0, 0, "wlan", 5_000, None)
-    with pytest.raises(TraceConservationError):
-        tr.record("ul", UL, 0, 20_000, "wlan", 25_000, None)
+    tr.record("ul", UL, 1, 20_000, "wlan", 25_000, None)
+    for seq in (1, 3, 0):  # duplicate, gap, out of order
+        with pytest.raises(TraceConservationError, match="expected seq 2"):
+            tr.record("ul", UL, seq, 40_000, "wlan", 45_000, None)
     # same seq on a different stream is fine
     tr.record("dl", DL, 0, 0, "cn0", 6_000, None)
+    # the rejected packets left the stream's next seq alone
+    tr.record("ul", UL, 2, 40_000, "wlan", 45_000, None)
+    assert tr.next_seq == {"ul": 3, "dl": 1}
 
 
 def test_trace_rejects_contradictory_fates():
@@ -129,15 +143,20 @@ def test_trace_rejects_contradictory_fates():
     with pytest.raises(TraceConservationError):
         tr.record("ul", UL, 0, 0, "wlan", None, None)  # no fate at all
     with pytest.raises(TraceConservationError):
-        tr.record("ul", UL, 1, 0, "wlan", 5_000, LOSS_RANDOM)  # both fates
+        tr.record("ul", UL, 0, 0, "wlan", 5_000, LOSS_RANDOM)  # both fates
 
 
 def test_trace_rejects_time_travel_and_unknown_causes():
     tr = PacketTrace()
-    with pytest.raises(TraceConservationError):
+    with pytest.raises(TraceConservationError, match="before generation"):
         tr.record("ul", UL, 0, 10_000, "wlan", 9_999, None)
-    with pytest.raises(TraceConservationError):
-        tr.record("ul", UL, 1, 0, "wlan", None, "gremlins")
+    with pytest.raises(TraceConservationError, match="unknown loss cause"):
+        tr.record("ul", UL, 0, 0, "wlan", None, "gremlins")
+    # a direction's packets are recorded in generation order
+    tr.record("ul", UL, 0, 20_000, "wlan", 25_000, None)
+    with pytest.raises(TraceConservationError, match="before the previous"):
+        tr.record("ul2", UL, 0, 0, "wlan", 5_000, None)
+    tr.record("dl", DL, 0, 0, "cn0", 5_000, None)
 
 
 def test_trace_round_trips_through_csv(tmp_path):
