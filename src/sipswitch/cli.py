@@ -20,21 +20,28 @@ import yaml
 from . import __version__
 from .core import (
     CODEC_PRESETS,
+    CODEC_RULES,
     DL,
+    MAX_PACKET_BYTES,
     UL,
+    US_PER_MS,
+    US_PER_S,
     Address,
     CodecProfile,
     IfaceState,
     InterfaceDescriptor,
     InternalInvariantError,
+    Numeric,
     SimulationError,
     Technology,
     ms_to_us,
     s_to_us,
     validate_codec,
+    violations,
 )
 from .handoff import HandoffProcedure
 from .metrics import (
+    EMODEL_RULES,
     EModelParams,
     WindowMetrics,
     call_summary,
@@ -42,7 +49,7 @@ from .metrics import (
     write_metrics,
 )
 from .scenario import MEDIA_PORT, CallSpec, LinkParams, run_call
-from .sip import SignalingConfig
+from .sip import SIGNALING_RULES, SignalingConfig
 from .traffic import read_trace, write_trace
 
 
@@ -126,8 +133,6 @@ _BASE: dict[str, Any] = {
     "emodel": {},
 }
 
-_IFACE_KEYS = set(_BASE["interfaces"]["wlan"])
-
 PRESETS: dict[str, dict[str, Any]] = {
     # Clean heterogeneous links, all codecs, both switch directions.
     "campaign-A": {
@@ -154,36 +159,86 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def _check_number(raw: dict, key: str, bad: list[str], minimum=None,
-                  maximum=None, strict_min: bool = False) -> None:
-    value = raw.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        bad.append(f"{key}: expected a number, got {value!r}")
-        return
-    if minimum is not None and (value <= minimum if strict_min
-                                else value < minimum):
-        op = ">" if strict_min else ">="
-        bad.append(f"{key}: must be {op} {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        bad.append(f"{key}: must be <= {maximum}, got {value}")
+_TIME_S = Numeric(0, above=True, unit_us=US_PER_S)
+_TIME_MS = Numeric(0, above=True, unit_us=US_PER_MS)
+_RULES = {
+    "call_duration_s": _TIME_S, "switch_time_s": _TIME_S,
+    "switch_jitter_s": Numeric(0, unit_us=US_PER_S),
+    "window_len_ms": _TIME_MS,
+    "stride_ms": Numeric(0, above=True, unit_us=US_PER_MS, optional=True),
+    "watchdog_s": _TIME_S,
+    "header_overhead_bytes": Numeric(0, MAX_PACKET_BYTES, integer=True),
+    "repetitions": Numeric(1, integer=True),
+    "base_seed": Numeric(integer=True),
+}
+_IFACE_RULES = {
+    "q_weight": Numeric(0, 1),
+    "bitrate_kbps": Numeric(0.001, optional=True),  # at least 1 bit/s
+    "queue_capacity_pkts": Numeric(1, integer=True),
+    "loss_prob": Numeric(0, 1),
+}
+_PROP_DELAY = Numeric(0, unit_us=US_PER_MS)
 
 
-def _parse_prop_delay(value, field: str, bad: list[str]):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value < 0:
-            bad.append(f"{field}: delay must be non-negative")
-            return 0
-        return ms_to_us(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in value):
-        lo, hi = value
-        if lo < 0 or lo > hi:
-            bad.append(f"{field}: need 0 <= low <= high, got {value}")
-            return 0
-        return (ms_to_us(lo), ms_to_us(hi))
-    bad.append(f"{field}: expected a number or [low, high] in ms, got {value!r}")
-    return 0
+def _check(values: dict, rules: dict, prefix: str, bad: list[str]) -> set[str]:
+    """Report each value that breaks its rule; returns their names."""
+    found = violations(values, rules)
+    bad.extend(f"{prefix}{name}: {problem}" for name, problem in found)
+    return {name for name, _ in found}
+
+
+def _section(value, prefix: str, allowed, bad: list[str]) -> Optional[dict]:
+    """value if it is a mapping, after reporting each key outside allowed
+    (None allows any) as <prefix><key>; None, reported, if not a mapping."""
+    if not isinstance(value, dict):
+        bad.append(f"{prefix[:-1]}: expected a mapping")
+        return None
+    if allowed is not None:
+        for key in sorted(map(str, set(value) - set(allowed))):
+            bad.append(f"{prefix}{key}: unknown setting")
+    return value
+
+
+def _entries(value: dict, prefix: str, allowed, bad: list[str]):
+    """(name, section) for each well-formed entry of a mapping of named
+    sections, reporting the others."""
+    for name, fields in value.items():
+        if not isinstance(name, str):
+            bad.append(f"{prefix}{name}: a name must be a string")
+        elif _section(fields, f"{prefix}{name}.", allowed, bad) is not None:
+            yield name, fields
+
+
+def _names(raw: dict, key: str, what: str, known, bad: list[str]) -> list:
+    """The non-empty list of names at key (one name is a list of one),
+    reporting each name outside known (None knows every name)."""
+    names = raw.get(key)
+    if isinstance(names, str):
+        names = [names]
+    if not isinstance(names, list) or not names:
+        bad.append(f"{key}: expected a non-empty list of {what} names")
+        return []
+    if known is not None:
+        known = sorted(known)  # a list: an unhashable name is just unknown
+        for name in names:
+            if name not in known:
+                bad.append(f"{key}: unknown {what} {name!r}; known: "
+                           f"{', '.join(known)}")
+    return names
+
+
+def _parse_prop_delay(value, path: str, bad: list[str]):
+    """A delay in ms or a [low, high] range, in us; None, reported, if bad."""
+    pair = isinstance(value, list) and len(value) == 2
+    values = value if pair else [value]
+    problem = next(filter(None, map(_PROP_DELAY.violation, values)), None)
+    if problem is None and values[0] > values[-1]:
+        problem = f"need low <= high, got {value}"
+    if problem is not None:
+        bad.append(f"{path}: {problem}")
+        return None
+    us = tuple(map(ms_to_us, values))
+    return us if pair else us[0]
 
 
 def load_config(path: str, preset: Optional[str] = None,
@@ -197,7 +252,7 @@ def load_config(path: str, preset: Optional[str] = None,
         raise ConfigError([f"{path}: file not found"])
     try:
         raw = yaml.safe_load(file_path.read_text())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a huge int
         raise ConfigError([f"{path}: parse error: {exc}"])
     if raw is None:
         raw = {}
@@ -205,7 +260,7 @@ def load_config(path: str, preset: Optional[str] = None,
         raise ConfigError([f"{path}: top level must be a mapping"])
 
     preset_name = preset or raw.pop("preset", None)
-    if preset_name is not None and preset_name not in PRESETS:
+    if preset_name is not None and preset_name not in sorted(PRESETS):
         raise ConfigError([
             f"preset: unknown preset {preset_name!r}; "
             f"known: {', '.join(sorted(PRESETS))}"])
@@ -222,103 +277,48 @@ def load_config(path: str, preset: Optional[str] = None,
 
 def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
     bad: list[str] = []
-    unknown = set(raw) - set(_BASE)
-    for key in sorted(unknown):
-        bad.append(f"{key}: unknown setting")
+    _section(raw, "", _BASE, bad)
+    failed = _check(raw, _RULES, "", bad)
 
     codec_profiles = dict(CODEC_PRESETS)
-    custom = raw.get("custom_codecs") or {}
-    if not isinstance(custom, dict):
-        bad.append("custom_codecs: expected a mapping of name to profile")
-        custom = {}
-    for name, fields in custom.items():
-        try:
-            profile = CodecProfile(name=name, **fields)
-        except (TypeError, ValueError) as exc:
-            bad.append(f"custom_codecs.{name}: {exc}")
-            continue
+    custom = _section(raw.get("custom_codecs") or {}, "custom_codecs.", None,
+                      bad) or {}
+    for name, fields in _entries(custom, "custom_codecs.", CODEC_RULES, bad):
+        profile = CodecProfile(name, **{f: fields.get(f) for f in CODEC_RULES})
         for violation in validate_codec(profile):
             bad.append(f"custom_codecs.{name}: {violation}")
         codec_profiles[name] = profile
 
-    codecs = raw.get("codecs")
-    if isinstance(codecs, str):
-        codecs = [codecs]
-    if not isinstance(codecs, list) or not codecs:
-        bad.append("codecs: expected a non-empty list of codec names")
-        codecs = []
-    for name in codecs:
-        if name not in codec_profiles:
-            bad.append(f"codecs: unknown codec {name!r}; known: "
-                       f"{', '.join(sorted(codec_profiles))}")
-
-    procedures = raw.get("procedures")
-    if isinstance(procedures, str):
-        procedures = [procedures]
-    if not isinstance(procedures, list) or not procedures:
-        bad.append("procedures: expected a non-empty list")
-        procedures = []
-    known_procs = {p.value for p in HandoffProcedure}
-    for name in procedures:
-        if name not in known_procs:
-            bad.append(f"procedures: unknown procedure {name!r}; known: "
-                       f"{', '.join(sorted(known_procs))}")
+    codecs = _names(raw, "codecs", "codec", codec_profiles, bad)
+    procedures = _names(raw, "procedures", "procedure",
+                        (p.value for p in HandoffProcedure), bad)
 
     interfaces: dict[str, InterfaceSettings] = {}
     raw_ifaces = raw.get("interfaces")
     if not isinstance(raw_ifaces, dict) or len(raw_ifaces) < 2:
         bad.append("interfaces: need a mapping with at least two interfaces")
         raw_ifaces = {}
-    known_tech = {t.value for t in Technology}
-    for iface_id, fields in raw_ifaces.items():
-        if not isinstance(fields, dict):
-            bad.append(f"interfaces.{iface_id}: expected a mapping")
-            continue
-        for sub in sorted(map(str, set(fields) - _IFACE_KEYS)):
-            bad.append(f"interfaces.{iface_id}.{sub}: unknown setting")
+    known_tech = sorted(t.value for t in Technology)
+    for iface_id, fields in _entries(raw_ifaces, "interfaces.",
+                                     _BASE["interfaces"]["wlan"], bad):
+        prefix = f"interfaces.{iface_id}."
+        fields = {"bitrate_kbps": None, "prop_delay_ms": 0,
+                  "queue_capacity_pkts": 50, "loss_prob": 0.0} | fields
         tech = fields.get("technology")
         if tech not in known_tech:
-            bad.append(f"interfaces.{iface_id}.technology: unknown "
-                       f"{tech!r}; known: {', '.join(sorted(known_tech))}")
-            tech = "wired"
-        q = fields.get("q_weight")
-        if not isinstance(q, (int, float)) or isinstance(q, bool) \
-                or not 0.0 <= q <= 1.0:
-            bad.append(f"interfaces.{iface_id}.q_weight: must be a number "
-                       f"in [0, 1], got {q!r}")
-            q = 0.0
-        bitrate = fields.get("bitrate_kbps")
-        if bitrate is not None and (
-                not isinstance(bitrate, (int, float))
-                or isinstance(bitrate, bool) or bitrate <= 0):
-            bad.append(f"interfaces.{iface_id}.bitrate_kbps: must be a "
-                       f"positive number or null, got {bitrate!r}")
-            bitrate = None
-        prop = _parse_prop_delay(fields.get("prop_delay_ms", 0),
-                                 f"interfaces.{iface_id}.prop_delay_ms", bad)
-        queue = fields.get("queue_capacity_pkts", 50)
-        if not isinstance(queue, int) or isinstance(queue, bool) or queue < 1:
-            bad.append(f"interfaces.{iface_id}.queue_capacity_pkts: must be "
-                       f"an integer >= 1, got {queue!r}")
-            queue = 1
-        loss = fields.get("loss_prob", 0.0)
-        if not isinstance(loss, (int, float)) or isinstance(loss, bool) \
-                or not 0.0 <= loss <= 1.0:
-            bad.append(f"interfaces.{iface_id}.loss_prob: must be in [0, 1], "
-                       f"got {loss!r}")
-            loss = 0.0
-        interfaces[iface_id] = InterfaceSettings(
-            technology=tech, q_weight=float(q),
-            link=LinkParams(bitrate_kbps=bitrate, prop_delay_us=prop,
-                            queue_capacity_pkts=queue, loss_prob=float(loss)))
+            bad.append(f"{prefix}technology: unknown {tech!r}; known: "
+                       f"{', '.join(known_tech)}")
+        prop = _parse_prop_delay(fields["prop_delay_ms"],
+                                 f"{prefix}prop_delay_ms", bad)
+        if not _check(fields, _IFACE_RULES, prefix, bad) and prop is not None:
+            interfaces[iface_id] = InterfaceSettings(
+                technology=tech, q_weight=float(fields["q_weight"]),
+                link=LinkParams(
+                    bitrate_kbps=fields["bitrate_kbps"], prop_delay_us=prop,
+                    queue_capacity_pkts=int(fields["queue_capacity_pkts"]),
+                    loss_prob=float(fields["loss_prob"])))
 
-    directions = raw.get("directions")
-    if isinstance(directions, str):
-        directions = [directions]
-    if not isinstance(directions, list) or not directions:
-        bad.append("directions: expected a non-empty list like "
-                   "['wlan-to-cellular']")
-        directions = []
+    directions = _names(raw, "directions", "direction", None, bad)
     for direction in directions:
         parts = str(direction).split("-to-")
         if len(parts) != 2 or not all(parts):
@@ -326,67 +326,34 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
                        f"'<from>-to-<to>'")
         else:
             for iface_id in parts:
-                if raw_ifaces and iface_id not in interfaces:
+                if raw_ifaces and iface_id not in raw_ifaces:
                     bad.append(f"directions: {direction!r} references "
                                f"unknown interface {iface_id!r}")
             if parts[0] == parts[1]:
                 bad.append(f"directions: {direction!r} switches an "
                            f"interface to itself")
 
-    _check_number(raw, "call_duration_s", bad, minimum=0, strict_min=True)
-    _check_number(raw, "switch_time_s", bad, minimum=0, strict_min=True)
-    _check_number(raw, "switch_jitter_s", bad, minimum=0)
-    _check_number(raw, "window_len_ms", bad, minimum=0, strict_min=True)
-    if raw.get("stride_ms") is not None:
-        _check_number(raw, "stride_ms", bad, minimum=0, strict_min=True)
-    _check_number(raw, "watchdog_s", bad, minimum=0, strict_min=True)
-    _check_number(raw, "header_overhead_bytes", bad, minimum=0)
-    reps = raw.get("repetitions")
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        bad.append(f"repetitions: must be an integer >= 1, got {reps!r}")
-        reps = 1
-    seed = raw.get("base_seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        bad.append(f"base_seed: must be an integer, got {seed!r}")
-        seed = 0
-    if isinstance(raw.get("call_duration_s"), (int, float)) and \
-            isinstance(raw.get("switch_time_s"), (int, float)):
+    if not failed & {"call_duration_s", "switch_time_s", "switch_jitter_s"}:
         # In us, as the run checks them (CallSpec.validate).
-        t, d = s_to_us(raw["switch_time_s"]), s_to_us(raw["call_duration_s"])
-        jitter = raw.get("switch_jitter_s")
-        j = s_to_us(jitter) if isinstance(jitter, (int, float)) else 0
+        t, d, j = (s_to_us(raw[key]) for key in (
+            "switch_time_s", "call_duration_s", "switch_jitter_s"))
         if not t < d:
             bad.append(
                 f"switch_time_s: must be before call_duration_s "
                 f"({raw['switch_time_s']} >= {raw['call_duration_s']})")
-        elif raw["switch_time_s"] > 0 and not (0 < t - j and t + j < d):
+        elif not (0 < t - j and t + j < d):
             bad.append(
                 f"switch_jitter_s: switch_time_s +- switch_jitter_s must fall "
-                f"inside the call ({raw['switch_time_s']} +- {jitter} in "
-                f"{raw['call_duration_s']})")
-    for key, cls in (("signaling", SignalingConfig), ("emodel", EModelParams)):
-        section = raw.get(key) or {}
-        if not isinstance(section, dict):
-            bad.append(f"{key}: expected a mapping")
-            raw[key] = {}
-            continue
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        for sub in sorted(set(section) - allowed):
-            bad.append(f"{key}.{sub}: unknown setting")
+                f"inside the call ({raw['switch_time_s']} +- "
+                f"{raw['switch_jitter_s']} in {raw['call_duration_s']})")
+    for key, cls, rules in (("signaling", SignalingConfig, SIGNALING_RULES),
+                            ("emodel", EModelParams, EMODEL_RULES)):
+        section = _section(raw.get(key) or {}, f"{key}.", rules, bad)
+        if section is not None:
+            _check(vars(cls()) | section, rules, f"{key}.", bad)
     for key in ("use_burst_ratio", "log_events"):
-        if not isinstance(raw.get(key), bool):
+        if type(raw.get(key)) is not bool:
             bad.append(f"{key}: expected true/false, got {raw.get(key)!r}")
-
-    signaling = emodel = None
-    if not bad:
-        try:
-            signaling = SignalingConfig(**raw["signaling"])
-        except (TypeError, ValueError) as exc:
-            bad.append(f"signaling: {exc}")
-        try:
-            emodel = EModelParams(**raw["emodel"])
-        except (TypeError, ValueError) as exc:
-            bad.append(f"emodel: {exc}")
     if bad:
         raise ConfigError(bad)
 
@@ -400,11 +367,13 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
         window_len_ms=float(raw["window_len_ms"]),
         stride_ms=(None if raw["stride_ms"] is None
                    else float(raw["stride_ms"])),
-        repetitions=reps, base_seed=seed, out_dir=str(raw["out_dir"]),
+        repetitions=int(raw["repetitions"]), base_seed=int(raw["base_seed"]),
+        out_dir=str(raw["out_dir"]),
         header_overhead_bytes=int(raw["header_overhead_bytes"]),
         use_burst_ratio=raw["use_burst_ratio"],
         watchdog_s=float(raw["watchdog_s"]), log_events=raw["log_events"],
-        signaling=signaling, emodel=emodel)
+        signaling=SignalingConfig(**(raw["signaling"] or {})),
+        emodel=EModelParams(**(raw["emodel"] or {})))
 
 
 def capacity_warnings(config: ExperimentConfig) -> list[str]:
@@ -745,7 +714,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return 1 if exc.code == 2 else exc.code
     try:
         if args.command == "run":
             overrides = {"base_seed": args.seed, "repetitions": args.reps,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Mapping, Optional
 
 # Simulation time is an integer count of microseconds since simulation start.
 # Integer time keeps event ordering exact; there are no sub-microsecond events.
@@ -97,42 +98,93 @@ class CodecProfile:
         return ms_to_us(self.packet_interval_ms)
 
 
+# Largest time a setting may take. Simulation time is integer us, and up to
+# 2**53 us (about 285 years) every time is exact as a float in the metrics.
+MAX_TIME_US = 2 ** 53
+
+# Largest packet or message size in bytes: the largest IP packet.
+MAX_PACKET_BYTES = 65_535
+
+
+@dataclass(frozen=True)
+class Numeric:
+    """The rule every numeric setting obeys.
+
+    A value must be a real number, not a bool, and finite; integral when
+    integer is set; at least lo (above lo when above is set) and at most hi.
+    None is allowed only when optional is set. A time that the program
+    converts to us names the us in one of its units as unit_us: it must be
+    at most MAX_TIME_US us and, when above is set, round to at least 1 us.
+    """
+
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    above: bool = False
+    integer: bool = False
+    unit_us: Optional[int] = None
+    optional: bool = False
+
+    def violation(self, value: Any) -> Optional[str]:
+        """What is wrong with value, or None when it obeys the rule."""
+        if value is None and self.optional:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or isinstance(value, float) and not math.isfinite(value):
+            return f"must be a finite number, got {value!r}"
+        if self.integer and value != int(value):
+            return f"must be an integer, got {value!r}"
+        hi = self.hi if self.unit_us is None else MAX_TIME_US / self.unit_us
+        if self.lo is not None and (value <= self.lo if self.above
+                                    else value < self.lo):
+            op = ">" if self.above else ">="
+            return f"must be {op} {self.lo}, got {value!r}"
+        if hi is not None and value > hi:
+            return f"must be <= {hi}, got {value!r}"
+        if self.unit_us is not None and self.above \
+                and round(value * self.unit_us) < 1:
+            return (f"{value:g} rounds to 0 us; the interval must be at "
+                    f"least 1 us")
+        return None
+
+
+def violations(values: Mapping[str, Any],
+               rules: Mapping[str, Numeric]) -> list[tuple[str, str]]:
+    """(name, violation) for each value breaking its rule; missing is None."""
+    return [(name, problem) for name, rule in rules.items()
+            if (problem := rule.violation(values.get(name))) is not None]
+
+
+def check_fields(obj: Any, rules: Mapping[str, Numeric]) -> None:
+    """Raise ValueError naming every field of obj that breaks its rule."""
+    bad = violations(vars(obj), rules)
+    if bad:
+        raise ValueError("; ".join(f"{name} {problem}"
+                                   for name, problem in bad))
+
+
+CODEC_RULES = {
+    "bitrate_kbps": Numeric(0, above=True),
+    "packet_interval_ms": Numeric(0, above=True, unit_us=US_PER_MS),
+    "payload_bytes": Numeric(1, MAX_PACKET_BYTES, integer=True),
+    "ie": Numeric(0, 100),
+    "bpl": Numeric(0, above=True),
+}
+
+
 def validate_codec(codec: CodecProfile) -> list[str]:
     """Return every violated codec invariant; an empty list means valid."""
-    violations = []
-    for name in ("bitrate_kbps", "packet_interval_ms", "payload_bytes", "ie",
-                 "bpl"):
-        value = getattr(codec, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(value):
-            violations.append(
-                f"{codec.name}: {name} must be a finite number, got {value!r}")
-    if violations:
-        return violations
-    if codec.packet_interval_ms <= 0:
-        violations.append(f"{codec.name}: packet_interval_ms must be positive")
-    elif codec.packet_interval_us < 1:
-        violations.append(f"{codec.name}: packet_interval_ms "
-                          f"{codec.packet_interval_ms:g} rounds to 0 us; "
-                          f"the interval must be at least 1 us")
-    if codec.bitrate_kbps <= 0:
-        violations.append(f"{codec.name}: bitrate_kbps must be positive")
-    if codec.payload_bytes <= 0:
-        violations.append(f"{codec.name}: payload_bytes must be positive")
-    if codec.ie < 0:
-        violations.append(f"{codec.name}: ie must be non-negative")
-    if codec.bpl <= 0:
-        violations.append(f"{codec.name}: bpl must be positive")
-    if codec.packet_interval_ms > 0 and codec.bitrate_kbps > 0 and codec.payload_bytes > 0:
+    bad = [f"{codec.name}: {name} {problem}"
+           for name, problem in violations(vars(codec), CODEC_RULES)]
+    if not bad:
         implied_kbps = codec.payload_bytes * 8 / codec.packet_interval_ms
         rel_err = abs(implied_kbps - codec.bitrate_kbps) / codec.bitrate_kbps
         if rel_err > RATE_IDENTITY_TOL:
-            violations.append(
+            bad.append(
                 f"{codec.name}: payload/interval implies {implied_kbps:g} kbps, "
                 f"which differs from bitrate {codec.bitrate_kbps:g} kbps by more "
                 f"than {RATE_IDENTITY_TOL:.0%}"
             )
-    return violations
+    return bad
 
 
 @dataclass(frozen=True)

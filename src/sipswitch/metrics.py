@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from math import fsum
 from typing import Optional
 
-from .core import CodecProfile, SimTime, US_PER_MS
+from .core import CodecProfile, Numeric, SimTime, US_PER_MS, check_fields
 from .traffic import PacketTrace
 
 
@@ -28,12 +28,16 @@ class EModelParams:
     loss_ceiling: float = 95.0
 
     def __post_init__(self):
-        if self.r0 > 100:
-            raise ValueError("r0 must be <= 100")
-        for name in ("r0", "delay_coeff_a", "delay_coeff_b",
-                     "delay_threshold_ms", "loss_ceiling"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self, EMODEL_RULES)
+
+
+# R is on a 0-100 scale; a coefficient above 100 per ms would spend all of it
+# on one ms of delay.
+_R_SCALE = Numeric(0, 100, above=True)
+EMODEL_RULES = {
+    "r0": _R_SCALE, "delay_coeff_a": _R_SCALE, "delay_coeff_b": _R_SCALE,
+    "delay_threshold_ms": Numeric(0, above=True), "loss_ceiling": _R_SCALE,
+}
 
 
 DEFAULT_EMODEL = EModelParams()

@@ -20,29 +20,12 @@ class SchedulingInPastError(SimulationError):
     """An event was scheduled before the current simulation time."""
 
 
-class Event:
-    """A scheduled action; dispatch order is (time, insertion sequence)."""
-
-    __slots__ = ("time", "seq", "kind", "subject", "fn", "cancelled")
-
-    def __init__(self, time: int, seq: int, kind: str, subject: str,
-                 fn: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.kind = kind
-        self.subject = subject
-        self.fn = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Engine:
     """Single-threaded event loop over integer-microsecond time.
 
     Ties at equal times are broken by insertion order, so dispatch is a total
-    order and runs with equal seeds produce identical event logs.
+    order and runs with equal seeds produce identical event logs. An event is
+    the heap entry (time, insertion sequence, kind, subject, action).
     """
 
     def __init__(self, log_events: bool = False):
@@ -50,24 +33,22 @@ class Engine:
         self.dispatched: int = 0
         self.log_events = log_events
         self.event_log: list[str] = []
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, str, str, Callable[[], None]]] = []
         self._seq = 0
         self._stopped = False
 
     def schedule(self, time_us: int, fn: Callable[[], None], kind: str = "event",
-                 subject: str = "") -> Event:
+                 subject: str = "") -> None:
         if time_us < self.now:
             raise SchedulingInPastError(
                 f"cannot schedule {kind!r} at {time_us} us: clock is {self.now} us"
             )
         self._seq += 1
-        ev = Event(time_us, self._seq, kind, subject, fn)
-        heapq.heappush(self._heap, (time_us, self._seq, ev))
-        return ev
+        heapq.heappush(self._heap, (time_us, self._seq, kind, subject, fn))
 
     def schedule_in(self, delay_us: int, fn: Callable[[], None],
-                    kind: str = "event", subject: str = "") -> Event:
-        return self.schedule(self.now + delay_us, fn, kind, subject)
+                    kind: str = "event", subject: str = "") -> None:
+        self.schedule(self.now + delay_us, fn, kind, subject)
 
     def run_until(self, t_end_us: int) -> int:
         """Dispatch every pending event with time <= t_end_us.
@@ -78,17 +59,14 @@ class Engine:
         heap = self._heap
         count = 0
         while heap and not self._stopped:
-            time_us, _, ev = heap[0]
-            if time_us > t_end_us:
+            if heap[0][0] > t_end_us:
                 break
-            heapq.heappop(heap)
-            if ev.cancelled:
-                continue
+            time_us, _, kind, subject, fn = heapq.heappop(heap)
             self.now = time_us
             if self.log_events:
-                self.event_log.append(f"{time_us} {ev.kind} {ev.subject}")
+                self.event_log.append(f"{time_us} {kind} {subject}")
             count += 1
-            ev.fn()
+            fn()
         self.dispatched += count
         if not self._stopped and self.now < t_end_us:
             self.now = t_end_us
@@ -97,10 +75,6 @@ class Engine:
     def stop(self) -> None:
         """Abort the run: run_until returns without dispatching further events."""
         self._stopped = True
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
 
 class RngStream:

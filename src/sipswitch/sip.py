@@ -8,7 +8,16 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import Address, IfaceState, InterfaceDescriptor, SimulationError
+from .core import (
+    MAX_PACKET_BYTES,
+    US_PER_MS,
+    Address,
+    IfaceState,
+    InterfaceDescriptor,
+    Numeric,
+    SimulationError,
+    check_fields,
+)
 from .simnet import Engine
 
 
@@ -84,21 +93,17 @@ class SignalingConfig:
     fallback_timeout_ms: int = 2000
 
     def __post_init__(self):
-        for name in ("invite_bytes", "register_bytes", "ok_bytes", "ack_bytes",
-                     "rtx_interval_ms", "fallback_timeout_ms"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_retransmissions < 0:
-            raise ValueError("max_retransmissions must be non-negative")
+        check_fields(self, SIGNALING_RULES)
 
-    def size_for(self, method: SipMethod) -> int:
-        if method in (SipMethod.INVITE, SipMethod.REINVITE):
-            return self.invite_bytes
-        if method is SipMethod.OK:
-            return self.ok_bytes
-        if method is SipMethod.REGISTER:
-            return self.register_bytes
-        return self.ack_bytes
+
+_SIZE = Numeric(1, MAX_PACKET_BYTES, integer=True)
+_TIMER = Numeric(0, above=True, integer=True, unit_us=US_PER_MS)
+SIGNALING_RULES = {
+    "invite_bytes": _SIZE, "register_bytes": _SIZE, "ok_bytes": _SIZE,
+    "ack_bytes": _SIZE, "rtx_interval_ms": _TIMER,
+    "max_retransmissions": Numeric(0, integer=True),
+    "fallback_timeout_ms": _TIMER,
+}
 
 
 @dataclass(frozen=True)
@@ -163,21 +168,17 @@ UNREACHABLE = "unreachable"
 class ForwardTransaction:
     """Progress of one forwarded message through the priority list."""
 
-    def __init__(self, msg: SipMessage,
-                 on_complete: Optional[Callable[["ForwardTransaction"], None]] = None):
+    def __init__(self, msg: SipMessage):
         self.msg = msg
         self.status = PENDING
         self.via_address: Optional[Address] = None
         self.attempts: list[tuple[Address, int]] = []
         self.attempt_idx = 0  # priority entry currently being tried
         self.completed_at: Optional[int] = None
-        self.on_complete = on_complete
 
     def _finish(self, status: str, now: int) -> None:
         self.status = status
         self.completed_at = now
-        if self.on_complete is not None:
-            self.on_complete(self)
 
 
 class SignalingLog:
@@ -215,24 +216,19 @@ class Registrar:
         self.bindings[msg.from_uri] = binding
         return binding
 
-    def forward_with_fallback(
-            self, msg: SipMessage, timeout_ms: Optional[int] = None,
-            on_complete: Optional[Callable[[ForwardTransaction], None]] = None,
-    ) -> ForwardTransaction:
+    def forward_with_fallback(self, msg: SipMessage) -> ForwardTransaction:
         """Start forwarding msg toward the binding of msg.to_uri."""
-        txn = ForwardTransaction(msg, on_complete)
+        txn = ForwardTransaction(msg)
         binding = self.bindings.get(msg.to_uri)
         if binding is None or not binding.entries:
             txn._finish(UNREACHABLE, self.engine.now)
             return txn
-        timeout_us = (timeout_ms if timeout_ms is not None
-                      else self.config.fallback_timeout_ms) * 1000
         self._pending[msg.msg_id] = txn
-        self._attempt(txn, binding, 0, timeout_us)
+        self._attempt(txn, binding, 0)
         return txn
 
     def _attempt(self, txn: ForwardTransaction, binding: RegistrarBinding,
-                 idx: int, timeout_us: int) -> None:
+                 idx: int) -> None:
         if txn.status != PENDING:
             return
         if idx >= len(binding.entries):
@@ -249,6 +245,7 @@ class Registrar:
         send_once()
         # No resend at or after the fallback timeout.
         rtx_us = self.config.rtx_interval_ms * 1000
+        timeout_us = self.config.fallback_timeout_ms * 1000
         retransmit(self.engine, send_once,
                    lambda: txn.status == PENDING and txn.attempt_idx == idx,
                    rtx_us, min(self.config.max_retransmissions,
@@ -256,7 +253,7 @@ class Registrar:
                    txn.msg.method.value)
         self.engine.schedule_in(
             timeout_us,
-            lambda: self._attempt(txn, binding, idx + 1, timeout_us),
+            lambda: self._attempt(txn, binding, idx + 1),
             kind="sip-fallback-timeout", subject=txn.msg.method.value)
 
     def deliver_answer(self, answer: SipMessage,

@@ -86,6 +86,9 @@ def test_missing_file_and_parse_errors(tmp_path):
         load_config(write_config(tmp_path, "codecs: [unclosed\n"))
     with pytest.raises(ConfigError, match="top level must be a mapping"):
         load_config(write_config(tmp_path, "- just\n- a\n- list\n"))
+    # an integer too long to convert used to end in a traceback
+    with pytest.raises(ConfigError, match="parse error"):
+        load_config(write_config(tmp_path, "base_seed: " + "1" * 5000))
 
 
 def test_every_violation_is_reported_at_once(tmp_path):
@@ -413,6 +416,48 @@ custom_codecs:
     # unknown keys under an interface used to be ignored
     ("interfaces:\n  wlan:\n    loss_probability: 0.1\n",
      "interfaces.wlan.loss_probability: unknown setting"),
+    # non-finite numbers used to end in a traceback at validate
+    ("call_duration_s: .inf\n",
+     "call_duration_s: must be a finite number, got inf"),
+    ("header_overhead_bytes: .inf\n",
+     "header_overhead_bytes: must be a finite number, got inf"),
+    ("interfaces:\n  wlan:\n    prop_delay_ms: .inf\n",
+     "interfaces.wlan.prop_delay_ms: must be a finite number, got inf"),
+    ("switch_jitter_s: .nan\n",
+     "switch_jitter_s: must be a finite number, got nan"),
+    # ... or passed validate and ended in a traceback at run
+    ("watchdog_s: .inf\n", "watchdog_s: must be a finite number, got inf"),
+    ("window_len_ms: .nan\n",
+     "window_len_ms: must be a finite number, got nan"),
+    ("window_len_ms: 0.0001\n", "window_len_ms: 0.0001 rounds to 0 us"),
+    ("stride_ms: 0.0004\n", "stride_ms: 0.0004 rounds to 0 us"),
+    ("interfaces:\n  wlan:\n    bitrate_kbps: 5.0e-324\n",
+     "interfaces.wlan.bitrate_kbps: must be >= 0.001, got 5e-324"),
+    ("""codecs: [X]
+custom_codecs:
+  X: {bitrate_kbps: 8, packet_interval_ms: 20, payload_bytes: 20,
+      ie: 1.0e+308, bpl: 19}
+""", "custom_codecs.X: X: ie must be <= 100, got 1e+308"),
+    # ... or ran with exit 0 and wrong output
+    ("emodel:\n  r0: .nan\n", "emodel.r0: must be a finite number, got nan"),
+    ("signaling:\n  rtx_interval_ms: 0.0001\n",
+     "signaling.rtx_interval_ms: must be an integer, got 0.0001"),
+    ("signaling:\n  rtx_interval_ms: .nan\n",
+     "signaling.rtx_interval_ms: must be a finite number, got nan"),
+    ("header_overhead_bytes: 1.5\n",
+     "header_overhead_bytes: must be an integer, got 1.5"),
+    ("signaling:\n  max_retransmissions: 1.5\n",
+     "signaling.max_retransmissions: must be an integer, got 1.5"),
+    ("signaling:\n  ok_bytes: 0.5\n",
+     "signaling.ok_bytes: must be an integer, got 0.5"),
+    # malformed structure used to end in a traceback
+    ("custom_codecs:\n  X: [1, 2]\n", "custom_codecs.X: expected a mapping"),
+    ("interfaces:\n  1: {technology: wired, q_weight: 0.1}\n",
+     "interfaces.1: a name must be a string"),
+    ("interfaces:\n  wlan:\n    technology: [wired]\n",
+     "interfaces.wlan.technology: unknown ['wired']"),
+    ("codecs: [[G729]]\n", "codecs: unknown codec ['G729']"),
+    ("preset: [campaign-A]\n", "preset: unknown preset ['campaign-A']"),
 ])
 def test_validate_names_the_bad_field(tmp_path, capsys, text, message):
     assert main(["validate", write_config(tmp_path, text)]) == 1
@@ -433,6 +478,14 @@ def test_run_with_invalid_config_exits_one(tmp_path, capsys):
     bad = write_config(tmp_path, "procedures: [teleport]\n")
     assert main(["run", bad]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    # exit 2 means "campaign finished but some runs aborted"
+    assert main(["run", write_config(tmp_path), "--reps", "x"]) == 1
+    assert main(["validate"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
 
 
 def test_aborted_runs_exit_two_and_are_recorded(tmp_path, capsys):

@@ -43,15 +43,6 @@ def test_register_rejects_out_of_range_q():
                    contacts=(Contact(WLAN, 1.5),))
 
 
-def test_size_for_maps_methods_to_configured_sizes():
-    cfg = SignalingConfig()
-    assert cfg.size_for(SipMethod.INVITE) == 700
-    assert cfg.size_for(SipMethod.REINVITE) == 700
-    assert cfg.size_for(SipMethod.OK) == 450
-    assert cfg.size_for(SipMethod.REGISTER) == 450
-    assert cfg.size_for(SipMethod.ACK) == 450
-
-
 def test_build_register_one_contact_per_up_interface():
     msg = build_register("mn", [
         _iface("wlan", WLAN, 0.5),
@@ -147,14 +138,12 @@ def test_forward_answers_on_first_priority_entry():
 
     reg = _registered_registrar(eng, send)
     reg_holder.append(reg)
-    done = []
-    txn = reg.forward_with_fallback(_invite(), on_complete=done.append)
+    txn = reg.forward_with_fallback(_invite())
     eng.run_until(5_000_000)
     assert txn.status == DELIVERED
     assert txn.completed_at == 10_000
     assert [a for a, _ in txn.attempts] == [CELL]
     assert txn.via_address == CELL
-    assert done == [txn]
 
 
 def test_forward_falls_back_after_retransmission_and_timeout():
@@ -198,11 +187,13 @@ def test_forward_to_unknown_uri_is_immediately_unreachable():
 
 def test_no_retransmission_when_timeout_shorter_than_rtx_interval():
     eng = Engine()
-    reg = _registered_registrar(eng, lambda msg, addr: None)
-    txn = reg.forward_with_fallback(_invite(), timeout_ms=400)
+    reg = _registered_registrar(eng, lambda msg, addr: None,
+                                SignalingConfig(fallback_timeout_ms=400))
+    txn = reg.forward_with_fallback(_invite())
     eng.run_until(10_000_000)
     assert txn.attempts == [(CELL, 0), (WLAN, 400_000)]
     assert txn.status == UNREACHABLE
+    assert txn.completed_at == 800_000
 
 
 def test_late_duplicate_answer_is_ignored():
