@@ -8,11 +8,15 @@ import csv
 import dataclasses
 import json
 import multiprocessing
-import statistics
 import sys
+from bisect import bisect_left, bisect_right
+from contextlib import nullcontext
 from copy import deepcopy
 from dataclasses import dataclass
+from itertools import islice
+from math import fsum
 from pathlib import Path
+from statistics import fmean
 from typing import Any, Optional
 
 import yaml
@@ -45,12 +49,19 @@ from .metrics import (
     EModelParams,
     WindowMetrics,
     call_summary,
+    stdev,
     window_series,
     write_metrics,
 )
-from .scenario import MEDIA_PORT, CallSpec, LinkParams, run_call
+from .scenario import (
+    MEDIA_PORT,
+    CallSpec,
+    LinkParams,
+    link_violations,
+    run_call,
+)
 from .sip import SIGNALING_RULES, SignalingConfig
-from .traffic import read_trace, write_trace
+from .traffic import read_trace, write_csv, write_trace
 
 
 class ConfigError(SimulationError):
@@ -171,13 +182,8 @@ _RULES = {
     "repetitions": Numeric(1, integer=True),
     "base_seed": Numeric(integer=True),
 }
-_IFACE_RULES = {
-    "q_weight": Numeric(0, 1),
-    "bitrate_kbps": Numeric(0.001, optional=True),  # at least 1 bit/s
-    "queue_capacity_pkts": Numeric(1, integer=True),
-    "loss_prob": Numeric(0, 1),
-}
-_PROP_DELAY = Numeric(0, unit_us=US_PER_MS)
+# An interface's own settings; its link settings obey LINK_RULES.
+_IFACE_RULES = {"q_weight": Numeric(0, 1)}
 
 
 def _check(values: dict, rules: dict, prefix: str, bad: list[str]) -> set[str]:
@@ -225,20 +231,6 @@ def _names(raw: dict, key: str, what: str, known, bad: list[str]) -> list:
                 bad.append(f"{key}: unknown {what} {name!r}; known: "
                            f"{', '.join(known)}")
     return names
-
-
-def _parse_prop_delay(value, path: str, bad: list[str]):
-    """A delay in ms or a [low, high] range, in us; None, reported, if bad."""
-    pair = isinstance(value, list) and len(value) == 2
-    values = value if pair else [value]
-    problem = next(filter(None, map(_PROP_DELAY.violation, values)), None)
-    if problem is None and values[0] > values[-1]:
-        problem = f"need low <= high, got {value}"
-    if problem is not None:
-        bad.append(f"{path}: {problem}")
-        return None
-    us = tuple(map(ms_to_us, values))
-    return us if pair else us[0]
 
 
 def load_config(path: str, preset: Optional[str] = None,
@@ -308,13 +300,17 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
         if tech not in known_tech:
             bad.append(f"{prefix}technology: unknown {tech!r}; known: "
                        f"{', '.join(known_tech)}")
-        prop = _parse_prop_delay(fields["prop_delay_ms"],
-                                 f"{prefix}prop_delay_ms", bad)
-        if not _check(fields, _IFACE_RULES, prefix, bad) and prop is not None:
+        link_bad = link_violations(fields)
+        bad.extend(f"{prefix}{name}: {problem}" for name, problem in link_bad)
+        if not _check(fields, _IFACE_RULES, prefix, bad) and not link_bad:
+            delay = fields["prop_delay_ms"]
             interfaces[iface_id] = InterfaceSettings(
                 technology=tech, q_weight=float(fields["q_weight"]),
                 link=LinkParams(
-                    bitrate_kbps=fields["bitrate_kbps"], prop_delay_us=prop,
+                    bitrate_kbps=fields["bitrate_kbps"],
+                    prop_delay_us=(tuple(map(ms_to_us, delay))
+                                   if isinstance(delay, list)
+                                   else ms_to_us(delay)),
                     queue_capacity_pkts=int(fields["queue_capacity_pkts"]),
                     loss_prob=float(fields["loss_prob"])))
 
@@ -439,36 +435,36 @@ AGGREGATE_FIELDS = ("mean_delay_ms", "ppl", "burst_r", "r_factor")
 
 
 def aggregate(series_list: list[list[WindowMetrics]]) -> AggregateSeries:
+    """Per window and field, the mean and the sample std across runs."""
     if not series_list:
         raise SimulationError("nothing to aggregate")
     grids = {tuple(m.window_start for m in series) for series in series_list}
     if len(grids) != 1:
         raise SimulationError(
             f"mismatched window grids across runs ({len(grids)} distinct)")
-    starts = list(grids.pop())
-    means: dict[str, list[float]] = {f: [] for f in AGGREGATE_FIELDS}
-    stds: dict[str, list[float]] = {f: [] for f in AGGREGATE_FIELDS}
-    for idx in range(len(starts)):
-        for fname in AGGREGATE_FIELDS:
-            values = [getattr(series[idx], fname) for series in series_list]
-            means[fname].append(statistics.fmean(values))
-            stds[fname].append(statistics.stdev(values)
-                               if len(values) > 1 else 0.0)
-    return AggregateSeries(window_starts=starts, means=means, stds=stds)
+    n = len(series_list)
+    means: dict[str, list[float]] = {}
+    stds: dict[str, list[float]] = {}
+    for fname in AGGREGATE_FIELDS:
+        i = WindowMetrics._fields.index(fname)
+        # one tuple per window, holding the field of every run
+        by_window = list(zip(*[[m[i] for m in series]
+                               for series in series_list]))
+        means[fname] = [fsum(values) / n for values in by_window]
+        stds[fname] = list(map(stdev, by_window))
+    return AggregateSeries(window_starts=list(grids.pop()), means=means,
+                           stds=stds)
 
 
 def write_aggregate(path: Path, agg: AggregateSeries) -> None:
     header = ["window_start_us"]
     for fname in AGGREGATE_FIELDS:
         header += [f"{fname}_mean", f"{fname}_std"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for idx, start in enumerate(agg.window_starts):
-            row: list = [start]
-            for fname in AGGREGATE_FIELDS:
-                row += [agg.means[fname][idx], agg.stds[fname][idx]]
-            w.writerow(row)
+    columns = [agg.window_starts]
+    for fname in AGGREGATE_FIELDS:
+        columns += [agg.means[fname], agg.stds[fname]]
+    write_csv(str(path), tuple(header),
+              [",".join(map(str, row)) for row in zip(*columns)])
 
 
 def _run_one(task: tuple) -> dict:
@@ -504,13 +500,11 @@ def _run_one(task: tuple) -> dict:
             call_summary(result.trace, direction, spec.codec, emodel,
                          use_burst) if series else None)
         if result.t_trigger is not None and result.t_completed is not None:
-            lo, hi = result.t_trigger, result.t_completed
-            rows = [r for r in result.trace.rows
-                    if r[1] == direction and lo <= r[3] <= hi]
+            gens, _, cum_lost, _ = result.trace.columns(direction)
+            lo = bisect_left(gens, result.t_trigger)
+            hi = bisect_right(gens, result.t_completed)
             out["switch_window"][name] = {
-                "generated": len(rows),
-                "lost": sum(1 for r in rows if r[6] is not None),
-            }
+                "generated": hi - lo, "lost": cum_lost[hi] - cum_lost[lo]}
         else:
             out["switch_window"][name] = None
     return out
@@ -522,10 +516,43 @@ LOSS_SUMMARY_COLUMNS = (
     "mean_loss_pct_whole_call", "mean_loss_pct_switch_window")
 
 
+def _finish_cell(out_dir: Path, cell: tuple[str, str, str],
+                 runs: list[dict]) -> tuple[dict, list[tuple]]:
+    """Aggregate a cell's good runs per media direction and write each
+    direction's aggregate file; returns the cell's manifest entry and its
+    loss_summary.csv rows."""
+    cell_id = "_".join(cell)
+    good = [r for r in runs if not r["aborted"]]
+    rows = []
+    for name in ("ul", "dl") if good else ():
+        agg = aggregate([r["series"][name] for r in good])
+        write_aggregate(out_dir / cell_id / f"aggregate_{name}.csv", agg)
+        lost = [r["summary"][name].lost for r in good]
+        pct_call = [100.0 * r["summary"][name].ppl for r in good]
+        pct_switch = [100.0 * sw["lost"] / sw["generated"] for sw in
+                      (r["switch_window"][name] for r in good)
+                      if sw and sw["generated"]]
+        rows.append((cell_id, *cell, name.upper(), len(good),
+                     len(runs) - len(good), fmean(lost), stdev(lost),
+                     fmean(pct_call),
+                     fmean(pct_switch) if pct_switch else 0.0))
+    entry = {"cell_id": cell_id, "codec": cell[0], "procedure": cell[1],
+             "direction": cell[2],
+             "runs": [{key: r[key] for key in
+                       ("run_id", "seed", "aborted", "abort_reason")}
+                      for r in runs]}
+    return entry, rows
+
+
 def run_campaign(config: ExperimentConfig,
                  parallel: int = 1) -> tuple[Path, int]:
     """Run every (codec x procedure x direction) cell; returns the output
-    directory and the number of aborted runs."""
+    directory and the number of aborted runs.
+
+    Results arrive in task order, so a cell's runs arrive together: the
+    cell is aggregated then and its series dropped, and the parent holds
+    one cell's runs at a time.
+    """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     warnings = capacity_warnings(config)
@@ -536,68 +563,30 @@ def run_campaign(config: ExperimentConfig,
              for codec in config.codecs
              for proc in config.procedures
              for direction in config.directions]
-    tasks = []
-    task_meta = []
-    for codec, proc, direction in cells:
-        cell_id = f"{codec}_{proc}_{direction}"
-        for rep in range(config.repetitions):
-            spec = build_call_spec(config, codec, proc, direction, rep)
-            run_dir = out_dir / cell_id / f"r{rep:03d}"
-            tasks.append((spec, str(run_dir), config.window_len_ms,
-                          config.stride_ms, config.emodel,
-                          config.use_burst_ratio))
-            task_meta.append((cell_id, codec, proc, direction))
-
-    if parallel > 1:
-        with multiprocessing.Pool(parallel) as pool:
-            results = pool.map(_run_one, tasks)
-    else:
-        results = [_run_one(task) for task in tasks]
-
-    by_cell: dict[str, list[dict]] = {}
-    for meta, res in zip(task_meta, results):
-        by_cell.setdefault(meta[0], []).append(res)
+    tasks = ((build_call_spec(config, *cell, rep),
+              str(out_dir / "_".join(cell) / f"r{rep:03d}"),
+              config.window_len_ms, config.stride_ms, config.emodel,
+              config.use_burst_ratio)
+             for cell in cells for rep in range(config.repetitions))
 
     aborted_total = 0
     loss_rows = []
     manifest_cells = []
-    for codec, proc, direction in cells:
-        cell_id = f"{codec}_{proc}_{direction}"
-        runs = by_cell[cell_id]
-        good = [r for r in runs if not r["aborted"]]
-        aborted = [r for r in runs if r["aborted"]]
-        aborted_total += len(aborted)
-        if aborted:
-            warnings.append(
-                f"{cell_id}: {len(aborted)} aborted run(s): "
-                + ", ".join(f"{r['run_id']} ({r['abort_reason']})"
-                            for r in aborted))
-        for name in ("ul", "dl"):
-            if good:
-                agg = aggregate([r["series"][name] for r in good])
-                write_aggregate(out_dir / cell_id / f"aggregate_{name}.csv",
-                                agg)
-                lost = [r["summary"][name].lost for r in good]
-                pct_call = [100.0 * r["summary"][name].ppl for r in good]
-                pct_switch = []
-                for r in good:
-                    sw = r["switch_window"][name]
-                    if sw and sw["generated"]:
-                        pct_switch.append(100.0 * sw["lost"]
-                                          / sw["generated"])
-                loss_rows.append((
-                    cell_id, codec, proc, direction, name.upper(), len(good),
-                    len(aborted), statistics.fmean(lost),
-                    statistics.stdev(lost) if len(lost) > 1 else 0.0,
-                    statistics.fmean(pct_call),
-                    statistics.fmean(pct_switch) if pct_switch else 0.0))
-        manifest_cells.append({
-            "cell_id": cell_id, "codec": codec, "procedure": proc,
-            "direction": direction,
-            "runs": [{"run_id": r["run_id"], "seed": r["seed"],
-                      "aborted": r["aborted"],
-                      "abort_reason": r["abort_reason"]} for r in runs],
-        })
+    with (multiprocessing.Pool(parallel) if parallel > 1
+          else nullcontext()) as pool:
+        results = pool.imap(_run_one, tasks) if pool else map(_run_one, tasks)
+        for cell in cells:
+            entry, rows = _finish_cell(
+                out_dir, cell, list(islice(results, config.repetitions)))
+            aborted = [r for r in entry["runs"] if r["aborted"]]
+            aborted_total += len(aborted)
+            if aborted:
+                warnings.append(
+                    f"{entry['cell_id']}: {len(aborted)} aborted run(s): "
+                    + ", ".join(f"{r['run_id']} ({r['abort_reason']})"
+                                for r in aborted))
+            manifest_cells.append(entry)
+            loss_rows += rows
 
     with open(out_dir / "loss_summary.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

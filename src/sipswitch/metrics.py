@@ -7,14 +7,20 @@ exported trace file reproduces in-run values bit for bit.
 
 from __future__ import annotations
 
-import csv
-from bisect import bisect_left
-from dataclasses import dataclass, replace
-from math import fsum
-from typing import Optional
+import sys
+from dataclasses import dataclass
+from math import fsum, isfinite, isqrt
+from typing import NamedTuple, Optional, Sequence
 
-from .core import CodecProfile, Numeric, SimTime, US_PER_MS, check_fields
-from .traffic import PacketTrace
+from .core import (
+    US_PER_MS,
+    CodecProfile,
+    InternalInvariantError,
+    Numeric,
+    SimTime,
+    check_fields,
+)
+from .traffic import CsvFields, PacketTrace, write_csv
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,7 @@ EMODEL_RULES = {
 DEFAULT_EMODEL = EModelParams()
 
 
-@dataclass(frozen=True)
-class WindowMetrics:
+class WindowMetrics(NamedTuple):
     """One sliding window's averaged metrics and resulting R-factor.
 
     carried: no packet was generated in the window; all values copied from
@@ -125,24 +130,6 @@ def burst_ratio(loss_flags, ppl: float) -> float:
     return observed * (1.0 - ppl)
 
 
-def _quality(rows: list[tuple], no_delivery_delay_ms: float,
-             codec: CodecProfile, params: EModelParams,
-             use_burst_ratio: bool) -> tuple[int, float, float, float, float]:
-    """(lost, ppl, mean delay ms, burst ratio, R) over rows in generation
-    order. The delay is no_delivery_delay_ms when nothing was delivered."""
-    flags = [r[6] is not None for r in rows]
-    lost = sum(flags)
-    delivered = len(rows) - lost
-    ppl = lost / len(rows)
-    if delivered:
-        delay = fsum((r[5] - r[3]) for r in rows
-                     if r[5] is not None) / (delivered * US_PER_MS)
-    else:
-        delay = no_delivery_delay_ms
-    br = burst_ratio(flags, ppl) if use_burst_ratio else 1.0
-    return lost, ppl, delay, br, r_factor(delay, ppl, br, codec, params)
-
-
 def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
                   window_len_ms: float = 60.0,
                   stride_ms: Optional[float] = None,
@@ -153,38 +140,50 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
     Windows tile from the first generation instant while their start does
     not pass the last one; stride defaults to the window length. With
     use_burst_ratio False every window uses burst_r = 1 (plain loss model).
+
+    One pass: two pointers bound the packets generated in each window, and
+    the direction's prefix sums give its losses and its delay sum. That sum
+    is an exact integer, so the mean delay equals fsum over the window.
     """
-    rows = trace.rows_for(direction)
-    if not rows:
+    gens, lost, cum_lost, cum_delay = trace.columns(direction)
+    if not gens:
         return []
     window_us = round(window_len_ms * US_PER_MS)
     stride_us = round((stride_ms if stride_ms is not None else window_len_ms)
                       * US_PER_MS)
     if window_us <= 0 or stride_us <= 0:
         raise ValueError("window and stride must be positive")
-    gens = [r[3] for r in rows]
-    first, last = gens[0], gens[-1]
+    n, last = len(gens), gens[-1]
     out: list[WindowMetrics] = []
     prev: Optional[WindowMetrics] = None
-    start = first
+    lo = hi = 0
+    start = gens[0]
     while start <= last:
-        lo = bisect_left(gens, start)
-        hi = bisect_left(gens, start + window_us)
+        while gens[lo] < start:
+            lo += 1
+        end = start + window_us
+        while hi < n and gens[hi] < end:
+            hi += 1
         generated = hi - lo
         if generated == 0:
             # Nothing generated here: carry the previous window forward. The
             # first window holds the first packet, so a previous one exists.
-            wm = replace(prev, window_start=start, carried=True,
-                         carried_delay=True, generated=0)
+            wm = prev._replace(window_start=start, carried=True,
+                               carried_delay=True, generated=0)
         else:
-            lost, ppl, delay, br, r = _quality(
-                rows[lo:hi], prev.mean_delay_ms if prev else 0.0, codec,
-                params, use_burst_ratio)
-            wm = WindowMetrics(
-                window_start=start, window_len_ms=window_len_ms,
-                mean_delay_ms=delay, ppl=ppl, burst_r=br, r_factor=r,
-                carried=False, carried_delay=lost == generated,
-                generated=generated)
+            n_lost = cum_lost[hi] - cum_lost[lo]
+            delivered = generated - n_lost
+            ppl = n_lost / generated
+            if delivered:
+                delay = (float(cum_delay[hi] - cum_delay[lo])
+                         / (delivered * US_PER_MS))
+            else:
+                delay = prev.mean_delay_ms if prev is not None else 0.0
+            br = (burst_ratio(lost[lo:hi], ppl)
+                  if n_lost and use_burst_ratio else 1.0)
+            wm = WindowMetrics(start, window_len_ms, delay, ppl, br,
+                               r_factor(delay, ppl, br, codec, params),
+                               False, not delivered, generated)
         out.append(wm)
         prev = wm
         start += stride_us
@@ -207,14 +206,19 @@ class CallSummary:
 def call_summary(trace: PacketTrace, direction: str, codec: CodecProfile,
                  params: EModelParams = DEFAULT_EMODEL,
                  use_burst_ratio: bool = True) -> CallSummary:
-    rows = trace.rows_for(direction)
-    if not rows:
+    _, lost_flags, cum_lost, cum_delay = trace.columns(direction)
+    generated = len(lost_flags)
+    if not generated:
         raise ValueError(f"trace has no {direction} packets")
-    lost, ppl, delay, br, r = _quality(rows, 0.0, codec, params,
-                                       use_burst_ratio)
-    return CallSummary(generated=len(rows), delivered=len(rows) - lost,
-                       lost=lost, ppl=ppl, mean_delay_ms=delay, burst_r=br,
-                       r_factor=r)
+    lost = cum_lost[-1]
+    delivered = generated - lost
+    ppl = lost / generated
+    delay = (float(cum_delay[-1]) / (delivered * US_PER_MS) if delivered
+             else 0.0)
+    br = burst_ratio(lost_flags, ppl) if use_burst_ratio else 1.0
+    return CallSummary(generated=generated, delivered=delivered, lost=lost,
+                       ppl=ppl, mean_delay_ms=delay, burst_r=br,
+                       r_factor=r_factor(delay, ppl, br, codec, params))
 
 
 METRICS_COLUMNS = ("run_id", "window_start_us", "mean_delay_ms", "ppl",
@@ -222,11 +226,50 @@ METRICS_COLUMNS = ("run_id", "window_start_us", "mean_delay_ms", "ppl",
 
 
 def write_metrics(path: str, run_id: str, series: list[WindowMetrics]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(METRICS_COLUMNS)
-        for m in series:
-            w.writerow((run_id, m.window_start, m.mean_delay_ms, m.ppl,
-                        m.burst_r, m.r_factor, int(m.carried),
-                        int(m.carried_delay)))
+    run = CsvFields()[run_id]
+    write_csv(path, METRICS_COLUMNS, [
+        f"{run},{start},{delay!r},{ppl!r},{br!r},{r!r},{carried:d},"
+        f"{carried_delay:d}"
+        for start, _, delay, ppl, br, r, carried, carried_delay, _ in series])
 
+
+# Bits of the integer square root taken before its one rounding to a float:
+# rounded to odd at 2p + 3 bits, it then rounds correctly to p bits.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """sqrt(n / m) correctly rounded, for integers n >= 0 and m > 0."""
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = isqrt(n // m)
+    root |= root * root * m != n  # round to odd
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def stdev(values: Sequence[float]) -> float:
+    """Sample standard deviation, 0.0 for a single value: bit for bit what
+    statistics.stdev returns from Python 3.11 on (it rounds once there too),
+    at a fraction of its cost.
+
+    Exact in integers: with the values scaled to one power-of-two
+    denominator D, the sums S1 of the scaled values and S2 of their squares
+    give the variance (n*S2 - S1**2) / (n*(n-1)*D**2), and its square root
+    is rounded once.
+    """
+    n = len(values)
+    if n < 2 or values.count(values[0]) == n and isfinite(values[0]):
+        return 0.0
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):
+        raise InternalInvariantError(
+            f"standard deviation of a non-finite value: {values}") from None
+    shift = max([d for _, d in ratios]).bit_length()
+    scaled = [num << (shift - d.bit_length()) for num, d in ratios]
+    s1 = sum(scaled)
+    s2 = sum([x * x for x in scaled])
+    return _sqrt_of_ratio(n * s2 - s1 * s1, n * (n - 1) << 2 * (shift - 1))

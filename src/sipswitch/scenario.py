@@ -22,20 +22,25 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .core import (
     DL,
     LOSS_CLOSED,
+    MAX_TIME_US,
     UL,
+    US_PER_MS,
     Address,
     CodecProfile,
     IfaceState,
     InterfaceDescriptor,
     InternalInvariantError,
+    Numeric,
     SimTime,
     SimulationError,
+    ms_to_us,
     validate_codec,
+    violations,
 )
 from .handoff import (
     HandoffLog,
@@ -72,6 +77,31 @@ CN_IFACE = "cn0"
 MEDIA_PORT = 5004
 
 
+# The rule of each link setting, named as the config names it. The
+# propagation delay is in ms, one value or each end of a [low, high] range.
+LINK_RULES = {
+    "bitrate_kbps": Numeric(0.001, optional=True),  # at least 1 bit/s
+    "prop_delay_ms": Numeric(0, unit_us=US_PER_MS),
+    "queue_capacity_pkts": Numeric(1, integer=True),
+    "loss_prob": Numeric(0, 1),
+}
+
+
+def link_violations(settings: dict[str, Any]) -> list[tuple[str, str]]:
+    """(name, problem) for each link setting that breaks LINK_RULES, and for
+    a delay range whose low end lies above its high end."""
+    delay = settings.get("prop_delay_ms")
+    pair = isinstance(delay, (list, tuple)) and len(delay) == 2
+    ends = delay if pair else [delay]
+    rules = dict(LINK_RULES)
+    delay_rule = rules.pop("prop_delay_ms")
+    problem = next(filter(None, map(delay_rule.violation, ends)), None)
+    if problem is None and ends[0] > ends[-1]:
+        problem = f"need low <= high, got {delay}"
+    found = [("prop_delay_ms", problem)] if problem is not None else []
+    return found + violations(settings, rules)
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Per-direction access link parameters for one MN interface."""
@@ -80,6 +110,22 @@ class LinkParams:
     prop_delay_us: Union[int, tuple[int, int]]
     queue_capacity_pkts: int = 50
     loss_prob: float = 0.0
+
+    def violations(self) -> list[tuple[str, str]]:
+        """link_violations of these parameters, the delay taken in ms."""
+        def ms(us):
+            # Beyond +-MAX_TIME_US, or not a number, us breaks the rule in
+            # either unit, and dividing it could overflow.
+            numeric = type(us) in (int, float) and abs(us) <= MAX_TIME_US
+            return us / US_PER_MS if numeric else us
+
+        delay = self.prop_delay_us
+        return link_violations({
+            "bitrate_kbps": self.bitrate_kbps,
+            "prop_delay_ms": (tuple(map(ms, delay))
+                              if isinstance(delay, tuple) else ms(delay)),
+            "queue_capacity_pkts": self.queue_capacity_pkts,
+            "loss_prob": self.loss_prob})
 
 
 @dataclass
@@ -118,6 +164,9 @@ class CallSpec:
                 bad.append(f"switch interface {name!r} not among interfaces")
             if name not in self.links:
                 bad.append(f"no link parameters for interface {name!r}")
+        for iface_id, link in self.links.items():
+            bad.extend(f"link {iface_id!r}: {name} {problem}"
+                       for name, problem in link.violations())
         if self.switch_from == self.switch_to:
             bad.append("switch_from equals switch_to")
         if self.call_duration_us <= 0:
@@ -258,7 +307,7 @@ class _CallRuntime:
     def _keep_resending(self, resend: Callable[[], None],
                         pending: Callable[[], bool], subject: str) -> None:
         retransmit(self.engine, resend, pending,
-                   self.spec.signaling.rtx_interval_ms * 1000,
+                   ms_to_us(self.spec.signaling.rtx_interval_ms),
                    self.spec.signaling.max_retransmissions, subject)
 
     def _registrar_send(self, msg: SipMessage, contact: Address) -> None:

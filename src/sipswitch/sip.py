@@ -17,6 +17,7 @@ from .core import (
     Numeric,
     SimulationError,
     check_fields,
+    ms_to_us,
 )
 from .simnet import Engine
 
@@ -244,8 +245,8 @@ class Registrar:
 
         send_once()
         # No resend at or after the fallback timeout.
-        rtx_us = self.config.rtx_interval_ms * 1000
-        timeout_us = self.config.fallback_timeout_ms * 1000
+        rtx_us = ms_to_us(self.config.rtx_interval_ms)
+        timeout_us = ms_to_us(self.config.fallback_timeout_ms)
         retransmit(self.engine, send_once,
                    lambda: txn.status == PENDING and txn.attempt_idx == idx,
                    rtx_us, min(self.config.max_retransmissions,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
-from typing import Optional
+import io
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 from .core import LOSS_CAUSES, InternalInvariantError, SimTime
 
@@ -24,6 +26,17 @@ def expected_packet_count(t_start: SimTime, t_end: SimTime,
     return (t_end - t_start) // interval_us + 1
 
 
+class DirectionColumns(NamedTuple):
+    """One direction's packets as columns, in generation order, with prefix
+    sums: the packets [i, j) lost cum_lost[j] - cum_lost[i] of their number
+    and their delivered ones took cum_delay[j] - cum_delay[i] us in all."""
+
+    gen: list[SimTime]
+    lost: list[bool]
+    cum_lost: list[int]
+    cum_delay: list[int]
+
+
 class PacketTrace:
     """Append-only per-run record of every generated packet's fate.
 
@@ -40,6 +53,7 @@ class PacketTrace:
         self.rows: list[tuple] = []
         self.next_seq: dict[str, int] = {}
         self._last_gen: dict[str, SimTime] = {}
+        self._columns: dict[str, tuple[int, DirectionColumns]] = {}
 
     def record(self, stream_id: str, direction: str, seq: int,
                gen_time: SimTime, send_iface: str,
@@ -74,6 +88,20 @@ class PacketTrace:
         """The direction's rows, in generation order."""
         return [r for r in self.rows if r[1] == direction]
 
+    def columns(self, direction: str) -> DirectionColumns:
+        """The direction's columns, built once per number of rows."""
+        built, cols = self._columns.get(direction, (-1, None))
+        if built != len(self.rows):
+            rows = self.rows_for(direction)
+            lost = [r[6] is not None for r in rows]
+            cols = DirectionColumns(
+                [r[3] for r in rows], lost,
+                list(accumulate(lost, initial=0)),
+                list(accumulate((0 if r[5] is None else r[5] - r[3]
+                                 for r in rows), initial=0)))
+            self._columns[direction] = (len(self.rows), cols)
+        return cols
+
     @property
     def generated(self) -> int:
         return len(self.rows)
@@ -91,14 +119,32 @@ TRACE_COLUMNS = ("run_id", "stream_id", "direction", "seq", "gen_time_us",
                  "send_iface", "arrival_time_us", "loss_cause")
 
 
-def write_trace(path: str, run_id: str, trace: PacketTrace) -> None:
+class CsvFields(dict):
+    """Each string as csv.writer renders it inside a row, quoted when it
+    holds a comma, a quote or a line break; rendered once per value."""
+
+    def __missing__(self, value: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((value, ""))
+        rendered = self[value] = buf.getvalue()[:-2]  # drop ",\n"
+        return rendered
+
+
+def write_csv(path: str, header: tuple[str, ...], lines: list[str]) -> None:
+    """A header and rendered rows, each ended by a newline."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
-        for (stream_id, direction, seq, gen, iface, arrival, cause) in trace.rows:
-            w.writerow((run_id, stream_id, direction, seq, gen, iface,
-                        "" if arrival is None else arrival,
-                        "" if cause is None else cause))
+        fh.write("\n".join([",".join(header), *lines, ""]))
+
+
+def write_trace(path: str, run_id: str, trace: PacketTrace) -> None:
+    f = CsvFields()
+    run = f[run_id]
+    write_csv(path, TRACE_COLUMNS, [
+        f"{run},{f[stream_id]},{f[direction]},{seq},{gen},{f[iface]},"
+        f"{'' if arrival is None else arrival},"
+        f"{'' if cause is None else f[cause]}"
+        for stream_id, direction, seq, gen, iface, arrival, cause
+        in trace.rows])
 
 
 def read_trace(path: str) -> tuple[str, PacketTrace]:

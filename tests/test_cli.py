@@ -291,6 +291,39 @@ def test_campaign_outputs_are_byte_deterministic(tmp_path, capsys):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+def test_integral_float_timers_run_as_their_integers(tmp_path, capsys):
+    # 500.0 ms used to reach the engine as 500000.0 us, so float times
+    # leaked into signaling.log, handoff.log and trace.csv
+    trees = {}
+    for rtx, fallback in (("500", "700"), ("500.0", "700.0")):
+        out = tmp_path / f"out_{rtx}"
+        cfg = write_config(tmp_path, f"""
+codecs: [G729]
+procedures: [hard]
+directions: [wlan-to-cellular]
+repetitions: 4
+call_duration_s: 3
+switch_time_s: 1.5
+signaling:
+  rtx_interval_ms: {rtx}
+  fallback_timeout_ms: {fallback}
+interfaces:
+  cellular:
+    loss_prob: 0.3
+out_dir: {out}
+""", name=f"config_{rtx}.yaml")
+        assert main(["run", cfg]) == 2  # some runs abort at 30% loss
+        trees[rtx] = {p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in sorted(out.rglob("*"))
+                      if p.is_file() and p.name != "manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        trees[rtx]["cells"] = manifest["cells"]
+    assert trees["500"] == trees["500.0"]
+    logs = b"".join(v for k, v in trees["500"].items()
+                    if k.endswith("signaling.log"))
+    assert b"(700000, INVITE" in logs  # the retransmission timer fired
+
+
 def test_rep_and_seed_overrides_change_the_campaign(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "o"

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sipswitch import cli
 from sipswitch.core import CODEC_RULES
 from sipswitch.metrics import EMODEL_RULES
+from sipswitch.scenario import LINK_RULES
 from sipswitch.sip import SIGNALING_RULES
 
 # One cell, one repetition, a 2 s call on a custom copy of G729, so every
@@ -71,9 +72,9 @@ JUNK = st.one_of(
 
 def test_every_numeric_setting_is_covered():
     names = {p[-1] for p in NUMERIC_PATHS if isinstance(p[-1], str)}
-    assert names == (set(cli._RULES) | set(cli._IFACE_RULES) | set(CODEC_RULES)
-                     | set(SIGNALING_RULES) | set(EMODEL_RULES)
-                     | {"prop_delay_ms"})
+    assert names == (set(cli._RULES) | set(cli._IFACE_RULES) | set(LINK_RULES)
+                     | set(CODEC_RULES) | set(SIGNALING_RULES)
+                     | set(EMODEL_RULES))
 
 
 # derandomize keeps the suite's outcome fixed; drop it and raise max_examples

@@ -1,10 +1,13 @@
-"""Golden-tree oracle: a small lossy campaign must reproduce, file for file,
-the sha256 digests recorded in golden_tree.json.
+"""Golden-tree oracles: small lossy campaigns must reproduce, file for
+file, the sha256 digests recorded next to this file.
 
-The campaign is chosen to cross every signaling path: the registrar's
-retransmission and its fallback to the second contact, the setup OK,
-re-INVITE and handoff OK retransmissions, watchdog aborts and setup aborts
-(header-only traces). A change meant to keep behaviour must leave the
+The campaign of golden_tree.json is chosen to cross every signaling path:
+the registrar's retransmission and its fallback to the second contact, the
+setup OK, re-INVITE and handoff OK retransmissions, watchdog aborts and
+setup aborts (header-only traces). The campaign of golden_stride_tree.json
+crosses the analysis paths: overlapping windows (60 ms at a 20 ms stride),
+random loss on both links, a jittered trigger, and aggregation over two
+repetitions per cell. A change meant to keep behaviour must leave the
 digests alone; a deliberate artifact change re-records them and says so in
 CHANGES.md.
 """
@@ -13,9 +16,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from sipswitch.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_tree.json")
+GOLDEN_STRIDE = Path(__file__).with_name("golden_stride_tree.json")
 
 CONFIG = """
 codecs: [G729]
@@ -36,6 +42,26 @@ interfaces:
 """
 
 
+STRIDE_CONFIG = """
+preset: campaign-B
+codecs: [G729]
+procedures: [hard, hybrid, soft]
+directions: [cellular-to-wlan]
+repetitions: 2
+base_seed: 3
+call_duration_s: 12
+switch_time_s: 6
+switch_jitter_s: 5
+window_len_ms: 60
+stride_ms: 20
+interfaces:
+  wlan:
+    loss_prob: 0.02
+  cellular:
+    loss_prob: 0.02
+"""
+
+
 def tree_digests(out_dir: Path) -> dict[str, str]:
     """sha256 of every file under out_dir; the manifest's out_dir value,
     the one path-dependent byte string, is blanked first."""
@@ -51,11 +77,12 @@ def tree_digests(out_dir: Path) -> dict[str, str]:
     return digests
 
 
-def run_golden_campaign(tmp_path: Path, *args: str) -> Path:
+def run_golden_campaign(tmp_path: Path, *args: str, config: str = CONFIG,
+                        rc: int = 2) -> Path:
     out = tmp_path / "out"
     cfg = tmp_path / "golden.yaml"
-    cfg.write_text(CONFIG + f"out_dir: {out}\n")
-    assert main(["run", str(cfg), *args]) == 2  # some runs abort here
+    cfg.write_text(config + f"out_dir: {out}\n")
+    assert main(["run", str(cfg), *args]) == rc  # 2: some runs abort
     return out
 
 
@@ -80,3 +107,18 @@ def test_golden_campaign_tree_is_unchanged_in_parallel(tmp_path, capsys):
     # serial and parallel runs must write byte-identical trees
     out = run_golden_campaign(tmp_path, "--parallel", "2")
     assert tree_digests(out) == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("args", [(), ("--parallel", "2")],
+                         ids=["serial", "parallel"])
+def test_golden_stride_tree_is_unchanged(tmp_path, capsys, args):
+    out = run_golden_campaign(tmp_path, *args, config=STRIDE_CONFIG, rc=0)
+    summary = (out / "loss_summary.csv").read_text()
+    # the campaign still has loss, a lossy switch window and a nonzero std
+    assert ",DL,2,0,13.0,1.4142135623730951," in summary
+    assert summary.count(",100.0\n") == 1
+    got = tree_digests(out)
+    want = json.loads(GOLDEN_STRIDE.read_text())
+    if got != want:
+        print(json.dumps(got, indent=2, sort_keys=True))
+    assert got == want

@@ -19,7 +19,12 @@ from sipswitch.metrics import (
     write_metrics,
 )
 from sipswitch.scenario import run_call
-from sipswitch.traffic import PacketTrace, read_trace, write_trace
+from sipswitch.traffic import (
+    TRACE_COLUMNS,
+    PacketTrace,
+    read_trace,
+    write_trace,
+)
 
 G711 = CODEC_PRESETS["G711"]
 G729 = CODEC_PRESETS["G729"]
@@ -395,3 +400,61 @@ def test_metrics_file_round_trip_preserves_floats(tmp_path):
         assert b.burst_r == a.burst_r
         assert b.r_factor == a.r_factor
         assert (b.carried, b.carried_delay) == (a.carried, a.carried_delay)
+
+
+# ---------------------------------------------------------------------------
+# export: the rendered rows are what csv.writer writes, quoting included
+
+
+def csv_writer_trace(path, run_id, trace):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(TRACE_COLUMNS)
+        for (stream_id, direction, seq, gen, iface, arrival,
+             cause) in trace.rows:
+            w.writerow((run_id, stream_id, direction, seq, gen, iface,
+                        "" if arrival is None else arrival,
+                        "" if cause is None else cause))
+
+
+def csv_writer_metrics(path, run_id, series):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(METRICS_COLUMNS)
+        for m in series:
+            w.writerow((run_id, m.window_start, m.mean_delay_ms, m.ppl,
+                        m.burst_r, m.r_factor, int(m.carried),
+                        int(m.carried_delay)))
+
+
+def test_export_matches_csv_writer_on_names_that_need_quoting(
+        make_config, tmp_path):
+    codec, iface = 'G"7,29 x', 'w,"lan\n2'
+    config = make_config(
+        codecs=[codec], directions=[f"{iface}-to-cellular"],
+        call_duration_s=3, switch_time_s=1.5,
+        custom_codecs={codec: {"bitrate_kbps": 8.0,
+                               "packet_interval_ms": 20.0,
+                               "payload_bytes": 20, "ie": 11.0,
+                               "bpl": 19.0}},
+        interfaces={iface: {"technology": "wlan-like", "q_weight": 0.5,
+                            "bitrate_kbps": 54000, "prop_delay_ms": 5,
+                            "loss_prob": 0.1},
+                    "cellular": {"loss_prob": 0.1}})
+    spec = build_call_spec(config, codec, "hard", f"{iface}-to-cellular", 1)
+    result = run_call(spec)
+    assert not result.aborted
+    assert any(r[4] == iface for r in result.trace.rows)
+    assert any(r[6] is not None for r in result.trace.rows)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trace(str(got), spec.run_id, result.trace)
+    csv_writer_trace(str(want), spec.run_id, result.trace)
+    assert got.read_bytes() == want.read_bytes()
+    assert b'"' + spec.run_id.replace('"', '""').encode() + b'"' \
+        in got.read_bytes()
+    for direction in (UL, DL):
+        series = window_series(result.trace, direction, spec.codec,
+                               stride_ms=20.0)
+        write_metrics(str(got), spec.run_id, series)
+        csv_writer_metrics(str(want), spec.run_id, series)
+        assert got.read_bytes() == want.read_bytes()

@@ -1,0 +1,198 @@
+"""Exactness properties of the fast analysis paths.
+
+stdev must return bit for bit what statistics.stdev returns, and the
+one-pass window_series must equal the former bisect-and-slice version,
+kept below as the oracle, on random traces.
+"""
+
+import math
+import statistics
+import sys
+from bisect import bisect_left
+from math import fsum
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sipswitch.core import (
+    CODEC_PRESETS,
+    DL,
+    LOSS_RANDOM,
+    UL,
+    US_PER_MS,
+    InternalInvariantError,
+)
+from sipswitch.metrics import (
+    DEFAULT_EMODEL,
+    WindowMetrics,
+    burst_ratio,
+    r_factor,
+    stdev,
+    window_series,
+)
+from sipswitch.traffic import PacketTrace
+
+G729 = CODEC_PRESETS["G729"]
+
+# derandomize keeps the suite's outcome fixed; drop it and raise
+# max_examples to search further.
+EXACT = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# stdev
+
+
+def same_as_statistics(values):
+    assert stdev(values).hex() == statistics.stdev(values).hex(), values
+
+
+# Before 3.11, statistics.stdev rounded twice (math.sqrt of a float).
+needs_correct_rounding = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="statistics.stdev is correctly rounded from Python 3.11")
+
+WIDE_FLOATS = st.floats(min_value=-1e150, max_value=1e150,
+                        allow_nan=False, allow_infinity=False)
+
+
+@needs_correct_rounding
+@EXACT
+@given(st.lists(WIDE_FLOATS, min_size=2, max_size=60))
+def test_stdev_is_statistics_stdev_over_a_wide_exponent_range(values):
+    same_as_statistics(values)
+
+
+@needs_correct_rounding
+@EXACT
+@given(st.integers(min_value=-60, max_value=60),
+       st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=2,
+                max_size=60),
+       st.lists(st.sampled_from([1.0, -1.0]), min_size=60, max_size=60))
+def test_stdev_is_statistics_stdev_on_close_values(exponent, mantissas,
+                                                   signs):
+    # values of one magnitude, as a window field across repetitions is
+    same_as_statistics([s * m * 2.0 ** exponent
+                        for s, m in zip(signs, mantissas)])
+
+
+@needs_correct_rounding
+@EXACT
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                min_size=2, max_size=60))
+def test_stdev_is_statistics_stdev_on_ints(values):
+    same_as_statistics(values)
+
+
+@EXACT
+@given(st.one_of(WIDE_FLOATS, st.integers(-10 ** 6, 10 ** 6)),
+       st.integers(min_value=2, max_value=60))
+def test_stdev_of_a_constant_list_is_zero(value, n):
+    assert stdev([value] * n) == 0.0
+    assert stdev([value]) == 0.0
+
+
+@needs_correct_rounding
+def test_stdev_at_the_edges():
+    same_as_statistics([0.0, 5e-324])           # a subnormal result
+    same_as_statistics([1e-300, -1e-300, 0.0])
+    same_as_statistics([1e308, 1e308, -1e308])  # a result near the top
+    same_as_statistics([0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stdev_of_a_non_finite_value_is_an_invariant_error(bad):
+    # statistics.stdev ends in an AttributeError here; a window value is
+    # never non-finite, so one is a bug
+    for values in ([1.0, bad], [bad, bad]):
+        with pytest.raises(InternalInvariantError, match="non-finite"):
+            stdev(values)
+
+
+# ---------------------------------------------------------------------------
+# window_series against the former implementation
+
+
+def reference_window_series(trace, direction, codec, window_len_ms=60.0,
+                            stride_ms=None, params=DEFAULT_EMODEL,
+                            use_burst_ratio=True):
+    """window_series as it was: bisect each window, then sum its slice."""
+    rows = trace.rows_for(direction)
+    if not rows:
+        return []
+    window_us = round(window_len_ms * US_PER_MS)
+    stride_us = round((stride_ms if stride_ms is not None else window_len_ms)
+                      * US_PER_MS)
+    gens = [r[3] for r in rows]
+    out, prev, start = [], None, gens[0]
+    while start <= gens[-1]:
+        lo = bisect_left(gens, start)
+        hi = bisect_left(gens, start + window_us)
+        window = rows[lo:hi]
+        if not window:
+            wm = prev._replace(window_start=start, carried=True,
+                               carried_delay=True, generated=0)
+        else:
+            flags = [r[6] is not None for r in window]
+            lost = sum(flags)
+            delivered = len(window) - lost
+            ppl = lost / len(window)
+            if delivered:
+                delay = fsum(r[5] - r[3] for r in window
+                             if r[5] is not None) / (delivered * US_PER_MS)
+            else:
+                delay = prev.mean_delay_ms if prev else 0.0
+            br = burst_ratio(flags, ppl) if use_burst_ratio else 1.0
+            wm = WindowMetrics(
+                window_start=start, window_len_ms=window_len_ms,
+                mean_delay_ms=delay, ppl=ppl, burst_r=br,
+                r_factor=r_factor(delay, ppl, br, codec, params),
+                carried=False, carried_delay=lost == len(window),
+                generated=len(window))
+        out.append(wm)
+        prev = wm
+        start += stride_us
+    return out
+
+
+# One packet: the gap in us since the previous one of its direction (0 is
+# a tie; 200 ms leaves windows empty), and its delay in us or None if lost.
+PACKET = st.tuples(
+    st.sampled_from([0, 1, 7_000, 20_000, 20_000, 20_000, 30_000, 200_000]),
+    st.one_of(st.none(),
+              st.integers(min_value=0, max_value=200_000),
+              st.integers(min_value=2 ** 50, max_value=2 ** 51)))
+
+
+def build_trace(packets, other_direction):
+    trace = PacketTrace()
+    gen = {DL: 0, UL: 0}
+    seq = {DL: 0, UL: 0}
+    mixed = [(DL, p) for p in packets] + [(UL, p) for p in other_direction]
+    mixed.sort(key=lambda item: item[0] == UL)  # all DL first, then UL
+    for direction, (gap, delay) in mixed:
+        gen[direction] += gap
+        trace.record(direction.lower(), direction, seq[direction],
+                     gen[direction], "wlan",
+                     None if delay is None else gen[direction] + delay,
+                     LOSS_RANDOM if delay is None else None)
+        seq[direction] += 1
+    return trace
+
+
+@EXACT
+@given(packets=st.lists(PACKET, min_size=1, max_size=80),
+       other=st.lists(PACKET, max_size=5),
+       window_ms=st.sampled_from([10.0, 20.0, 60.0, 60.0, 100.5]),
+       stride=st.one_of(st.none(), st.sampled_from([5.0, 20.0, 60.0, 90.0,
+                                                    250.0])),
+       use_burst_ratio=st.booleans())
+def test_one_pass_window_series_equals_the_former_one(
+        packets, other, window_ms, stride, use_burst_ratio):
+    trace = build_trace(packets, other)
+    got = window_series(trace, DL, G729, window_ms, stride,
+                        use_burst_ratio=use_burst_ratio)
+    want = reference_window_series(trace, DL, G729, window_ms, stride,
+                                   use_burst_ratio=use_burst_ratio)
+    assert len(got) == len(want)
+    assert repr(got) == repr(want)  # repr: every float bit for bit

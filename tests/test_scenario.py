@@ -256,3 +256,21 @@ def test_invalid_specs_are_rejected_with_reasons():
     assert base_spec(switch_jitter_us=4_999_999).validate() == []
 
     assert base_spec().validate() == []
+
+
+@pytest.mark.parametrize("link,field", [
+    (LinkParams(5e-324, 5_000), "bitrate_kbps"),     # serialization overflow
+    (LinkParams(54_000.0, -1), "prop_delay_ms"),
+    (LinkParams(54_000.0, (80_000, 40_000)), "prop_delay_ms"),
+    (LinkParams(54_000.0, 2 ** 80), "prop_delay_ms"),
+    (LinkParams(54_000.0, 5_000, queue_capacity_pkts=0),
+     "queue_capacity_pkts"),
+    (LinkParams(54_000.0, 5_000, loss_prob=float("nan")), "loss_prob"),
+])
+def test_spec_links_obey_the_config_link_rules(link, field):
+    # the library path applies the rules that the config loader applies
+    spec = base_spec()
+    spec.links = dict(spec.links, wlan=link)
+    with pytest.raises(SimulationError,
+                       match=f"invalid call spec: link 'wlan': {field} "):
+        run_call(spec)
