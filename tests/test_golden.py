@@ -10,6 +10,11 @@ random loss on both links, a jittered trigger, and aggregation over two
 repetitions per cell. A change meant to keep behaviour must leave the
 digests alone; a deliberate artifact change re-records them and says so in
 CHANGES.md.
+
+golden_settings.json holds the manifest settings of configs the trees miss:
+a third, wired interface with a delay range in fractional ms, a custom
+codec written in integers, integral floats, and both presets. They are
+compared as JSON text, so an int that turns into a float shows.
 """
 
 import hashlib
@@ -22,6 +27,7 @@ from sipswitch.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_tree.json")
 GOLDEN_STRIDE = Path(__file__).with_name("golden_stride_tree.json")
+GOLDEN_SETTINGS = Path(__file__).with_name("golden_settings.json")
 
 CONFIG = """
 codecs: [G729]
@@ -122,3 +128,55 @@ def test_golden_stride_tree_is_unchanged(tmp_path, capsys, args):
     if got != want:
         print(json.dumps(got, indent=2, sort_keys=True))
     assert got == want
+
+
+SHORT = "repetitions: 1\ncall_duration_s: 2\nswitch_time_s: 1\n"
+SETTINGS_CONFIGS = {
+    "wired-third-interface": """
+codecs: [G729]
+procedures: [soft]
+directions: [wlan-to-wired]
+interfaces:
+  wired:
+    technology: wired
+    q_weight: 0.25
+    prop_delay_ms: [0.5, 2]
+""" + SHORT,
+    "custom-codec": """
+codecs: [X]
+custom_codecs:
+  X: {bitrate_kbps: 8, packet_interval_ms: 20, payload_bytes: 20, ie: 11,
+      bpl: 19}
+procedures: [hybrid]
+directions: [cellular-to-wlan]
+""" + SHORT,
+    "integral-floats": """
+codecs: [G723.1]
+procedures: [hard]
+directions: [wlan-to-cellular]
+repetitions: 3.0
+base_seed: 2.0
+header_overhead_bytes: 40.0
+call_duration_s: 2
+switch_time_s: 1
+window_len_ms: 120
+stride_ms: 60.0
+signaling: {rtx_interval_ms: 500.0, max_retransmissions: 2.0}
+emodel: {r0: 93}
+interfaces:
+  wlan: {queue_capacity_pkts: 7.0, bitrate_kbps: 54000.0, prop_delay_ms: 5.0}
+  cellular: {q_weight: 1, loss_prob: 0}
+""",
+    "preset-campaign-A": "preset: campaign-A\n" + SHORT,
+    "preset-campaign-B": "preset: campaign-B\n" + SHORT,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS_CONFIGS))
+def test_manifest_settings_are_unchanged(tmp_path, capsys, name):
+    out = run_golden_campaign(tmp_path, config=SETTINGS_CONFIGS[name], rc=0)
+    settings = json.loads((out / "manifest.json").read_text())["settings"]
+    settings["out_dir"] = ""
+    want = json.loads(GOLDEN_SETTINGS.read_text())[name]
+    assert (json.dumps(settings, indent=2, sort_keys=True)
+            == json.dumps(want, indent=2, sort_keys=True))
