@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Union
 
 # Simulation time is an integer count of microseconds since simulation start.
 # Integer time keeps event ordering exact; there are no sub-microsecond events.
@@ -147,8 +147,23 @@ class Numeric:
         return None
 
 
-def violations(values: Mapping[str, Any],
-               rules: Mapping[str, Numeric]) -> list[tuple[str, str]]:
+@dataclass(frozen=True)
+class Range:
+    """A value or a [low, high] pair, low <= high, whose ends obey rule."""
+
+    rule: Numeric
+
+    def violation(self, value: Any) -> Optional[str]:
+        pair = isinstance(value, (list, tuple)) and len(value) == 2
+        ends = value if pair else [value]
+        problem = next(filter(None, map(self.rule.violation, ends)), None)
+        if problem is None and ends[0] > ends[-1]:
+            problem = f"need low <= high, got {value}"
+        return problem
+
+
+def violations(values: Mapping[str, Any], rules: Mapping[str, Any]
+               ) -> list[tuple[str, str]]:
     """(name, violation) for each value breaking its rule; missing is None."""
     return [(name, problem) for name, rule in rules.items()
             if (problem := rule.violation(values.get(name))) is not None]
@@ -187,23 +202,43 @@ def validate_codec(codec: CodecProfile) -> list[str]:
     return bad
 
 
+# The rules of a link's settings that do not depend on a unit. The
+# propagation delay's rule is its unit's: us in LinkParams, ms in config.
+LINK_RULES = {
+    "bitrate_kbps": Numeric(0.001, optional=True),  # at least 1 bit/s
+    "queue_capacity_pkts": Numeric(1, integer=True),
+    "loss_prob": Numeric(0, 1),
+}
+LINK_PARAMS_RULES = {
+    "prop_delay_us": Range(Numeric(0, integer=True, unit_us=1)), **LINK_RULES}
+
+
+@dataclass(frozen=True)
+class LinkParams:
+    """An MN interface's link parameters, both ways; see LINK_PARAMS_RULES."""
+
+    bitrate_kbps: Optional[float]
+    prop_delay_us: Union[int, tuple[int, int]]
+    queue_capacity_pkts: int = 50
+    loss_prob: float = 0.0
+
+
+# q_weight in [0, 1] orders the registrar's signaling priority list;
+# magnitudes carry no proportional meaning beyond ordering.
+Q_WEIGHT = Numeric(0, 1)
+
+
 @dataclass(frozen=True)
 class InterfaceDescriptor:
-    """A node interface: identity, technology, address, and its q-weight.
-
-    q_weight in [0, 1] orders the registrar's signaling priority list;
-    magnitudes carry no proportional meaning beyond ordering.
-    """
+    """A node interface: identity, technology, address, q-weight (Q_WEIGHT)
+    and the parameters of its access links."""
 
     iface_id: str
     technology: Technology
     address: Address
     q_weight: float
+    link: LinkParams
     state: IfaceState = IfaceState.UP
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.q_weight <= 1.0:
-            raise ValueError(f"q_weight must be in [0, 1], got {self.q_weight}")
 
 
 # Built-in codec presets. Impairment defaults assume packet loss concealment

@@ -98,7 +98,7 @@ def mn_trigger(state: HandoffState, proc: HandoffProcedure,
     return actions
 
 
-def cn_on_reinvite(state: Optional[HandoffState], msg: SipMessage,
+def cn_on_reinvite(state: HandoffState, msg: SipMessage,
                    t: SimTime) -> list[tuple]:
     """CN-side re-INVITE handling: answer OK on the arrival path and retarget
     downlink media, effective for packets generated at or after t.
@@ -107,8 +107,6 @@ def cn_on_reinvite(state: Optional[HandoffState], msg: SipMessage,
     """
     if msg.method is not SipMethod.REINVITE:
         raise ValueError(f"cn_on_reinvite needs REINVITE, got {msg.method.value}")
-    if state is None or msg.session is None:
-        return [("warn", "reinvite-for-unknown-session")]
     if msg.msg_id in state.seen_reinvites:
         return [("send-ok", msg.via_iface)]
     state.seen_reinvites.add(msg.msg_id)

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional, Union
+from typing import Callable, Optional
 
 from .core import (
     DL,
+    LINK_PARAMS_RULES,
     LOSS_CLOSED,
-    MAX_TIME_US,
+    MAX_PACKET_BYTES,
+    Q_WEIGHT,
     UL,
-    US_PER_MS,
     Address,
     CodecProfile,
     IfaceState,
@@ -77,55 +78,16 @@ CN_IFACE = "cn0"
 MEDIA_PORT = 5004
 
 
-# The rule of each link setting, named as the config names it. The
-# propagation delay is in ms, one value or each end of a [low, high] range.
-LINK_RULES = {
-    "bitrate_kbps": Numeric(0.001, optional=True),  # at least 1 bit/s
-    "prop_delay_ms": Numeric(0, unit_us=US_PER_MS),
-    "queue_capacity_pkts": Numeric(1, integer=True),
-    "loss_prob": Numeric(0, 1),
+# The rule of each time and size of a call. The trigger check in validate
+# bounds the switch offset and jitter.
+_US = Numeric(integer=True, unit_us=1)
+_POSITIVE_US = Numeric(0, above=True, integer=True, unit_us=1)
+SPEC_RULES = {
+    "call_start_us": Numeric(0, integer=True, unit_us=1),
+    "call_duration_us": _POSITIVE_US, "watchdog_us": _POSITIVE_US,
+    "switch_offset_us": _US, "switch_jitter_us": _US,
+    "header_overhead_bytes": Numeric(0, MAX_PACKET_BYTES, integer=True),
 }
-
-
-def link_violations(settings: dict[str, Any]) -> list[tuple[str, str]]:
-    """(name, problem) for each link setting that breaks LINK_RULES, and for
-    a delay range whose low end lies above its high end."""
-    delay = settings.get("prop_delay_ms")
-    pair = isinstance(delay, (list, tuple)) and len(delay) == 2
-    ends = delay if pair else [delay]
-    rules = dict(LINK_RULES)
-    delay_rule = rules.pop("prop_delay_ms")
-    problem = next(filter(None, map(delay_rule.violation, ends)), None)
-    if problem is None and ends[0] > ends[-1]:
-        problem = f"need low <= high, got {delay}"
-    found = [("prop_delay_ms", problem)] if problem is not None else []
-    return found + violations(settings, rules)
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Per-direction access link parameters for one MN interface."""
-
-    bitrate_kbps: Optional[float]
-    prop_delay_us: Union[int, tuple[int, int]]
-    queue_capacity_pkts: int = 50
-    loss_prob: float = 0.0
-
-    def violations(self) -> list[tuple[str, str]]:
-        """link_violations of these parameters, the delay taken in ms."""
-        def ms(us):
-            # Beyond +-MAX_TIME_US, or not a number, us breaks the rule in
-            # either unit, and dividing it could overflow.
-            numeric = type(us) in (int, float) and abs(us) <= MAX_TIME_US
-            return us / US_PER_MS if numeric else us
-
-        delay = self.prop_delay_us
-        return link_violations({
-            "bitrate_kbps": self.bitrate_kbps,
-            "prop_delay_ms": (tuple(map(ms, delay))
-                              if isinstance(delay, tuple) else ms(delay)),
-            "queue_capacity_pkts": self.queue_capacity_pkts,
-            "loss_prob": self.loss_prob})
 
 
 @dataclass
@@ -137,7 +99,6 @@ class CallSpec:
     switch_from: str
     switch_to: str
     interfaces: list[InterfaceDescriptor]
-    links: dict[str, LinkParams]
     call_start_us: SimTime = 1_000_000
     call_duration_us: SimTime = 60_000_000
     switch_offset_us: SimTime = 30_000_000
@@ -155,29 +116,26 @@ class CallSpec:
     signaling_drop_plan: frozenset[tuple[str, int]] = frozenset()
 
     def validate(self) -> list[str]:
-        bad: list[str] = []
+        failed = violations(vars(self), SPEC_RULES)
+        bad = [f"{name} {problem}" for name, problem in failed]
         iface_ids = [i.iface_id for i in self.interfaces]
         if len(set(iface_ids)) != len(iface_ids):
             bad.append("duplicate interface ids")
         for name in (self.switch_from, self.switch_to):
             if name not in iface_ids:
                 bad.append(f"switch interface {name!r} not among interfaces")
-            if name not in self.links:
-                bad.append(f"no link parameters for interface {name!r}")
-        for iface_id, link in self.links.items():
-            bad.extend(f"link {iface_id!r}: {name} {problem}"
-                       for name, problem in link.violations())
+        for iface in self.interfaces:
+            found = [*violations(vars(iface), {"q_weight": Q_WEIGHT}),
+                     *violations(vars(iface.link), LINK_PARAMS_RULES)]
+            bad.extend(f"interface {iface.iface_id!r}: {name} {problem}"
+                       for name, problem in found)
         if self.switch_from == self.switch_to:
             bad.append("switch_from equals switch_to")
-        if self.call_duration_us <= 0:
-            bad.append("call duration must be positive")
         bad.extend(validate_codec(self.codec))
         lo = self.switch_offset_us - self.switch_jitter_us
         hi = self.switch_offset_us + self.switch_jitter_us
-        if not 0 < lo <= hi < self.call_duration_us:
+        if not failed and not 0 < lo <= hi < self.call_duration_us:
             bad.append("switch offset +- jitter must fall inside the call")
-        if self.header_overhead_bytes < 0:
-            bad.append("header overhead must be non-negative")
         return bad
 
 
@@ -198,7 +156,6 @@ class RunResult:
     t_completed: Optional[SimTime]
     closed_old_at: Optional[SimTime]
     setup_transaction: Optional[ForwardTransaction]
-    registrar: Registrar
 
 
 class _CallRuntime:
@@ -218,18 +175,13 @@ class _CallRuntime:
 
         self.links_ul: dict[str, Link] = {}
         self.links_dl: dict[str, Link] = {}
-        for iface, lp in spec.links.items():
-            self.links_ul[iface] = Link(
-                self.engine, f"{iface}-ul", lp.bitrate_kbps, lp.prop_delay_us,
-                lp.queue_capacity_pkts, lp.loss_prob,
-                self.rng.substream(f"link/{iface}-ul"))
-            self.links_dl[iface] = Link(
-                self.engine, f"{iface}-dl", lp.bitrate_kbps, lp.prop_delay_us,
-                lp.queue_capacity_pkts, lp.loss_prob,
-                self.rng.substream(f"link/{iface}-dl"))
-        for link_id in spec.down_links:
-            for link in (*self.links_ul.values(), *self.links_dl.values()):
-                if link.link_id == link_id:
+        for iface in spec.interfaces:
+            for links, end in ((self.links_ul, "ul"), (self.links_dl, "dl")):
+                link_id = f"{iface.iface_id}-{end}"
+                link = links[iface.iface_id] = Link(
+                    self.engine, link_id, iface.link,
+                    self.rng.substream(f"link/{link_id}"))
+                if link_id in spec.down_links:
                     link.set_state(IfaceState.DOWN)
 
         mn_addresses = {i.iface_id: i.address for i in spec.interfaces}
@@ -459,10 +411,6 @@ class _CallRuntime:
                 self.handoff_log.record(t, "CN", "dst-switch",
                                         self.state.phase.value,
                                         self.state.phase.value)
-            elif action[0] == "warn":
-                self.handoff_log.record(t, "CN", f"warn:{action[1]}",
-                                        self.state.phase.value,
-                                        self.state.phase.value)
 
     def _mn_on_handoff_ok(self, msg: SipMessage) -> None:
         if self._reinvite is None or msg.in_reply_to != self._reinvite.msg_id:
@@ -593,8 +541,7 @@ class _CallRuntime:
             t_cn_switch=self.state.t_cn_switch,
             t_completed=self.state.t_completed,
             closed_old_at=self.closed_old_at,
-            setup_transaction=self.setup_transaction,
-            registrar=self.registrar)
+            setup_transaction=self.setup_transaction)
 
 
 def run_call(spec: CallSpec) -> RunResult:

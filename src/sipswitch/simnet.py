@@ -5,13 +5,14 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .core import (
     LOSS_LINK_DOWN,
     LOSS_QUEUE,
     LOSS_RANDOM,
     IfaceState,
+    LinkParams,
     SimulationError,
 )
 
@@ -100,8 +101,6 @@ class RngStream:
 # Bitrate value meaning "no serialization delay".
 UNLIMITED = None
 
-PropDelay = Union[int, tuple[int, int]]
-
 
 _DOWN = IfaceState.DOWN  # transmit checks it per packet: a global is cheaper
 
@@ -112,34 +111,23 @@ class Link:
 
     The queue capacity counts packets in the system (serializing plus
     waiting). Arrival times are clamped to be non-decreasing so delivery
-    order always equals offer order.
+    order always equals offer order. The parameters obey LinkParams' rules,
+    which CallSpec.validate applies.
     """
 
-    def __init__(self, engine: Engine, link_id: str,
-                 bitrate_kbps: Optional[float], prop_delay_us: PropDelay,
-                 queue_capacity_pkts: int = 50, loss_prob: float = 0.0,
+    def __init__(self, engine: Engine, link_id: str, params: LinkParams,
                  rng: Optional[random.Random] = None):
-        if isinstance(prop_delay_us, tuple):
-            lo, hi = prop_delay_us
+        if isinstance(params.prop_delay_us, tuple):
+            lo, hi = params.prop_delay_us
         else:
-            lo = hi = prop_delay_us
-        if lo > hi:
-            raise ValueError(f"{link_id}: propagation delay range {lo} > {hi}")
-        if lo < 0:
-            raise ValueError(f"{link_id}: propagation delay must be non-negative")
-        if not 0.0 <= loss_prob <= 1.0:
-            raise ValueError(f"{link_id}: loss_prob must be in [0, 1]")
-        if queue_capacity_pkts < 1:
-            raise ValueError(f"{link_id}: queue capacity must be >= 1")
-        if bitrate_kbps is not UNLIMITED and bitrate_kbps <= 0:
-            raise ValueError(f"{link_id}: bitrate must be positive or unlimited")
+            lo = hi = params.prop_delay_us
         self.engine = engine
         self.link_id = link_id
-        self.bitrate_kbps = bitrate_kbps
+        self.bitrate_kbps = params.bitrate_kbps
         self.prop_lo_us = lo
         self.prop_hi_us = hi
-        self.queue_capacity_pkts = queue_capacity_pkts
-        self.loss_prob = loss_prob
+        self.queue_capacity_pkts = params.queue_capacity_pkts
+        self.loss_prob = params.loss_prob
         self.rng = rng if rng is not None else random.Random(0)
         self.state = IfaceState.UP
         self.offered = 0

@@ -68,14 +68,6 @@ class SipMessage:
     msg_id: int = 0
     in_reply_to: int = 0
 
-    def __post_init__(self):
-        if self.method is SipMethod.REGISTER:
-            if not self.contacts:
-                raise SipError("REGISTER must carry at least one contact")
-            for c in self.contacts:
-                if not 0.0 <= c.q_weight <= 1.0:
-                    raise SipError(f"contact q weight {c.q_weight} outside [0, 1]")
-
 
 @dataclass(frozen=True)
 class SignalingConfig:

@@ -1,8 +1,10 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+from sipswitch import cli
 from sipswitch.core import SimulationError
 from sipswitch.metrics import WindowMetrics
 from sipswitch.cli import (
@@ -61,6 +63,13 @@ def test_campaign_b_preset_narrows_the_grid(tmp_path):
 def test_preset_can_come_from_the_config_file(tmp_path):
     cfg = load_config(write_config(tmp_path, "preset: campaign-B\n"))
     assert cfg.scenario == "campaign-B"
+
+
+def test_preset_flag_wins_over_the_file_preset(tmp_path, capsys):
+    # the flag used to leave the file's key behind: "preset: unknown setting"
+    path = write_config(tmp_path, "preset: campaign-B\n")
+    assert main(["validate", path, "--preset", "campaign-B"]) == 0
+    assert load_config(path, preset="campaign-A").scenario == "campaign-A"
 
 
 def test_file_overrides_preset_and_overrides_beat_file(tmp_path):
@@ -194,9 +203,13 @@ def test_build_call_spec_wires_the_grid_cell(tmp_path):
     assert spec.call_duration_us == 60_000_000
     assert spec.switch_offset_us == 30_000_000
     assert spec.watchdog_us == 10_000_000
-    assert spec.links["cellular"].prop_delay_us == (40_000, 80_000)
-    assert {i.iface_id for i in spec.interfaces} == {"wlan", "cellular"}
+    assert spec.interfaces == list(cfg.interfaces.values())
+    assert [i.iface_id for i in spec.interfaces] == ["wlan", "cellular"]
+    assert spec.interfaces[1].link.prop_delay_us == (40_000, 80_000)
     assert spec.validate() == []
+    # every repetition gets the descriptors the loader built, not copies
+    other = build_call_spec(cfg, "G729", "soft", "cellular-to-wlan", 0)
+    assert all(a is b for a, b in zip(spec.interfaces, other.interfaces))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +413,88 @@ def test_recompute_metrics_rejects_a_malformed_trace(tmp_path, capsys):
         trace.write_text("\n".join(lines) + "\n")
         assert main(["recompute-metrics", str(trace)]) == 1, name
         assert f"config error: {trace}: " in capsys.readouterr().err, name
+
+
+ONE_RUN = """
+codecs: [G729]
+procedures: [hard]
+directions: [cellular-to-wlan]
+repetitions: 1
+call_duration_s: 2
+switch_time_s: 1
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """(trace, manifest) of a one-run campaign."""
+    out = tmp_path_factory.mktemp("tiny") / "out"
+    cfg = write_config(out.parent, ONE_RUN + f"out_dir: {out}\n")
+    assert main(["run", cfg]) == 0
+    return (out / "G729_hard_cellular-to-wlan" / "r000" / "trace.csv",
+            json.loads((out / "manifest.json").read_text()))
+
+
+def _break(manifest, *path, value=None):
+    """A copy of manifest with the setting at path set to value, or deleted
+    when value is None."""
+    manifest = json.loads(json.dumps(manifest))
+    node = manifest["settings"]
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda m: "{not json",                                      # ValueError
+    lambda m: "[]",                                         # AttributeError
+    lambda m: _break(m, "codec_profiles", "G729", "ie"),         # TypeError
+    lambda m: _break(m, "emodel", "r0", value=-1),              # ValueError
+    lambda m: _break(m, "window_len_ms", value=0),
+    lambda m: _break(m, "codec_profiles", "G729", "payload_bytes", value=0),
+], ids=["not-json", "list", "codec-without-ie", "negative-r0",
+        "zero-window", "zero-payload"])
+def test_recompute_metrics_rejects_a_malformed_manifest(
+        tmp_path, capsys, tiny_run, broken):
+    # each used to end in a traceback
+    trace, manifest = tiny_run
+    path = tmp_path / "manifest.json"
+    path.write_text(broken(manifest))
+    assert main(["recompute-metrics", str(trace), "--manifest",
+                 str(path)]) == 1
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def _bench_cli_spans() -> dict:
+    """CLI_SPANS of bench/trace_layers.py, read without importing it."""
+    source = Path(__file__).parents[1] / "bench" / "trace_layers.py"
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and \
+                [t.id for t in node.targets] == ["CLI_SPANS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no CLI_SPANS in {source}")
+
+
+def test_the_bench_finds_what_it_wraps_in_cli(tmp_path, capsys,
+                                              monkeypatch):
+    # the bench wraps these names in sipswitch.cli, and times _run_one,
+    # aggregate and write_aggregate in run_campaign's globals
+    for name in [*_bench_cli_spans(), "build_call_spec", "main"]:
+        assert hasattr(cli, name), name
+    assert cli.run_campaign.__globals__ is vars(cli)
+    hits = []
+    for name in ("load_config", "run_call"):
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            hits.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    cfg = write_config(tmp_path, ONE_RUN + f"out_dir: {tmp_path / 'out'}\n")
+    assert cli.main(["run", cfg]) == 0
+    assert hits == ["load_config", "run_call"]
 
 
 def test_a_broken_invariant_exits_three(tmp_path, capsys, monkeypatch):

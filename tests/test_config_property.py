@@ -9,10 +9,9 @@ from pathlib import Path
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from sipswitch import cli
+from sipswitch import cli, config
 from sipswitch.core import CODEC_RULES
 from sipswitch.metrics import EMODEL_RULES
-from sipswitch.scenario import LINK_RULES
 from sipswitch.sip import SIGNALING_RULES
 
 # One cell, one repetition, a 2 s call on a custom copy of G729, so every
@@ -72,7 +71,7 @@ JUNK = st.one_of(
 
 def test_every_numeric_setting_is_covered():
     names = {p[-1] for p in NUMERIC_PATHS if isinstance(p[-1], str)}
-    assert names == (set(cli._RULES) | set(cli._IFACE_RULES) | set(LINK_RULES)
+    assert names == (set(config.SETTING_RULES) | set(config._INTERFACE_RULES)
                      | set(CODEC_RULES) | set(SIGNALING_RULES)
                      | set(EMODEL_RULES))
 

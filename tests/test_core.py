@@ -6,6 +6,8 @@ from sipswitch.core import (
     CodecProfile,
     IfaceState,
     InterfaceDescriptor,
+    LinkParams,
+    Q_WEIGHT,
     Technology,
     ms_to_us,
     s_to_us,
@@ -82,11 +84,13 @@ def test_validate_codec_reports_every_violation():
 
 
 def test_interface_descriptor_q_weight_bounds():
+    # the one q-weight rule, which the config loader and CallSpec.validate
+    # both apply
     addr = Address("mn", "wlan", 5004)
     for q in (0.0, 0.5, 1.0):
-        d = InterfaceDescriptor("wlan", Technology.WLAN_LIKE, addr, q)
-        assert d.q_weight == q
+        d = InterfaceDescriptor("wlan", Technology.WLAN_LIKE, addr, q,
+                                LinkParams(None, 0))
+        assert Q_WEIGHT.violation(d.q_weight) is None
         assert d.state is IfaceState.UP
     for q in (-0.1, 1.01, 2.0):
-        with pytest.raises(ValueError):
-            InterfaceDescriptor("wlan", Technology.WLAN_LIKE, addr, q)
+        assert Q_WEIGHT.violation(q) is not None

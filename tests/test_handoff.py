@@ -117,15 +117,6 @@ def test_duplicate_reinvite_gets_ok_but_changes_nothing():
     assert s.t_cn_switch == 25  # first arrival stands
 
 
-def test_reinvite_for_unknown_session_warns():
-    assert cn_on_reinvite(None, reinvite(), 5) == \
-        [("warn", "reinvite-for-unknown-session")]
-    no_session = SipMessage(SipMethod.REINVITE, "mn", "cn", "cellular", 700,
-                            msg_id=8)
-    assert cn_on_reinvite(fresh_state(), no_session, 5) == \
-        [("warn", "reinvite-for-unknown-session")]
-
-
 def test_cn_on_reinvite_rejects_other_methods():
     with pytest.raises(ValueError):
         cn_on_reinvite(fresh_state(),

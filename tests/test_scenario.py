@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sipswitch.core import (
@@ -8,11 +10,12 @@ from sipswitch.core import (
     UL,
     Address,
     InterfaceDescriptor,
+    LinkParams,
     SimulationError,
     Technology,
 )
 from sipswitch.handoff import HandoffPhase, HandoffProcedure
-from sipswitch.scenario import CallSpec, LinkParams, run_call
+from sipswitch.scenario import CallSpec, _CallRuntime, run_call
 from sipswitch.sip import DELIVERED, SignalingConfig
 
 WLAN_ADDR = Address("mn", "wlan", 5004)
@@ -23,18 +26,23 @@ def base_spec(codec="G711", procedure=HandoffProcedure.HYBRID,
               direction=("wlan", "cellular"), seed=1, cellular_prop=(40_000, 80_000),
               **kw):
     interfaces = [
-        InterfaceDescriptor("wlan", Technology.WLAN_LIKE, WLAN_ADDR, 0.5),
-        InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE, CELL_ADDR, 0.9),
+        InterfaceDescriptor("wlan", Technology.WLAN_LIKE, WLAN_ADDR, 0.5,
+                            LinkParams(54_000.0, 5_000)),
+        InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE, CELL_ADDR,
+                            0.9, LinkParams(384.0, cellular_prop)),
     ]
-    links = {
-        "wlan": LinkParams(54_000.0, 5_000),
-        "cellular": LinkParams(384.0, cellular_prop),
-    }
     kw.setdefault("call_duration_us", 10_000_000)
     kw.setdefault("switch_offset_us", 5_000_000)
     return CallSpec(codec=CODEC_PRESETS[codec], procedure=procedure,
                     switch_from=direction[0], switch_to=direction[1],
-                    interfaces=interfaces, links=links, seed=seed, **kw)
+                    interfaces=interfaces, seed=seed, **kw)
+
+
+def with_wlan(spec, **changes):
+    """spec with its wlan interface changed: q_weight or link."""
+    spec.interfaces = [replace(i, **changes) if i.iface_id == "wlan" else i
+                       for i in spec.interfaces]
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +122,10 @@ def test_different_seeds_differ():
 
 
 def test_single_register_carries_both_interfaces_sorted_by_q():
-    result = run_call(base_spec())
+    runtime = _CallRuntime(base_spec())
+    result = runtime.run()
     assert sum(", REGISTER," in l for l in result.signaling.lines) == 1
-    entries = result.registrar.bindings["mn"].entries
+    entries = runtime.registrar.bindings["mn"].entries
     assert [c.address for c in entries] == [CELL_ADDR, WLAN_ADDR]
     assert [c.q_weight for c in entries] == [0.9, 0.5]
 
@@ -237,8 +246,9 @@ def test_invalid_specs_are_rejected_with_reasons():
         run_call(spec)
 
     spec = base_spec()
-    spec.links = {"wlan": spec.links["wlan"]}
-    with pytest.raises(SimulationError, match="no link parameters"):
+    spec.interfaces = spec.interfaces[:1]
+    with pytest.raises(SimulationError,
+                       match="switch interface 'cellular' not among"):
         run_call(spec)
 
     spec = base_spec()
@@ -260,17 +270,48 @@ def test_invalid_specs_are_rejected_with_reasons():
 
 @pytest.mark.parametrize("link,field", [
     (LinkParams(5e-324, 5_000), "bitrate_kbps"),     # serialization overflow
-    (LinkParams(54_000.0, -1), "prop_delay_ms"),
-    (LinkParams(54_000.0, (80_000, 40_000)), "prop_delay_ms"),
-    (LinkParams(54_000.0, 2 ** 80), "prop_delay_ms"),
+    (LinkParams(54_000.0, -1), "prop_delay_us"),
+    (LinkParams(54_000.0, (80_000, 40_000)), "prop_delay_us"),
+    (LinkParams(54_000.0, 2 ** 80), "prop_delay_us"),
     (LinkParams(54_000.0, 5_000, queue_capacity_pkts=0),
      "queue_capacity_pkts"),
     (LinkParams(54_000.0, 5_000, loss_prob=float("nan")), "loss_prob"),
+    (LinkParams(0.0, 5_000), "bitrate_kbps"),
+    (LinkParams(54_000.0, 5_000, loss_prob=1.5), "loss_prob"),
+    # a fractional us delay used to put float times into the engine
+    (LinkParams(54_000.0, 5_000.5), "prop_delay_us"),
+    (LinkParams(54_000.0, (40_000, 80_000.5)), "prop_delay_us"),
 ])
 def test_spec_links_obey_the_config_link_rules(link, field):
-    # the library path applies the rules that the config loader applies
-    spec = base_spec()
-    spec.links = dict(spec.links, wlan=link)
+    # the library path applies the link rules that the config loader
+    # applies, with the delay in integral us
+    spec = with_wlan(base_spec(), link=link)
     with pytest.raises(SimulationError,
-                       match=f"invalid call spec: link 'wlan': {field} "):
+                       match=f"invalid call spec: interface 'wlan': {field} "):
         run_call(spec)
+
+
+@pytest.mark.parametrize("q", [-0.1, 1.01, 2.0, float("nan"), None])
+def test_spec_interfaces_obey_the_q_weight_rule(q):
+    # the rule the config loader applies to q_weight
+    spec = with_wlan(base_spec(), q_weight=q)
+    with pytest.raises(SimulationError,
+                       match="invalid call spec: interface 'wlan': q_weight "):
+        run_call(spec)
+
+
+@pytest.mark.parametrize("changes,message", [
+    # each used to pass on the library path though the config rejects it
+    ({"call_start_us": 1_000_000.5}, "call_start_us must be an integer"),
+    ({"watchdog_us": 0}, "watchdog_us must be > 0"),
+    ({"header_overhead_bytes": 10 ** 6},
+     "header_overhead_bytes must be <= 65535"),
+    ({"call_duration_us": 0}, "call_duration_us must be > 0"),
+    ({"header_overhead_bytes": -1}, "header_overhead_bytes must be >= 0"),
+    ({"switch_offset_us": 5_000_000.5}, "switch_offset_us must be an integer"),
+    ({"call_start_us": 2 ** 60}, "call_start_us must be <= 9007199254740992"),
+])
+def test_spec_times_and_sizes_obey_their_rules(changes, message):
+    with pytest.raises(SimulationError,
+                       match=f"invalid call spec: {message}"):
+        run_call(base_spec(**changes))

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from sipswitch.core import LOSS_LINK_DOWN, LOSS_QUEUE, LOSS_RANDOM, IfaceState
+from sipswitch.core import (
+    LOSS_LINK_DOWN,
+    LOSS_QUEUE,
+    LOSS_RANDOM,
+    IfaceState,
+    LinkParams,
+)
 from sipswitch.simnet import (
     UNLIMITED,
     Engine,
@@ -118,8 +124,7 @@ def test_different_seeds_differ():
 
 
 def _link(eng, bitrate, prop, cap=50, loss=0.0, rng=None):
-    return Link(eng, "test-link", bitrate, prop, queue_capacity_pkts=cap,
-                loss_prob=loss, rng=rng)
+    return Link(eng, "test-link", LinkParams(bitrate, prop, cap, loss), rng)
 
 
 @pytest.mark.parametrize("bitrate,prop,size,expected_arrival", [
@@ -248,18 +253,8 @@ def test_on_arrive_runs_as_engine_event_at_arrival_time():
     assert seen == [(26_000, 26_000)]
 
 
-def test_link_constructor_validation():
-    eng = Engine()
+def test_transmit_rejects_an_empty_packet():
+    # the link parameters obey LinkParams' rules, which CallSpec.validate
+    # applies (tests/test_scenario.py)
     with pytest.raises(ValueError):
-        Link(eng, "x", 64.0, (80_000, 40_000))  # inverted range
-    with pytest.raises(ValueError):
-        Link(eng, "x", 64.0, -1)
-    with pytest.raises(ValueError):
-        Link(eng, "x", 0.0, 0)
-    with pytest.raises(ValueError):
-        Link(eng, "x", 64.0, 0, queue_capacity_pkts=0)
-    with pytest.raises(ValueError):
-        Link(eng, "x", 64.0, 0, loss_prob=1.5)
-    with pytest.raises(ValueError):
-        eng_link = Link(eng, "x", 64.0, 0)
-        eng_link.transmit(0)
+        Link(Engine(), "x", LinkParams(64.0, 0)).transmit(0)

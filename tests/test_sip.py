@@ -1,6 +1,12 @@
 import pytest
 
-from sipswitch.core import Address, IfaceState, InterfaceDescriptor, Technology
+from sipswitch.core import (
+    Address,
+    IfaceState,
+    InterfaceDescriptor,
+    LinkParams,
+    Technology,
+)
 from sipswitch.simnet import Engine
 from sipswitch.sip import (
     DELIVERED,
@@ -25,7 +31,8 @@ CELL = Address("mn", "cellular", 5060)
 
 def _iface(iface_id, addr, q, state=IfaceState.UP):
     tech = Technology.WLAN_LIKE if iface_id == "wlan" else Technology.CELLULAR_LIKE
-    return InterfaceDescriptor(iface_id, tech, addr, q, state)
+    return InterfaceDescriptor(iface_id, tech, addr, q, LinkParams(None, 0),
+                               state)
 
 
 # ---------------------------------------------------------------------------
@@ -33,14 +40,9 @@ def _iface(iface_id, addr, q, state=IfaceState.UP):
 
 
 def test_register_requires_contacts():
+    # build_register makes every REGISTER: it needs an interface to contact
     with pytest.raises(SipError):
-        SipMessage(SipMethod.REGISTER, "mn", "registrar", "wlan", 450)
-
-
-def test_register_rejects_out_of_range_q():
-    with pytest.raises(SipError):
-        SipMessage(SipMethod.REGISTER, "mn", "registrar", "wlan", 450,
-                   contacts=(Contact(WLAN, 1.5),))
+        build_register("mn", [])
 
 
 def test_build_register_one_contact_per_up_interface():
