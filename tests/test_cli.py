@@ -450,11 +450,11 @@ def _break(manifest, *path, value=None):
 
 
 @pytest.mark.parametrize("broken", [
-    lambda m: "{not json",                                      # ValueError
-    lambda m: "[]",                                         # AttributeError
-    lambda m: _break(m, "codec_profiles", "G729", "ie"),         # TypeError
-    lambda m: _break(m, "emodel", "r0", value=-1),              # ValueError
-    lambda m: _break(m, "window_len_ms", value=0),
+    lambda m: "{not json",  # JSONDecodeError
+    lambda m: "[]",  # AttributeError
+    lambda m: _break(m, "codec_profiles", "G729", "ie"),  # TypeError
+    lambda m: _break(m, "emodel", "r0", value=-1),  # ValueError
+    lambda m: _break(m, "window_len_ms", value=0),  # ValueError
     lambda m: _break(m, "codec_profiles", "G729", "payload_bytes", value=0),
 ], ids=["not-json", "list", "codec-without-ie", "negative-r0",
         "zero-window", "zero-payload"])
@@ -473,8 +473,8 @@ def _bench_cli_spans() -> dict:
     """CLI_SPANS of bench/trace_layers.py, read without importing it."""
     source = Path(__file__).parents[1] / "bench" / "trace_layers.py"
     for node in ast.parse(source.read_text()).body:
-        if isinstance(node, ast.Assign) and \
-                [t.id for t in node.targets] == ["CLI_SPANS"]:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and names == ["CLI_SPANS"]:
             return ast.literal_eval(node.value)
     raise AssertionError(f"no CLI_SPANS in {source}")
 
