@@ -301,14 +301,15 @@ def test_spec_interfaces_obey_the_q_weight_rule(q):
 
 
 @pytest.mark.parametrize("changes,message", [
-    # each used to pass on the library path though the config rejects it
+    # the first four used to pass on the library path though the config
+    # rejects them
     ({"call_start_us": 1_000_000.5}, "call_start_us must be an integer"),
     ({"watchdog_us": 0}, "watchdog_us must be > 0"),
     ({"header_overhead_bytes": 10 ** 6},
      "header_overhead_bytes must be <= 65535"),
+    ({"switch_offset_us": 5_000_000.5}, "switch_offset_us must be an integer"),
     ({"call_duration_us": 0}, "call_duration_us must be > 0"),
     ({"header_overhead_bytes": -1}, "header_overhead_bytes must be >= 0"),
-    ({"switch_offset_us": 5_000_000.5}, "switch_offset_us must be an integer"),
     ({"call_start_us": 2 ** 60}, "call_start_us must be <= 9007199254740992"),
 ])
 def test_spec_times_and_sizes_obey_their_rules(changes, message):
