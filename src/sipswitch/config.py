@@ -19,7 +19,6 @@ from .core import (
     Q_WEIGHT,
     US_PER_MS,
     US_PER_S,
-    Address,
     CodecProfile,
     InterfaceDescriptor,
     LinkParams,
@@ -34,7 +33,7 @@ from .core import (
 )
 from .handoff import HandoffProcedure
 from .metrics import EMODEL_RULES, EModelParams
-from .scenario import MEDIA_PORT, MN_URI, CallSpec
+from .scenario import CallSpec
 from .sip import SIGNALING_RULES, SignalingConfig
 
 
@@ -275,9 +274,7 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
                 and tech in known_tech:
             delay = fields["prop_delay_ms"]
             interfaces[iface_id] = InterfaceDescriptor(
-                iface_id, Technology(tech),
-                Address(MN_URI, iface_id, MEDIA_PORT),
-                q_weight=float(fields["q_weight"]),
+                iface_id, Technology(tech), q_weight=float(fields["q_weight"]),
                 link=LinkParams(
                     bitrate_kbps=fields["bitrate_kbps"],
                     prop_delay_us=(tuple(map(ms_to_us, delay))

@@ -115,6 +115,8 @@ class Numeric:
     None is allowed only when optional is set. A time that the program
     converts to us names the us in one of its units as unit_us: it must be
     at most MAX_TIME_US us and, when above is set, round to at least 1 us.
+    A time already in us (unit_us=1) goes to the engine as is: it must be an
+    int, where a setting in another unit may be an integral float.
     """
 
     lo: Optional[float] = None
@@ -133,6 +135,8 @@ class Numeric:
             return f"must be a finite number, got {value!r}"
         if self.integer and value != int(value):
             return f"must be an integer, got {value!r}"
+        if self.unit_us == 1 and not isinstance(value, int):
+            return f"must be an int (a time in us), got {value!r}"
         hi = self.hi if self.unit_us is None else MAX_TIME_US / self.unit_us
         if self.lo is not None and (value <= self.lo if self.above
                                     else value < self.lo):
@@ -215,13 +219,22 @@ LINK_PARAMS_RULES = {
 
 @dataclass(frozen=True)
 class LinkParams:
-    """An MN interface's link parameters, both ways; see LINK_PARAMS_RULES."""
+    """An MN interface's link parameters, both ways; see LINK_PARAMS_RULES.
+    A uniform delay range is a [low, high] list or tuple."""
 
     bitrate_kbps: Optional[float]
-    prop_delay_us: Union[int, tuple[int, int]]
+    prop_delay_us: Union[int, tuple[int, int], list[int]]
     queue_capacity_pkts: int = 50
     loss_prob: float = 0.0
 
+
+MN_URI = "mn"
+MEDIA_PORT = 5004
+
+
+def mn_address(iface_id: str) -> Address:
+    """Where the MN receives media and signaling on interface iface_id."""
+    return Address(MN_URI, iface_id, MEDIA_PORT)
 
 # q_weight in [0, 1] orders the registrar's signaling priority list;
 # magnitudes carry no proportional meaning beyond ordering.
@@ -230,15 +243,18 @@ Q_WEIGHT = Numeric(0, 1)
 
 @dataclass(frozen=True)
 class InterfaceDescriptor:
-    """A node interface: identity, technology, address, q-weight (Q_WEIGHT)
-    and the parameters of its access links."""
+    """An MN interface: identity, technology, q-weight (Q_WEIGHT) and the
+    parameters of its access links. Its address follows from its id."""
 
     iface_id: str
     technology: Technology
-    address: Address
     q_weight: float
     link: LinkParams
     state: IfaceState = IfaceState.UP
+
+    @property
+    def address(self) -> Address:
+        return mn_address(self.iface_id)
 
 
 # Built-in codec presets. Impairment defaults assume packet loss concealment

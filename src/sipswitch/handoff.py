@@ -14,7 +14,7 @@ atomic step.
 
 Operations mutate the HandoffState and return a list of action tuples for
 the caller to execute and log: ("send-reinvite", iface), ("send-ok", iface),
-("close-iface", iface), ("set-uplink", iface), ("set-cn-dst", address),
+("close-iface", iface), ("set-uplink", iface), ("set-cn-dst", iface),
 ("warn", reason). State effects are already applied when the list is
 returned; callers perform only the sends and the logging.
 """
@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import DL, UL, Address, IfaceState, SimTime
+from .core import DL, UL, IfaceState, SimTime
 from .sip import SipMessage, SipMethod
 
 
@@ -45,28 +45,25 @@ class HandoffPhase(enum.Enum):
 class HandoffState:
     """Session-level switching state shared by the MN and CN views.
 
-    mn_addresses maps each MN interface to its media address;
-    iface_states tracks Up/Down/Closed per MN interface.
+    iface_states tracks Up/Down/Closed per MN interface. Uplink media
+    leaves by ul_media_iface; the CN sends downlink media to dl_media_iface.
+    Both start on the old interface.
     """
 
     old_iface: str
     new_iface: str
-    mn_addresses: dict[str, Address]
-    cn_address: Address
     iface_states: dict[str, IfaceState] = field(default_factory=dict)
     phase: HandoffPhase = HandoffPhase.STABLE
     ul_media_iface: str = ""
-    cn_media_dst: Optional[Address] = None
+    dl_media_iface: str = ""
     t_trigger: Optional[SimTime] = None
     t_cn_switch: Optional[SimTime] = None
     t_completed: Optional[SimTime] = None
     seen_reinvites: set[int] = field(default_factory=set)
 
     def __post_init__(self):
-        if not self.ul_media_iface:
-            self.ul_media_iface = self.old_iface
-        if self.cn_media_dst is None:
-            self.cn_media_dst = self.mn_addresses[self.old_iface]
+        self.ul_media_iface = self.ul_media_iface or self.old_iface
+        self.dl_media_iface = self.dl_media_iface or self.old_iface
         for iface in (self.old_iface, self.new_iface):
             self.iface_states.setdefault(iface, IfaceState.UP)
 
@@ -111,9 +108,9 @@ def cn_on_reinvite(state: HandoffState, msg: SipMessage,
         return [("send-ok", msg.via_iface)]
     state.seen_reinvites.add(msg.msg_id)
     # The peer's media_src is where it now wants to receive downlink media.
-    state.cn_media_dst = msg.session.media_src
+    state.dl_media_iface = msg.media_src.iface
     state.t_cn_switch = t
-    return [("send-ok", msg.via_iface), ("set-cn-dst", msg.session.media_src)]
+    return [("send-ok", msg.via_iface), ("set-cn-dst", state.dl_media_iface)]
 
 
 def mn_on_ok(state: HandoffState, proc: HandoffProcedure,
@@ -136,41 +133,36 @@ def mn_on_ok(state: HandoffState, proc: HandoffProcedure,
     return actions
 
 
-def media_route(state: HandoffState,
-                direction: str) -> Optional[tuple[Address, Address]]:
-    """(src, dst) for a media packet generated now, or None when the packet
-    has no route because the required MN interface is Closed.
+def media_route(state: HandoffState, direction: str) -> Optional[str]:
+    """The MN interface that carries a media packet generated now, or None
+    when the packet has no route because that interface is Closed.
 
     Hard-procedure downlink losses arise exactly here: the CN still targets
     the Closed old interface until its re-INVITE arrives.
     """
     if direction == UL:
         iface = state.ul_media_iface
-        if state.iface_states.get(iface) is IfaceState.CLOSED:
-            return None
-        return state.mn_addresses[iface], state.cn_address
-    if direction == DL:
-        dst = state.cn_media_dst
-        if state.iface_states.get(dst.iface) is IfaceState.CLOSED:
-            return None
-        return state.cn_address, dst
-    raise ValueError(f"unknown media direction {direction!r}")
+    elif direction == DL:
+        iface = state.dl_media_iface
+    else:
+        raise ValueError(f"unknown media direction {direction!r}")
+    if state.iface_states.get(iface) is IfaceState.CLOSED:
+        return None
+    return iface
 
 
 def check_state(state: HandoffState, proc: HandoffProcedure) -> list[str]:
     """Structural invariant check; returns violations (empty when sound)."""
     bad: list[str] = []
-    old_addr = state.mn_addresses[state.old_iface]
-    new_addr = state.mn_addresses[state.new_iface]
     if state.phase is HandoffPhase.STABLE:
         if state.ul_media_iface != state.old_iface:
             bad.append("Stable but uplink not on old interface")
-        if state.cn_media_dst != old_addr:
+        if state.dl_media_iface != state.old_iface:
             bad.append("Stable but CN targets a non-old address")
     elif state.phase is HandoffPhase.COMPLETED:
         if state.ul_media_iface != state.new_iface:
             bad.append("Completed but uplink not on new interface")
-        if state.cn_media_dst != new_addr:
+        if state.dl_media_iface != state.new_iface:
             bad.append("Completed but CN not targeting new address")
         if state.old_iface_state is not IfaceState.CLOSED:
             bad.append("Completed but old interface not Closed")

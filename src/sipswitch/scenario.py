@@ -29,6 +29,8 @@ from .core import (
     LINK_PARAMS_RULES,
     LOSS_CLOSED,
     MAX_PACKET_BYTES,
+    MEDIA_PORT,
+    MN_URI,
     Q_WEIGHT,
     UL,
     Address,
@@ -39,6 +41,7 @@ from .core import (
     Numeric,
     SimTime,
     SimulationError,
+    mn_address,
     ms_to_us,
     validate_codec,
     violations,
@@ -58,7 +61,6 @@ from .simnet import Engine, Link, RngStream
 from .sip import (
     ForwardTransaction,
     Registrar,
-    SessionDescriptor,
     SignalingConfig,
     SignalingLog,
     SipMessage,
@@ -72,10 +74,8 @@ from .traffic import (
     expected_packet_count,
 )
 
-MN_URI = "mn"
 CN_URI = "cn"
 CN_IFACE = "cn0"
-MEDIA_PORT = 5004
 
 
 # The rule of each time and size of a call. The trigger check in validate
@@ -184,13 +184,9 @@ class _CallRuntime:
                 if link_id in spec.down_links:
                     link.set_state(IfaceState.DOWN)
 
-        mn_addresses = {i.iface_id: i.address for i in spec.interfaces}
-        self.cn_address = Address(CN_URI, CN_IFACE, MEDIA_PORT)
         self.state = HandoffState(
             old_iface=spec.switch_from, new_iface=spec.switch_to,
-            mn_addresses=mn_addresses, cn_address=self.cn_address,
             iface_states={i.iface_id: i.state for i in spec.interfaces})
-        self.iface_by_address = {a: i for i, a in mn_addresses.items()}
 
         self.registrar = Registrar(self.engine, self._registrar_send,
                                    spec.signaling)
@@ -200,9 +196,7 @@ class _CallRuntime:
         self.closed_old_at: Optional[SimTime] = None
 
         # Setup-phase handshake bookkeeping.
-        self._invite_id = 0
         self._cn_established = False
-        self._mn_seen_invites: set[int] = set()
         self._setup_ok: Optional[SipMessage] = None
         self._setup_ok_acked = False
 
@@ -214,18 +208,28 @@ class _CallRuntime:
 
     # -- signaling plumbing ------------------------------------------------
 
-    def _next_id(self) -> int:
-        return next(self._msg_ids)
+    def _message(self, method: SipMethod, sender: str, via: str,
+                 reply_to: int = 0,
+                 media_src: Optional[Address] = None) -> SipMessage:
+        """A message from sender (MN_URI or CN_URI) to its peer, sized by
+        method, with the next msg id."""
+        sizes = self.spec.signaling
+        size = {SipMethod.INVITE: sizes.invite_bytes,
+                SipMethod.REINVITE: sizes.invite_bytes,
+                SipMethod.OK: sizes.ok_bytes,
+                SipMethod.ACK: sizes.ack_bytes}[method]
+        return SipMessage(method=method, from_uri=sender,
+                          to_uri=CN_URI if sender == MN_URI else MN_URI,
+                          via_iface=via, size_bytes=size, media_src=media_src,
+                          msg_id=next(self._msg_ids), in_reply_to=reply_to)
 
     def _forced_drop(self, msg: SipMessage) -> bool:
-        """Consult the drop plan for handoff-handshake sends."""
-        if msg.method is SipMethod.REINVITE:
-            key = "REINVITE"
-        elif (msg.method is SipMethod.OK and self._reinvite is not None
-                and msg.in_reply_to == self._reinvite.msg_id):
-            key = "OK"
-        else:
+        """Consult the drop plan for handoff-handshake sends: the REINVITE
+        and the CN's OK to it."""
+        if not (msg.method is SipMethod.REINVITE
+                or msg.method is SipMethod.OK and msg.from_uri == CN_URI):
             return False
+        key = msg.method.value
         occurrence = self._drop_counts[key]
         self._drop_counts[key] = occurrence + 1
         return (key, occurrence) in self.spec.signaling_drop_plan
@@ -263,26 +267,19 @@ class _CallRuntime:
                    self.spec.signaling.max_retransmissions, subject)
 
     def _registrar_send(self, msg: SipMessage, contact: Address) -> None:
-        attempt = replace(msg, via_iface=self.iface_by_address[contact])
-        self._cn_send(attempt)
+        self._cn_send(replace(msg, via_iface=contact.iface))
 
     # -- setup phase -------------------------------------------------------
 
     def _send_register(self) -> None:
         msg = build_register(MN_URI, self.spec.interfaces,
                              config=self.spec.signaling,
-                             msg_id=self._next_id())
+                             msg_id=next(self._msg_ids))
         self._mn_send(msg)
 
     def _send_invite(self) -> None:
-        session = SessionDescriptor(media_src=self.cn_address,
-                                    media_dst=None,
-                                    codec=self.spec.codec.name)
-        invite = SipMessage(method=SipMethod.INVITE, from_uri=CN_URI,
-                            to_uri=MN_URI, via_iface=CN_IFACE,
-                            size_bytes=self.spec.signaling.invite_bytes,
-                            session=session, msg_id=self._next_id())
-        self._invite_id = invite.msg_id
+        invite = self._message(SipMethod.INVITE, CN_URI, CN_IFACE,
+                               media_src=Address(CN_URI, CN_IFACE, MEDIA_PORT))
         # CN and registrar share the core: hand over without a link hop.
         self.setup_transaction = self.registrar.forward_with_fallback(invite)
 
@@ -291,27 +288,18 @@ class _CallRuntime:
         if msg.method is SipMethod.REGISTER:
             self.registrar.handle_register(msg)
             return
-        if msg.method is SipMethod.OK and msg.in_reply_to == self._invite_id:
-            answered_from = self.state.mn_addresses.get(msg.via_iface)
-            self.registrar.deliver_answer(msg, from_address=answered_from)
+        # Each run has one INVITE, one setup OK and one REINVITE, so an OK
+        # here answers the INVITE and an ACK here the CN's OK.
+        if msg.method is SipMethod.OK:
+            self.registrar.deliver_answer(msg, mn_address(msg.via_iface))
             if not self._cn_established:
                 self._cn_established = True
-                ack = SipMessage(method=SipMethod.ACK, from_uri=CN_URI,
-                                 to_uri=MN_URI, via_iface=msg.via_iface,
-                                 size_bytes=self.spec.signaling.ack_bytes,
-                                 msg_id=self._next_id(),
-                                 in_reply_to=msg.msg_id)
-                self._cn_send(ack)
-            return
-        if msg.method is SipMethod.REINVITE:
+                self._cn_send(self._message(SipMethod.ACK, CN_URI,
+                                            msg.via_iface, msg.msg_id))
+        elif msg.method is SipMethod.REINVITE:
             self._cn_on_reinvite(msg)
-            return
-        if msg.method is SipMethod.OK and self._reinvite is not None \
-                and msg.in_reply_to == self._reinvite.msg_id:
-            return  # stray duplicate answer, transaction level only
-        if msg.method is SipMethod.ACK:
+        elif msg.method is SipMethod.ACK:
             self._handoff_ok_acked = True
-            return
 
     def _mn_receive(self, msg: SipMessage) -> None:
         if msg.method is SipMethod.INVITE:
@@ -319,25 +307,15 @@ class _CallRuntime:
         elif msg.method is SipMethod.OK:
             self._mn_on_handoff_ok(msg)
         elif msg.method is SipMethod.ACK:
-            if msg.in_reply_to == (self._setup_ok.msg_id
-                                   if self._setup_ok else -1):
-                self._setup_ok_acked = True
+            self._setup_ok_acked = True
 
     def _mn_on_invite(self, msg: SipMessage) -> None:
-        if msg.msg_id in self._mn_seen_invites and self._setup_ok is not None:
+        if self._setup_ok is not None:  # a resent or fallback copy
             self._mn_send(self._setup_ok)
             return
-        self._mn_seen_invites.add(msg.msg_id)
-        media_addr = self.state.mn_addresses[self.spec.switch_from]
-        session = SessionDescriptor(media_src=media_addr,
-                                    media_dst=self.cn_address,
-                                    codec=self.spec.codec.name)
-        ok = SipMessage(method=SipMethod.OK, from_uri=MN_URI, to_uri=CN_URI,
-                        via_iface=msg.via_iface,
-                        size_bytes=self.spec.signaling.ok_bytes,
-                        session=session, msg_id=self._next_id(),
-                        in_reply_to=msg.msg_id)
-        self._setup_ok = ok
+        ok = self._setup_ok = self._message(
+            SipMethod.OK, MN_URI, msg.via_iface, msg.msg_id,
+            mn_address(self.spec.switch_from))
         self._mn_send(ok)
         self._keep_resending(lambda: self._mn_send(ok),
                              lambda: not self._setup_ok_acked, "setup-ok")
@@ -364,14 +342,9 @@ class _CallRuntime:
             new_iface = action[1]
             self.handoff_log.record(t, "MN", transition, phase_before,
                                     self.state.phase.value)
-            session = SessionDescriptor(
-                media_src=self.state.mn_addresses[new_iface],
-                media_dst=self.cn_address, codec=self.spec.codec.name)
-            msg = SipMessage(method=SipMethod.REINVITE, from_uri=MN_URI,
-                             to_uri=CN_URI, via_iface=new_iface,
-                             size_bytes=self.spec.signaling.invite_bytes,
-                             session=session, msg_id=self._next_id())
-            self._reinvite = msg
+            msg = self._reinvite = self._message(
+                SipMethod.REINVITE, MN_URI, new_iface,
+                media_src=mn_address(new_iface))
             self._mn_send(msg)
             self._keep_resending(
                 lambda: self._mn_send(msg),
@@ -395,11 +368,8 @@ class _CallRuntime:
         self._check_state()
         for action in actions:
             if action[0] == "send-ok":
-                ok = SipMessage(method=SipMethod.OK, from_uri=CN_URI,
-                                to_uri=MN_URI, via_iface=action[1],
-                                size_bytes=self.spec.signaling.ok_bytes,
-                                msg_id=self._next_id(),
-                                in_reply_to=msg.msg_id)
+                ok = self._message(SipMethod.OK, CN_URI, action[1],
+                                   msg.msg_id)
                 first = self._handoff_ok is None
                 self._handoff_ok = ok
                 self._cn_send(ok)
@@ -413,8 +383,6 @@ class _CallRuntime:
                                         self.state.phase.value)
 
     def _mn_on_handoff_ok(self, msg: SipMessage) -> None:
-        if self._reinvite is None or msg.in_reply_to != self._reinvite.msg_id:
-            return
         t = self.engine.now
         if self.state.phase is HandoffPhase.SWITCHING:
             before = self.state.phase.value
@@ -425,11 +393,8 @@ class _CallRuntime:
             self.handoff_log.record(t, "MN", "ok", before,
                                     self.state.phase.value)
         # ACK in all cases, including re-answering a retransmitted OK.
-        ack = SipMessage(method=SipMethod.ACK, from_uri=MN_URI, to_uri=CN_URI,
-                         via_iface=self.state.new_iface,
-                         size_bytes=self.spec.signaling.ack_bytes,
-                         msg_id=self._next_id(), in_reply_to=msg.msg_id)
-        self._mn_send(ack)
+        self._mn_send(self._message(SipMethod.ACK, MN_URI,
+                                    self.state.new_iface, msg.msg_id))
 
     def _watchdog(self) -> None:
         if self.state.phase is HandoffPhase.SWITCHING:
@@ -460,15 +425,10 @@ class _CallRuntime:
         def tick() -> None:
             gen = self.engine.now
             seq = (gen - t_start) // interval
-            route = media_route(state, direction)
-            if route is None:
+            mn_iface = media_route(state, direction)
+            if mn_iface is None:
                 arrival, cause = None, LOSS_CLOSED
             else:
-                mn_iface = (route[0] if uplink else route[1]).iface
-                if state.iface_states[mn_iface] is IfaceState.CLOSED:
-                    raise InternalInvariantError(
-                        f"{direction} media routed over Closed interface "
-                        f"{mn_iface}")
                 arrival, cause = links[mn_iface].transmit(size)
             self.trace.record(stream_id, direction, seq, gen,
                               state.ul_media_iface if uplink else CN_IFACE,

@@ -117,7 +117,7 @@ class Link:
 
     def __init__(self, engine: Engine, link_id: str, params: LinkParams,
                  rng: Optional[random.Random] = None):
-        if isinstance(params.prop_delay_us, tuple):
+        if isinstance(params.prop_delay_us, (list, tuple)):
             lo, hi = params.prop_delay_us
         else:
             lo = hi = params.prop_delay_us

@@ -35,20 +35,6 @@ class SipMethod(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SessionDescriptor:
-    """Media endpoints negotiated by INVITE/REINVITE/OK.
-
-    media_src is where the sender wants to receive media; media_dst is the
-    peer endpoint it will send to (None in an initial offer, before the
-    peer's endpoint is known).
-    """
-
-    media_src: Address
-    media_dst: Optional[Address]
-    codec: str
-
-
-@dataclass(frozen=True)
 class Contact:
     """One registered address with its priority weight."""
 
@@ -58,13 +44,16 @@ class Contact:
 
 @dataclass(frozen=True)
 class SipMessage:
+    """One SIP message. An INVITE, REINVITE or its OK names in media_src
+    where its sender wants to receive media."""
+
     method: SipMethod
     from_uri: str
     to_uri: str
     via_iface: str
     size_bytes: int
     contacts: tuple[Contact, ...] = ()
-    session: Optional[SessionDescriptor] = None
+    media_src: Optional[Address] = None
     msg_id: int = 0
     in_reply_to: int = 0
 

@@ -367,8 +367,8 @@ def test_criterion_10_registration_fallback_and_no_midcall_register(
 
     txn = result.setup_transaction
     assert txn.status == DELIVERED
-    wlan_addr = result.state.mn_addresses["wlan"]
-    cell_addr = result.state.mn_addresses["cellular"]
+    addresses = {i.iface_id: i.address for i in spec.interfaces}
+    wlan_addr, cell_addr = addresses["wlan"], addresses["cellular"]
     # attempts walk descending q: wlan (0.95) twice, then cellular (0.9)
     assert txn.attempts == [(wlan_addr, 200_000), (wlan_addr, 700_000),
                             (cell_addr, 2_200_000)]

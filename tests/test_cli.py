@@ -1,11 +1,12 @@
 import ast
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 from sipswitch import cli
-from sipswitch.core import SimulationError
+from sipswitch.core import LOSS_CLOSED, SimulationError
 from sipswitch.metrics import WindowMetrics
 from sipswitch.cli import (
     ConfigError,
@@ -495,6 +496,29 @@ def test_the_bench_finds_what_it_wraps_in_cli(tmp_path, capsys,
     cfg = write_config(tmp_path, ONE_RUN + f"out_dir: {tmp_path / 'out'}\n")
     assert cli.main(["run", cfg]) == 0
     assert hits == ["load_config", "run_call"]
+
+
+def test_the_bench_counts_what_the_media_tick_calls(tmp_path, monkeypatch):
+    # bench/trace_layers.py counts media_route calls through the scenario
+    # global, and reads gen_time and loss_cause as PacketTrace.record's
+    # positional args[4] and args[7]
+    import sipswitch.scenario as scenario
+    from sipswitch.traffic import PacketTrace
+    assert list(inspect.signature(PacketTrace.record).parameters) == [
+        "self", "stream_id", "direction", "seq", "gen_time", "send_iface",
+        "arrival_time", "loss_cause"]
+    routes, causes = [], []
+    route, record = scenario.media_route, PacketTrace.record
+    monkeypatch.setattr(scenario, "media_route",
+                        lambda *args: routes.append(args) or route(*args))
+    monkeypatch.setattr(PacketTrace, "record",
+                        lambda *args: causes.append(args[7]) or record(*args))
+    cfg = load_config(write_config(tmp_path, ONE_RUN))
+    result = scenario.run_call(
+        build_call_spec(cfg, "G729", "hard", "wlan-to-cellular", 0))
+    assert len(routes) == len(causes) == result.trace.generated > 0
+    # the hard switch loses downlink packets to the Closed old interface
+    assert causes.count(LOSS_CLOSED) == result.trace.lost > 0
 
 
 def test_a_broken_invariant_exits_three(tmp_path, capsys, monkeypatch):

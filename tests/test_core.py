@@ -86,11 +86,18 @@ def test_validate_codec_reports_every_violation():
 def test_interface_descriptor_q_weight_bounds():
     # the one q-weight rule, which the config loader and CallSpec.validate
     # both apply
-    addr = Address("mn", "wlan", 5004)
     for q in (0.0, 0.5, 1.0):
-        d = InterfaceDescriptor("wlan", Technology.WLAN_LIKE, addr, q,
+        d = InterfaceDescriptor("wlan", Technology.WLAN_LIKE, q,
                                 LinkParams(None, 0))
         assert Q_WEIGHT.violation(d.q_weight) is None
         assert d.state is IfaceState.UP
     for q in (-0.1, 1.01, 2.0):
         assert Q_WEIGHT.violation(q) is not None
+
+
+def test_interface_descriptor_address_follows_from_its_id():
+    # an MN interface receives media at (mn, its id, 5004); no caller can
+    # give it an address that disagrees with its id
+    d = InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE, 0.9,
+                            LinkParams(384.0, (40_000, 80_000)))
+    assert d.address == Address("mn", "cellular", 5004)

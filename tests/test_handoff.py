@@ -12,31 +12,24 @@ from sipswitch.handoff import (
     mn_on_ok,
     mn_trigger,
 )
-from sipswitch.sip import SessionDescriptor, SipMessage, SipMethod
-
-OLD_ADDR = Address("mn", "wlan", 5004)
-NEW_ADDR = Address("mn", "cellular", 5004)
-CN_ADDR = Address("cn", "cn0", 5004)
+from sipswitch.sip import SipMessage, SipMethod
 
 
 def fresh_state():
-    return HandoffState(
-        old_iface="wlan", new_iface="cellular",
-        mn_addresses={"wlan": OLD_ADDR, "cellular": NEW_ADDR},
-        cn_address=CN_ADDR)
+    return HandoffState(old_iface="wlan", new_iface="cellular")
 
 
-def reinvite(msg_id=7, via="cellular", src=NEW_ADDR):
-    session = SessionDescriptor(media_src=src, media_dst=CN_ADDR, codec="G711")
+def reinvite(msg_id=7, via="cellular"):
     return SipMessage(SipMethod.REINVITE, "mn", "cn", via, 700,
-                      session=session, msg_id=msg_id)
+                      media_src=Address("mn", "cellular", 5004),
+                      msg_id=msg_id)
 
 
 def test_initial_state_defaults():
     s = fresh_state()
     assert s.phase is HandoffPhase.STABLE
     assert s.ul_media_iface == "wlan"
-    assert s.cn_media_dst == OLD_ADDR
+    assert s.dl_media_iface == "wlan"
     assert s.iface_states == {"wlan": IfaceState.UP, "cellular": IfaceState.UP}
     assert check_state(s, HandoffProcedure.HARD) == []
 
@@ -103,8 +96,8 @@ def test_first_reinvite_retargets_downlink():
     s = fresh_state()
     mn_trigger(s, HandoffProcedure.SOFT, 10)
     actions = cn_on_reinvite(s, reinvite(), 25)
-    assert actions == [("send-ok", "cellular"), ("set-cn-dst", NEW_ADDR)]
-    assert s.cn_media_dst == NEW_ADDR
+    assert actions == [("send-ok", "cellular"), ("set-cn-dst", "cellular")]
+    assert s.dl_media_iface == "cellular"
     assert s.t_cn_switch == 25
 
 
@@ -171,43 +164,44 @@ def test_ok_without_pending_handoff_warns():
 
 
 def test_stable_routes_both_directions_through_old():
+    # media_route names the MN interface that carries the packet
     s = fresh_state()
-    assert media_route(s, UL) == (OLD_ADDR, CN_ADDR)
-    assert media_route(s, DL) == (CN_ADDR, OLD_ADDR)
+    assert media_route(s, UL) == "wlan"
+    assert media_route(s, DL) == "wlan"
 
 
 def test_hard_switching_drops_downlink_until_cn_retargets():
     s = fresh_state()
     mn_trigger(s, HandoffProcedure.HARD, 10)
     # uplink already re-routed; downlink still aimed at the Closed interface
-    assert media_route(s, UL) == (NEW_ADDR, CN_ADDR)
+    assert media_route(s, UL) == "cellular"
     assert media_route(s, DL) is None
     cn_on_reinvite(s, reinvite(), 25)
-    assert media_route(s, DL) == (CN_ADDR, NEW_ADDR)
+    assert media_route(s, DL) == "cellular"
 
 
 def test_hybrid_switching_loses_nothing():
     s = fresh_state()
     mn_trigger(s, HandoffProcedure.HYBRID, 10)
     # old interface still open: downlink keeps arriving there
-    assert media_route(s, UL) == (NEW_ADDR, CN_ADDR)
-    assert media_route(s, DL) == (CN_ADDR, OLD_ADDR)
+    assert media_route(s, UL) == "cellular"
+    assert media_route(s, DL) == "wlan"
     cn_on_reinvite(s, reinvite(), 25)
-    assert media_route(s, DL) == (CN_ADDR, NEW_ADDR)
+    assert media_route(s, DL) == "cellular"
     mn_on_ok(s, HandoffProcedure.HYBRID, 50)
-    assert media_route(s, DL) == (CN_ADDR, NEW_ADDR)
-    assert media_route(s, UL) == (NEW_ADDR, CN_ADDR)
+    assert media_route(s, DL) == "cellular"
+    assert media_route(s, UL) == "cellular"
 
 
 def test_soft_switching_keeps_uplink_on_old_until_ok():
     s = fresh_state()
     mn_trigger(s, HandoffProcedure.SOFT, 10)
-    assert media_route(s, UL) == (OLD_ADDR, CN_ADDR)
+    assert media_route(s, UL) == "wlan"
     cn_on_reinvite(s, reinvite(), 25)
-    assert media_route(s, UL) == (OLD_ADDR, CN_ADDR)
+    assert media_route(s, UL) == "wlan"
     mn_on_ok(s, HandoffProcedure.SOFT, 50)
-    assert media_route(s, UL) == (NEW_ADDR, CN_ADDR)
-    assert media_route(s, DL) == (CN_ADDR, NEW_ADDR)
+    assert media_route(s, UL) == "cellular"
+    assert media_route(s, DL) == "cellular"
 
 
 def test_media_route_rejects_unknown_direction():
@@ -244,6 +238,27 @@ def test_check_state_flags_corrupted_states():
     s.iface_states["wlan"] = IfaceState.UP
     assert check_state(s, HandoffProcedure.HYBRID) == \
         ["Completed but old interface not Closed"]
+
+    s = fresh_state()
+    s.dl_media_iface = "cellular"  # CN retargeted with no re-INVITE
+    assert check_state(s, HandoffProcedure.SOFT) == \
+        ["Stable but CN targets a non-old address"]
+
+    s = fresh_state()
+    mn_trigger(s, HandoffProcedure.SOFT, 10)
+    cn_on_reinvite(s, reinvite(), 25)
+    mn_on_ok(s, HandoffProcedure.SOFT, 50)
+    s.dl_media_iface = "wlan"  # the CN's switch undone
+    assert check_state(s, HandoffProcedure.SOFT) == \
+        ["Completed but CN not targeting new address"]
+
+    s = fresh_state()
+    mn_trigger(s, HandoffProcedure.SOFT, 10)
+    cn_on_reinvite(s, reinvite(), 25)
+    mn_on_ok(s, HandoffProcedure.SOFT, 50)
+    s.ul_media_iface = "wlan"  # the uplink move undone
+    assert check_state(s, HandoffProcedure.SOFT) == \
+        ["Completed but uplink not on new interface"]
 
 
 def test_full_lifecycle_is_invariant_clean_for_every_procedure():

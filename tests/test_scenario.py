@@ -26,10 +26,10 @@ def base_spec(codec="G711", procedure=HandoffProcedure.HYBRID,
               direction=("wlan", "cellular"), seed=1, cellular_prop=(40_000, 80_000),
               **kw):
     interfaces = [
-        InterfaceDescriptor("wlan", Technology.WLAN_LIKE, WLAN_ADDR, 0.5,
+        InterfaceDescriptor("wlan", Technology.WLAN_LIKE, 0.5,
                             LinkParams(54_000.0, 5_000)),
-        InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE, CELL_ADDR,
-                            0.9, LinkParams(384.0, cellular_prop)),
+        InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE, 0.9,
+                            LinkParams(384.0, cellular_prop)),
     ]
     kw.setdefault("call_duration_us", 10_000_000)
     kw.setdefault("switch_offset_us", 5_000_000)
@@ -281,6 +281,8 @@ def test_invalid_specs_are_rejected_with_reasons():
     # a fractional us delay used to put float times into the engine
     (LinkParams(54_000.0, 5_000.5), "prop_delay_us"),
     (LinkParams(54_000.0, (40_000, 80_000.5)), "prop_delay_us"),
+    # so did an integral float delay: arrival times came out as floats
+    (LinkParams(54_000.0, 5_000.0), "prop_delay_us"),
 ])
 def test_spec_links_obey_the_config_link_rules(link, field):
     # the library path applies the link rules that the config loader
@@ -311,8 +313,19 @@ def test_spec_interfaces_obey_the_q_weight_rule(q):
     ({"call_duration_us": 0}, "call_duration_us must be > 0"),
     ({"header_overhead_bytes": -1}, "header_overhead_bytes must be >= 0"),
     ({"call_start_us": 2 ** 60}, "call_start_us must be <= 9007199254740992"),
+    # a time in us is not converted, so a float would reach the trace
+    ({"call_start_us": 1_000_000.0}, "call_start_us must be an int"),
 ])
 def test_spec_times_and_sizes_obey_their_rules(changes, message):
     with pytest.raises(SimulationError,
                        match=f"invalid call spec: {message}"):
         run_call(base_spec(**changes))
+
+
+def test_a_delay_pair_may_be_a_list_or_a_tuple():
+    # core.Range accepts both, as YAML gives lists; the link used to take
+    # only a tuple and failed with a TypeError on the list
+    as_list = run_call(base_spec(cellular_prop=[40_000, 80_000]))
+    as_tuple = run_call(base_spec(cellular_prop=(40_000, 80_000)))
+    assert not as_list.aborted
+    assert as_list.trace.rows == as_tuple.trace.rows

@@ -14,7 +14,6 @@ from sipswitch.sip import (
     UNREACHABLE,
     Contact,
     Registrar,
-    SessionDescriptor,
     SignalingConfig,
     SignalingLog,
     SipError,
@@ -25,14 +24,14 @@ from sipswitch.sip import (
     retransmit,
 )
 
-WLAN = Address("mn", "wlan", 5060)
-CELL = Address("mn", "cellular", 5060)
+# the addresses that InterfaceDescriptor derives from the interface ids
+WLAN = Address("mn", "wlan", 5004)
+CELL = Address("mn", "cellular", 5004)
 
 
-def _iface(iface_id, addr, q, state=IfaceState.UP):
+def _iface(iface_id, q, state=IfaceState.UP):
     tech = Technology.WLAN_LIKE if iface_id == "wlan" else Technology.CELLULAR_LIKE
-    return InterfaceDescriptor(iface_id, tech, addr, q, LinkParams(None, 0),
-                               state)
+    return InterfaceDescriptor(iface_id, tech, q, LinkParams(None, 0), state)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +46,8 @@ def test_register_requires_contacts():
 
 def test_build_register_one_contact_per_up_interface():
     msg = build_register("mn", [
-        _iface("wlan", WLAN, 0.5),
-        _iface("cellular", CELL, 0.9),
+        _iface("wlan", 0.5),
+        _iface("cellular", 0.9),
     ])
     assert msg.method is SipMethod.REGISTER
     assert msg.via_iface == "cellular"  # highest q among Up interfaces
@@ -58,27 +57,27 @@ def test_build_register_one_contact_per_up_interface():
 
 def test_build_register_excludes_down_and_closed():
     msg = build_register("mn", [
-        _iface("wlan", WLAN, 0.5),
-        _iface("cellular", CELL, 0.9, IfaceState.DOWN),
+        _iface("wlan", 0.5),
+        _iface("cellular", 0.9, IfaceState.DOWN),
     ])
     assert msg.via_iface == "wlan"
     assert msg.contacts == (Contact(WLAN, 0.5),)
     msg = build_register("mn", [
-        _iface("wlan", WLAN, 0.5, IfaceState.CLOSED),
-        _iface("cellular", CELL, 0.9),
+        _iface("wlan", 0.5, IfaceState.CLOSED),
+        _iface("cellular", 0.9),
     ])
     assert msg.contacts == (Contact(CELL, 0.9),)
 
 
 def test_build_register_with_no_up_interface_raises():
     with pytest.raises(SipError):
-        build_register("mn", [_iface("wlan", WLAN, 0.5, IfaceState.DOWN)])
+        build_register("mn", [_iface("wlan", 0.5, IfaceState.DOWN)])
 
 
 def test_apply_register_sorts_by_descending_q():
     msg = build_register("mn", [
-        _iface("wlan", WLAN, 0.5),
-        _iface("cellular", CELL, 0.9),
+        _iface("wlan", 0.5),
+        _iface("cellular", 0.9),
     ])
     binding = apply_register(msg)
     assert binding.uri == "mn"
@@ -114,8 +113,8 @@ def test_signaling_log_format_and_count():
 def _registered_registrar(engine, send, config=SignalingConfig()):
     reg = Registrar(engine, send, config)
     reg.handle_register(build_register("mn", [
-        _iface("wlan", WLAN, 0.5),
-        _iface("cellular", CELL, 0.9),
+        _iface("wlan", 0.5),
+        _iface("cellular", 0.9),
     ]))
     return reg
 

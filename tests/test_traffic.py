@@ -9,7 +9,6 @@ from sipswitch.core import (
     LOSS_CLOSED,
     LOSS_RANDOM,
     UL,
-    Address,
     InterfaceDescriptor,
     LinkParams,
     Technology,
@@ -29,11 +28,9 @@ from sipswitch.traffic import (
 def call_spec(codec_name, wlan_kbps=54_000.0, **kw):
     """A soft wlan-to-cellular call: lossless, so every packet arrives."""
     interfaces = [
-        InterfaceDescriptor("wlan", Technology.WLAN_LIKE,
-                            Address("mn", "wlan", 5004), 0.5,
+        InterfaceDescriptor("wlan", Technology.WLAN_LIKE, 0.5,
                             LinkParams(wlan_kbps, 5_000)),
-        InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE,
-                            Address("mn", "cellular", 5004), 0.9,
+        InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE, 0.9,
                             LinkParams(384.0, (40_000, 80_000))),
     ]
     return CallSpec(codec=CODEC_PRESETS[codec_name],
