@@ -10,12 +10,19 @@ Timeline: REGISTER at t=0 (all Up interfaces, q-weighted), CN's INVITE at
 [call_start, call_start+duration], switching trigger at
 call_start + switch_offset, watchdog 10 s later.
 
+Media runs on one periodic media clock in the engine, not as heap events:
+the run is cut into segments at the control events (SIP sends and arrivals,
+timers, the trigger), and each segment's packets are generated at once.
+Only control events change the handoff state or put SIP messages on a link,
+so within a segment every packet sees the same route and the link sees
+only that segment's media.
+
 A media packet's fate is sealed at generation time: the route (including
-whether the required MN interface is Closed) is evaluated when the packet
-is generated, and the delivery outcome is computed at the moment it is
-offered to the link. Packets already in flight when an interface closes are
-therefore still delivered, while packets generated between the close and
-the CN's destination switch are the hard procedure's losses.
+whether the required MN interface is Closed) is the one in force when the
+packet is generated, and the delivery outcome is computed as of the moment
+it is offered to the link. Packets already in flight when an interface
+closes are therefore still delivered, while packets generated between the
+close and the CN's destination switch are the hard procedure's losses.
 """
 
 from __future__ import annotations
@@ -409,36 +416,50 @@ class _CallRuntime:
 
     # -- media -------------------------------------------------------------
 
-    def _start_media(self, stream_id: str, direction: str) -> None:
-        """Generate the direction's media on the exact grid
-        call_start + seq * interval, one media-tick event per packet: route
-        it, offer it to the link, record its fate, schedule the next tick."""
+    def _start_media(self) -> None:
+        """Generate both directions' media on the exact grid
+        call_start + seq * interval, one segment at a time: the engine's
+        media clock hands over each stretch of grid points that lies between
+        two control events. Within a segment each direction's route is
+        constant (only control events change the handoff state), so each
+        direction is routed once and its packets go to the link in one
+        offer; then every packet's fate is recorded, UL before DL at each
+        grid point.
+
+        One clock carries both directions exactly. The UL and DL streams
+        share one grid and start back to back, and a media tick schedules
+        nothing, so as heap events UL(t) and DL(t) would hold consecutive
+        sequence numbers: no event could ever come between them.
+        """
         spec = self.spec
         t_start = spec.call_start_us
-        t_end = t_start + spec.call_duration_us
         interval = spec.codec.packet_interval_us
         size = spec.codec.payload_bytes + spec.header_overhead_bytes
         state = self.state
-        uplink = direction == UL
-        links = self.links_ul if uplink else self.links_dl
 
-        def tick() -> None:
-            gen = self.engine.now
-            seq = (gen - t_start) // interval
+        def fates(direction: str, links: dict[str, Link],
+                  times: range) -> list[tuple]:
             mn_iface = media_route(state, direction)
             if mn_iface is None:
-                arrival, cause = None, LOSS_CLOSED
-            else:
-                arrival, cause = links[mn_iface].transmit(size)
-            self.trace.record(stream_id, direction, seq, gen,
-                              state.ul_media_iface if uplink else CN_IFACE,
-                              arrival, cause)
-            if gen + interval <= t_end:
-                self.engine.schedule(gen + interval, tick, kind="media-tick",
-                                     subject=stream_id)
+                return [(None, LOSS_CLOSED)] * len(times)
+            return links[mn_iface].offer(times, size)
 
-        self.engine.schedule(t_start, tick, kind="media-tick",
-                             subject=stream_id)
+        def segment(t: SimTime, n: int) -> None:
+            times = range(t, t + n * interval, interval)
+            ul = fates(UL, self.links_ul, times)
+            dl = fates(DL, self.links_dl, times)
+            record = self.trace.record
+            ul_iface = state.ul_media_iface
+            seq = (t - t_start) // interval
+            for gen, (ul_arrival, ul_cause), (dl_arrival, dl_cause) in zip(
+                    times, ul, dl):
+                record("ul", UL, seq, gen, ul_iface, ul_arrival, ul_cause)
+                record("dl", DL, seq, gen, CN_IFACE, dl_arrival, dl_cause)
+                seq += 1
+
+        self.engine.start_clock(t_start, interval,
+                                t_start + spec.call_duration_us, segment,
+                                kind="media-tick", subjects=("ul", "dl"))
 
     def _check_state(self) -> None:
         bad = check_state(self.state, self.spec.procedure)
@@ -481,8 +502,7 @@ class _CallRuntime:
                              subject="invite")
         self.engine.schedule(spec.call_start_us, self._setup_guard,
                              kind="setup-guard", subject="")
-        self._start_media("ul", UL)
-        self._start_media("dl", DL)
+        self._start_media()
         self.engine.schedule(t_trigger, self._on_trigger, kind="handoff",
                              subject="trigger")
         self.engine.schedule(t_trigger + spec.watchdog_us, self._watchdog,

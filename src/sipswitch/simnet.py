@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import (
@@ -27,6 +28,19 @@ class Engine:
     Ties at equal times are broken by insertion order, so dispatch is a total
     order and runs with equal seeds produce identical event logs. An event is
     the heap entry (time, insertion sequence, kind, subject, action).
+
+    Besides the heap the engine drives at most one periodic clock
+    (start_clock): a grid of points start, start + interval, ... that are
+    dispatched as if each point's events were heap entries. The clock takes
+    its sequence number from the same counter as schedule, once when it is
+    registered and again after each batch of points it runs, exactly where
+    the heap entry for its next point would be pushed. run_until merges it
+    with the heap by (time, sequence) and hands the callback the whole
+    stretch of points that comes before the next heap event, one call per
+    stretch. This equals one heap entry per point as long as the callback
+    schedules nothing, which the engine checks: then no entry can be pushed
+    between two points of a stretch, and a later point would get a later
+    sequence number than every entry pending at the stretch's start.
     """
 
     def __init__(self, log_events: bool = False):
@@ -37,6 +51,7 @@ class Engine:
         self._heap: list[tuple[int, int, str, str, Callable[[], None]]] = []
         self._seq = 0
         self._stopped = False
+        self._clock: Optional[_Clock] = None
 
     def schedule(self, time_us: int, fn: Callable[[], None], kind: str = "event",
                  subject: str = "") -> None:
@@ -51,6 +66,30 @@ class Engine:
                     kind: str = "event", subject: str = "") -> None:
         self.schedule(self.now + delay_us, fn, kind, subject)
 
+    def start_clock(self, start_us: int, interval_us: int, end_us: int,
+                    fn: Callable[[int, int], None], kind: str,
+                    subjects: tuple[str, ...]) -> None:
+        """Run fn on the grid start_us + k * interval_us up to end_us.
+
+        Each grid point stands for one event per subject, dispatched back to
+        back: it adds len(subjects) to dispatched and, with log_events, one
+        "<time> <kind> <subject>" line per subject. fn(t, n) runs the n
+        points t, t + interval_us, ... at once and must schedule nothing.
+        """
+        if start_us < self.now:
+            raise SchedulingInPastError(
+                f"cannot start clock {kind!r} at {start_us} us: clock is "
+                f"{self.now} us")
+        if interval_us <= 0:
+            raise ValueError(f"clock interval must be positive, got "
+                             f"{interval_us} us")
+        if self._clock is not None:
+            raise ValueError("the engine already runs a clock")
+        if start_us <= end_us:
+            self._seq += 1
+            self._clock = _Clock(start_us, self._seq, interval_us, end_us, fn,
+                                 kind, subjects)
+
     def run_until(self, t_end_us: int) -> int:
         """Dispatch every pending event with time <= t_end_us.
 
@@ -59,8 +98,13 @@ class Engine:
         """
         heap = self._heap
         count = 0
-        while heap and not self._stopped:
-            if heap[0][0] > t_end_us:
+        while not self._stopped:
+            clock = self._clock
+            if (clock is not None and clock.next_us <= t_end_us
+                    and (not heap or (clock.next_us, clock.seq) < heap[0][:2])):
+                count += self._run_clock(clock, t_end_us)
+                continue
+            if not heap or heap[0][0] > t_end_us:
                 break
             time_us, _, kind, subject, fn = heapq.heappop(heap)
             self.now = time_us
@@ -73,9 +117,50 @@ class Engine:
             self.now = t_end_us
         return count
 
+    def _run_clock(self, clock: _Clock, t_end_us: int) -> int:
+        """Run the clock's points from its next one up to t_end_us, its end,
+        or the last point before the next heap event; returns the number of
+        events they stand for."""
+        t, interval = clock.next_us, clock.interval_us
+        last = min(t_end_us, clock.end_us)
+        if self._heap:
+            last = min(last, self._heap[0][0] - 1)
+        n = 1 + max(0, (last - t) // interval)
+        last = t + (n - 1) * interval
+        seq = self._seq
+        self.now = last
+        clock.fn(t, n)
+        if self._seq != seq:
+            raise SimulationError(f"clock {clock.kind!r} scheduled an event")
+        if self.log_events:
+            self.event_log.extend(f"{g} {clock.kind} {subject}"
+                                  for g in range(t, last + 1, interval)
+                                  for subject in clock.subjects)
+        clock.next_us = last + interval
+        if clock.next_us > clock.end_us:
+            self._clock = None
+        else:
+            self._seq += 1
+            clock.seq = self._seq
+        return n * len(clock.subjects)
+
     def stop(self) -> None:
         """Abort the run: run_until returns without dispatching further events."""
         self._stopped = True
+
+
+@dataclass(slots=True)
+class _Clock:
+    """The periodic clock's next grid point, its sequence number, and the
+    rest of its registration."""
+
+    next_us: int
+    seq: int
+    interval_us: int
+    end_us: int
+    fn: Callable[[int, int], None]
+    kind: str
+    subjects: tuple[str, ...]
 
 
 class RngStream:
@@ -102,7 +187,11 @@ class RngStream:
 UNLIMITED = None
 
 
-_DOWN = IfaceState.DOWN  # transmit checks it per packet: a global is cheaper
+# A packet's fate: (arrival_time_us, None) or (None, loss cause).
+Fate = tuple[Optional[int], Optional[str]]
+_LINK_DOWN: Fate = (None, LOSS_LINK_DOWN)
+_QUEUE_FULL: Fate = (None, LOSS_QUEUE)
+_RANDOM_LOSS: Fate = (None, LOSS_RANDOM)
 
 
 class Link:
@@ -148,44 +237,78 @@ class Link:
             raise ValueError(f"link state must be Up or Down, got {state!r}")
         self.state = state
 
+    def offer(self, times: range, size_bytes: int) -> list[Fate]:
+        """Offer one packet of size_bytes at each of the times, in order.
+
+        Returns each packet's fate: (arrival_time_us, None) when delivered,
+        (None, cause) when dropped. The link must not change state and no
+        other packet may be offered between the times. The size, and so the
+        serialization time, is the same for all of them.
+        """
+        if size_bytes <= 0:
+            raise ValueError("size_bytes must be positive")
+        n = len(times)
+        self.offered += n
+        if self.state is IfaceState.DOWN:
+            self.dropped += n
+            return [_LINK_DOWN] * n
+        serialization = self.serialization_us(size_bytes)
+        busy = self._busy
+        popleft, push = busy.popleft, busy.append
+        capacity = self.queue_capacity_pkts
+        loss_prob = self.loss_prob
+        random_ = self.rng.random
+        lo = self.prop_lo_us
+        # randint(lo, hi) is lo + _randbelow_with_getrandbits(span): draw
+        # getrandbits(span.bit_length()) until the value falls below span.
+        span = self.prop_hi_us - lo + 1
+        getrandbits = self.rng.getrandbits
+        bits = span.bit_length()
+        last_arrival = self._last_arrival
+        dropped = 0
+        fates: list[Fate] = []
+        out = fates.append
+        for t in times:
+            while busy and busy[0] <= t:
+                popleft()
+            if len(busy) >= capacity:
+                out(_QUEUE_FULL)
+                dropped += 1
+                continue
+            if loss_prob > 0.0 and random_() < loss_prob:
+                out(_RANDOM_LOSS)
+                dropped += 1
+                continue
+            finish = (busy[-1] if busy else t) + serialization
+            push(finish)
+            arrival = finish + lo
+            if span > 1:
+                r = getrandbits(bits)
+                while r >= span:
+                    r = getrandbits(bits)
+                arrival += r
+            if arrival < last_arrival:
+                arrival = last_arrival
+            last_arrival = arrival
+            out((arrival, None))
+        self._last_arrival = last_arrival
+        self.delivered += n - dropped
+        self.dropped += dropped
+        return fates
+
     def transmit(self, size_bytes: int,
                  on_arrive: Optional[Callable[[int], None]] = None,
-                 note: str = "") -> tuple[Optional[int], Optional[str]]:
+                 note: str = "") -> Fate:
         """Offer one packet at the current engine time.
 
         Returns (arrival_time_us, None) when delivered, (None, cause) when
         dropped. The arrival outcome is fully determined at offer time; when
         on_arrive is given it runs as an engine event at the arrival time.
         """
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        t = self.engine.now
-        self.offered += 1
-        if self.state is _DOWN:
-            self.dropped += 1
-            return None, LOSS_LINK_DOWN
-        busy = self._busy
-        while busy and busy[0] <= t:
-            busy.popleft()
-        if len(busy) >= self.queue_capacity_pkts:
-            self.dropped += 1
-            return None, LOSS_QUEUE
-        if self.loss_prob > 0.0 and self.rng.random() < self.loss_prob:
-            self.dropped += 1
-            return None, LOSS_RANDOM
-        start = busy[-1] if busy else t
-        finish = start + self.serialization_us(size_bytes)
-        busy.append(finish)
-        if self.prop_lo_us == self.prop_hi_us:
-            prop = self.prop_lo_us
-        else:
-            prop = self.rng.randint(self.prop_lo_us, self.prop_hi_us)
-        arrival = finish + prop
-        if arrival < self._last_arrival:
-            arrival = self._last_arrival
-        self._last_arrival = arrival
-        self.delivered += 1
-        if on_arrive is not None:
+        now = self.engine.now
+        fate = self.offer(range(now, now + 1), size_bytes)[0]
+        arrival = fate[0]
+        if on_arrive is not None and arrival is not None:
             self.engine.schedule(arrival, lambda: on_arrive(arrival),
                                  kind="arrival", subject=note or self.link_id)
-        return arrival, None
+        return fate

@@ -67,15 +67,16 @@ class PacketTrace:
             raise TraceConservationError(
                 f"{stream_id} seq {seq}: generated at {gen_time}, before the "
                 f"previous {direction} packet at {last_gen}")
-        if (arrival_time is None) == (loss_cause is None):
+        if (arrival_time is None) is (loss_cause is None):
             raise TraceConservationError(
                 f"{stream_id} seq {seq}: exactly one of arrival and loss "
                 f"cause must be set")
-        if arrival_time is not None and arrival_time < gen_time:
-            raise TraceConservationError(
-                f"{stream_id} seq {seq}: arrival {arrival_time} before "
-                f"generation {gen_time}")
-        if loss_cause is not None and loss_cause not in LOSS_CAUSES:
+        if loss_cause is None:
+            if arrival_time < gen_time:
+                raise TraceConservationError(
+                    f"{stream_id} seq {seq}: arrival {arrival_time} before "
+                    f"generation {gen_time}")
+        elif loss_cause not in LOSS_CAUSES:
             raise TraceConservationError(
                 f"{stream_id} seq {seq}: unknown loss cause {loss_cause!r}")
         self.next_seq[stream_id] = seq + 1

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sipswitch.core import (
     LOSS_LINK_DOWN,
@@ -8,6 +9,7 @@ from sipswitch.core import (
     LOSS_RANDOM,
     IfaceState,
     LinkParams,
+    SimulationError,
 )
 from sipswitch.simnet import (
     UNLIMITED,
@@ -258,3 +260,163 @@ def test_transmit_rejects_an_empty_packet():
     # applies (tests/test_scenario.py)
     with pytest.raises(ValueError):
         Link(Engine(), "x", LinkParams(64.0, 0)).transmit(0)
+
+
+def test_offer_is_transmit_at_each_time():
+    params = LinkParams(64.0, (1_000, 9_000), 3, 0.2)
+    batch = Link(Engine(), "x", params, random.Random(4))
+    eng = Engine()
+    single = Link(eng, "x", params, random.Random(4))
+    times = range(0, 2_000_000, 20_000)
+    fates = []
+    for t in times:
+        eng.schedule(t, lambda: fates.append(single.transmit(200)))
+    eng.run_until(times[-1])
+    assert batch.offer(times, 200) == fates
+    assert {cause for _, cause in fates} == {None, LOSS_QUEUE, LOSS_RANDOM}
+    assert ((batch.offered, batch.delivered, batch.dropped)
+            == (single.offered, single.delivered, single.dropped))
+
+
+# ---------------------------------------------------------------------------
+# the uniform delay draw
+
+
+def _spans(k):
+    return st.sampled_from([2 ** k - 1, 2 ** k, 2 ** k + 1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 64),
+       lo=st.integers(0, 1_000_000),
+       span=st.one_of(st.just(1), st.just(40_001),
+                      st.integers(1, 24).flatmap(_spans)),
+       loss=st.sampled_from([0.0, 0.3]),
+       n=st.integers(1, 40))
+def test_link_delays_are_randint_draw_for_draw(seed, lo, span, loss, n):
+    # span counts the values in [lo, hi]; 40_001 is the default cellular
+    # delay range [40, 80] ms
+    hi = lo + span - 1
+    step = hi + 1   # packets far enough apart that no arrival is clamped
+    link = _link(Engine(), UNLIMITED, (lo, hi), cap=1, loss=loss,
+                 rng=random.Random(seed))
+    times = range(0, n * step, step)
+    got = [None if arrival is None else arrival - t
+           for t, (arrival, _) in zip(times, link.offer(times, 100))]
+    rng = random.Random(seed)
+    want = []
+    for _ in times:
+        if loss and rng.random() < loss:
+            want.append(None)
+        else:   # a fixed delay draws nothing
+            want.append(lo if span == 1 else rng.randint(lo, hi))
+    assert got == want
+    assert link.rng.getstate() == rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# the periodic clock
+
+
+def _ticks(eng, start, interval, end, subjects=("ul", "dl")):
+    """Register a clock on eng; returns the grid points it has run."""
+    points = []
+    eng.start_clock(start, interval, end,
+                    lambda t, n: points.extend(range(t, t + n * interval,
+                                                     interval)),
+                    kind="tick", subjects=subjects)
+    return points
+
+
+def test_clock_runs_its_grid_and_counts_each_subject():
+    eng = Engine(log_events=True)
+    points = _ticks(eng, 100, 50, 260)
+    assert eng.run_until(1_000) == 8
+    assert points == [100, 150, 200, 250]
+    assert eng.event_log == [f"{t} tick {s}" for t in points
+                             for s in ("ul", "dl")]
+    assert eng.dispatched == len(eng.event_log)
+    assert eng.now == 1_000
+
+
+def test_clock_before_now_is_rejected():
+    eng = Engine()
+    eng.run_until(500)
+    with pytest.raises(SchedulingInPastError):
+        _ticks(eng, 499, 20, 1_000)
+
+
+@pytest.mark.parametrize("interval", [0, -20])
+def test_clock_needs_a_positive_interval(interval):
+    with pytest.raises(ValueError):
+        _ticks(Engine(), 0, interval, 1_000)
+
+
+def test_clock_callback_must_not_schedule():
+    eng = Engine()
+    eng.start_clock(0, 10, 100, lambda t, n: eng.schedule(t, lambda: None),
+                    "tick", ("s",))
+    with pytest.raises(SimulationError):
+        eng.run_until(100)
+
+
+def test_event_ties_with_the_clock_keep_insertion_order():
+    # a grid point's tick counts as scheduled when the previous point ran:
+    # an event pending by then runs before it at equal times, one scheduled
+    # after it runs after it
+    eng = Engine(log_events=True)
+    eng.schedule(0, lambda: None, kind="early")
+    points = _ticks(eng, 0, 20, 100, subjects=("s",))
+    eng.schedule(40, lambda: eng.schedule(60, lambda: None, kind="late"),
+                 kind="mid")
+    eng.schedule(0, lambda: None, kind="after-start")
+    eng.run_until(100)
+    assert points == [0, 20, 40, 60, 80, 100]
+    assert eng.event_log == [
+        "0 early ", "0 tick s", "0 after-start ", "20 tick s", "40 mid ",
+        "40 tick s", "60 late ", "60 tick s", "80 tick s", "100 tick s"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(start=st.integers(0, 50), interval=st.integers(1, 30),
+       length=st.integers(0, 300),
+       events=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 40)),
+                       max_size=12),
+       cuts=st.lists(st.integers(0, 450), max_size=3))
+def test_clock_equals_one_heap_event_per_point(start, interval, length,
+                                               events, cuts):
+    # each event may chain a follow-up `delay` us later; the run may be cut
+    # into several run_until calls
+    def run(clocked):
+        eng = Engine(log_events=True)
+        seen = []
+        if clocked:
+            eng.start_clock(start, interval, start + length,
+                            lambda t, n: seen.extend(
+                                range(t, t + n * interval, interval)),
+                            kind="tick", subjects=("a", "b"))
+        else:
+            def ticker(subject):
+                def tick():
+                    if subject == "a":
+                        seen.append(eng.now)
+                    if eng.now + interval <= start + length:
+                        eng.schedule(eng.now + interval, tick, kind="tick",
+                                     subject=subject)
+                return tick
+            for subject in ("a", "b"):
+                eng.schedule(start, ticker(subject), kind="tick",
+                             subject=subject)
+        for i, (at, delay) in enumerate(events):
+            def fire(i=i, delay=delay):
+                seen.append(f"e{i}")
+                if delay:
+                    eng.schedule(eng.now + delay,
+                                 lambda: seen.append(f"f{i}"), subject="f")
+            eng.schedule(at, fire, subject=f"e{i}")
+        for cut in sorted(cuts):
+            eng.run_until(cut)
+        eng.run_until(500)
+        return seen, eng.event_log, eng.dispatched, eng.now
+
+    assert run(True) == run(False)
