@@ -64,7 +64,7 @@ from .handoff import (
     mn_on_ok,
     mn_trigger,
 )
-from .simnet import Engine, Link, RngStream
+from .simnet import Engine, Fate, Link, RngStream
 from .sip import (
     ForwardTransaction,
     Registrar,
@@ -438,7 +438,7 @@ class _CallRuntime:
         state = self.state
 
         def fates(direction: str, links: dict[str, Link],
-                  times: range) -> list[tuple]:
+                  times: range) -> list[Fate]:
             mn_iface = media_route(state, direction)
             if mn_iface is None:
                 return [(None, LOSS_CLOSED)] * len(times)
@@ -510,6 +510,10 @@ class _CallRuntime:
 
         horizon = max(call_end, t_trigger + spec.watchdog_us) + 1_000_000
         self.engine.run_until(horizon)
+        # The registrar sends through this runtime. Break that reference
+        # cycle, so that the run's trace is freed as soon as its result is
+        # dropped and not at the garbage collector's next full pass.
+        self.registrar.send = None
         self._check_conservation(call_end)
 
         return RunResult(

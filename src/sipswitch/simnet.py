@@ -83,8 +83,6 @@ class Engine:
         if interval_us <= 0:
             raise ValueError(f"clock interval must be positive, got "
                              f"{interval_us} us")
-        if self._clock is not None:
-            raise ValueError("the engine already runs a clock")
         if start_us <= end_us:
             self._seq += 1
             self._clock = _Clock(start_us, self._seq, interval_us, end_us, fn,
@@ -151,8 +149,7 @@ class Engine:
 
 @dataclass(slots=True)
 class _Clock:
-    """The periodic clock's next grid point, its sequence number, and the
-    rest of its registration."""
+    """The periodic clock: its next grid point and that point's sequence."""
 
     next_us: int
     seq: int

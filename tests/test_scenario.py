@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import pytest
@@ -115,6 +116,22 @@ def test_different_seeds_differ():
     a = run_call(base_spec(seed=1))
     b = run_call(base_spec(seed=2))
     assert a.trace.rows != b.trace.rows  # random cellular delays diverge
+
+
+@pytest.mark.parametrize("procedure", list(HandoffProcedure))
+def test_a_finished_run_leaves_no_reference_cycle(procedure):
+    # a campaign drops each run's result after exporting it; the trace must
+    # go then, not linger until the collector's next full pass
+    spec = base_spec(procedure=procedure)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_call(spec)
+        assert not result.aborted
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
