@@ -239,8 +239,7 @@ class Link:
 
         Returns each packet's fate: (arrival_time_us, None) when delivered,
         (None, cause) when dropped. The link must not change state and no
-        other packet may be offered between the times. The size, and so the
-        serialization time, is the same for all of them.
+        other packet may be offered between the times.
         """
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
