@@ -124,11 +124,13 @@ def _run_one(task: tuple) -> dict:
             call_summary(result.trace, direction, spec.codec, emodel,
                          use_burst) if series else None)
         if result.t_trigger is not None and result.t_completed is not None:
-            gens, _, cum_lost, _ = result.trace.columns(direction)
-            lo = bisect_left(gens, result.t_trigger)
-            hi = bisect_right(gens, result.t_completed)
+            # The trigger comes after the call start, so media has started.
+            packets = result.trace.directions[direction]
+            lo = bisect_left(packets.gen, result.t_trigger)
+            hi = bisect_right(packets.gen, result.t_completed)
             out["switch_window"][name] = {
-                "generated": hi - lo, "lost": cum_lost[hi] - cum_lost[lo]}
+                "generated": hi - lo,
+                "lost": hi - lo - packets.cause[lo:hi].count(None)}
         else:
             out["switch_window"][name] = None
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from math import fsum, isfinite, isqrt
 from typing import NamedTuple, Optional, Sequence
 
@@ -107,7 +108,7 @@ def r_factor(mean_delay_ms: float, ppl: float, burst_r: float,
 
 def burst_ratio(loss_flags, ppl: float) -> float:
     """Observed mean loss-run length over the mean expected under
-    independent losses (1/(1-ppl)).
+    independent losses (1/(1-ppl)); a flag is any truthy loss mark.
 
     1.0 when nothing was lost; at total loss (ppl = 1) the independence
     expectation diverges, so the observed mean run length is returned.
@@ -141,18 +142,22 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
     not pass the last one; stride defaults to the window length. With
     use_burst_ratio False every window uses burst_r = 1 (plain loss model).
 
-    One pass: two pointers bound the packets generated in each window, and
-    the direction's prefix sums give its losses and its delay sum. That sum
-    is an exact integer, so the mean delay equals fsum over the window.
+    One pass: two pointers bound the packets generated in each window. Its
+    slice of loss causes gives its losses and prefix sums its delay sum, an
+    exact integer, so the mean delay equals fsum over the window.
     """
-    gens, lost, cum_lost, cum_delay = trace.columns(direction)
-    if not gens:
+    packets = trace.directions.get(direction)
+    if packets is None:
         return []
+    gens, causes = packets.gen, packets.cause
     window_us = round(window_len_ms * US_PER_MS)
     stride_us = round((stride_ms if stride_ms is not None else window_len_ms)
                       * US_PER_MS)
     if window_us <= 0 or stride_us <= 0:
         raise ValueError("window and stride must be positive")
+    cum_delay = list(accumulate(
+        (0 if arrival is None else arrival - gen
+         for gen, arrival in zip(gens, packets.arrival)), initial=0))
     n, last = len(gens), gens[-1]
     out: list[WindowMetrics] = []
     prev: Optional[WindowMetrics] = None
@@ -171,15 +176,16 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
             wm = prev._replace(window_start=start, carried=True,
                                carried_delay=True, generated=0)
         else:
-            n_lost = cum_lost[hi] - cum_lost[lo]
-            delivered = generated - n_lost
+            window = causes[lo:hi]
+            delivered = window.count(None)
+            n_lost = generated - delivered
             ppl = n_lost / generated
             if delivered:
                 delay = (float(cum_delay[hi] - cum_delay[lo])
                          / (delivered * US_PER_MS))
             else:
                 delay = prev.mean_delay_ms if prev is not None else 0.0
-            br = (burst_ratio(lost[lo:hi], ppl)
+            br = (burst_ratio(window, ppl)
                   if n_lost and use_burst_ratio else 1.0)
             wm = WindowMetrics(start, window_len_ms, delay, ppl, br,
                                r_factor(delay, ppl, br, codec, params),
@@ -206,16 +212,18 @@ class CallSummary:
 def call_summary(trace: PacketTrace, direction: str, codec: CodecProfile,
                  params: EModelParams = DEFAULT_EMODEL,
                  use_burst_ratio: bool = True) -> CallSummary:
-    _, lost_flags, cum_lost, cum_delay = trace.columns(direction)
-    generated = len(lost_flags)
-    if not generated:
+    packets = trace.directions.get(direction)
+    if packets is None:
         raise ValueError(f"trace has no {direction} packets")
-    lost = cum_lost[-1]
-    delivered = generated - lost
+    causes = packets.cause
+    generated, delivered = len(causes), causes.count(None)
+    lost = generated - delivered
     ppl = lost / generated
-    delay = (float(cum_delay[-1]) / (delivered * US_PER_MS) if delivered
-             else 0.0)
-    br = burst_ratio(lost_flags, ppl) if use_burst_ratio else 1.0
+    delay = (float(sum([arrival - gen for gen, arrival
+                        in zip(packets.gen, packets.arrival)
+                        if arrival is not None]))
+             / (delivered * US_PER_MS) if delivered else 0.0)
+    br = burst_ratio(causes, ppl) if lost and use_burst_ratio else 1.0
     return CallSummary(generated=generated, delivered=delivered, lost=lost,
                        ppl=ppl, mean_delay_ms=delay, burst_r=br,
                        r_factor=r_factor(delay, ppl, br, codec, params))

@@ -208,7 +208,6 @@ class _CallRuntime:
         self._setup_ok_acked = False
 
         # Handoff handshake bookkeeping.
-        self._reinvite: Optional[SipMessage] = None
         self._handoff_ok: Optional[SipMessage] = None
         self._handoff_ok_acked = False
         self._drop_counts = {"REINVITE": 0, "OK": 0}
@@ -349,7 +348,7 @@ class _CallRuntime:
             new_iface = action[1]
             self.handoff_log.record(t, "MN", transition, phase_before,
                                     self.state.phase.value)
-            msg = self._reinvite = self._message(
+            msg = self._message(
                 SipMethod.REINVITE, MN_URI, new_iface,
                 media_src=mn_address(new_iface))
             self._mn_send(msg)
@@ -479,11 +478,12 @@ class _CallRuntime:
             return
         want = expected_packet_count(self.spec.call_start_us, call_end,
                                      self.spec.codec.packet_interval_us)
-        for stream_id in ("ul", "dl"):
-            got = self.trace.next_seq.get(stream_id, 0)
+        counts = {d: len(p.gen) for d, p in self.trace.directions.items()}
+        for direction in (UL, DL):
+            got = counts.get(direction, 0)
             if got != want:
                 raise InternalInvariantError(
-                    f"stream {stream_id} generated {got} packets, "
+                    f"{direction} stream generated {got} packets, "
                     f"expected {want}")
 
     # -- run ---------------------------------------------------------------

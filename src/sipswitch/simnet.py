@@ -143,8 +143,10 @@ class Engine:
         return n * len(clock.subjects)
 
     def stop(self) -> None:
-        """Abort the run: run_until returns without dispatching further events."""
+        """Abort the run: run_until returns and drops what is pending."""
         self._stopped = True
+        self._heap.clear()
+        self._clock = None
 
 
 @dataclass(slots=True)

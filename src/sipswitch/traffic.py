@@ -1,11 +1,12 @@
-"""Per-packet trace recording and its CSV form."""
+"""Per-packet trace recording and its CSV form: a trace keeps each media
+direction's packets as plain lists, which the analysis reads directly and
+write_trace merges into one row per packet."""
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import LOSS_CAUSES, InternalInvariantError, SimTime
 
@@ -25,48 +26,50 @@ def expected_packet_count(t_start: SimTime, t_end: SimTime,
     return (t_end - t_start) // interval_us + 1
 
 
-class DirectionColumns(NamedTuple):
-    """One direction's packets as columns, in generation order, with prefix
-    sums: the packets [i, j) lost cum_lost[j] - cum_lost[i] of their number
-    and their delivered ones took cum_delay[j] - cum_delay[i] us in all."""
+class DirectionTrace:
+    """One direction's packets in generation order, as columns: the packet
+    of seq i was generated at gen[i], sent on iface[i], and arrived at
+    arrival[i] or was lost for cause[i] (the other one is None)."""
 
-    gen: list[SimTime]
-    lost: list[bool]
-    cum_lost: list[int]
-    cum_delay: list[int]
+    __slots__ = ("stream_id", "gen", "iface", "arrival", "cause")
+
+    def __init__(self, stream_id: str):
+        self.stream_id = stream_id
+        self.gen: list[SimTime] = []
+        self.iface: list[str] = []
+        self.arrival: list[Optional[SimTime]] = []
+        self.cause: list[Optional[str]] = []
 
 
 class PacketTrace:
     """Append-only per-run record of every generated packet's fate.
 
-    Row layout (tuples): (stream_id, direction, seq, gen_time_us,
-    send_iface, arrival_time_us or None, loss_cause or None).
-
-    Each stream's packets are recorded with seq 0, 1, 2, ... and each
-    direction's in non-decreasing generation time, so the rows of one
-    direction are in generation order by construction. next_seq maps each
-    stream to the number of packets recorded for it.
+    directions maps each direction, in the order of its first packet, to
+    its DirectionTrace. A direction carries one stream, whose packets are
+    recorded with seq 0, 1, 2, ... in non-decreasing generation time, so a
+    packet's seq is its index in the direction's lists.
     """
 
     def __init__(self):
-        self.rows: list[tuple] = []
-        self.next_seq: dict[str, int] = {}
-        self._last_gen: dict[str, SimTime] = {}
-        self._columns: dict[str, tuple[int, DirectionColumns]] = {}
+        self.directions: dict[str, DirectionTrace] = {}
 
     def record(self, stream_id: str, direction: str, seq: int,
                gen_time: SimTime, send_iface: str,
                arrival_time: Optional[SimTime],
                loss_cause: Optional[str]) -> None:
-        expected = self.next_seq.get(stream_id, 0)
-        if seq != expected:
+        packets = self.directions.get(direction) or DirectionTrace(stream_id)
+        gens = packets.gen
+        if stream_id != packets.stream_id:
             raise TraceConservationError(
-                f"{stream_id} seq {seq}: expected seq {expected}")
-        last_gen = self._last_gen.get(direction, gen_time)
-        if gen_time < last_gen:
+                f"{stream_id} seq {seq}: {direction} already carries stream "
+                f"{packets.stream_id}")
+        if seq != len(gens):
+            raise TraceConservationError(
+                f"{stream_id} seq {seq}: expected seq {len(gens)}")
+        if gens and gen_time < gens[-1]:
             raise TraceConservationError(
                 f"{stream_id} seq {seq}: generated at {gen_time}, before the "
-                f"previous {direction} packet at {last_gen}")
+                f"previous {direction} packet at {gens[-1]}")
         if (arrival_time is None) is (loss_cause is None):
             raise TraceConservationError(
                 f"{stream_id} seq {seq}: exactly one of arrival and loss "
@@ -79,40 +82,16 @@ class PacketTrace:
         elif loss_cause not in LOSS_CAUSES:
             raise TraceConservationError(
                 f"{stream_id} seq {seq}: unknown loss cause {loss_cause!r}")
-        self.next_seq[stream_id] = seq + 1
-        self._last_gen[direction] = gen_time
-        self.rows.append((stream_id, direction, seq, gen_time, send_iface,
-                          arrival_time, loss_cause))
-
-    def rows_for(self, direction: str) -> list[tuple]:
-        """The direction's rows, in generation order."""
-        return [r for r in self.rows if r[1] == direction]
-
-    def columns(self, direction: str) -> DirectionColumns:
-        """The direction's columns, built once per number of rows."""
-        built, cols = self._columns.get(direction, (-1, None))
-        if built != len(self.rows):
-            rows = self.rows_for(direction)
-            lost = [r[6] is not None for r in rows]
-            cols = DirectionColumns(
-                [r[3] for r in rows], lost,
-                list(accumulate(lost, initial=0)),
-                list(accumulate((0 if r[5] is None else r[5] - r[3]
-                                 for r in rows), initial=0)))
-            self._columns[direction] = (len(self.rows), cols)
-        return cols
+        if not gens:
+            self.directions[direction] = packets
+        gens.append(gen_time)
+        packets.iface.append(send_iface)
+        packets.arrival.append(arrival_time)
+        packets.cause.append(loss_cause)
 
     @property
     def generated(self) -> int:
-        return len(self.rows)
-
-    @property
-    def delivered(self) -> int:
-        return sum(1 for r in self.rows if r[5] is not None)
-
-    @property
-    def lost(self) -> int:
-        return sum(1 for r in self.rows if r[6] is not None)
+        return sum(len(packets.gen) for packets in self.directions.values())
 
 
 TRACE_COLUMNS = ("run_id", "stream_id", "direction", "seq", "gen_time_us",
@@ -137,14 +116,22 @@ def write_csv(path: str, header: tuple[str, ...], lines: list[str]) -> None:
 
 
 def write_trace(path: str, run_id: str, trace: PacketTrace) -> None:
+    """One row per packet, in generation order; at equal generation times
+    the direction recorded first comes first."""
     f = CsvFields()
-    run = f[run_id]
+    gens, lines = [], []
+    for direction, packets in trace.directions.items():
+        head = f"{f[run_id]},{f[packets.stream_id]},{f[direction]},"
+        gens += packets.gen
+        lines += [
+            f"{head}{seq},{gen},{f[iface]},"
+            f"{'' if arrival is None else arrival},"
+            f"{'' if cause is None else f[cause]}"
+            for seq, (gen, iface, arrival, cause) in enumerate(zip(
+                packets.gen, packets.iface, packets.arrival, packets.cause))]
+    # sorted is stable, and each direction's packets are in generation order
     write_csv(path, TRACE_COLUMNS, [
-        f"{run},{f[stream_id]},{f[direction]},{seq},{gen},{f[iface]},"
-        f"{'' if arrival is None else arrival},"
-        f"{'' if cause is None else f[cause]}"
-        for stream_id, direction, seq, gen, iface, arrival, cause
-        in trace.rows])
+        lines[i] for i in sorted(range(len(gens)), key=gens.__getitem__)])
 
 
 def read_trace(path: str) -> tuple[str, PacketTrace]:

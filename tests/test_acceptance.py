@@ -30,6 +30,8 @@ from sipswitch.scenario import run_call
 from sipswitch.sip import DELIVERED, SipMethod
 from sipswitch.traffic import read_trace
 
+from trace_rows import lost_count, trace_rows
+
 PROCS = ("hard", "hybrid", "soft")
 CODECS = ("G711", "G729", "G723.1")
 DIRECTIONS = ("wlan-to-cellular", "cellular-to-wlan")
@@ -76,10 +78,9 @@ def campaign_a(make_config):
                     result = run_call(spec)
                     assert not result.aborted, f"{spec.run_id} aborted"
                     assert result.state.phase is HandoffPhase.COMPLETED
-                    stats["lost"].append(result.trace.lost)
+                    stats["lost"].append(lost_count(result.trace))
                     stats["lost_dl"].append(
-                        sum(1 for r in result.trace.rows_for(DL)
-                            if r[6] is not None))
+                        lost_count(result.trace, DL))
 
                     reg_times = _register_times(result.signaling.lines)
                     stats["register_total"].append(len(reg_times))
@@ -123,7 +124,7 @@ def campaign_b(make_config):
                                        rep)
                 result = run_call(spec)
                 assert not result.aborted, f"{spec.run_id} aborted"
-                losses.append(result.trace.lost)
+                losses.append(lost_count(result.trace))
             cells[(codec, proc)] = losses
     return cells
 
@@ -172,14 +173,14 @@ def test_criterion_02_hard_gap_matches_hand_computation(make_config):
             gap = t_dst - t_close
             assert gap == expected_gap[direction], (codec, direction)
 
-            dl_lost = [r for r in result.trace.rows_for(DL)
+            dl_lost = [r for r in trace_rows(result.trace, DL)
                        if r[6] is not None]
             assert all(r[6] == LOSS_CLOSED for r in dl_lost)
             assert all(t_close <= r[3] < t_dst for r in dl_lost)
             predicted = round(gap / interval)
             assert abs(len(dl_lost) - predicted) <= 1, (codec, direction)
-            assert result.trace.rows_for(UL) and all(
-                r[6] is None for r in result.trace.rows_for(UL))
+            assert trace_rows(result.trace, UL) and all(
+                r[6] is None for r in trace_rows(result.trace, UL))
             checked.append((codec, direction, gap, len(dl_lost), predicted))
     print(f"criterion 2 PASS: {checked}")
 
@@ -306,7 +307,7 @@ out_dir: {out}
 
     _, trace = read_trace(str(out / "G711_hybrid_cellular-to-wlan" / "r000"
                                / "trace.csv"))
-    steady = [r for r in trace.rows_for(DL)
+    steady = [r for r in trace_rows(trace, DL)
               if 7_000_000 <= r[3] <= 27_000_000]
     lost = [r for r in steady if r[6] is not None]
     frac = len(lost) / len(steady)
@@ -413,7 +414,7 @@ def test_criterion_11_handshake_loss_interleavings_all_terminate(make_config):
                                                                       plan)
                 outcomes["completed"] += 1
             if result.closed_old_at is not None:
-                for r in result.trace.rows_for(UL):
+                for r in trace_rows(result.trace, UL):
                     if r[4] == spec.switch_from and r[5] is not None:
                         assert r[3] < result.closed_old_at, (proc, plan, r)
     assert outcomes["completed"] + outcomes["watchdog"] == 48

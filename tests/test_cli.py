@@ -17,6 +17,8 @@ from sipswitch.cli import (
     main,
 )
 
+from trace_rows import lost_count, trace_rows
+
 
 def write_config(tmp_path, text="", name="config.yaml"):
     path = tmp_path / name
@@ -414,6 +416,13 @@ def test_recompute_metrics_rejects_a_malformed_trace(tmp_path, capsys):
         trace.write_text("\n".join(lines) + "\n")
         assert main(["recompute-metrics", str(trace)]) == 1, name
         assert f"config error: {trace}: " in capsys.readouterr().err, name
+    # a direction carries one stream: a second stream id there is a bad row
+    assert ",ul,UL,1," in second
+    trace.write_text("\n".join(
+        [header, first, second.replace(",ul,UL,1,", ",ul2,UL,0,")]) + "\n")
+    assert main(["recompute-metrics", str(trace)]) == 1
+    assert (f"config error: {trace}: line 3: ul2 seq 0: UL already carries "
+            f"stream ul") in capsys.readouterr().err
 
 
 ONE_RUN = """
@@ -522,7 +531,8 @@ def test_the_bench_counts_what_the_media_tick_calls(tmp_path, monkeypatch):
     assert directions.count(UL) >= 1 and directions.count(DL) >= 1
     assert len(routes) < result.trace.generated
     # the hard switch loses downlink packets to the Closed old interface
-    assert causes.count(LOSS_CLOSED) == result.trace.lost > 0
+    lost = lost_count(result.trace)
+    assert causes.count(LOSS_CLOSED) == lost > 0
 
 
 def test_a_broken_invariant_exits_three(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,12 @@ repetitions per cell. A change meant to keep behaviour must leave the
 digests alone; a deliberate artifact change re-records them and says so in
 CHANGES.md.
 
+Once the digests match, every run of the serial trees must also come back
+byte for byte from its own files: read_trace and write_trace rewrite its
+trace.csv, and recompute-metrics its metrics_{ul,dl}.csv, also for the
+header-only trace of a run aborted before media. The real runs thus guard
+the trace's row order, and not only through the digests.
+
 golden_settings.json holds the manifest settings of configs the trees miss:
 a third, wired interface with a delay range in fractional ms, a custom
 codec written in integers, integral floats, and both presets. They are
@@ -24,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from sipswitch.cli import main
+from sipswitch.traffic import read_trace, write_trace
 
 GOLDEN = Path(__file__).with_name("golden_tree.json")
 GOLDEN_STRIDE = Path(__file__).with_name("golden_stride_tree.json")
@@ -83,6 +90,27 @@ def tree_digests(out_dir: Path) -> dict[str, str]:
     return digests
 
 
+def check_runs_reproduce(out: Path) -> list[str]:
+    """Rewrite every run's trace and recompute its metrics, each into a new
+    file next to the original, and compare the bytes; returns each run's
+    trace text."""
+    texts = []
+    for trace in sorted(out.rglob("trace.csv")):
+        run_id, back = read_trace(str(trace))
+        rewritten = trace.with_name("rewritten_trace.csv")
+        write_trace(str(rewritten), run_id, back)
+        assert rewritten.read_bytes() == trace.read_bytes(), trace
+        assert main(["recompute-metrics", str(trace)]) == 0, trace
+        for name in ("ul", "dl"):
+            recomputed = trace.with_name(f"recomputed_metrics_{name}.csv")
+            original = trace.with_name(f"metrics_{name}.csv")
+            assert recomputed.read_bytes() == original.read_bytes(), trace
+        texts.append(trace.read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(texts) == sum(len(cell["runs"]) for cell in manifest["cells"])
+    return texts
+
+
 def run_golden_campaign(tmp_path: Path, *args: str, config: str = CONFIG,
                         rc: int = 2) -> Path:
     out = tmp_path / "out"
@@ -107,6 +135,8 @@ def test_golden_campaign_tree_is_unchanged(tmp_path, capsys):
     if got != want:
         print(json.dumps(got, indent=2, sort_keys=True))
     assert got == want
+    traces = check_runs_reproduce(out)
+    assert any(text.count("\n") == 1 for text in traces)  # header only
 
 
 def test_golden_campaign_tree_is_unchanged_in_parallel(tmp_path, capsys):
@@ -128,6 +158,8 @@ def test_golden_stride_tree_is_unchanged(tmp_path, capsys, args):
     if got != want:
         print(json.dumps(got, indent=2, sort_keys=True))
     assert got == want
+    if not args:
+        check_runs_reproduce(out)
 
 
 SHORT = "repetitions: 1\ncall_duration_s: 2\nswitch_time_s: 1\n"

@@ -30,6 +30,8 @@ from sipswitch.handoff import HandoffProcedure, media_route
 from sipswitch.scenario import CN_IFACE, CallSpec, _CallRuntime
 from sipswitch.simnet import UNLIMITED, Link
 
+from trace_rows import trace_rows
+
 
 class _HeapLink(Link):
     """The former per-packet Link.transmit."""
@@ -119,7 +121,7 @@ def outcome(runtime_class, spec):
         return repr(exc)
     links = [*runtime.links_ul.values(), *runtime.links_dl.values()]
     return {
-        "rows": result.trace.rows,
+        "rows": trace_rows(result.trace),
         "signaling": result.signaling.lines,
         "handoff": result.handoff_log.lines,
         "events": result.event_log,
@@ -239,7 +241,8 @@ def _split_run(spec, cut):
 
     runtime.engine.run_until = in_two
     result = runtime.run()
-    return result.trace.rows, result.event_log, runtime.engine.dispatched
+    return (trace_rows(result.trace), result.event_log,
+            runtime.engine.dispatched)
 
 
 def test_a_split_run_until_changes_nothing():
@@ -263,7 +266,7 @@ def test_a_trigger_on_the_grid_dispatches_before_that_points_ticks():
     assert at_t[:3] == [f"{t} handoff trigger", f"{t} media-tick ul",
                         f"{t} media-tick dl"]
     # so the packets generated at the trigger already see the hard switch
-    rows = {(row[1], row[3]): row for row in result.trace.rows}
+    rows = {(row[1], row[3]): row for row in trace_rows(result.trace)}
     assert rows[(UL, t)][4] == "cellular"
     assert rows[(DL, t)][6] == LOSS_CLOSED
     assert rows[(DL, t - 20_000)][6] is None

@@ -26,6 +26,8 @@ from sipswitch.traffic import (
     write_trace,
 )
 
+from trace_rows import trace_rows
+
 G711 = CODEC_PRESETS["G711"]
 G729 = CODEC_PRESETS["G729"]
 G7231 = CODEC_PRESETS["G723.1"]
@@ -271,7 +273,7 @@ def test_window_series_rejects_nonpositive_window():
 
 def loss_ratio(trace, window_start, window_len_us, direction=None):
     """Lost/generated over [window_start, window_start+len), by gen time."""
-    rows = [r for r in trace.rows
+    rows = [r for r in trace_rows(trace)
             if (direction is None or r[1] == direction)
             and window_start <= r[3] < window_start + window_len_us]
     if not rows:
@@ -281,7 +283,7 @@ def loss_ratio(trace, window_start, window_len_us, direction=None):
 
 def mean_delay(trace, window_start, window_len_us, direction=None):
     """Mean one-way delay in ms over delivered packets in the window."""
-    delays = [(r[5] - r[3]) / 1000 for r in trace.rows
+    delays = [(r[5] - r[3]) / 1000 for r in trace_rows(trace)
               if (direction is None or r[1] == direction)
               and window_start <= r[3] < window_start + window_len_us
               and r[5] is not None]
@@ -411,7 +413,7 @@ def csv_writer_trace(path, run_id, trace):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRACE_COLUMNS)
         for (stream_id, direction, seq, gen, iface, arrival,
-             cause) in trace.rows:
+             cause) in trace_rows(trace):
             w.writerow((run_id, stream_id, direction, seq, gen, iface,
                         "" if arrival is None else arrival,
                         "" if cause is None else cause))
@@ -444,8 +446,8 @@ def test_export_matches_csv_writer_on_names_that_need_quoting(
     spec = build_call_spec(config, codec, "hard", f"{iface}-to-cellular", 1)
     result = run_call(spec)
     assert not result.aborted
-    assert any(r[4] == iface for r in result.trace.rows)
-    assert any(r[6] is not None for r in result.trace.rows)
+    assert any(r[4] == iface for r in trace_rows(result.trace))
+    assert any(r[6] is not None for r in trace_rows(result.trace))
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_trace(str(got), spec.run_id, result.trace)
     csv_writer_trace(str(want), spec.run_id, result.trace)

@@ -32,6 +32,8 @@ from sipswitch.metrics import (
 )
 from sipswitch.traffic import PacketTrace
 
+from trace_rows import trace_rows
+
 G729 = CODEC_PRESETS["G729"]
 
 # derandomize keeps the suite's outcome fixed; drop it and raise
@@ -117,7 +119,7 @@ def reference_window_series(trace, direction, codec, window_len_ms=60.0,
                             stride_ms=None, params=DEFAULT_EMODEL,
                             use_burst_ratio=True):
     """window_series as it was: bisect each window, then sum its slice."""
-    rows = trace.rows_for(direction)
+    rows = trace_rows(trace, direction)
     if not rows:
         return []
     window_us = round(window_len_ms * US_PER_MS)

@@ -19,6 +19,8 @@ from sipswitch.handoff import HandoffPhase, HandoffProcedure
 from sipswitch.scenario import CallSpec, _CallRuntime, run_call
 from sipswitch.sip import DELIVERED, SignalingConfig
 
+from trace_rows import lost_count, trace_rows
+
 WLAN_ADDR = Address("mn", "wlan", 5004)
 CELL_ADDR = Address("mn", "cellular", 5004)
 
@@ -58,7 +60,7 @@ def test_hybrid_and_soft_lose_nothing(procedure, direction):
     result = run_call(base_spec(procedure=procedure, direction=direction))
     assert not result.aborted
     assert result.state.phase is HandoffPhase.COMPLETED
-    assert result.trace.lost == 0
+    assert lost_count(result.trace) == 0
     assert result.trace.generated == 2 * 501  # both directions, 10 s of 20 ms
 
 
@@ -72,12 +74,12 @@ def test_hard_loses_exactly_the_downlink_gap_packets():
     assert result.t_trigger == 6_000_000
     assert result.closed_old_at == 6_000_000
     assert result.t_cn_switch == 6_074_583
-    lost_rows = [r for r in result.trace.rows_for(DL) if r[6] is not None]
+    lost_rows = [r for r in trace_rows(result.trace, DL) if r[6] is not None]
     assert [r[3] for r in lost_rows] == [6_000_000, 6_020_000,
                                          6_040_000, 6_060_000]
     assert all(r[6] == LOSS_CLOSED for r in lost_rows)
     # uplink is already on the new interface: nothing lost there
-    assert all(r[6] is None for r in result.trace.rows_for(UL))
+    assert all(r[6] is None for r in trace_rows(result.trace, UL))
 
 
 def test_hard_gap_is_smaller_toward_the_faster_interface():
@@ -85,7 +87,7 @@ def test_hard_gap_is_smaller_toward_the_faster_interface():
     result = run_call(base_spec(procedure=HandoffProcedure.HARD,
                                 direction=("cellular", "wlan")))
     assert result.t_cn_switch - result.t_trigger == 5_104
-    lost_rows = [r for r in result.trace.rows if r[6] is not None]
+    lost_rows = [r for r in trace_rows(result.trace) if r[6] is not None]
     assert [(r[1], r[3], r[6]) for r in lost_rows] == \
         [(DL, 6_000_000, LOSS_CLOSED)]
 
@@ -94,7 +96,7 @@ def test_packets_in_flight_at_close_are_still_delivered():
     result = run_call(base_spec(procedure=HandoffProcedure.HARD,
                                 direction=("wlan", "cellular"),
                                 cellular_prop=60_000))
-    for r in result.trace.rows_for(DL):
+    for r in trace_rows(result.trace, DL):
         if r[3] < result.closed_old_at:
             assert r[5] is not None  # generated before the close: delivered
 
@@ -106,7 +108,7 @@ def test_packets_in_flight_at_close_are_still_delivered():
 def test_same_seed_reproduces_the_run_exactly():
     spec = base_spec(seed=7, log_events=True)
     a, b = run_call(spec), run_call(spec)
-    assert a.trace.rows == b.trace.rows
+    assert trace_rows(a.trace) == trace_rows(b.trace)
     assert a.signaling.lines == b.signaling.lines
     assert a.handoff_log.lines == b.handoff_log.lines
     assert a.event_log == b.event_log
@@ -115,19 +117,30 @@ def test_same_seed_reproduces_the_run_exactly():
 def test_different_seeds_differ():
     a = run_call(base_spec(seed=1))
     b = run_call(base_spec(seed=2))
-    assert a.trace.rows != b.trace.rows  # random cellular delays diverge
+    # random cellular delays diverge
+    assert trace_rows(a.trace) != trace_rows(b.trace)
 
 
-@pytest.mark.parametrize("procedure", list(HandoffProcedure))
-def test_a_finished_run_leaves_no_reference_cycle(procedure):
+@pytest.mark.parametrize("changes,abort_reason", [
+    *(({"procedure": procedure}, None) for procedure in HandoffProcedure),
+    # mid-call: both re-INVITE sends dropped, the watchdog ends the call
+    ({"procedure": HandoffProcedure.HARD, "watchdog_us": 2_000_000,
+      "signaling_drop_plan": frozenset({("REINVITE", 0), ("REINVITE", 1)})},
+     "watchdog"),
+    # at the call start: no signaling gets out
+    ({"down_links": frozenset({"wlan-ul", "cellular-ul"})},
+     "setup-incomplete"),
+], ids=[*map(str, HandoffProcedure), "watchdog", "setup-abort"])
+def test_a_finished_run_leaves_no_reference_cycle(changes, abort_reason):
     # a campaign drops each run's result after exporting it; the trace must
-    # go then, not linger until the collector's next full pass
-    spec = base_spec(procedure=procedure)
+    # go then, not linger until the collector's next full pass, also when
+    # the run aborted with events and the media clock still pending
+    spec = base_spec(**changes)
     gc.collect()
     gc.disable()
     try:
         result = run_call(spec)
-        assert not result.aborted
+        assert result.abort_reason == abort_reason
         del result
         assert gc.collect() == 0
     finally:
@@ -157,7 +170,7 @@ def test_invite_goes_to_the_top_priority_contact_first():
 def test_media_interface_is_independent_of_signaling_priority():
     # signaling prefers cellular (q 0.9) but the call starts on wlan
     result = run_call(base_spec(direction=("wlan", "cellular")))
-    pre_switch_ul = [r for r in result.trace.rows_for(UL)
+    pre_switch_ul = [r for r in trace_rows(result.trace, UL)
                      if r[3] < result.t_trigger]
     assert pre_switch_ul
     assert {r[4] for r in pre_switch_ul} == {"wlan"}
@@ -182,7 +195,7 @@ def test_hard_closes_at_trigger_soft_closes_at_ok():
     soft = run_call(base_spec(procedure=HandoffProcedure.SOFT))
     assert soft.closed_old_at == soft.t_completed
     # soft keeps uplink on the old interface until the OK arrives
-    in_between = [r for r in soft.trace.rows_for(UL)
+    in_between = [r for r in trace_rows(soft.trace, UL)
                   if soft.t_trigger <= r[3] < soft.t_completed]
     assert in_between and {r[4] for r in in_between} == {"wlan"}
 
@@ -226,7 +239,7 @@ def test_watchdog_aborts_a_dead_handshake():
     deadline = result.t_trigger + 2_000_000
     assert any("watchdog-abort" in l for l in result.handoff_log.lines)
     # the run stops at the abort: no media generated afterwards
-    assert all(r[3] <= deadline for r in result.trace.rows)
+    assert all(r[3] <= deadline for r in trace_rows(result.trace))
 
 
 def test_setup_failure_aborts_before_any_media():
@@ -244,12 +257,13 @@ def test_down_uplink_records_link_down_losses_until_the_switch():
                      down_links=frozenset({"wlan-ul"}))
     result = run_call(spec)
     assert not result.aborted
-    ul_lost = [r for r in result.trace.rows_for(UL) if r[6] is not None]
+    ul_lost = [r for r in trace_rows(result.trace, UL) if r[6] is not None]
     assert all(r[6] == LOSS_LINK_DOWN for r in ul_lost)
     # packets on [1 s, 6 s) at 20 ms cadence
     assert len(ul_lost) == 250
-    assert [r[6] for r in result.trace.rows].count(LOSS_LINK_DOWN) == 250
-    assert all(r[6] is None for r in result.trace.rows_for(DL))
+    causes = [r[6] for r in trace_rows(result.trace)]
+    assert causes.count(LOSS_LINK_DOWN) == 250
+    assert all(r[6] is None for r in trace_rows(result.trace, DL))
 
 
 # ---------------------------------------------------------------------------
@@ -345,4 +359,4 @@ def test_a_delay_pair_may_be_a_list_or_a_tuple():
     as_list = run_call(base_spec(cellular_prop=[40_000, 80_000]))
     as_tuple = run_call(base_spec(cellular_prop=(40_000, 80_000)))
     assert not as_list.aborted
-    assert as_list.trace.rows == as_tuple.trace.rows
+    assert trace_rows(as_list.trace) == trace_rows(as_tuple.trace)
