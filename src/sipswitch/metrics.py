@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import fsum, isfinite, isqrt
 from typing import NamedTuple, Optional, Sequence
 
@@ -219,10 +219,11 @@ def call_summary(trace: PacketTrace, direction: str, codec: CodecProfile,
     generated, delivered = len(causes), causes.count(None)
     lost = generated - delivered
     ppl = lost / generated
-    delay = (float(sum([arrival - gen for gen, arrival
-                        in zip(packets.gen, packets.arrival)
-                        if arrival is not None]))
-             / (delivered * US_PER_MS) if delivered else 0.0)
+    # Exact: all arrivals less all generation times, plus the lost packets'
+    # (a loss cause is a non-empty string); filter drops None, and 0 adds 0.
+    delay_us = (sum(filter(None, packets.arrival)) - sum(packets.gen)
+                + sum(compress(packets.gen, causes)))
+    delay = float(delay_us) / (delivered * US_PER_MS) if delivered else 0.0
     br = burst_ratio(causes, ppl) if lost and use_burst_ratio else 1.0
     return CallSummary(generated=generated, delivered=delivered, lost=lost,
                        ppl=ppl, mean_delay_ms=delay, burst_r=br,

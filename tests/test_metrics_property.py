@@ -1,8 +1,9 @@
 """Exactness properties of the fast analysis paths.
 
-stdev must return bit for bit what statistics.stdev returns, and the
+stdev must return bit for bit what statistics.stdev returns, the
 one-pass window_series must equal the former bisect-and-slice version,
-kept below as the oracle, on random traces.
+kept below as the oracle, and call_summary its totals taken row by row, on
+random traces.
 """
 
 import math
@@ -26,6 +27,7 @@ from sipswitch.metrics import (
     DEFAULT_EMODEL,
     WindowMetrics,
     burst_ratio,
+    call_summary,
     r_factor,
     stdev,
     window_series,
@@ -198,3 +200,22 @@ def test_one_pass_window_series_equals_the_former_one(
                                    use_burst_ratio=use_burst_ratio)
     assert len(got) == len(want)
     assert repr(got) == repr(want)  # repr: every float bit for bit
+
+
+@EXACT
+@given(packets=st.lists(PACKET, min_size=1, max_size=80),
+       other=st.lists(PACKET, max_size=5),
+       use_burst_ratio=st.booleans())
+def test_call_summary_equals_its_totals_row_by_row(packets, other,
+                                                   use_burst_ratio):
+    trace = build_trace(packets, other)
+    rows = trace_rows(trace, DL)
+    delays = [r[5] - r[3] for r in rows if r[5] is not None]
+    flags = [r[6] is not None for r in rows]
+    got = call_summary(trace, DL, G729, use_burst_ratio=use_burst_ratio)
+    assert (got.generated, got.delivered, got.lost) == (
+        len(rows), len(delays), sum(flags))
+    assert got.mean_delay_ms == (fsum(delays) / (len(delays) * US_PER_MS)
+                                 if delays else 0.0)
+    assert got.burst_r == (burst_ratio(flags, got.ppl)
+                           if use_burst_ratio else 1.0)

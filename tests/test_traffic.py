@@ -152,20 +152,16 @@ def test_trace_rejects_time_travel_and_unknown_causes():
         tr.record("ul", UL, 0, 10_000, "wlan", 9_999, None)
     with pytest.raises(TraceConservationError, match="unknown loss cause"):
         tr.record("ul", UL, 0, 0, "wlan", None, "gremlins")
-    # a direction's packets are recorded in generation order
+    # a direction's packets are recorded in generation order, and are one
+    # stream's
     tr.record("ul", UL, 0, 20_000, "wlan", 25_000, None)
     with pytest.raises(TraceConservationError, match="before the previous"):
         tr.record("ul", UL, 1, 0, "wlan", 5_000, None)
-    tr.record("dl", DL, 0, 0, "cn0", 5_000, None)
-
-
-def test_trace_carries_one_stream_per_direction():
-    tr = PacketTrace()
-    tr.record("ul", UL, 0, 0, "wlan", 5_000, None)
     with pytest.raises(TraceConservationError,
                        match="UL already carries stream ul"):
-        tr.record("ul2", UL, 0, 20_000, "wlan", 25_000, None)
-    assert trace_rows(tr) == [("ul", UL, 0, 0, "wlan", 5_000, None)]
+        tr.record("ul2", UL, 0, 40_000, "wlan", 45_000, None)
+    tr.record("dl", DL, 0, 0, "cn0", 5_000, None)
+    assert [r[:3] for r in trace_rows(tr)] == [("dl", DL, 0), ("ul", UL, 0)]
 
 
 def test_trace_round_trips_through_csv(tmp_path):
