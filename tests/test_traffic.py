@@ -230,7 +230,7 @@ def direction_lists(trace):
 
 
 @pytest.fixture(scope="module")
-def scratch_dir(tmp_path_factory):
+def trace_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("round-trip")
 
 
@@ -240,8 +240,8 @@ def scratch_dir(tmp_path_factory):
 @given(trace=recorded_traces(),
        run_id=st.sampled_from(["G711_hard_r000", 'odd, "quoted" id']))
 def test_a_written_trace_reads_back_to_the_same_lists_and_bytes(
-        scratch_dir, trace, run_id):
-    first, second = scratch_dir / "first.csv", scratch_dir / "second.csv"
+        trace_dir, trace, run_id):
+    first, second = trace_dir / "first.csv", trace_dir / "second.csv"
     write_trace(str(first), run_id, trace)
     back_id, back = read_trace(str(first))
     write_trace(str(second), back_id, back)
