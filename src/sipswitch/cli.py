@@ -198,7 +198,8 @@ def run_campaign(config: ExperimentConfig,
     aborted_total = 0
     loss_rows = []
     manifest_cells = []
-    with (multiprocessing.Pool(parallel) if parallel > 1
+    workers = min(parallel, len(cells) * config.repetitions)
+    with (multiprocessing.Pool(workers) if workers > 1
           else nullcontext()) as pool:
         results = pool.imap(_run_one, tasks) if pool else map(_run_one, tasks)
         for cell in cells:
@@ -301,6 +302,13 @@ def recompute_metrics(trace_file: str,
     return written
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sipswitch",
@@ -315,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override base_seed")
     run_p.add_argument("--reps", type=int, help="override repetitions")
     run_p.add_argument("--out", help="override output directory")
-    run_p.add_argument("--parallel", type=int, default=1,
+    run_p.add_argument("--parallel", type=_worker_count, default=1,
                        help="worker processes (runs are independent)")
 
     val_p = sub.add_parser("validate", help="check a config and exit")

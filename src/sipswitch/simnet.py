@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .core import (
@@ -27,20 +27,9 @@ class Engine:
 
     Ties at equal times are broken by insertion order, so dispatch is a total
     order and runs with equal seeds produce identical event logs. An event is
-    the heap entry (time, insertion sequence, kind, subject, action).
-
-    Besides the heap the engine drives at most one periodic clock
-    (start_clock): a grid of points start, start + interval, ... that are
-    dispatched as if each point's events were heap entries. The clock takes
-    its sequence number from the same counter as schedule, once when it is
-    registered and again after each batch of points it runs, exactly where
-    the heap entry for its next point would be pushed. run_until merges it
-    with the heap by (time, sequence) and hands the callback the whole
-    stretch of points that comes before the next heap event, one call per
-    stretch. This equals one heap entry per point as long as the callback
-    schedules nothing, which the engine checks: then no entry can be pushed
-    between two points of a stretch, and a later point would get a later
-    sequence number than every entry pending at the stretch's start.
+    the heap entry (time, insertion sequence, kind, subject, action). A
+    periodic clock (start_clock) is one such entry that runs a stretch of
+    grid points and then schedules itself for the next point.
     """
 
     def __init__(self, log_events: bool = False):
@@ -51,7 +40,7 @@ class Engine:
         self._heap: list[tuple[int, int, str, str, Callable[[], None]]] = []
         self._seq = 0
         self._stopped = False
-        self._clock: Optional[_Clock] = None
+        self._t_end = 0
 
     def schedule(self, time_us: int, fn: Callable[[], None], kind: str = "event",
                  subject: str = "") -> None:
@@ -75,6 +64,10 @@ class Engine:
         back: it adds len(subjects) to dispatched and, with log_events, one
         "<time> <kind> <subject>" line per subject. fn(t, n) runs the n
         points t, t + interval_us, ... at once and must schedule nothing.
+        The clock is one heap entry at its next point. Dispatched, it runs
+        that point and every later one before the next entry, then schedules
+        itself again; as fn schedules nothing, no entry can come between two
+        points of a stretch, so this equals one heap entry per point.
         """
         if start_us < self.now:
             raise SchedulingInPastError(
@@ -84,9 +77,34 @@ class Engine:
             raise ValueError(f"clock interval must be positive, got "
                              f"{interval_us} us")
         if start_us <= end_us:
-            self._seq += 1
-            self._clock = _Clock(start_us, self._seq, interval_us, end_us, fn,
-                                 kind, subjects)
+            self.schedule(start_us, partial(self._tick, interval_us, end_us,
+                                            fn, kind, subjects), kind)
+
+    def _tick(self, interval_us: int, end_us: int,
+              fn: Callable[[int, int], None], kind: str,
+              subjects: tuple[str, ...]) -> None:
+        """Run the clock's points from now up to run_until's end, the
+        clock's end, or the last point before the next heap entry; then
+        start the clock again at the next point."""
+        t = self.now
+        last = min(self._t_end, end_us)
+        if self._heap:
+            last = min(last, self._heap[0][0] - 1)
+        n = 1 + max(0, (last - t) // interval_us)
+        last = t + (n - 1) * interval_us
+        seq = self._seq
+        self.now = last
+        fn(t, n)
+        if self._seq != seq:
+            raise SimulationError(f"clock {kind!r} scheduled an event")
+        # run_until counted and logged this entry as one event
+        self.dispatched += n * len(subjects) - 1
+        if self.log_events:
+            self.event_log[-1:] = [f"{g} {kind} {subject}"
+                                   for g in range(t, last + 1, interval_us)
+                                   for subject in subjects]
+        self.start_clock(last + interval_us, interval_us, end_us, fn, kind,
+                         subjects)
 
     def run_until(self, t_end_us: int) -> int:
         """Dispatch every pending event with time <= t_end_us.
@@ -95,71 +113,23 @@ class Engine:
         t_end_us (unless stop() was called mid-run).
         """
         heap = self._heap
-        count = 0
-        while not self._stopped:
-            clock = self._clock
-            if (clock is not None and clock.next_us <= t_end_us
-                    and (not heap or (clock.next_us, clock.seq) < heap[0][:2])):
-                count += self._run_clock(clock, t_end_us)
-                continue
-            if not heap or heap[0][0] > t_end_us:
-                break
+        dispatched = self.dispatched
+        self._t_end = t_end_us
+        while not self._stopped and heap and heap[0][0] <= t_end_us:
             time_us, _, kind, subject, fn = heapq.heappop(heap)
             self.now = time_us
             if self.log_events:
                 self.event_log.append(f"{time_us} {kind} {subject}")
-            count += 1
+            self.dispatched += 1
             fn()
-        self.dispatched += count
         if not self._stopped and self.now < t_end_us:
             self.now = t_end_us
-        return count
-
-    def _run_clock(self, clock: _Clock, t_end_us: int) -> int:
-        """Run the clock's points from its next one up to t_end_us, its end,
-        or the last point before the next heap event; returns the number of
-        events they stand for."""
-        t, interval = clock.next_us, clock.interval_us
-        last = min(t_end_us, clock.end_us)
-        if self._heap:
-            last = min(last, self._heap[0][0] - 1)
-        n = 1 + max(0, (last - t) // interval)
-        last = t + (n - 1) * interval
-        seq = self._seq
-        self.now = last
-        clock.fn(t, n)
-        if self._seq != seq:
-            raise SimulationError(f"clock {clock.kind!r} scheduled an event")
-        if self.log_events:
-            self.event_log.extend(f"{g} {clock.kind} {subject}"
-                                  for g in range(t, last + 1, interval)
-                                  for subject in clock.subjects)
-        clock.next_us = last + interval
-        if clock.next_us > clock.end_us:
-            self._clock = None
-        else:
-            self._seq += 1
-            clock.seq = self._seq
-        return n * len(clock.subjects)
+        return self.dispatched - dispatched
 
     def stop(self) -> None:
         """Abort the run: run_until returns and drops what is pending."""
         self._stopped = True
         self._heap.clear()
-        self._clock = None
-
-
-@dataclass(slots=True)
-class _Clock:
-    """The periodic clock: its next grid point and that point's sequence."""
-
-    next_us: int
-    seq: int
-    interval_us: int
-    end_us: int
-    fn: Callable[[int, int], None]
-    kind: str
-    subjects: tuple[str, ...]
 
 
 class RngStream:

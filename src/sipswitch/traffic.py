@@ -8,7 +8,7 @@ import csv
 import io
 from typing import Optional
 
-from .core import LOSS_CAUSES, InternalInvariantError, SimTime
+from .core import LOSS_CAUSES, UL, InternalInvariantError, SimTime
 
 # RTP 12 + UDP 8 + IP 20: metrics are taken at IP level.
 DEFAULT_HEADER_OVERHEAD_BYTES = 40
@@ -117,10 +117,13 @@ def write_csv(path: str, header: tuple[str, ...], lines: list[str]) -> None:
 
 def write_trace(path: str, run_id: str, trace: PacketTrace) -> None:
     """One row per packet, in generation order; at equal generation times
-    the direction recorded first comes first."""
+    UL comes before DL (and any other direction, by name), whichever was
+    recorded first."""
     f = CsvFields()
     gens, lines = [], []
-    for direction, packets in trace.directions.items():
+    directions = sorted(trace.directions.items(),
+                        key=lambda item: (item[0] != UL, item[0]))
+    for direction, packets in directions:
         head = f"{f[run_id]},{f[packets.stream_id]},{f[direction]},"
         gens += packets.gen
         lines += [

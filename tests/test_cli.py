@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import json
 from pathlib import Path
@@ -507,6 +508,27 @@ def test_the_bench_finds_what_it_wraps_in_cli(tmp_path, capsys,
     assert hits == ["load_config", "run_call"]
 
 
+def test_the_bench_patches_what_its_owners_define():
+    # bench/trace_layers.py's Tracer._patch reads owner.__dict__[attr], so
+    # each method it patches must be defined on its class itself; read the
+    # _patch calls that name their attribute, without importing the bench
+    source = Path(__file__).parents[1] / "bench" / "trace_layers.py"
+    patched = {(ast.unparse(node.args[0]), node.args[1].value)
+               for node in ast.walk(ast.parse(source.read_text()))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "_patch"
+               and isinstance(node.args[1], ast.Constant)}
+    assert {("simnet.Engine", "run_until"), ("simnet.Engine", "schedule"),
+            ("simnet.Link", "transmit"), ("simnet.Link", "__init__"),
+            ("traffic.PacketTrace", "record")} <= patched
+    for owner, attr in patched:
+        module, _, cls = owner.partition(".")
+        obj = importlib.import_module(f"sipswitch.{module}")
+        if cls:
+            obj = getattr(obj, cls)
+        assert attr in vars(obj), f"{owner}.{attr}"
+
+
 def test_the_bench_counts_what_the_media_tick_calls(tmp_path, monkeypatch):
     # bench/trace_layers.py counts media_route calls through the scenario
     # global, and reads gen_time and loss_cause as PacketTrace.record's
@@ -652,6 +674,42 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["validate"]) == 1
     assert "usage:" in capsys.readouterr().err
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_a_parallel_value_below_one_is_a_usage_error(tmp_path, capsys,
+                                                     value):
+    cfg = write_config(tmp_path, ONE_RUN + f"out_dir: {tmp_path / 'out'}\n")
+    assert main(["run", cfg, "--parallel", value]) == 1
+    assert "--parallel: expected a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
+                                                   monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    four = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'four'}\n")
+    assert main(["run", four, "--parallel", "64"]) == 0
+    assert sizes == [4]   # 2 procedures x 2 repetitions
+    one = write_config(tmp_path, ONE_RUN + f"out_dir: {tmp_path / 'one'}\n",
+                       name="one.yaml")
+    assert main(["run", one, "--parallel", "8"]) == 0
+    assert sizes == [4]   # one run needs no pool
 
 
 def test_aborted_runs_exit_two_and_are_recorded(tmp_path, capsys):

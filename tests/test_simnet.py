@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -382,11 +383,12 @@ def test_event_ties_with_the_clock_keep_insertion_order():
        length=st.integers(0, 300),
        events=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 40)),
                        max_size=12),
-       cuts=st.lists(st.integers(0, 450), max_size=3))
+       cuts=st.lists(st.integers(0, 450), max_size=3),
+       stop_at=st.none() | st.integers(0, 450))
 def test_clock_equals_one_heap_event_per_point(start, interval, length,
-                                               events, cuts):
+                                               events, cuts, stop_at):
     # each event may chain a follow-up `delay` us later; the run may be cut
-    # into several run_until calls
+    # into several run_until calls, and an event may stop it
     def run(clocked):
         eng = Engine(log_events=True)
         seen = []
@@ -414,9 +416,27 @@ def test_clock_equals_one_heap_event_per_point(start, interval, length,
                     eng.schedule(eng.now + delay,
                                  lambda: seen.append(f"f{i}"), subject="f")
             eng.schedule(at, fire, subject=f"e{i}")
+        if stop_at is not None:
+            eng.schedule(stop_at, eng.stop, kind="stop")
         for cut in sorted(cuts):
             eng.run_until(cut)
         eng.run_until(500)
         return seen, eng.event_log, eng.dispatched, eng.now
 
     assert run(True) == run(False)
+
+
+@pytest.mark.parametrize("stop_at", [None, 250], ids=["finished", "stopped"])
+def test_a_dropped_engine_leaves_no_reference_cycle(stop_at):
+    # the clock re-arms itself through the heap; once it has finished, or a
+    # heap event stopped the run between two of its points, nothing pending
+    # points back at the engine
+    gc.collect()
+    eng = Engine(log_events=True)
+    points = _ticks(eng, 0, 20, 1_000)
+    if stop_at is not None:
+        eng.schedule(stop_at, eng.stop, kind="stop")
+    eng.run_until(2_000)
+    assert points[-1] == (1_000 if stop_at is None else 240)
+    del eng
+    assert gc.collect() == 0

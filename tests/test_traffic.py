@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import pytest
@@ -176,6 +177,22 @@ def test_trace_round_trips_through_csv(tmp_path):
     assert trace_rows(back) == trace_rows(tr)
 
 
+def test_equal_times_write_ul_first_whichever_direction_came_first(tmp_path):
+    # DL is recorded first but starts later; at 20 us, UL's row still
+    # comes first, in the first file as in its round trip
+    tr = PacketTrace()
+    tr.record("dl", DL, 0, 20, "cn0", 30, None)
+    tr.record("ul", UL, 0, 0, "wlan", 10, None)
+    tr.record("ul", UL, 1, 20, "wlan", 30, None)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_trace(str(first), "r0", tr)
+    write_trace(str(second), *read_trace(str(first)))
+    assert second.read_bytes() == first.read_bytes()
+    assert [line.split(",")[2:4] for line in
+            first.read_text().splitlines()[1:]] == [
+        ["UL", "0"], ["UL", "1"], ["DL", "0"]]
+
+
 def test_written_trace_bytes_are_stable(tmp_path):
     tr = PacketTrace()
     tr.record("ul", UL, 0, 0, "wlan", 25_000, None)
@@ -195,10 +212,11 @@ FATE = st.one_of(st.integers(min_value=0, max_value=300_000),
 
 @st.composite
 def recorded_traces(draw):
-    """A two-direction trace, recorded in generation order as a run and
-    read_trace record it. The directions may start apart or together, and
-    at each shared time either one may be recorded first. The UL stream
-    moves from wlan to cellular at a drawn packet."""
+    """A two-direction trace, recorded either in generation order, as a run
+    and read_trace record it, or one whole direction before the other. The
+    directions may start apart or together, and in generation order either
+    one may be recorded first at each shared time. The UL stream moves
+    from wlan to cellular at a drawn packet."""
     start = draw(st.integers(min_value=0, max_value=2_000_000))
     packets = []
     for stream_id, direction in (("ul", UL), ("dl", DL)):
@@ -212,11 +230,15 @@ def recorded_traces(draw):
             fate = ((gen + fate, None) if isinstance(fate, int)
                     else (None, fate))
             packets.append((stream_id, direction, seq, gen, iface, *fate))
+    whole_first = draw(st.sampled_from([None, UL, DL]))
     ul_first = draw(st.randoms(use_true_random=False))
     first_at: dict = {}
     # sorted is stable, so each direction keeps its seq order
-    packets.sort(key=lambda p: (p[3], first_at.setdefault(
-        p[3], ul_first.random() < 0.5) != (p[1] == UL)))
+    if whole_first is None:
+        packets.sort(key=lambda p: (p[3], first_at.setdefault(
+            p[3], ul_first.random() < 0.5) != (p[1] == UL)))
+    else:
+        packets.sort(key=lambda p: p[1] != whole_first)
     trace = PacketTrace()
     for packet in packets:
         trace.record(*packet)
@@ -224,9 +246,9 @@ def recorded_traces(draw):
 
 
 def direction_lists(trace):
-    return [(name, packets.stream_id, packets.gen, packets.iface,
-             packets.arrival, packets.cause)
-            for name, packets in trace.directions.items()]
+    return {name: (packets.stream_id, packets.gen, packets.iface,
+                   packets.arrival, packets.cause)
+            for name, packets in trace.directions.items()}
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +270,8 @@ def test_a_written_trace_reads_back_to_the_same_lists_and_bytes(
     assert second.read_bytes() == first.read_bytes()
     assert back_id == (run_id if trace.generated else "")
     assert direction_lists(back) == direction_lists(trace)
-    # rows in generation order; at a shared time, the first direction first
-    rows = trace_rows(back)
-    assert [row[3] for row in rows] == sorted(row[3] for row in rows)
+    # rows in generation order; at a shared time, UL first
+    with open(first, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    keys = [(int(row[4]), row[2] != UL) for row in rows]
+    assert keys == sorted(keys)

@@ -1,5 +1,7 @@
 """A trace's packets as rows, for tests that compare or filter packets."""
 
+from sipswitch.core import UL
+
 
 def trace_rows(trace, direction=None):
     """(stream_id, direction, seq, gen_time, send_iface, arrival, loss_cause)
@@ -10,7 +12,7 @@ def trace_rows(trace, direction=None):
             if direction in (None, name)
             for seq, fate in enumerate(zip(packets.gen, packets.iface,
                                            packets.arrival, packets.cause))]
-    rows.sort(key=lambda row: row[3])  # stable: direction order at ties
+    rows.sort(key=lambda row: (row[3], row[1] != UL, row[1]))
     return rows
 
 
