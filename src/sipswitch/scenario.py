@@ -134,8 +134,13 @@ class CallSpec:
         for iface in self.interfaces:
             found = [*violations(vars(iface), {"q_weight": Q_WEIGHT}),
                      *violations(vars(iface.link), LINK_PARAMS_RULES)]
+            # Closed is the state only the switch sets.
+            if iface.state not in (IfaceState.UP, IfaceState.DOWN):
+                found.append(("state", "must start Up or Down"))
             bad.extend(f"interface {iface.iface_id!r}: {name} {problem}"
                        for name, problem in found)
+        if all(i.state is not IfaceState.UP for i in self.interfaces):
+            bad.append("no interface starts Up")
         if self.switch_from == self.switch_to:
             bad.append("switch_from equals switch_to")
         bad.extend(validate_codec(self.codec))

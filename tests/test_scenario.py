@@ -10,6 +10,7 @@ from sipswitch.core import (
     LOSS_LINK_DOWN,
     UL,
     Address,
+    IfaceState,
     InterfaceDescriptor,
     LinkParams,
     SimulationError,
@@ -42,7 +43,7 @@ def base_spec(codec="G711", procedure=HandoffProcedure.HYBRID,
 
 
 def with_wlan(spec, **changes):
-    """spec with its wlan interface changed: q_weight or link."""
+    """spec with its wlan interface changed: q_weight, link or state."""
     spec.interfaces = [replace(i, **changes) if i.iface_id == "wlan" else i
                        for i in spec.interfaces]
     return spec
@@ -176,17 +177,42 @@ def test_media_interface_is_independent_of_signaling_priority():
     assert {r[4] for r in pre_switch_ul} == {"wlan"}
 
 
-def test_handoff_log_records_the_transition_sequence():
-    result = run_call(base_spec(procedure=HandoffProcedure.HYBRID,
+@pytest.mark.parametrize("procedure", HandoffProcedure, ids=lambda p: p.value)
+def test_handoff_log_records_the_transition_sequence(procedure):
+    result = run_call(base_spec(procedure=procedure,
                                 direction=("cellular", "wlan")))
-    lines = result.handoff_log.lines
     t0, tc, td = result.t_trigger, result.t_cn_switch, result.t_completed
-    assert f"({t0}, MN, trigger, Stable, Switching)" in lines
-    assert f"({t0}, MN, uplink-wlan, Switching, Switching)" in lines
-    assert f"({tc}, CN, dst-switch, Switching, Switching)" in lines
-    assert f"({td}, MN, ok, Switching, Completed)" in lines
-    assert f"({td}, MN, close-cellular, Completed, Completed)" in lines
-    assert result.closed_old_at == td
+    close = "close-cellular, {0}, {0}"
+    uplink = "uplink-wlan, {0}, {0}"
+    at_trigger, at_ok = {
+        HandoffProcedure.HARD: ([close, uplink], []),
+        HandoffProcedure.HYBRID: ([uplink], [close]),
+        HandoffProcedure.SOFT: ([], [uplink, close]),
+    }[procedure]
+    assert result.handoff_log.lines == [
+        f"({t0}, MN, trigger, Stable, Switching)",
+        *(f"({t0}, MN, {line.format('Switching')})" for line in at_trigger),
+        f"({tc}, CN, dst-switch, Switching, Switching)",
+        *(f"({td}, MN, {line.format('Completed')})" for line in at_ok),
+        f"({td}, MN, ok, Switching, Completed)",
+    ]
+    assert result.closed_old_at == (t0 if close in at_trigger else td)
+
+
+def test_trigger_refused_when_new_interface_not_up():
+    # the one handoff.log line no golden tree reaches: the switch is
+    # refused, and the call goes on to its end on the old interface
+    spec = base_spec()
+    spec.interfaces = [replace(i, state=IfaceState.DOWN)
+                       if i.iface_id == "cellular" else i
+                       for i in spec.interfaces]
+    result = run_call(spec)
+    t = spec.call_start_us + spec.switch_offset_us
+    assert result.handoff_log.lines == [
+        f"({t}, MN, warn:trigger-refused:new-iface-not-up, Stable, Stable)"]
+    assert not result.aborted
+    assert result.state.phase is HandoffPhase.STABLE
+    assert {r[4] for r in trace_rows(result.trace, UL)} == {"wlan"}
 
 
 def test_hard_closes_at_trigger_soft_closes_at_ok():
@@ -295,6 +321,18 @@ def test_invalid_specs_are_rejected_with_reasons():
                            match="invalid call spec: switch offset"):
             run_call(spec)
     assert base_spec(switch_jitter_us=4_999_999).validate() == []
+
+    # a run needs an Up interface to register, and Closed is the state only
+    # the switch itself sets
+    spec = base_spec()
+    spec.interfaces = [replace(i, state=IfaceState.DOWN)
+                       for i in spec.interfaces]
+    with pytest.raises(SimulationError, match="no interface starts Up"):
+        run_call(spec)
+    spec = with_wlan(base_spec(), state=IfaceState.CLOSED)
+    with pytest.raises(SimulationError,
+                       match="interface 'wlan': state must start Up or Down"):
+        run_call(spec)
 
     assert base_spec().validate() == []
 
