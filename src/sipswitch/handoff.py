@@ -1,22 +1,19 @@
-"""Mid-call interface switching: hard, hybrid, and soft procedures as one
-parameterized state machine per session endpoint.
+"""Mid-call interface switching: the hard, hybrid and soft procedures.
 
-The three procedures differ only in when the mobile node moves its uplink
-and closes the old interface:
+The three procedures differ only in when the mobile node (MN) moves its
+uplink to the new interface and closes the old one. PROCEDURE_STEPS is that
+table, and the only place where they differ: the steps the MN applies, in
+order, at the switching trigger and at the OK that answers its re-INVITE.
 
-  hard    break-before-make: close old + move uplink at the trigger
-  hybrid  move uplink at the trigger, close old at OK reception
-  soft    make-before-break: move uplink and close old at OK reception
+  procedure  at the trigger          at the OK
+  hard       close old, uplink new   -
+  hybrid     uplink new              close old
+  soft       -                       uplink new, close old
 
-The correspondent node behaves identically in all three: it retargets
-downlink media when the re-INVITE arrives and the OK is dispatched, as one
-atomic step.
-
-Operations mutate the HandoffState and return a list of action tuples for
-the caller to execute and log: ("send-reinvite", iface), ("send-ok", iface),
-("close-iface", iface), ("set-uplink", iface), ("set-cn-dst", iface),
-("warn", reason). State effects are already applied when the list is
-returned; callers perform only the sends and the logging.
+Hard is break-before-make, soft make-before-break. The correspondent node
+(CN) behaves the same in all three: the first copy of the re-INVITE to
+arrive retargets its downlink media to the new interface, in the step that
+answers it.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import DL, UL, IfaceState, SimTime
-from .sip import SipMessage, SipMethod
 
 
 class HandoffProcedure(enum.Enum):
@@ -59,7 +55,7 @@ class HandoffState:
     t_trigger: Optional[SimTime] = None
     t_cn_switch: Optional[SimTime] = None
     t_completed: Optional[SimTime] = None
-    seen_reinvites: set[int] = field(default_factory=set)
+    closed_old_at: Optional[SimTime] = None
 
     def __post_init__(self):
         self.ul_media_iface = self.ul_media_iface or self.old_iface
@@ -72,65 +68,33 @@ class HandoffState:
         return self.iface_states[self.old_iface]
 
 
-def mn_trigger(state: HandoffState, proc: HandoffProcedure,
-               t: SimTime) -> list[tuple]:
-    """MN-side switching trigger. Refused (no state change) unless the
-    session is Stable and the new interface is Up."""
-    if state.phase is not HandoffPhase.STABLE:
-        return [("warn", f"trigger-refused:phase-{state.phase.value}")]
-    if state.iface_states[state.new_iface] is not IfaceState.UP:
-        return [("warn", "trigger-refused:new-iface-not-up")]
-    state.phase = HandoffPhase.SWITCHING
-    state.t_trigger = t
-    actions: list[tuple] = [("send-reinvite", state.new_iface)]
-    if proc is HandoffProcedure.HARD:
-        state.iface_states[state.old_iface] = IfaceState.CLOSED
+class Step(enum.Enum):
+    """One change the MN makes to its media path during a switch."""
+
+    CLOSE_OLD = "close old"
+    UPLINK_NEW = "uplink new"
+
+    def apply(self, state: HandoffState, t: SimTime) -> str:
+        """Make the change at time t; returns its handoff.log transition."""
+        if self is Step.CLOSE_OLD:
+            state.iface_states[state.old_iface] = IfaceState.CLOSED
+            state.closed_old_at = t
+            return f"close-{state.old_iface}"
         state.ul_media_iface = state.new_iface
-        actions.append(("close-iface", state.old_iface))
-        actions.append(("set-uplink", state.new_iface))
-    elif proc is HandoffProcedure.HYBRID:
-        state.ul_media_iface = state.new_iface
-        actions.append(("set-uplink", state.new_iface))
-    # Soft: media keeps flowing through the old interface until OK.
-    return actions
+        return f"uplink-{state.new_iface}"
+
+    def applied(self, state: HandoffState) -> bool:
+        if self is Step.CLOSE_OLD:
+            return state.old_iface_state is IfaceState.CLOSED
+        return state.ul_media_iface == state.new_iface
 
 
-def cn_on_reinvite(state: HandoffState, msg: SipMessage,
-                   t: SimTime) -> list[tuple]:
-    """CN-side re-INVITE handling: answer OK on the arrival path and retarget
-    downlink media, effective for packets generated at or after t.
-
-    Retransmitted duplicates get a fresh OK but change nothing.
-    """
-    if msg.method is not SipMethod.REINVITE:
-        raise ValueError(f"cn_on_reinvite needs REINVITE, got {msg.method.value}")
-    if msg.msg_id in state.seen_reinvites:
-        return [("send-ok", msg.via_iface)]
-    state.seen_reinvites.add(msg.msg_id)
-    # The peer's media_src is where it now wants to receive downlink media.
-    state.dl_media_iface = msg.media_src.iface
-    state.t_cn_switch = t
-    return [("send-ok", msg.via_iface), ("set-cn-dst", state.dl_media_iface)]
-
-
-def mn_on_ok(state: HandoffState, proc: HandoffProcedure,
-             t: SimTime) -> list[tuple]:
-    """MN-side OK handling: finishes the procedure."""
-    if state.phase is not HandoffPhase.SWITCHING:
-        return [("warn", "ok-with-no-pending-handoff")]
-    actions: list[tuple] = []
-    if proc is HandoffProcedure.HYBRID:
-        state.iface_states[state.old_iface] = IfaceState.CLOSED
-        actions.append(("close-iface", state.old_iface))
-    elif proc is HandoffProcedure.SOFT:
-        state.ul_media_iface = state.new_iface
-        state.iface_states[state.old_iface] = IfaceState.CLOSED
-        actions.append(("set-uplink", state.new_iface))
-        actions.append(("close-iface", state.old_iface))
-    # Hard: the old interface was already closed at the trigger.
-    state.phase = HandoffPhase.COMPLETED
-    state.t_completed = t
-    return actions
+# Each procedure's (steps at the trigger, steps at the OK).
+PROCEDURE_STEPS: dict[HandoffProcedure, tuple[tuple[Step, ...], ...]] = {
+    HandoffProcedure.HARD: ((Step.CLOSE_OLD, Step.UPLINK_NEW), ()),
+    HandoffProcedure.HYBRID: ((Step.UPLINK_NEW,), (Step.CLOSE_OLD,)),
+    HandoffProcedure.SOFT: ((), (Step.UPLINK_NEW, Step.CLOSE_OLD)),
+}
 
 
 def media_route(state: HandoffState, direction: str) -> Optional[str]:
@@ -152,27 +116,25 @@ def media_route(state: HandoffState, direction: str) -> Optional[str]:
 
 
 def check_state(state: HandoffState, proc: HandoffProcedure) -> list[str]:
-    """Structural invariant check; returns violations (empty when sound)."""
-    bad: list[str] = []
-    if state.phase is HandoffPhase.STABLE:
-        if state.ul_media_iface != state.old_iface:
-            bad.append("Stable but uplink not on old interface")
-        if state.dl_media_iface != state.old_iface:
-            bad.append("Stable but CN targets a non-old address")
-    elif state.phase is HandoffPhase.COMPLETED:
-        if state.ul_media_iface != state.new_iface:
-            bad.append("Completed but uplink not on new interface")
-        if state.dl_media_iface != state.new_iface:
-            bad.append("Completed but CN not targeting new address")
-        if state.old_iface_state is not IfaceState.CLOSED:
-            bad.append("Completed but old interface not Closed")
-    elif state.phase is HandoffPhase.SWITCHING:
-        if proc is HandoffProcedure.HARD and \
-                state.old_iface_state is not IfaceState.CLOSED:
-            bad.append("hard Switching but old interface not Closed")
-        if proc is HandoffProcedure.SOFT and \
-                state.ul_media_iface != state.old_iface:
-            bad.append("soft Switching but uplink left old interface early")
+    """Structural invariant check; returns violations (empty when sound).
+
+    Stable has applied no step, Switching exactly its procedure's trigger
+    steps, and Completed every step. The CN targets the old interface while
+    Stable and the new one once Completed.
+    """
+    at_trigger, at_ok = PROCEDURE_STEPS[proc]
+    due = {HandoffPhase.STABLE: (), HandoffPhase.SWITCHING: at_trigger,
+           HandoffPhase.COMPLETED: at_trigger + at_ok}[state.phase]
+    phase = f"{proc.value} {state.phase.value}"
+    bad = []
+    for step in Step:
+        if step.applied(state) is not (step in due):
+            done = "not applied" if step in due else "applied"
+            bad.append(f"{phase} but {step.value} {done}")
+    cn_dst = {HandoffPhase.STABLE: state.old_iface,
+              HandoffPhase.COMPLETED: state.new_iface}.get(state.phase)
+    if cn_dst is not None and state.dl_media_iface != cn_dst:
+        bad.append(f"{phase} but CN not targeting {cn_dst}")
     return bad
 
 

@@ -58,11 +58,10 @@ from .handoff import (
     HandoffPhase,
     HandoffProcedure,
     HandoffState,
+    PROCEDURE_STEPS,
+    Step,
     check_state,
-    cn_on_reinvite,
     media_route,
-    mn_on_ok,
-    mn_trigger,
 )
 from .simnet import Engine, Fate, Link, RngStream
 from .sip import (
@@ -205,7 +204,6 @@ class _CallRuntime:
         self.setup_transaction: Optional[ForwardTransaction] = None
         self.aborted = False
         self.abort_reason: Optional[str] = None
-        self.closed_old_at: Optional[SimTime] = None
 
         # Setup-phase handshake bookkeeping.
         self._cn_established = False
@@ -338,74 +336,60 @@ class _CallRuntime:
     # -- handoff phase -----------------------------------------------------
 
     def _on_trigger(self) -> None:
-        t = self.engine.now
-        before = self.state.phase.value
-        actions = mn_trigger(self.state, self.spec.procedure, t)
-        self._check_state()
-        for action in actions:
-            self._apply_mn_action(action, before, "trigger")
+        """The MN switches now, unless its new interface is not Up."""
+        t, state = self.engine.now, self.state
+        if state.iface_states[state.new_iface] is not IfaceState.UP:
+            self.handoff_log.record(t, "MN",
+                                    "warn:trigger-refused:new-iface-not-up",
+                                    "Stable", "Stable")
+            return
+        state.phase, state.t_trigger = HandoffPhase.SWITCHING, t
+        self.handoff_log.record(t, "MN", "trigger", "Stable", "Switching")
+        msg = self._message(SipMethod.REINVITE, MN_URI, state.new_iface,
+                            media_src=mn_address(state.new_iface))
+        self._mn_send(msg)
+        self._keep_resending(
+            lambda: self._mn_send(msg),
+            lambda: state.phase is HandoffPhase.SWITCHING, "reinvite")
+        self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][0])
 
-    def _apply_mn_action(self, action: tuple, phase_before: str,
-                         transition: str) -> None:
-        t = self.engine.now
-        kind = action[0]
-        if kind == "send-reinvite":
-            new_iface = action[1]
-            self.handoff_log.record(t, "MN", transition, phase_before,
-                                    self.state.phase.value)
-            msg = self._message(
-                SipMethod.REINVITE, MN_URI, new_iface,
-                media_src=mn_address(new_iface))
-            self._mn_send(msg)
-            self._keep_resending(
-                lambda: self._mn_send(msg),
-                lambda: self.state.phase is HandoffPhase.SWITCHING, "reinvite")
-        elif kind == "close-iface":
-            self.closed_old_at = t
-            self.handoff_log.record(t, "MN", f"close-{action[1]}",
-                                    self.state.phase.value,
-                                    self.state.phase.value)
-        elif kind == "set-uplink":
-            self.handoff_log.record(t, "MN", f"uplink-{action[1]}",
-                                    self.state.phase.value,
-                                    self.state.phase.value)
-        elif kind == "warn":
-            self.handoff_log.record(t, "MN", f"warn:{action[1]}",
-                                    phase_before, self.state.phase.value)
+    def _apply_steps(self, steps: tuple[Step, ...]) -> None:
+        """Apply and log a row of the procedure table, in order."""
+        t, phase = self.engine.now, self.state.phase.value
+        for step in steps:
+            self.handoff_log.record(t, "MN", step.apply(self.state, t),
+                                    phase, phase)
+        self._check_state()
 
     def _cn_on_reinvite(self, msg: SipMessage) -> None:
-        t = self.engine.now
-        actions = cn_on_reinvite(self.state, msg, t)
-        self._check_state()
-        for action in actions:
-            if action[0] == "send-ok":
-                ok = self._message(SipMethod.OK, CN_URI, action[1],
-                                   msg.msg_id)
-                first = self._handoff_ok is None
-                self._handoff_ok = ok
-                self._cn_send(ok)
-                if first:  # one timer; it resends the latest OK
-                    self._keep_resending(
-                        lambda: self._cn_send(self._handoff_ok),
-                        lambda: not self._handoff_ok_acked, "handoff-ok")
-            elif action[0] == "set-cn-dst":
-                self.handoff_log.record(t, "CN", "dst-switch",
-                                        self.state.phase.value,
-                                        self.state.phase.value)
+        """The CN answers every copy of the re-INVITE. The first copy also
+        retargets downlink media, effective for packets generated from now
+        on; a run has one re-INVITE, whose resends reuse its msg_id."""
+        t, state = self.engine.now, self.state
+        first = state.t_cn_switch is None
+        if first:
+            # The peer's media_src is where it now wants downlink media.
+            state.dl_media_iface, state.t_cn_switch = msg.media_src.iface, t
+            self._check_state()
+        ok = self._handoff_ok = self._message(SipMethod.OK, CN_URI,
+                                              msg.via_iface, msg.msg_id)
+        self._cn_send(ok)
+        if first:  # one timer; it resends the latest OK
+            self._keep_resending(
+                lambda: self._cn_send(self._handoff_ok),
+                lambda: not self._handoff_ok_acked, "handoff-ok")
+            self.handoff_log.record(t, "CN", "dst-switch", state.phase.value,
+                                    state.phase.value)
 
     def _mn_on_handoff_ok(self, msg: SipMessage) -> None:
-        t = self.engine.now
-        if self.state.phase is HandoffPhase.SWITCHING:
-            before = self.state.phase.value
-            actions = mn_on_ok(self.state, self.spec.procedure, t)
-            self._check_state()
-            for action in actions:
-                self._apply_mn_action(action, before, "ok")
-            self.handoff_log.record(t, "MN", "ok", before,
-                                    self.state.phase.value)
+        t, state = self.engine.now, self.state
+        if state.phase is HandoffPhase.SWITCHING:
+            state.phase, state.t_completed = HandoffPhase.COMPLETED, t
+            self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][1])
+            self.handoff_log.record(t, "MN", "ok", "Switching", "Completed")
         # ACK in all cases, including re-answering a retransmitted OK.
         self._mn_send(self._message(SipMethod.ACK, MN_URI,
-                                    self.state.new_iface, msg.msg_id))
+                                    state.new_iface, msg.msg_id))
 
     def _watchdog(self) -> None:
         if self.state.phase is HandoffPhase.SWITCHING:
@@ -529,7 +513,7 @@ class _CallRuntime:
             t_trigger=self.state.t_trigger,
             t_cn_switch=self.state.t_cn_switch,
             t_completed=self.state.t_completed,
-            closed_old_at=self.closed_old_at,
+            closed_old_at=self.state.closed_old_at,
             setup_transaction=self.setup_transaction)
 
 

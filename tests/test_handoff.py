@@ -1,28 +1,44 @@
+from dataclasses import replace
+
 import pytest
 
-from sipswitch.core import DL, UL, Address, IfaceState
+from sipswitch.config import build_call_spec
+from sipswitch.core import DL, UL, IfaceState
 from sipswitch.handoff import (
+    PROCEDURE_STEPS,
     HandoffLog,
     HandoffPhase,
     HandoffProcedure,
     HandoffState,
+    Step,
     check_state,
-    cn_on_reinvite,
     media_route,
-    mn_on_ok,
-    mn_trigger,
 )
-from sipswitch.sip import SipMessage, SipMethod
+from sipswitch.scenario import run_call
+
+HARD, HYBRID, SOFT = HandoffProcedure
 
 
 def fresh_state():
     return HandoffState(old_iface="wlan", new_iface="cellular")
 
 
-def reinvite(msg_id=7, via="cellular"):
-    return SipMessage(SipMethod.REINVITE, "mn", "cn", via, 700,
-                      media_src=Address("mn", "cellular", 5004),
-                      msg_id=msg_id)
+# The runtime's three moves, as it makes them: the MN's trigger at 10 and OK
+# at 50 each enter a phase and apply their row of the table, in order; the
+# CN's first re-INVITE at 25 retargets the downlink.
+
+def trigger(s, proc):
+    s.phase, s.t_trigger = HandoffPhase.SWITCHING, 10
+    return [step.apply(s, 10) for step in PROCEDURE_STEPS[proc][0]]
+
+
+def cn_switch(s):
+    s.dl_media_iface, s.t_cn_switch = s.new_iface, 25
+
+
+def ok(s, proc):
+    s.phase, s.t_completed = HandoffPhase.COMPLETED, 50
+    return [step.apply(s, 50) for step in PROCEDURE_STEPS[proc][1]]
 
 
 def test_initial_state_defaults():
@@ -31,7 +47,9 @@ def test_initial_state_defaults():
     assert s.ul_media_iface == "wlan"
     assert s.dl_media_iface == "wlan"
     assert s.iface_states == {"wlan": IfaceState.UP, "cellular": IfaceState.UP}
-    assert check_state(s, HandoffProcedure.HARD) == []
+    assert s.closed_old_at is None
+    assert not any(step.applied(s) for step in Step)
+    assert check_state(s, HARD) == []
 
 
 # ---------------------------------------------------------------------------
@@ -40,80 +58,62 @@ def test_initial_state_defaults():
 
 def test_hard_trigger_closes_old_and_moves_uplink():
     s = fresh_state()
-    actions = mn_trigger(s, HandoffProcedure.HARD, 31_000_000)
-    assert actions == [("send-reinvite", "cellular"),
-                       ("close-iface", "wlan"),
-                       ("set-uplink", "cellular")]
-    assert s.phase is HandoffPhase.SWITCHING
-    assert s.t_trigger == 31_000_000
+    assert trigger(s, HARD) == ["close-wlan", "uplink-cellular"]
     assert s.iface_states["wlan"] is IfaceState.CLOSED
+    assert s.closed_old_at == 10
     assert s.ul_media_iface == "cellular"
-    assert check_state(s, HandoffProcedure.HARD) == []
+    assert check_state(s, HARD) == []
 
 
 def test_hybrid_trigger_moves_uplink_but_keeps_old_open():
     s = fresh_state()
-    actions = mn_trigger(s, HandoffProcedure.HYBRID, 31_000_000)
-    assert actions == [("send-reinvite", "cellular"),
-                       ("set-uplink", "cellular")]
+    assert trigger(s, HYBRID) == ["uplink-cellular"]
     assert s.iface_states["wlan"] is IfaceState.UP
+    assert s.closed_old_at is None
     assert s.ul_media_iface == "cellular"
-    assert check_state(s, HandoffProcedure.HYBRID) == []
+    assert check_state(s, HYBRID) == []
 
 
 def test_soft_trigger_changes_no_media_path():
     s = fresh_state()
-    actions = mn_trigger(s, HandoffProcedure.SOFT, 31_000_000)
-    assert actions == [("send-reinvite", "cellular")]
+    assert trigger(s, SOFT) == []
     assert s.iface_states["wlan"] is IfaceState.UP
     assert s.ul_media_iface == "wlan"
-    assert check_state(s, HandoffProcedure.SOFT) == []
-
-
-def test_trigger_refused_when_new_interface_not_up():
-    for bad in (IfaceState.DOWN, IfaceState.CLOSED):
-        s = fresh_state()
-        s.iface_states["cellular"] = bad
-        actions = mn_trigger(s, HandoffProcedure.HARD, 1)
-        assert actions == [("warn", "trigger-refused:new-iface-not-up")]
-        assert s.phase is HandoffPhase.STABLE
-        assert s.t_trigger is None
-
-
-def test_trigger_refused_when_not_stable():
-    s = fresh_state()
-    mn_trigger(s, HandoffProcedure.SOFT, 1)
-    actions = mn_trigger(s, HandoffProcedure.SOFT, 2)
-    assert actions == [("warn", "trigger-refused:phase-Switching")]
-    assert s.t_trigger == 1  # unchanged
+    assert check_state(s, SOFT) == []
 
 
 # ---------------------------------------------------------------------------
-# re-INVITE at the CN
+# re-INVITE at the CN, run end to end
 
 
-def test_first_reinvite_retargets_downlink():
-    s = fresh_state()
-    mn_trigger(s, HandoffProcedure.SOFT, 10)
-    actions = cn_on_reinvite(s, reinvite(), 25)
-    assert actions == [("send-ok", "cellular"), ("set-cn-dst", "cellular")]
-    assert s.dl_media_iface == "cellular"
-    assert s.t_cn_switch == 25
+def reinvites(result):
+    """Arrival times of the re-INVITE copies that reached the CN."""
+    return [int(line.rsplit("delivered@", 1)[1].rstrip(")"))
+            for line in result.signaling.lines
+            if ", REINVITE," in line and "delivered@" in line]
 
 
-def test_duplicate_reinvite_gets_ok_but_changes_nothing():
-    s = fresh_state()
-    mn_trigger(s, HandoffProcedure.SOFT, 10)
-    cn_on_reinvite(s, reinvite(msg_id=7), 25)
-    actions = cn_on_reinvite(s, reinvite(msg_id=7), 40)
-    assert actions == [("send-ok", "cellular")]
-    assert s.t_cn_switch == 25  # first arrival stands
+def test_first_reinvite_retargets_downlink(make_config):
+    result = run_call(build_call_spec(make_config(), "G729", "soft",
+                                      "wlan-to-cellular", 0))
+    assert reinvites(result) == [result.t_cn_switch]
+    assert result.state.dl_media_iface == "cellular"
+    assert [l for l in result.handoff_log.lines if ", CN," in l] == [
+        f"({result.t_cn_switch}, CN, dst-switch, Switching, Switching)"]
 
 
-def test_cn_on_reinvite_rejects_other_methods():
-    with pytest.raises(ValueError):
-        cn_on_reinvite(fresh_state(),
-                       SipMessage(SipMethod.OK, "mn", "cn", "cellular", 450), 5)
+def test_duplicate_reinvite_gets_ok_but_changes_nothing(make_config):
+    # the CN's first OK is lost, so the MN resends its re-INVITE
+    spec = build_call_spec(make_config(), "G729", "soft",
+                           "wlan-to-cellular", 0)
+    result = run_call(replace(
+        spec, signaling_drop_plan=frozenset({("OK", 0)})))
+    first, duplicate = reinvites(result)
+    assert result.t_cn_switch == first  # the first arrival stands
+    assert any(l.startswith(f"({duplicate}, OK, cn, mn,")
+               for l in result.signaling.lines)
+    assert sum(", CN," in l for l in result.handoff_log.lines) == 1
+    assert result.state.phase is HandoffPhase.COMPLETED
 
 
 # ---------------------------------------------------------------------------
@@ -122,41 +122,32 @@ def test_cn_on_reinvite_rejects_other_methods():
 
 def test_ok_completes_hard_with_no_further_media_changes():
     s = fresh_state()
-    mn_trigger(s, HandoffProcedure.HARD, 10)
-    cn_on_reinvite(s, reinvite(), 25)
-    actions = mn_on_ok(s, HandoffProcedure.HARD, 50)
-    assert actions == []
+    trigger(s, HARD)
+    cn_switch(s)
+    assert ok(s, HARD) == []
     assert s.phase is HandoffPhase.COMPLETED
-    assert s.t_completed == 50
-    assert check_state(s, HandoffProcedure.HARD) == []
+    assert s.closed_old_at == 10
+    assert check_state(s, HARD) == []
 
 
 def test_ok_closes_old_interface_for_hybrid():
     s = fresh_state()
-    mn_trigger(s, HandoffProcedure.HYBRID, 10)
-    cn_on_reinvite(s, reinvite(), 25)
-    actions = mn_on_ok(s, HandoffProcedure.HYBRID, 50)
-    assert actions == [("close-iface", "wlan")]
+    trigger(s, HYBRID)
+    cn_switch(s)
+    assert ok(s, HYBRID) == ["close-wlan"]
     assert s.iface_states["wlan"] is IfaceState.CLOSED
-    assert check_state(s, HandoffProcedure.HYBRID) == []
+    assert s.closed_old_at == 50
+    assert check_state(s, HYBRID) == []
 
 
 def test_ok_moves_uplink_and_closes_old_for_soft():
     s = fresh_state()
-    mn_trigger(s, HandoffProcedure.SOFT, 10)
-    cn_on_reinvite(s, reinvite(), 25)
-    actions = mn_on_ok(s, HandoffProcedure.SOFT, 50)
-    assert actions == [("set-uplink", "cellular"), ("close-iface", "wlan")]
+    trigger(s, SOFT)
+    cn_switch(s)
+    assert ok(s, SOFT) == ["uplink-cellular", "close-wlan"]
     assert s.ul_media_iface == "cellular"
     assert s.iface_states["wlan"] is IfaceState.CLOSED
-    assert check_state(s, HandoffProcedure.SOFT) == []
-
-
-def test_ok_without_pending_handoff_warns():
-    s = fresh_state()
-    assert mn_on_ok(s, HandoffProcedure.SOFT, 5) == \
-        [("warn", "ok-with-no-pending-handoff")]
-    assert s.phase is HandoffPhase.STABLE
+    assert check_state(s, SOFT) == []
 
 
 # ---------------------------------------------------------------------------
@@ -172,34 +163,34 @@ def test_stable_routes_both_directions_through_old():
 
 def test_hard_switching_drops_downlink_until_cn_retargets():
     s = fresh_state()
-    mn_trigger(s, HandoffProcedure.HARD, 10)
+    trigger(s, HARD)
     # uplink already re-routed; downlink still aimed at the Closed interface
     assert media_route(s, UL) == "cellular"
     assert media_route(s, DL) is None
-    cn_on_reinvite(s, reinvite(), 25)
+    cn_switch(s)
     assert media_route(s, DL) == "cellular"
 
 
 def test_hybrid_switching_loses_nothing():
     s = fresh_state()
-    mn_trigger(s, HandoffProcedure.HYBRID, 10)
+    trigger(s, HYBRID)
     # old interface still open: downlink keeps arriving there
     assert media_route(s, UL) == "cellular"
     assert media_route(s, DL) == "wlan"
-    cn_on_reinvite(s, reinvite(), 25)
+    cn_switch(s)
     assert media_route(s, DL) == "cellular"
-    mn_on_ok(s, HandoffProcedure.HYBRID, 50)
+    ok(s, HYBRID)
     assert media_route(s, DL) == "cellular"
     assert media_route(s, UL) == "cellular"
 
 
 def test_soft_switching_keeps_uplink_on_old_until_ok():
     s = fresh_state()
-    mn_trigger(s, HandoffProcedure.SOFT, 10)
+    trigger(s, SOFT)
     assert media_route(s, UL) == "wlan"
-    cn_on_reinvite(s, reinvite(), 25)
+    cn_switch(s)
     assert media_route(s, UL) == "wlan"
-    mn_on_ok(s, HandoffProcedure.SOFT, 50)
+    ok(s, SOFT)
     assert media_route(s, UL) == "cellular"
     assert media_route(s, DL) == "cellular"
 
@@ -213,65 +204,74 @@ def test_media_route_rejects_unknown_direction():
 # invariant checking and logging
 
 
+def corrupt(proc, phase, old=None, **fields):
+    """check_state of a session taken to phase, then given the old
+    interface's state and the fields."""
+    s = fresh_state()
+    if phase is not HandoffPhase.STABLE:
+        trigger(s, proc)
+    if phase is HandoffPhase.COMPLETED:
+        cn_switch(s)
+        ok(s, proc)
+    if old is not None:
+        s.iface_states["wlan"] = old
+    for name, value in fields.items():
+        setattr(s, name, value)
+    return check_state(s, proc)
+
+
+STABLE, SWITCHING, COMPLETED = HandoffPhase
+CLOSED, UP = IfaceState.CLOSED, IfaceState.UP
+
+
 def test_check_state_flags_corrupted_states():
-    s = fresh_state()
-    s.ul_media_iface = "cellular"  # Stable but uplink moved
-    assert check_state(s, HandoffProcedure.SOFT) == \
-        ["Stable but uplink not on old interface"]
+    for proc, phase, changes, violation in [
+        (SOFT, STABLE, {"ul_media_iface": "cellular"},
+         "soft Stable but uplink new applied"),
+        (SOFT, STABLE, {"dl_media_iface": "cellular"},  # no re-INVITE yet
+         "soft Stable but CN not targeting wlan"),
+        (HARD, STABLE, {"old": CLOSED}, "hard Stable but close old applied"),
+        (HARD, SWITCHING, {"old": UP},
+         "hard Switching but close old not applied"),
+        (HARD, SWITCHING, {"ul_media_iface": "wlan"},
+         "hard Switching but uplink new not applied"),
+        (HYBRID, SWITCHING, {"old": CLOSED},
+         "hybrid Switching but close old applied"),
+        (HYBRID, SWITCHING, {"ul_media_iface": "wlan"},
+         "hybrid Switching but uplink new not applied"),
+        (SOFT, SWITCHING, {"ul_media_iface": "cellular"},  # moved early
+         "soft Switching but uplink new applied"),
+        (SOFT, SWITCHING, {"old": CLOSED},
+         "soft Switching but close old applied"),
+        (HYBRID, COMPLETED, {"old": UP},
+         "hybrid Completed but close old not applied"),
+        (SOFT, COMPLETED, {"dl_media_iface": "wlan"},  # the CN's switch undone
+         "soft Completed but CN not targeting cellular"),
+        (SOFT, COMPLETED, {"ul_media_iface": "wlan"},
+         "soft Completed but uplink new not applied"),
+    ]:
+        assert corrupt(proc, phase) == []
+        assert corrupt(proc, phase, **changes) == [violation]
 
-    s = fresh_state()
-    mn_trigger(s, HandoffProcedure.HARD, 10)
-    s.iface_states["wlan"] = IfaceState.UP  # hard must have closed it
-    assert check_state(s, HandoffProcedure.HARD) == \
-        ["hard Switching but old interface not Closed"]
 
-    s = fresh_state()
-    mn_trigger(s, HandoffProcedure.SOFT, 10)
-    s.ul_media_iface = "cellular"  # soft must not move uplink early
-    assert check_state(s, HandoffProcedure.SOFT) == \
-        ["soft Switching but uplink left old interface early"]
-
-    s = fresh_state()
-    mn_trigger(s, HandoffProcedure.HYBRID, 10)
-    cn_on_reinvite(s, reinvite(), 25)
-    mn_on_ok(s, HandoffProcedure.HYBRID, 50)
-    s.iface_states["wlan"] = IfaceState.UP
-    assert check_state(s, HandoffProcedure.HYBRID) == \
-        ["Completed but old interface not Closed"]
-
-    s = fresh_state()
-    s.dl_media_iface = "cellular"  # CN retargeted with no re-INVITE
-    assert check_state(s, HandoffProcedure.SOFT) == \
-        ["Stable but CN targets a non-old address"]
-
-    s = fresh_state()
-    mn_trigger(s, HandoffProcedure.SOFT, 10)
-    cn_on_reinvite(s, reinvite(), 25)
-    mn_on_ok(s, HandoffProcedure.SOFT, 50)
-    s.dl_media_iface = "wlan"  # the CN's switch undone
-    assert check_state(s, HandoffProcedure.SOFT) == \
-        ["Completed but CN not targeting new address"]
-
-    s = fresh_state()
-    mn_trigger(s, HandoffProcedure.SOFT, 10)
-    cn_on_reinvite(s, reinvite(), 25)
-    mn_on_ok(s, HandoffProcedure.SOFT, 50)
-    s.ul_media_iface = "wlan"  # the uplink move undone
-    assert check_state(s, HandoffProcedure.SOFT) == \
-        ["Completed but uplink not on new interface"]
+def test_every_procedure_applies_each_step_once():
+    # what Completed checks: the trigger and OK rows split the steps
+    for at_trigger, at_ok in PROCEDURE_STEPS.values():
+        assert sorted(at_trigger + at_ok, key=list(Step).index) == list(Step)
+    assert list(PROCEDURE_STEPS) == list(HandoffProcedure)
 
 
 def test_full_lifecycle_is_invariant_clean_for_every_procedure():
     for proc in HandoffProcedure:
         s = fresh_state()
         assert check_state(s, proc) == []
-        mn_trigger(s, proc, 10)
+        trigger(s, proc)
         assert check_state(s, proc) == []
-        cn_on_reinvite(s, reinvite(), 25)
+        cn_switch(s)
         assert check_state(s, proc) == []
-        mn_on_ok(s, proc, 50)
+        ok(s, proc)
         assert check_state(s, proc) == []
-        assert (s.t_trigger, s.t_cn_switch, s.t_completed) == (10, 25, 50)
+        assert all(step.applied(s) for step in Step)
 
 
 def test_handoff_log_format():
