@@ -182,21 +182,29 @@ def test_handoff_log_records_the_transition_sequence(procedure):
     result = run_call(base_spec(procedure=procedure,
                                 direction=("cellular", "wlan")))
     t0, tc, td = result.t_trigger, result.t_cn_switch, result.t_completed
-    close = "close-cellular, {0}, {0}"
-    uplink = "uplink-wlan, {0}, {0}"
-    at_trigger, at_ok = {
-        HandoffProcedure.HARD: ([close, uplink], []),
-        HandoffProcedure.HYBRID: ([uplink], [close]),
-        HandoffProcedure.SOFT: ([], [uplink, close]),
+    trigger = f"({t0}, MN, trigger, Stable, Switching)"
+    dst_switch = f"({tc}, CN, dst-switch, Switching, Switching)"
+    ok = f"({td}, MN, ok, Switching, Completed)"
+    assert result.handoff_log.lines == {
+        HandoffProcedure.HARD: [
+            trigger,
+            f"({t0}, MN, close-cellular, Switching, Switching)",
+            f"({t0}, MN, uplink-wlan, Switching, Switching)",
+            dst_switch, ok],
+        HandoffProcedure.HYBRID: [
+            trigger,
+            f"({t0}, MN, uplink-wlan, Switching, Switching)",
+            dst_switch,
+            f"({td}, MN, close-cellular, Completed, Completed)",
+            ok],
+        HandoffProcedure.SOFT: [
+            trigger, dst_switch,
+            f"({td}, MN, uplink-wlan, Completed, Completed)",
+            f"({td}, MN, close-cellular, Completed, Completed)",
+            ok],
     }[procedure]
-    assert result.handoff_log.lines == [
-        f"({t0}, MN, trigger, Stable, Switching)",
-        *(f"({t0}, MN, {line.format('Switching')})" for line in at_trigger),
-        f"({tc}, CN, dst-switch, Switching, Switching)",
-        *(f"({td}, MN, {line.format('Completed')})" for line in at_ok),
-        f"({td}, MN, ok, Switching, Completed)",
-    ]
-    assert result.closed_old_at == (t0 if close in at_trigger else td)
+    hard = procedure is HandoffProcedure.HARD
+    assert result.closed_old_at == (t0 if hard else td)
 
 
 def test_trigger_refused_when_new_interface_not_up():
