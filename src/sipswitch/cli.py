@@ -11,8 +11,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
-from math import fsum
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from statistics import fmean
 from typing import Any, Optional
@@ -33,13 +33,13 @@ from .core import (
     UL,
     CodecProfile,
     InternalInvariantError,
-    SimulationError,
     validate_codec,
     violations,
 )
 from .metrics import (
     EModelParams,
     WindowMetrics,
+    WindowSums,
     call_summary,
     stdev,
     window_series,
@@ -59,28 +59,25 @@ class AggregateSeries:
 
 
 AGGREGATE_FIELDS = ("mean_delay_ms", "ppl", "burst_r", "r_factor")
+_AGGREGATE_VALUES = itemgetter(*map(WindowMetrics._fields.index,
+                                    AGGREGATE_FIELDS))
 
 
-def aggregate(series_list: list[list[WindowMetrics]]) -> AggregateSeries:
-    """Per window and field, the mean and the sample std across runs."""
-    if not series_list:
-        raise SimulationError("nothing to aggregate")
-    grids = {tuple(m.window_start for m in series) for series in series_list}
-    if len(grids) != 1:
-        raise SimulationError(
-            f"mismatched window grids across runs ({len(grids)} distinct)")
-    n = len(series_list)
-    means: dict[str, list[float]] = {}
-    stds: dict[str, list[float]] = {}
-    for fname in AGGREGATE_FIELDS:
-        i = WindowMetrics._fields.index(fname)
-        # one tuple per window, holding the field of every run
-        by_window = list(zip(*[[m[i] for m in series]
-                               for series in series_list]))
-        means[fname] = [fsum(values) / n for values in by_window]
-        stds[fname] = list(map(stdev, by_window))
-    return AggregateSeries(window_starts=list(grids.pop()), means=means,
-                           stds=stds)
+def _fold(sums: WindowSums, series: list[WindowMetrics]) -> None:
+    """Fold one run's window series into sums, window after window."""
+    sums.add([m.window_start for m in series],
+             list(chain.from_iterable(map(_AGGREGATE_VALUES, series))))
+
+
+def aggregate(sums: WindowSums) -> AggregateSeries:
+    """Per window and field, the mean and the sample std across the runs
+    folded into sums."""
+    means, stds = sums.finish()
+    k = len(AGGREGATE_FIELDS)
+    return AggregateSeries(
+        window_starts=list(sums.grid),
+        means={f: means[i::k] for i, f in enumerate(AGGREGATE_FIELDS)},
+        stds={f: stds[i::k] for i, f in enumerate(AGGREGATE_FIELDS)})
 
 
 def write_aggregate(path: Path, agg: AggregateSeries) -> None:
@@ -96,7 +93,7 @@ def write_aggregate(path: Path, agg: AggregateSeries) -> None:
 
 def _run_one(task: tuple) -> dict:
     """Execute one repetition and write its artifacts; returns the pieces
-    the aggregation step needs. Module-level for multiprocessing."""
+    the aggregation step needs, its window series among them."""
     spec, run_dir_str, window_len_ms, stride_ms, emodel, use_burst = task
     run_dir = Path(run_dir_str)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -142,17 +139,42 @@ LOSS_SUMMARY_COLUMNS = (
     "mean_loss_pct_whole_call", "mean_loss_pct_switch_window")
 
 
+def _run_chunk(task: tuple) -> tuple[dict[str, WindowSums], list[dict]]:
+    """Run a contiguous chunk of one cell's repetitions, folding each good
+    run's window series into the chunk's sums per media direction and
+    keeping the rest of its result. Module-level for multiprocessing."""
+    config, cell, reps = task
+    cell_dir = Path(config.out_dir) / "_".join(cell)
+    sums = {"ul": WindowSums(), "dl": WindowSums()}
+    runs = []
+    for rep in reps:
+        run = _run_one((build_call_spec(config, *cell, rep),
+                        str(cell_dir / f"r{rep:03d}"), config.window_len_ms,
+                        config.stride_ms, config.emodel,
+                        config.use_burst_ratio))
+        series = run.pop("series")
+        if not run["aborted"]:
+            for name, cell_sums in sums.items():
+                _fold(cell_sums, series[name])
+        runs.append(run)
+    return sums, runs
+
+
 def _finish_cell(out_dir: Path, cell: tuple[str, str, str],
-                 runs: list[dict]) -> tuple[dict, list[tuple]]:
-    """Aggregate a cell's good runs per media direction and write each
-    direction's aggregate file; returns the cell's manifest entry and its
+                 chunks: list[tuple]) -> tuple[dict, list[tuple]]:
+    """Merge a cell's chunks in order, write each media direction's
+    aggregate file; returns the cell's manifest entry and its
     loss_summary.csv rows."""
     cell_id = "_".join(cell)
+    runs = [run for _, chunk_runs in chunks for run in chunk_runs]
     good = [r for r in runs if not r["aborted"]]
     rows = []
     for name in ("ul", "dl") if good else ():
-        agg = aggregate([r["series"][name] for r in good])
-        write_aggregate(out_dir / cell_id / f"aggregate_{name}.csv", agg)
+        sums = WindowSums()
+        for chunk_sums, _ in chunks:
+            sums.merge(chunk_sums[name])
+        write_aggregate(out_dir / cell_id / f"aggregate_{name}.csv",
+                        aggregate(sums))
         lost = [r["summary"][name].lost for r in good]
         pct_call = [100.0 * r["summary"][name].ppl for r in good]
         pct_switch = [100.0 * sw["lost"] / sw["generated"] for sw in
@@ -175,9 +197,13 @@ def run_campaign(config: ExperimentConfig,
     """Run every (codec x procedure x direction) cell; returns the output
     directory and the number of aborted runs.
 
-    Results arrive in task order, so a cell's runs arrive together: the
-    cell is aggregated then and its series dropped, and the parent holds
-    one cell's runs at a time.
+    A cell's repetitions are split into contiguous chunks, at most one per
+    worker (serially, one). A chunk folds each run's window series into
+    exact sums once the run's files are written and drops them. Chunks
+    arrive in task order, so a cell's chunks arrive together: the parent
+    merges them, writes the cell's aggregates and drops the cell. Memory
+    does not grow with the repetitions, and the bytes do not depend on the
+    split.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,22 +215,21 @@ def run_campaign(config: ExperimentConfig,
              for codec in config.codecs
              for proc in config.procedures
              for direction in config.directions]
-    tasks = ((build_call_spec(config, *cell, rep),
-              str(out_dir / "_".join(cell) / f"r{rep:03d}"),
-              config.window_len_ms, config.stride_ms, config.emodel,
-              config.use_burst_ratio)
-             for cell in cells for rep in range(config.repetitions))
+    reps = config.repetitions
+    workers = min(parallel, len(cells) * reps)
+    starts = range(0, reps, -(-reps // workers))
+    tasks = ((config, cell, range(start, min(start + starts.step, reps)))
+             for cell in cells for start in starts)
 
     aborted_total = 0
     loss_rows = []
     manifest_cells = []
-    workers = min(parallel, len(cells) * config.repetitions)
     with (multiprocessing.Pool(workers) if workers > 1
           else nullcontext()) as pool:
-        results = pool.imap(_run_one, tasks) if pool else map(_run_one, tasks)
+        results = (pool.imap if pool else map)(_run_chunk, tasks)
         for cell in cells:
-            entry, rows = _finish_cell(
-                out_dir, cell, list(islice(results, config.repetitions)))
+            entry, rows = _finish_cell(out_dir, cell,
+                                       list(islice(results, len(starts))))
             aborted = [r for r in entry["runs"] if r["aborted"]]
             aborted_total += len(aborted)
             if aborted:

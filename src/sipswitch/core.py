@@ -69,9 +69,6 @@ class Address:
     iface: str
     port: int = 0
 
-    def __str__(self) -> str:
-        return f"{self.node}.{self.iface}:{self.port}"
-
 
 # Relative tolerance for the codec rate identity
 # payload_bytes * 8 / packet_interval_ms == bitrate_kbps.

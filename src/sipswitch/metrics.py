@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from math import fsum, isfinite, isqrt
+from itertools import accumulate, compress, repeat
+from math import frexp, fsum, isfinite, isqrt, ldexp
+from operator import add, lshift, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -19,6 +20,7 @@ from .core import (
     InternalInvariantError,
     Numeric,
     SimTime,
+    SimulationError,
     check_fields,
 )
 from .traffic import CsvFields, PacketTrace, write_csv
@@ -259,26 +261,82 @@ def _sqrt_of_ratio(n: int, m: int) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
+class WindowSums:
+    """Exact sums of runs' values per column (a window's field): S1 of the
+    values and S2 of their squares, each scaled to one shared denominator
+    D = 2**exp. When a value needs D * 2**k, S1 <<= k and S2 <<= 2k.
+    Integer sums ignore the order of addition, so any split of the runs,
+    merged in any order, finishes to the same floats: the mean (S1/D)/n,
+    which is fsum(values)/n, and the sample std, which is statistics.stdev
+    from 3.11 on: sqrt((n*S2 - S1**2) / (n*(n-1)*D**2)), rounded once.
+    """
+
+    def __init__(self) -> None:
+        self.n, self.grid, self.exp = 0, (), 0
+        self.s1, self.s2 = [], []   # one int per column each
+
+    def __len__(self) -> int:
+        return self.n   # runs folded in
+
+    def add(self, grid: Sequence, values: Sequence[float]) -> None:
+        """Fold in one run: its window starts and its value per column."""
+        try:
+            # v * 2**k is an exact integer once k >= 53 - frexp(v)[1]
+            mags = list(map(abs, values))
+            low = min(filter(None, mags), default=1.0)
+            k = max(self.exp, 53 - frexp(low)[1])
+            if frexp(max(mags, default=0.0))[1] > 53:
+                raise OverflowError   # an int this large may not convert
+            scaled = list(map(int, map(ldexp, values, repeat(k))))
+        except (OverflowError, ValueError):   # too wide, or not finite
+            try:
+                ratios = [v.as_integer_ratio() for v in values]
+            except (OverflowError, ValueError):
+                bad = next(v for v in values if not isfinite(v))
+                raise InternalInvariantError(
+                    f"a non-finite value to sum: {bad!r}") from None
+            k = max([self.exp, *(d.bit_length() - 1 for _, d in ratios)])
+            scaled = [n << k + 1 - d.bit_length() for n, d in ratios]
+        run = WindowSums()
+        run.n, run.grid, run.exp = 1, tuple(grid), k
+        run.s1, run.s2 = scaled, list(map(mul, scaled, scaled))
+        self.merge(run)
+
+    def merge(self, other: WindowSums) -> None:
+        """Add another fold's runs to this one's."""
+        if not self.n or not other.n:
+            if other.n:
+                self.__dict__.update(vars(other))
+            return
+        if other.grid != self.grid or len(other.s1) != len(self.s1):
+            raise SimulationError("mismatched window grids across runs")
+        k = max(self.exp, other.exp)
+        (a1, a2), (b1, b2) = self._at(k), other._at(k)
+        self.s1, self.s2 = list(map(add, a1, b1)), list(map(add, a2, b2))
+        self.n, self.exp = self.n + other.n, k
+
+    def _at(self, k: int) -> tuple[list[int], list[int]]:
+        """S1 and S2 at the denominator 2**k, k >= exp."""
+        if k == self.exp:
+            return self.s1, self.s2
+        return (list(map(lshift, self.s1, repeat(k - self.exp))),
+                list(map(lshift, self.s2, repeat(2 * (k - self.exp)))))
+
+    def finish(self) -> tuple[list[float], list[float]]:
+        """Per column, the mean and the sample std (0.0 for one run)."""
+        n, d = self.n, 1 << self.exp
+        if not n:
+            raise SimulationError("nothing to aggregate")
+        means = [s1 / d / n for s1 in self.s1]
+        m = n * (n - 1) * d * d
+        return means, [_sqrt_of_ratio(n * s2 - s1 * s1, m) if m else 0.0
+                       for s1, s2 in zip(self.s1, self.s2)]
+
+
 def stdev(values: Sequence[float]) -> float:
     """Sample standard deviation, 0.0 for a single value: bit for bit what
-    statistics.stdev returns from Python 3.11 on (it rounds once there too),
-    at a fraction of its cost.
-
-    Exact in integers: with the values scaled to one power-of-two
-    denominator D, the sums S1 of the scaled values and S2 of their squares
-    give the variance (n*S2 - S1**2) / (n*(n-1)*D**2), and its square root
-    is rounded once.
-    """
-    n = len(values)
-    if n < 2 or values.count(values[0]) == n and isfinite(values[0]):
-        return 0.0
-    try:
-        ratios = [v.as_integer_ratio() for v in values]
-    except (OverflowError, ValueError):
-        raise InternalInvariantError(
-            f"standard deviation of a non-finite value: {values}") from None
-    shift = max([d for _, d in ratios]).bit_length()
-    scaled = [num << (shift - d.bit_length()) for num, d in ratios]
-    s1 = sum(scaled)
-    s2 = sum([x * x for x in scaled])
-    return _sqrt_of_ratio(n * s2 - s1 * s1, n * (n - 1) << 2 * (shift - 1))
+    statistics.stdev returns from Python 3.11 on, as a one-window fold."""
+    sums = WindowSums()
+    for value in values:
+        sums.add((), (value,))
+    return sums.finish()[1][0]

@@ -2,13 +2,14 @@ import ast
 import importlib
 import inspect
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from sipswitch import cli
 from sipswitch.core import DL, LOSS_CLOSED, UL, SimulationError
-from sipswitch.metrics import WindowMetrics
+from sipswitch.metrics import WindowMetrics, WindowSums
 from sipswitch.cli import (
     ConfigError,
     aggregate,
@@ -226,8 +227,15 @@ def _series(values, start_step=60_000):
             for i, v in enumerate(values)]
 
 
+def _folded(*series_list):
+    sums = WindowSums()
+    for series in series_list:
+        cli._fold(sums, series)
+    return sums
+
+
 def test_aggregate_of_identical_runs_has_zero_std():
-    agg = aggregate([_series([1.0, 2.0]), _series([1.0, 2.0])])
+    agg = aggregate(_folded(_series([1.0, 2.0]), _series([1.0, 2.0])))
     assert agg.window_starts == [0, 60_000]
     assert agg.means["r_factor"] == [1.0, 2.0]
     assert agg.stds["r_factor"] == [0.0, 0.0]
@@ -235,21 +243,21 @@ def test_aggregate_of_identical_runs_has_zero_std():
 
 
 def test_aggregate_mean_and_std_oracle():
-    agg = aggregate([_series([0.0]), _series([0.2])])
+    agg = aggregate(_folded(_series([0.0]), _series([0.2])))
     assert agg.means["ppl"] == [pytest.approx(0.1)]
     assert agg.stds["ppl"] == [pytest.approx(0.1414213562373095)]
 
 
 def test_aggregate_single_run_uses_zero_std():
-    agg = aggregate([_series([5.0, 7.0])])
+    agg = aggregate(_folded(_series([5.0, 7.0])))
     assert agg.stds["mean_delay_ms"] == [0.0, 0.0]
 
 
 def test_aggregate_rejects_mismatched_grids():
     with pytest.raises(SimulationError, match="mismatched window grids"):
-        aggregate([_series([1.0, 2.0]), _series([1.0, 2.0], start_step=50_000)])
+        _folded(_series([1.0, 2.0]), _series([1.0, 2.0], start_step=50_000))
     with pytest.raises(SimulationError, match="nothing to aggregate"):
-        aggregate([])
+        aggregate(_folded())
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +718,66 @@ def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
                        name="one.yaml")
     assert main(["run", one, "--parallel", "8"]) == 0
     assert sizes == [4]   # one run needs no pool
+
+
+# base_seed 3 aborts the middle repetition only: --parallel 2 puts it in a
+# chunk beside a good run, --parallel 3 in a chunk of its own
+ABORTING = """
+codecs: [G729]
+procedures: [hard]
+directions: [wlan-to-cellular]
+repetitions: 3
+base_seed: 3
+call_duration_s: 3
+switch_time_s: 1.5
+signaling:
+  fallback_timeout_ms: 700
+interfaces:
+  wlan:
+    loss_prob: 0.05
+  cellular:
+    loss_prob: 0.3
+"""
+
+
+def test_the_chunk_split_never_changes_bytes(tmp_path, capsys):
+    trees = {}
+    for parallel in ("1", "2", "3"):   # chunks of 3, 2+1 and 1+1+1 runs
+        out = tmp_path / f"out{parallel}"
+        cfg = write_config(tmp_path, ABORTING + f"out_dir: {out}\n")
+        assert main(["run", cfg, "--parallel", parallel]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [r["aborted"] for r in manifest["cells"][0]["runs"]] == [
+            False, True, False]
+        trees[parallel] = {
+            path.relative_to(out).as_posix():
+                path.read_bytes().replace(str(out).encode(), b"OUT")
+            for path in sorted(out.rglob("*")) if path.is_file()}
+    assert "G729_hard_wlan-to-cellular/aggregate_dl.csv" in trees["1"]
+    assert trees["2"] == trees["1"]
+    assert trees["3"] == trees["1"]
+
+
+def _campaign_peak_bytes(tmp_path, reps: int) -> int:
+    config = load_config(write_config(tmp_path, """
+codecs: [G729]
+procedures: [hard]
+directions: [wlan-to-cellular]
+call_duration_s: 12
+switch_time_s: 6
+"""), overrides={"repetitions": reps, "out_dir": str(tmp_path / f"r{reps}")})
+    tracemalloc.start()
+    try:
+        cli.run_campaign(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_campaign_memory_does_not_grow_with_repetitions(tmp_path, capsys):
+    # each run's window series is folded into fixed-size sums and dropped
+    assert (_campaign_peak_bytes(tmp_path, 8)
+            <= 1.1 * _campaign_peak_bytes(tmp_path, 2))
 
 
 def test_aborted_runs_exit_two_and_are_recorded(tmp_path, capsys):

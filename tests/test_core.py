@@ -24,9 +24,8 @@ def test_time_conversions():
     assert isinstance(ms_to_us(1.5), int)
 
 
-def test_address_rendering_and_equality():
+def test_address_equality_and_hashing():
     a = Address("mn", "wlan", 5004)
-    assert str(a) == "mn.wlan:5004"
     assert a == Address("mn", "wlan", 5004)
     assert a != Address("mn", "cellular", 5004)
     # usable as dict key

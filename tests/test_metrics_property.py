@@ -1,6 +1,8 @@
 """Exactness properties of the fast analysis paths.
 
-stdev must return bit for bit what statistics.stdev returns, the
+stdev must return bit for bit what statistics.stdev returns, WindowSums
+fsum(values) / n and statistics.stdev however its runs are split and
+merged, the
 one-pass window_series must equal the former bisect-and-slice version,
 kept below as the oracle, and call_summary its totals taken row by row, on
 random traces.
@@ -22,10 +24,12 @@ from sipswitch.core import (
     UL,
     US_PER_MS,
     InternalInvariantError,
+    SimulationError,
 )
 from sipswitch.metrics import (
     DEFAULT_EMODEL,
     WindowMetrics,
+    WindowSums,
     burst_ratio,
     call_summary,
     r_factor,
@@ -102,6 +106,7 @@ def test_stdev_at_the_edges():
     same_as_statistics([1e-300, -1e-300, 0.0])
     same_as_statistics([1e308, 1e308, -1e308])  # a result near the top
     same_as_statistics([0.1, 0.2, 0.3])
+    same_as_statistics([2 ** 60 + 1, 2 ** 60 + 4, 2 ** 60])  # ints no float holds
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -111,6 +116,82 @@ def test_stdev_of_a_non_finite_value_is_an_invariant_error(bad):
     for values in ([1.0, bad], [bad, bad]):
         with pytest.raises(InternalInvariantError, match="non-finite"):
             stdev(values)
+
+
+# ---------------------------------------------------------------------------
+# WindowSums: any split of the runs, merged in any order
+
+
+def scaled_floats(exponents):
+    # a mantissa times 10**e: magnitudes from 1e-12 to 1e6, either sign
+    return st.builds(lambda m, e: m * 10.0 ** e,
+                     st.floats(-9.99, 9.99, allow_nan=False), exponents)
+
+
+COLUMN = st.one_of(
+    st.integers(-12, 6).flatmap(lambda e: st.lists(
+        scaled_floats(st.just(e)), min_size=1, max_size=7)),
+    st.lists(scaled_floats(st.integers(-12, 6)), min_size=1, max_size=7),
+    st.tuples(st.sampled_from([0.0, 1.0]), st.integers(1, 7)).map(
+        lambda vn: [vn[0]] * vn[1]))
+
+
+def splits(n):
+    """Every split of range(n) into contiguous chunks."""
+    for mask in range(1 << (n - 1)):
+        cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
+        yield [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+@needs_correct_rounding
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(COLUMN, min_size=1, max_size=3), st.randoms())
+def test_window_sums_of_any_split_and_order_are_fsum_and_stdev(columns,
+                                                               rng):
+    n = min(map(len, columns))
+    rows = [[column[i] for column in columns] for i in range(n)]
+    grid = list(range(len(columns)))
+    want = ([(fsum(c[:n]) / n).hex() for c in columns],
+            [(statistics.stdev(c[:n]) if n > 1 else 0.0).hex()
+             for c in columns])
+    for chunks in splits(n):
+        parts = []
+        for chunk in chunks:
+            part = WindowSums()
+            for i in chunk:
+                part.add(grid, rows[i])
+            parts.append(part)
+        rng.shuffle(parts)
+        total = WindowSums()
+        for part in parts:
+            total.merge(part)
+        assert len(total) == n
+        means, stds = total.finish()
+        got = [m.hex() for m in means], [s.hex() for s in stds]
+        assert got == want, (rows, chunks)
+
+
+def test_window_sums_reject_mismatched_grids_and_an_empty_fold():
+    sums = WindowSums()
+    sums.add([0, 60_000], [1.0, 2.0])
+    other = WindowSums()
+    other.add([0, 50_000], [1.0, 2.0])
+    with pytest.raises(SimulationError, match="mismatched window grids"):
+        sums.merge(other)
+    with pytest.raises(SimulationError, match="mismatched window grids"):
+        sums.add([0], [1.0])
+    with pytest.raises(SimulationError, match="mismatched window grids"):
+        sums.add([0, 60_000], [1.0])
+    sums.merge(WindowSums())   # an empty fold merges as nothing
+    assert len(sums) == 1
+    with pytest.raises(SimulationError, match="nothing to aggregate"):
+        WindowSums().finish()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_window_sums_of_a_non_finite_value_is_an_invariant_error(bad):
+    with pytest.raises(InternalInvariantError, match="non-finite"):
+        WindowSums().add([0, 60_000], [1.0, bad])
 
 
 # ---------------------------------------------------------------------------
