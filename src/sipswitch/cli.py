@@ -81,14 +81,11 @@ def aggregate(sums: WindowSums) -> AggregateSeries:
 
 
 def write_aggregate(path: Path, agg: AggregateSeries) -> None:
-    header = ["window_start_us"]
+    header, columns = ["window_start_us"], [map(str, agg.window_starts)]
     for fname in AGGREGATE_FIELDS:
         header += [f"{fname}_mean", f"{fname}_std"]
-    columns = [agg.window_starts]
-    for fname in AGGREGATE_FIELDS:
-        columns += [agg.means[fname], agg.stds[fname]]
-    write_csv(str(path), tuple(header),
-              [",".join(map(str, row)) for row in zip(*columns)])
+        columns += [map(repr, agg.means[fname]), map(repr, agg.stds[fname])]
+    write_csv(str(path), tuple(header), list(map(",".join, zip(*columns))))
 
 
 def _run_one(task: tuple) -> dict:

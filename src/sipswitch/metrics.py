@@ -1,5 +1,5 @@
-"""Loss ratio, one-way delay, burst ratio, E-model R-factor, and the
-sliding-window quality series.
+"""Loss ratio, one-way delay, burst ratio, E-model R-factor, the
+sliding-window quality series and its export.
 
 All computations are pure functions of a packet trace; recomputing from an
 exported trace file reproduces in-run values bit for bit.
@@ -11,8 +11,8 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from math import frexp, fsum, isfinite, isqrt, ldexp
-from operator import add, lshift, mul
-from typing import NamedTuple, Optional, Sequence
+from operator import add, itemgetter, lshift, mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     US_PER_MS,
@@ -71,14 +71,44 @@ class WindowMetrics(NamedTuple):
     generated: int = 0
 
 
+def _bind_id(params: EModelParams) -> Callable[[float], float]:
+    a, b, knee = (params.delay_coeff_a, params.delay_coeff_b,
+                  params.delay_threshold_ms)
+
+    def id_(d_ms: float) -> float:
+        if d_ms < 0:
+            raise ValueError("delay must be non-negative")
+        return a * d_ms + b * (d_ms - knee) if d_ms > knee else a * d_ms
+    return id_
+
+
+def _bind_ie(codec: CodecProfile,
+             params: EModelParams) -> Callable[[float, float], float]:
+    ie, ie_float, bpl = codec.ie, float(codec.ie), codec.bpl
+    span = params.loss_ceiling - ie
+
+    def ie_eff(ppl: float, burst_r: float) -> float:
+        if burst_r <= 0:
+            raise ValueError("burst ratio must be positive")
+        if not 0.0 <= ppl <= 1.0:
+            raise ValueError("ppl must be in [0, 1]")
+        if ppl == 0.0:
+            return ie_float
+        p = 100.0 * ppl
+        return ie + span * p / (p / burst_r + bpl)
+    return ie_eff
+
+
+def emodel(codec: CodecProfile, params: EModelParams = DEFAULT_EMODEL
+           ) -> Callable[[float, float, float], float]:
+    """r_factor with codec and params bound once, to call once per window."""
+    r0, id_, ie_eff = params.r0, _bind_id(params), _bind_ie(codec, params)
+    return lambda d_ms, ppl, burst_r: r0 - id_(d_ms) - ie_eff(ppl, burst_r)
+
+
 def id_delay_impairment(d_ms: float, params: EModelParams = DEFAULT_EMODEL) -> float:
     """Delay impairment: linear in delay with a steeper slope past the knee."""
-    if d_ms < 0:
-        raise ValueError("delay must be non-negative")
-    impairment = params.delay_coeff_a * d_ms
-    if d_ms > params.delay_threshold_ms:
-        impairment += params.delay_coeff_b * (d_ms - params.delay_threshold_ms)
-    return impairment
+    return _bind_id(params)(d_ms)
 
 
 def ie_effective(codec: CodecProfile, ppl: float, burst_r: float,
@@ -89,23 +119,14 @@ def ie_effective(codec: CodecProfile, ppl: float, burst_r: float,
     equals Ie exactly at zero loss. Bursty loss (burst_r > 1) weakens the
     denominator, raising the impairment.
     """
-    if burst_r <= 0:
-        raise ValueError("burst ratio must be positive")
-    if not 0.0 <= ppl <= 1.0:
-        raise ValueError("ppl must be in [0, 1]")
-    if ppl == 0.0:
-        return float(codec.ie)
-    p = 100.0 * ppl
-    return codec.ie + (params.loss_ceiling - codec.ie) * p / (p / burst_r + codec.bpl)
+    return _bind_ie(codec, params)(ppl, burst_r)
 
 
 def r_factor(mean_delay_ms: float, ppl: float, burst_r: float,
              codec: CodecProfile,
              params: EModelParams = DEFAULT_EMODEL) -> float:
     """R = r0 - Id - Ie_eff, not clamped (total loss can push it below 0)."""
-    return (params.r0
-            - id_delay_impairment(mean_delay_ms, params)
-            - ie_effective(codec, ppl, burst_r, params))
+    return emodel(codec, params)(mean_delay_ms, ppl, burst_r)
 
 
 def burst_ratio(loss_flags, ppl: float) -> float:
@@ -160,7 +181,7 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
     cum_delay = list(accumulate(
         (0 if arrival is None else arrival - gen
          for gen, arrival in zip(gens, packets.arrival)), initial=0))
-    n, last = len(gens), gens[-1]
+    n, last, r_of = len(gens), gens[-1], emodel(codec, params)
     out: list[WindowMetrics] = []
     prev: Optional[WindowMetrics] = None
     lo = hi = 0
@@ -175,8 +196,7 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
         if generated == 0:
             # Nothing generated here: carry the previous window forward. The
             # first window holds the first packet, so a previous one exists.
-            wm = prev._replace(window_start=start, carried=True,
-                               carried_delay=True, generated=0)
+            wm = tuple.__new__(WindowMetrics, (start, *prev[1:6], True, True, 0))
         else:
             window = causes[lo:hi]
             delivered = window.count(None)
@@ -189,9 +209,9 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
                 delay = prev.mean_delay_ms if prev is not None else 0.0
             br = (burst_ratio(window, ppl)
                   if n_lost and use_burst_ratio else 1.0)
-            wm = WindowMetrics(start, window_len_ms, delay, ppl, br,
-                               r_factor(delay, ppl, br, codec, params),
-                               False, not delivered, generated)
+            wm = tuple.__new__(WindowMetrics, (
+                start, window_len_ms, delay, ppl, br, r_of(delay, ppl, br),
+                False, not delivered, generated))
         out.append(wm)
         prev = wm
         start += stride_us
@@ -237,11 +257,16 @@ METRICS_COLUMNS = ("run_id", "window_start_us", "mean_delay_ms", "ppl",
 
 
 def write_metrics(path: str, run_id: str, series: list[WindowMetrics]) -> None:
-    run = CsvFields()[run_id]
-    write_csv(path, METRICS_COLUMNS, [
-        f"{run},{start},{delay!r},{ppl!r},{br!r},{r!r},{carried:d},"
-        f"{carried_delay:d}"
-        for start, _, delay, ppl, br, r, carried, carried_delay, _ in series])
+    """One row per window, built column by column (each float as its repr,
+    each flag, a bool, as 0 or 1). The columns are read with itemgetter:
+    zip(*series) would hold one iterator per window, enough to start the
+    cyclic collector several times per file."""
+    start, delay, ppl, br, r, carried, carried_delay = (
+        map(itemgetter(i), series) for i in (0, 2, 3, 4, 5, 6, 7))
+    write_csv(path, METRICS_COLUMNS, list(map(",".join, zip(
+        repeat(CsvFields()[run_id]), map(str, start), map(repr, delay),
+        map(repr, ppl), map(repr, br), map(repr, r),
+        map("01".__getitem__, carried), map("01".__getitem__, carried_delay)))))
 
 
 # Bits of the integer square root taken before its one rounding to a float:

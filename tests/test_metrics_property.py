@@ -1,21 +1,26 @@
-"""Exactness properties of the fast analysis paths.
+"""Exactness properties of the fast analysis and export paths.
 
 stdev must return bit for bit what statistics.stdev returns, WindowSums
 fsum(values) / n and statistics.stdev however its runs are split and
 merged, the
 one-pass window_series must equal the former bisect-and-slice version,
 kept below as the oracle, and call_summary its totals taken row by row, on
-random traces.
+random traces. The E-model bound once per series must equal the former
+per-call r_factor, and the column-wise write_metrics and write_aggregate
+the former per-row rendering, byte for byte; both former versions are kept
+below as oracles.
 """
 
 import math
+import os
 import statistics
 import sys
+import tempfile
 from bisect import bisect_left
 from math import fsum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sipswitch.core import (
     CODEC_PRESETS,
@@ -26,17 +31,28 @@ from sipswitch.core import (
     InternalInvariantError,
     SimulationError,
 )
+from sipswitch.cli import (
+    AGGREGATE_FIELDS,
+    AggregateSeries,
+    _fold,
+    aggregate,
+    write_aggregate,
+)
 from sipswitch.metrics import (
     DEFAULT_EMODEL,
+    METRICS_COLUMNS,
+    EModelParams,
     WindowMetrics,
     WindowSums,
     burst_ratio,
     call_summary,
+    emodel,
     r_factor,
     stdev,
     window_series,
+    write_metrics,
 )
-from sipswitch.traffic import PacketTrace
+from sipswitch.traffic import CsvFields, PacketTrace, write_csv
 
 from trace_rows import trace_rows
 
@@ -300,3 +316,172 @@ def test_call_summary_equals_its_totals_row_by_row(packets, other,
                                  if delays else 0.0)
     assert got.burst_r == (burst_ratio(flags, got.ppl)
                            if use_burst_ratio else 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The E-model, bound once per series, against the former per-call version
+
+
+def reference_r_factor(d_ms, ppl, burst_r, codec, params=DEFAULT_EMODEL):
+    """r_factor as it was: its checks and constants looked up per call."""
+    if d_ms < 0:
+        raise ValueError("delay must be non-negative")
+    impairment = params.delay_coeff_a * d_ms
+    if d_ms > params.delay_threshold_ms:
+        impairment += params.delay_coeff_b * (d_ms - params.delay_threshold_ms)
+    if burst_r <= 0:
+        raise ValueError("burst ratio must be positive")
+    if not 0.0 <= ppl <= 1.0:
+        raise ValueError("ppl must be in [0, 1]")
+    if ppl == 0.0:
+        ie = float(codec.ie)
+    else:
+        p = 100.0 * ppl
+        ie = codec.ie + (params.loss_ceiling - codec.ie) * p / (
+            p / burst_r + codec.bpl)
+    return params.r0 - impairment - ie
+
+
+KNEE = DEFAULT_EMODEL.delay_threshold_ms
+DELAYS_MS = st.one_of(st.floats(0.0, KNEE), st.just(KNEE),
+                      st.floats(KNEE, 5_000.0), st.integers(0, 400))
+PPLS = st.one_of(st.just(0.0), st.integers(0, 3).map(lambda k: k / 3),
+                 st.floats(0.0, 1.0))
+BURSTS = st.floats(0.0, 5.0, exclude_min=True)
+EMODELS = st.one_of(st.just(DEFAULT_EMODEL), st.builds(
+    EModelParams, r0=st.floats(50.0, 100.0),
+    delay_coeff_a=st.floats(0.001, 1.0), delay_coeff_b=st.floats(0.001, 1.0),
+    delay_threshold_ms=st.floats(1.0, 400.0),
+    loss_ceiling=st.floats(50.0, 100.0)))
+CODECS = st.sampled_from(sorted(CODEC_PRESETS.values(), key=repr))
+
+
+@EXACT
+@given(DELAYS_MS, PPLS, BURSTS, CODECS, EMODELS)
+def test_the_bound_e_model_is_r_factor_bit_for_bit(d_ms, ppl, burst_r,
+                                                   codec, params):
+    want = reference_r_factor(d_ms, ppl, burst_r, codec, params).hex()
+    assert emodel(codec, params)(d_ms, ppl, burst_r).hex() == want
+    assert r_factor(d_ms, ppl, burst_r, codec, params).hex() == want
+
+
+def raised(f, *args):
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@EXACT
+@given(st.one_of(DELAYS_MS, st.floats(-1e6, -1e-300), st.just(-0.5)),
+       st.one_of(PPLS, st.floats(1.0, 10.0, exclude_min=True),
+                 st.floats(-10.0, 0.0, exclude_max=True), st.just(math.nan)),
+       st.one_of(BURSTS, st.floats(-5.0, 0.0), st.just(-0.0)), CODECS)
+def test_the_bound_e_model_rejects_what_r_factor_rejected(d_ms, ppl, burst_r,
+                                                          codec):
+    want = raised(reference_r_factor, d_ms, ppl, burst_r, codec)
+    assert raised(emodel(codec), d_ms, ppl, burst_r) == want
+    assert raised(r_factor, d_ms, ppl, burst_r, codec) == want
+
+
+# ---------------------------------------------------------------------------
+# Rendering: column by column, every byte as the per-row version
+
+
+# Every awkward float, and ints, next to each other in one column: a cache
+# keyed by value would render 0.0 and -0.0 (or 1 and 1.0) alike.
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                           5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                           1e16, 2.0 ** 53 + 2, 1e300, 1.0, -1.0, 0.5])
+VALUE = st.one_of(SPECIAL, st.floats(), st.sampled_from([1 / 3, 2 / 3]),
+                  st.integers(-2, 2), st.integers(10 ** 16, 10 ** 20))
+ZEROS = [WindowMetrics(0, 60.0, 0.0, 0.0, 1.0, 0.0, False, False, 3),
+         WindowMetrics(20_000, 60.0, -0.0, -0.0, 1, -0.0, True, True, 0),
+         WindowMetrics(40_000, 60.0, 0.0, 0, 1.0, 0.0, False, True, 3)]
+
+
+def reference_write_metrics(path, run_id, series):
+    """write_metrics as it was: one f-string per row."""
+    run = CsvFields()[run_id]
+    write_csv(path, METRICS_COLUMNS, [
+        f"{run},{start},{delay!r},{ppl!r},{br!r},{r!r},{carried:d},"
+        f"{carried_delay:d}"
+        for start, _, delay, ppl, br, r, carried, carried_delay, _ in series])
+
+
+def reference_write_aggregate(path, agg):
+    """write_aggregate as it was: str of each value, row by row."""
+    header = ["window_start_us"]
+    for fname in AGGREGATE_FIELDS:
+        header += [f"{fname}_mean", f"{fname}_std"]
+    columns = [agg.window_starts]
+    for fname in AGGREGATE_FIELDS:
+        columns += [agg.means[fname], agg.stds[fname]]
+    write_csv(str(path), tuple(header),
+              [",".join(map(str, row)) for row in zip(*columns)])
+
+
+def same_bytes(write, reference, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write(got, *args)
+        reference(want, *args)
+        with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+            assert fh_got.read() == fh_want.read()
+
+
+WINDOW = st.builds(
+    lambda start, values, carried, carried_delay: WindowMetrics(
+        start, 60.0, *values, carried, carried_delay, 3),
+    st.integers(0, 2 ** 53), st.tuples(VALUE, VALUE, VALUE, VALUE),
+    st.booleans(), st.booleans())
+RUN_IDS = st.sampled_from(["G729_hard_wlan-to-cellular_r000", "a,b", 'q"'])
+
+
+@EXACT
+@example(ZEROS, "r")
+@given(st.lists(WINDOW, max_size=30), RUN_IDS)
+def test_write_metrics_is_the_per_row_rendering_on_any_series(series,
+                                                              run_id):
+    same_bytes(write_metrics, reference_write_metrics, run_id, series)
+
+
+@EXACT
+@given(packets=st.lists(PACKET, min_size=1, max_size=80),
+       other=st.lists(PACKET, max_size=5),
+       window_ms=st.sampled_from([10.0, 60.0]),
+       stride=st.one_of(st.none(), st.sampled_from([5.0, 20.0])))
+def test_write_metrics_is_the_per_row_rendering_on_random_traces(
+        packets, other, window_ms, stride):
+    series = window_series(build_trace(packets, other), DL, G729, window_ms,
+                           stride)
+    same_bytes(write_metrics, reference_write_metrics, "r", series)
+
+
+@EXACT
+@example(([0, 20_000, 40_000], [[0.0, -0.0, 0]] * 8))
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2 ** 53), min_size=n, max_size=n),
+    st.lists(st.lists(VALUE, min_size=n, max_size=n),
+             min_size=2 * len(AGGREGATE_FIELDS),
+             max_size=2 * len(AGGREGATE_FIELDS)))))
+def test_write_aggregate_is_the_per_row_rendering_on_any_columns(drawn):
+    starts, columns = drawn
+    k = len(AGGREGATE_FIELDS)
+    agg = AggregateSeries(starts, dict(zip(AGGREGATE_FIELDS, columns[:k])),
+                          dict(zip(AGGREGATE_FIELDS, columns[k:])))
+    same_bytes(write_aggregate, reference_write_aggregate, agg)
+
+
+@EXACT
+@given(st.lists(PACKET, min_size=1, max_size=40),
+       st.lists(st.lists(PACKET, min_size=40, max_size=40), max_size=3))
+def test_write_aggregate_is_the_per_row_rendering_on_random_runs(first,
+                                                                  others):
+    # every run takes the first one's gaps, so all share one window grid
+    gaps = [gap for gap, _ in first]
+    sums = WindowSums()
+    for run in [first, *([*zip(gaps, (d for _, d in o))] for o in others)]:
+        _fold(sums, window_series(build_trace(run, []), DL, G729, 60.0))
+    same_bytes(write_aggregate, reference_write_aggregate, aggregate(sums))
