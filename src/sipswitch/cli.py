@@ -6,15 +6,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import multiprocessing
 import sys
 from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice
+from math import fsum
 from operator import itemgetter
 from pathlib import Path
-from statistics import fmean
 from typing import Any, Optional
 
 from . import __version__
@@ -178,9 +177,10 @@ def _finish_cell(out_dir: Path, cell: tuple[str, str, str],
                       (r["switch_window"][name] for r in good)
                       if sw and sw["generated"]]
         rows.append((cell_id, *cell, name.upper(), len(good),
-                     len(runs) - len(good), fmean(lost), stdev(lost),
-                     fmean(pct_call),
-                     fmean(pct_switch) if pct_switch else 0.0))
+                     len(runs) - len(good), fsum(lost) / len(lost),
+                     stdev(lost), fsum(pct_call) / len(pct_call),
+                     fsum(pct_switch) / len(pct_switch) if pct_switch
+                     else 0.0))
     entry = {"cell_id": cell_id, "codec": cell[0], "procedure": cell[1],
              "direction": cell[2],
              "runs": [{key: r[key] for key in
@@ -221,8 +221,11 @@ def run_campaign(config: ExperimentConfig,
     aborted_total = 0
     loss_rows = []
     manifest_cells = []
-    with (multiprocessing.Pool(workers) if workers > 1
-          else nullcontext()) as pool:
+    pool_context = nullcontext()
+    if workers > 1:
+        import multiprocessing  # a serial run does without it
+        pool_context = multiprocessing.Pool(workers)
+    with pool_context as pool:
         results = (pool.imap if pool else map)(_run_chunk, tasks)
         for cell in cells:
             entry, rows = _finish_cell(out_dir, cell,

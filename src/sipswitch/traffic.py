@@ -57,6 +57,35 @@ class PacketTrace:
                gen_time: SimTime, send_iface: str,
                arrival_time: Optional[SimTime],
                loss_cause: Optional[str]) -> None:
+        """Append one packet's fate, or raise TraceConservationError.
+
+        Admission is one test: a packet that continues its direction's
+        stream (the next seq, the same stream id, no earlier generation
+        time) with exactly one valid fate (an arrival no earlier than its
+        generation, or a known loss cause) is appended at once. Any other
+        packet, a direction's first among them, goes to _diagnose, which
+        applies each check in turn and names the first that fails.
+        """
+        packets = self.directions.get(direction)
+        if (packets is not None and seq == len(packets.gen)
+                and stream_id == packets.stream_id
+                and gen_time >= packets.gen[-1]
+                and (loss_cause in LOSS_CAUSES if arrival_time is None
+                     else loss_cause is None and arrival_time >= gen_time)):
+            packets.gen.append(gen_time)
+            packets.iface.append(send_iface)
+            packets.arrival.append(arrival_time)
+            packets.cause.append(loss_cause)
+            return
+        self._diagnose(stream_id, direction, seq, gen_time, send_iface,
+                       arrival_time, loss_cause)
+
+    def _diagnose(self, stream_id: str, direction: str, seq: int,
+                  gen_time: SimTime, send_iface: str,
+                  arrival_time: Optional[SimTime],
+                  loss_cause: Optional[str]) -> None:
+        """record's checks one at a time: raise for the first that fails,
+        else append the packet, registering a new direction only now."""
         packets = self.directions.get(direction) or DirectionTrace(stream_id)
         gens = packets.gen
         if stream_id != packets.stream_id:
@@ -141,10 +170,11 @@ def read_trace(path: str) -> tuple[str, PacketTrace]:
     """Load an exported trace; returns (run_id, trace).
 
     Raises ValueError, naming the file and line, for a wrong header, a row
-    of the wrong width, a non-integer number, or a row the trace rejects.
+    of the wrong width, a run id other than the first row's, a non-integer
+    number, or a row the trace rejects. A header-only trace reads as run "".
     """
     trace = PacketTrace()
-    run_id = ""
+    run_id = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -155,11 +185,15 @@ def read_trace(path: str) -> tuple[str, PacketTrace]:
                 if len(row) != len(TRACE_COLUMNS):
                     raise ValueError(f"expected {len(TRACE_COLUMNS)} fields, "
                                      f"got {len(row)}")
+                if row[0] != run_id:
+                    if run_id is not None:
+                        raise ValueError(f"run id {row[0]!r} differs from "
+                                         f"the first row's {run_id!r}")
+                    run_id = row[0]
                 trace.record(row[1], row[2], int(row[3]), int(row[4]), row[5],
                              int(row[6]) if row[6] else None,
                              row[7] if row[7] else None)
-                run_id = row[0]
         except (ValueError, csv.Error, TraceConservationError) as exc:
             raise ValueError(
                 f"{path}: line {reader.line_num}: {exc}") from None
-    return run_id, trace
+    return run_id or "", trace

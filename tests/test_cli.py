@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import json
+import multiprocessing
 import tracemalloc
 from pathlib import Path
 
@@ -432,6 +433,17 @@ def test_recompute_metrics_rejects_a_malformed_trace(tmp_path, capsys):
     assert main(["recompute-metrics", str(trace)]) == 1
     assert (f"config error: {trace}: line 3: ul2 seq 0: UL already carries "
             f"stream ul") in capsys.readouterr().err
+    # a trace is one run's: a row of another run is a bad row, not a
+    # relabelling of the whole file
+    assert first.startswith("G729_hard_cellular-to-wlan_r000,")
+    other = second.replace("G729_hard_cellular-to-wlan_r000,",
+                           "G729_hard_cellular-to-wlan_r001,", 1)
+    trace.write_text("\n".join([header, first, other]) + "\n")
+    assert main(["recompute-metrics", str(trace)]) == 1
+    assert (f"config error: {trace}: line 3: run id "
+            f"'G729_hard_cellular-to-wlan_r001' differs from the first "
+            f"row's 'G729_hard_cellular-to-wlan_r000'"
+            ) in capsys.readouterr().err
 
 
 ONE_RUN = """
@@ -710,7 +722,7 @@ def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
         def imap(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     four = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'four'}\n")
     assert main(["run", four, "--parallel", "64"]) == 0
     assert sizes == [4]   # 2 procedures x 2 repetitions

@@ -20,6 +20,7 @@ from sipswitch.handoff import HandoffProcedure
 from sipswitch.scenario import CallSpec, run_call
 from sipswitch.traffic import (
     DEFAULT_HEADER_OVERHEAD_BYTES,
+    DirectionTrace,
     PacketTrace,
     TraceConservationError,
     expected_packet_count,
@@ -211,12 +212,13 @@ FATE = st.one_of(st.integers(min_value=0, max_value=300_000),
 
 
 @st.composite
-def recorded_traces(draw):
-    """A two-direction trace, recorded either in generation order, as a run
-    and read_trace record it, or one whole direction before the other. The
-    directions may start apart or together, and in generation order either
-    one may be recorded first at each shared time. The UL stream moves
-    from wlan to cellular at a drawn packet."""
+def packet_streams(draw):
+    """The packets of a two-direction trace as record's arguments, in
+    recording order: either generation order, as a run and read_trace
+    record them, or one whole direction before the other. The directions
+    may start apart or together, and in generation order either one may be
+    recorded first at each shared time. The UL stream moves from wlan to
+    cellular at a drawn packet."""
     start = draw(st.integers(min_value=0, max_value=2_000_000))
     packets = []
     for stream_id, direction in (("ul", UL), ("dl", DL)):
@@ -239,10 +241,17 @@ def recorded_traces(draw):
             p[3], ul_first.random() < 0.5) != (p[1] == UL)))
     else:
         packets.sort(key=lambda p: p[1] != whole_first)
+    return packets
+
+
+def record_all(packets):
     trace = PacketTrace()
     for packet in packets:
         trace.record(*packet)
     return trace
+
+
+recorded_traces = packet_streams().map(record_all)
 
 
 def direction_lists(trace):
@@ -259,7 +268,7 @@ def trace_dir(tmp_path_factory):
 # derandomize keeps the suite's outcome fixed; drop it and raise
 # max_examples to search further.
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(trace=recorded_traces(),
+@given(trace=recorded_traces,
        run_id=st.sampled_from(["G711_hard_r000", 'odd, "quoted" id']))
 def test_a_written_trace_reads_back_to_the_same_lists_and_bytes(
         trace_dir, trace, run_id):
@@ -275,3 +284,113 @@ def test_a_written_trace_reads_back_to_the_same_lists_and_bytes(
         rows = list(csv.reader(fh))[1:]
     keys = [(int(row[4]), row[2] != UL) for row in rows]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# record against its per-check form
+
+
+class ReferenceTrace:
+    """PacketTrace.record in its per-check form: every check in turn on
+    every packet. The property below holds record to it."""
+
+    def __init__(self):
+        self.directions: dict[str, DirectionTrace] = {}
+
+    def record(self, stream_id, direction, seq, gen_time, send_iface,
+               arrival_time, loss_cause):
+        packets = self.directions.get(direction) or DirectionTrace(stream_id)
+        gens = packets.gen
+        if stream_id != packets.stream_id:
+            raise TraceConservationError(
+                f"{stream_id} seq {seq}: {direction} already carries stream "
+                f"{packets.stream_id}")
+        if seq != len(gens):
+            raise TraceConservationError(
+                f"{stream_id} seq {seq}: expected seq {len(gens)}")
+        if gens and gen_time < gens[-1]:
+            raise TraceConservationError(
+                f"{stream_id} seq {seq}: generated at {gen_time}, before the "
+                f"previous {direction} packet at {gens[-1]}")
+        if (arrival_time is None) is (loss_cause is None):
+            raise TraceConservationError(
+                f"{stream_id} seq {seq}: exactly one of arrival and loss "
+                f"cause must be set")
+        if loss_cause is None:
+            if arrival_time < gen_time:
+                raise TraceConservationError(
+                    f"{stream_id} seq {seq}: arrival {arrival_time} before "
+                    f"generation {gen_time}")
+        elif loss_cause not in LOSS_CAUSES:
+            raise TraceConservationError(
+                f"{stream_id} seq {seq}: unknown loss cause {loss_cause!r}")
+        if not gens:
+            self.directions[direction] = packets
+        gens.append(gen_time)
+        packets.iface.append(send_iface)
+        packets.arrival.append(arrival_time)
+        packets.cause.append(loss_cause)
+
+
+FAULTS = ("seq", "stream", "earlier", "both-fates", "no-fate",
+          "arrival-before-generation", "unknown-cause")
+
+
+@st.composite
+def faulted_packet_streams(draw):
+    """packet_streams with at most one packet changed by one fault from
+    FAULTS, at a drawn position or on the first packet of that position's
+    direction."""
+    packets = draw(packet_streams())
+    fault = draw(st.sampled_from((None, *FAULTS)))
+    if fault is None or not packets:
+        return packets
+    at = draw(st.integers(min_value=0, max_value=len(packets) - 1))
+    if draw(st.booleans()):
+        at = next(i for i, p in enumerate(packets) if p[1] == packets[at][1])
+    stream_id, direction, seq, gen, iface, arrival, cause = packets[at]
+    if fault == "seq":
+        seq += draw(st.sampled_from([-1, 1, 2]))
+    elif fault == "stream":
+        stream_id = draw(st.sampled_from(["ul", "dl", "ul2"]).filter(
+            lambda other: other != stream_id))
+    elif fault == "earlier":
+        # before the direction's previous packet, or its first moved back
+        previous = next((p[3] for p in packets
+                         if p[1] == direction and p[2] == seq - 1), gen)
+        gen = previous - draw(st.sampled_from([1, 20_000]))
+    elif fault == "both-fates":
+        arrival, cause = gen + 1_000, draw(st.sampled_from(LOSS_CAUSES))
+    elif fault == "no-fate":
+        arrival = cause = None
+    elif fault == "arrival-before-generation":
+        arrival, cause = gen - draw(st.sampled_from([1, 20_000])), None
+    else:
+        arrival, cause = None, draw(st.sampled_from(
+            ["gremlins", "", LOSS_RANDOM.upper()]))
+    packets[at] = (stream_id, direction, seq, gen, iface, arrival, cause)
+    return packets
+
+
+def trace_lists(trace):
+    """Each direction's lists, in the order the trace registered them."""
+    return list(direction_lists(trace).items())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(packets=faulted_packet_streams())
+def test_record_accepts_and_rejects_as_its_per_check_form(packets):
+    trace, reference = PacketTrace(), ReferenceTrace()
+    for packet in packets:
+        before = trace_lists(trace)
+        outcomes = []
+        for sink in (trace, reference):
+            try:
+                sink.record(*packet)
+                outcomes.append(None)
+            except TraceConservationError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], packet
+        assert trace_lists(trace) == trace_lists(reference), packet
+        if outcomes[0] is not None:   # a rejected packet changes nothing
+            assert trace_lists(trace) == before, packet
