@@ -203,7 +203,10 @@ def run_campaign(config: ExperimentConfig,
     split.
     """
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError([f"out_dir: {out_dir}: {exc.strerror}"]) from None
     warnings = capacity_warnings(config)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
@@ -259,11 +262,8 @@ def run_campaign(config: ExperimentConfig,
 
 
 def _find_manifest(trace_path: Path) -> Optional[Path]:
-    for parent in trace_path.resolve().parents:
-        candidate = parent / "manifest.json"
-        if candidate.is_file():
-            return candidate
-    return None
+    found = (p / "manifest.json" for p in trace_path.resolve().parents)
+    return next((path for path in found if path.is_file()), None)
 
 
 def recompute_metrics(trace_file: str,

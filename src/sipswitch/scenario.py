@@ -23,13 +23,20 @@ packet is generated, and the delivery outcome is computed as of the moment
 it is offered to the link. Packets already in flight when an interface
 closes are therefore still delivered, while packets generated between the
 close and the CN's destination switch are the hard procedure's losses.
+
+The CN switches at the first re-INVITE copy to arrive. In one tie the DL
+packet generated at t_cn_switch still takes the old route: the engine breaks
+equal times by insertion order, and the copy arrived on a grid point whose
+media clock entry was queued before the copy was sent (as it is for any send
+after the point before). Under hard with the trigger on the grid, a 0 ms new
+uplink loses that packet as closed-interface and a 20 or 40 ms one does not.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     DL,
@@ -65,6 +72,8 @@ from .handoff import (
 )
 from .simnet import Engine, Fate, Link, RngStream
 from .sip import (
+    Exchange,
+    ExchangeState,
     ForwardTransaction,
     Registrar,
     SignalingConfig,
@@ -82,6 +91,20 @@ from .traffic import (
 
 CN_URI = "cn"
 CN_IFACE = "cn0"
+
+# The call's SIP exchanges by caller (each endpoint calls once). The registrar
+# resends the INVITE, the MN its re-INVITE; nothing answers the one REGISTER.
+EXCHANGES = {x.caller: x for x in (
+    Exchange(SipMethod.INVITE, CN_URI, "setup-ok", ack_every_ok=False,
+             forced_drops=False),
+    Exchange(SipMethod.REINVITE, MN_URI, "handoff-ok", ack_every_ok=True,
+             forced_drops=True))}
+
+
+def exchange_of(msg: SipMessage) -> Exchange:
+    """The row of msg: its caller sends the request and the ACK."""
+    return EXCHANGES[msg.to_uri if msg.method is SipMethod.OK
+                     else msg.from_uri]
 
 
 # The rule of each time and size of a call. The trigger check in validate
@@ -116,9 +139,8 @@ class CallSpec:
     run_id: str = "run"
     log_events: bool = False
     down_links: frozenset[str] = frozenset()
-    # Force-drop plan for the handoff handshake: {(method, occurrence)} with
-    # method in {"REINVITE", "OK"}, occurrence counting that method's sends
-    # during the handoff (0 = first send, 1 = first retransmission, ...).
+    # Sends to drop, as {(method, occurrence)}: the requests and OKs of the
+    # forced_drops rows, counted per method (0 = first send, 1 = first resend).
     signaling_drop_plan: frozenset[tuple[str, int]] = frozenset()
 
     def validate(self) -> list[str]:
@@ -199,23 +221,18 @@ class _CallRuntime:
             old_iface=spec.switch_from, new_iface=spec.switch_to,
             iface_states={i.iface_id: i.state for i in spec.interfaces})
 
-        self.registrar = Registrar(self.engine, self._registrar_send,
-                                   spec.signaling)
+        self.registrar = Registrar(
+            self.engine, lambda msg, contact: self._send(
+                replace(msg, via_iface=contact.iface)), spec.signaling)
         self.setup_transaction: Optional[ForwardTransaction] = None
         self.aborted = False
         self.abort_reason: Optional[str] = None
+        self.exchanges = {caller: ExchangeState() for caller in EXCHANGES}
+        self._drop_counts: dict[str, int] = {}
+        self._rtx = (ms_to_us(spec.signaling.rtx_interval_ms),
+                     spec.signaling.max_retransmissions)
 
-        # Setup-phase handshake bookkeeping.
-        self._cn_established = False
-        self._setup_ok: Optional[SipMessage] = None
-        self._setup_ok_acked = False
-
-        # Handoff handshake bookkeeping.
-        self._handoff_ok: Optional[SipMessage] = None
-        self._handoff_ok_acked = False
-        self._drop_counts = {"REINVITE": 0, "OK": 0}
-
-    # -- signaling plumbing ------------------------------------------------
+    # -- signaling ---------------------------------------------------------
 
     def _message(self, method: SipMethod, sender: str, via: str,
                  reply_to: int = 0,
@@ -223,68 +240,94 @@ class _CallRuntime:
         """A message from sender (MN_URI or CN_URI) to its peer, sized by
         method, with the next msg id."""
         sizes = self.spec.signaling
-        size = {SipMethod.INVITE: sizes.invite_bytes,
-                SipMethod.REINVITE: sizes.invite_bytes,
-                SipMethod.OK: sizes.ok_bytes,
-                SipMethod.ACK: sizes.ack_bytes}[method]
+        size = {SipMethod.OK: sizes.ok_bytes,
+                SipMethod.ACK: sizes.ack_bytes}.get(method, sizes.invite_bytes)
         return SipMessage(method=method, from_uri=sender,
                           to_uri=CN_URI if sender == MN_URI else MN_URI,
                           via_iface=via, size_bytes=size, media_src=media_src,
                           msg_id=next(self._msg_ids), in_reply_to=reply_to)
 
-    def _forced_drop(self, msg: SipMessage) -> bool:
-        """Consult the drop plan for handoff-handshake sends: the REINVITE
-        and the CN's OK to it."""
-        if not (msg.method is SipMethod.REINVITE
-                or msg.method is SipMethod.OK and msg.from_uri == CN_URI):
-            return False
-        key = msg.method.value
-        occurrence = self._drop_counts[key]
-        self._drop_counts[key] = occurrence + 1
-        return (key, occurrence) in self.spec.signaling_drop_plan
-
-    def _send(self, msg: SipMessage, link: Link,
-              receive: Callable[[SipMessage], None]) -> None:
-        """Offer a signaling message to a link and log its fate."""
-        if self._forced_drop(msg):
-            self.signaling.record(self.engine.now, msg, "dropped:forced")
-            return
-        arrival, cause = link.transmit(
-            msg.size_bytes, on_arrive=lambda t: receive(msg),
-            note=f"sip-{msg.method.value}")
+    def _send(self, msg: SipMessage) -> None:
+        """Offer a signaling message to its link, the MN's uplink or the
+        CN's downlink of via_iface, and log its fate. The drop plan counts
+        the sends of each method that a forced_drops row reaches."""
+        iface, key = msg.via_iface, msg.method.value
+        links = self.links_dl
+        if msg.from_uri == MN_URI:
+            if self.state.iface_states[iface] is IfaceState.CLOSED:
+                raise InternalInvariantError(
+                    f"MN tried to send {key} from Closed interface {iface}")
+            links = self.links_ul
+        ex = exchange_of(msg)
+        if ex.forced_drops and msg.method in (ex.method, SipMethod.OK):
+            occurrence = self._drop_counts.get(key, 0)
+            self._drop_counts[key] = occurrence + 1
+            if (key, occurrence) in self.spec.signaling_drop_plan:
+                self.signaling.record(self.engine.now, msg, "dropped:forced")
+                return
+        arrival, cause = links[iface].transmit(
+            msg.size_bytes, on_arrive=lambda t: self._receive(msg),
+            note=f"sip-{key}")
         outcome = (f"delivered@{arrival}" if cause is None
                    else f"dropped:{cause}")
         self.signaling.record(self.engine.now, msg, outcome)
 
-    def _mn_send(self, msg: SipMessage) -> None:
-        """MN emits a signaling message over its via_iface uplink."""
-        iface = msg.via_iface
-        if self.state.iface_states[iface] is IfaceState.CLOSED:
-            raise InternalInvariantError(
-                f"MN tried to send {msg.method.value} from Closed "
-                f"interface {iface}")
-        self._send(msg, self.links_ul[iface], self._core_receive)
+    def _receive(self, msg: SipMessage) -> None:
+        """Arrival at the core (registrar and CN) or at the MN. The
+        registrar keeps a REGISTER; any other message goes to its row. The
+        caller ACKs the first OK, and every copy if its row says so. The
+        registrar sees every setup OK; the MN's first handoff OK completes
+        the switch."""
+        if msg.method is SipMethod.REGISTER:
+            self.registrar.handle_register(msg)
+            return
+        ex = exchange_of(msg)
+        progress = self.exchanges[ex.caller]
+        if msg.method is SipMethod.ACK:
+            progress.acked = True
+            return
+        if msg.method is not SipMethod.OK:
+            self._on_request(ex, progress, msg)
+            return
+        first, progress.answered = not progress.answered, True
+        if ex.method is SipMethod.INVITE:
+            self.registrar.deliver_answer(msg, mn_address(msg.via_iface))
+        elif first:
+            t, state = self.engine.now, self.state
+            state.phase, state.t_completed = HandoffPhase.COMPLETED, t
+            self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][1])
+            self.handoff_log.record(t, "MN", "ok", "Switching", "Completed")
+        if first or ex.ack_every_ok:
+            self._send(self._message(SipMethod.ACK, ex.caller,
+                                     msg.via_iface, msg.msg_id))
 
-    def _cn_send(self, msg: SipMessage) -> None:
-        """CN emits a signaling message over the via_iface downlink."""
-        self._send(msg, self.links_dl[msg.via_iface], self._mn_receive)
-
-    def _keep_resending(self, resend: Callable[[], None],
-                        pending: Callable[[], bool], subject: str) -> None:
-        retransmit(self.engine, resend, pending,
-                   ms_to_us(self.spec.signaling.rtx_interval_ms),
-                   self.spec.signaling.max_retransmissions, subject)
-
-    def _registrar_send(self, msg: SipMessage, contact: Address) -> None:
-        self._cn_send(replace(msg, via_iface=contact.iface))
-
-    # -- setup phase -------------------------------------------------------
+    def _on_request(self, ex: Exchange, progress: ExchangeState,
+                    msg: SipMessage) -> None:
+        """The callee answers every copy with one OK, resent until ACKed.
+        The MN's setup OK names its media address. The first re-INVITE copy
+        retargets the CN's downlink media to its media_src, from the packet
+        generated now on, but in the tie the module docstring states."""
+        if progress.ok is not None:  # a resent or fallback copy
+            self._send(progress.ok)
+            return
+        media_src, t, state = None, self.engine.now, self.state
+        if ex.method is SipMethod.REINVITE:
+            state.dl_media_iface, state.t_cn_switch = msg.media_src.iface, t
+            self._check_state()
+            self.handoff_log.record(t, "CN", "dst-switch", state.phase.value,
+                                    state.phase.value)
+        else:
+            media_src = mn_address(self.spec.switch_from)
+        ok = progress.ok = self._message(SipMethod.OK, msg.to_uri,
+                                         msg.via_iface, msg.msg_id, media_src)
+        self._send(ok)
+        retransmit(self.engine, lambda: self._send(ok),
+                   lambda: not progress.acked, *self._rtx, ex.ok_subject)
 
     def _send_register(self) -> None:
-        msg = build_register(MN_URI, self.spec.interfaces,
-                             config=self.spec.signaling,
-                             msg_id=next(self._msg_ids))
-        self._mn_send(msg)
+        self._send(build_register(MN_URI, self.spec.interfaces,
+                                  config=self.spec.signaling,
+                                  msg_id=next(self._msg_ids)))
 
     def _send_invite(self) -> None:
         invite = self._message(SipMethod.INVITE, CN_URI, CN_IFACE,
@@ -292,45 +335,8 @@ class _CallRuntime:
         # CN and registrar share the core: hand over without a link hop.
         self.setup_transaction = self.registrar.forward_with_fallback(invite)
 
-    def _core_receive(self, msg: SipMessage) -> None:
-        """Arrival at the wired core (registrar + CN)."""
-        if msg.method is SipMethod.REGISTER:
-            self.registrar.handle_register(msg)
-            return
-        # Each run has one INVITE, one setup OK and one REINVITE, so an OK
-        # here answers the INVITE and an ACK here the CN's OK.
-        if msg.method is SipMethod.OK:
-            self.registrar.deliver_answer(msg, mn_address(msg.via_iface))
-            if not self._cn_established:
-                self._cn_established = True
-                self._cn_send(self._message(SipMethod.ACK, CN_URI,
-                                            msg.via_iface, msg.msg_id))
-        elif msg.method is SipMethod.REINVITE:
-            self._cn_on_reinvite(msg)
-        elif msg.method is SipMethod.ACK:
-            self._handoff_ok_acked = True
-
-    def _mn_receive(self, msg: SipMessage) -> None:
-        if msg.method is SipMethod.INVITE:
-            self._mn_on_invite(msg)
-        elif msg.method is SipMethod.OK:
-            self._mn_on_handoff_ok(msg)
-        elif msg.method is SipMethod.ACK:
-            self._setup_ok_acked = True
-
-    def _mn_on_invite(self, msg: SipMessage) -> None:
-        if self._setup_ok is not None:  # a resent or fallback copy
-            self._mn_send(self._setup_ok)
-            return
-        ok = self._setup_ok = self._message(
-            SipMethod.OK, MN_URI, msg.via_iface, msg.msg_id,
-            mn_address(self.spec.switch_from))
-        self._mn_send(ok)
-        self._keep_resending(lambda: self._mn_send(ok),
-                             lambda: not self._setup_ok_acked, "setup-ok")
-
     def _setup_guard(self) -> None:
-        if not (self._setup_ok_acked and self._cn_established):
+        if not self.exchanges[CN_URI].acked:  # the CN ACKs only if answered
             self._abort("setup-incomplete")
 
     # -- handoff phase -----------------------------------------------------
@@ -347,10 +353,10 @@ class _CallRuntime:
         self.handoff_log.record(t, "MN", "trigger", "Stable", "Switching")
         msg = self._message(SipMethod.REINVITE, MN_URI, state.new_iface,
                             media_src=mn_address(state.new_iface))
-        self._mn_send(msg)
-        self._keep_resending(
-            lambda: self._mn_send(msg),
-            lambda: state.phase is HandoffPhase.SWITCHING, "reinvite")
+        self._send(msg)
+        retransmit(self.engine, lambda: self._send(msg),
+                   lambda: state.phase is HandoffPhase.SWITCHING,
+                   *self._rtx, "reinvite")
         self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][0])
 
     def _apply_steps(self, steps: tuple[Step, ...]) -> None:
@@ -360,36 +366,6 @@ class _CallRuntime:
             self.handoff_log.record(t, "MN", step.apply(self.state, t),
                                     phase, phase)
         self._check_state()
-
-    def _cn_on_reinvite(self, msg: SipMessage) -> None:
-        """The CN answers every copy of the re-INVITE. The first copy also
-        retargets downlink media, effective for packets generated from now
-        on; a run has one re-INVITE, whose resends reuse its msg_id."""
-        t, state = self.engine.now, self.state
-        first = state.t_cn_switch is None
-        if first:
-            # The peer's media_src is where it now wants downlink media.
-            state.dl_media_iface, state.t_cn_switch = msg.media_src.iface, t
-            self._check_state()
-        ok = self._handoff_ok = self._message(SipMethod.OK, CN_URI,
-                                              msg.via_iface, msg.msg_id)
-        self._cn_send(ok)
-        if first:  # one timer; it resends the latest OK
-            self._keep_resending(
-                lambda: self._cn_send(self._handoff_ok),
-                lambda: not self._handoff_ok_acked, "handoff-ok")
-            self.handoff_log.record(t, "CN", "dst-switch", state.phase.value,
-                                    state.phase.value)
-
-    def _mn_on_handoff_ok(self, msg: SipMessage) -> None:
-        t, state = self.engine.now, self.state
-        if state.phase is HandoffPhase.SWITCHING:
-            state.phase, state.t_completed = HandoffPhase.COMPLETED, t
-            self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][1])
-            self.handoff_log.record(t, "MN", "ok", "Switching", "Completed")
-        # ACK in all cases, including re-answering a retransmitted OK.
-        self._mn_send(self._message(SipMethod.ACK, MN_URI,
-                                    state.new_iface, msg.msg_id))
 
     def _watchdog(self) -> None:
         if self.state.phase is HandoffPhase.SWITCHING:

@@ -1,6 +1,6 @@
 """SIP signaling model: messages, the registrar's q-weight priority list,
-serial forwarding with fallback, and the one retransmission timer every
-unanswered message uses."""
+serial forwarding with fallback, the exchange rows a call applies, and the
+one retransmission timer every resent message uses."""
 
 from __future__ import annotations
 
@@ -86,6 +86,29 @@ SIGNALING_RULES = {
     "max_retransmissions": Numeric(0, integer=True),
     "fallback_timeout_ms": _TIMER,
 }
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """A request and its 2xx in RFC 3261's reliability roles. The callee
+    answers every request copy with one OK, resent as ok_subject until ACKed
+    (13.3.1.4); the caller ACKs the first OK, or each if ack_every_ok. The
+    drop plan reaches the request and the OK if forced_drops."""
+
+    method: SipMethod
+    caller: str
+    ok_subject: str
+    ack_every_ok: bool
+    forced_drops: bool
+
+
+@dataclass
+class ExchangeState:
+    """How far one exchange has got."""
+
+    ok: Optional[SipMessage] = None  # the callee's answer to every copy
+    answered: bool = False  # an OK reached the caller
+    acked: bool = False  # an ACK reached the callee
 
 
 @dataclass(frozen=True)

@@ -696,6 +696,25 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("args", [(), ("--parallel", "2")],
+                         ids=["serial", "parallel"])
+def test_an_out_dir_below_a_file_is_a_config_error(tmp_path, capsys,
+                                                   monkeypatch, args):
+    blocker = tmp_path / "F"
+    blocker.write_text("a file\n")
+    started = []
+    monkeypatch.setattr(cli, "run_call", started.append)
+    monkeypatch.setattr(multiprocessing, "Pool", started.append)
+    out = blocker / "sub"
+    assert main(["run", write_config(tmp_path, TINY), "--out", str(out),
+                 *args]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: out_dir: {out}: " in err
+    assert "Traceback" not in err
+    assert started == []  # no run and no pool
+    assert blocker.read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-2", "two"])
 def test_a_parallel_value_below_one_is_a_usage_error(tmp_path, capsys,
                                                      value):

@@ -1,10 +1,12 @@
 """Golden-tree oracles: small lossy campaigns must reproduce, file for
 file, the sha256 digests recorded next to this file.
 
-The campaign of golden_tree.json is chosen to cross every signaling path:
+The campaign of golden_tree.json is chosen to cross the signaling paths:
 the registrar's retransmission and its fallback to the second contact, the
 setup OK, re-INVITE and handoff OK retransmissions, watchdog aborts and
-setup aborts (header-only traces). The campaign of golden_stride_tree.json
+setup aborts (header-only traces). It does not deliver a repeated setup OK
+to the CN, so it cannot tell whether the CN ACKs every copy or only the
+first; test_the_cn_acks_only_the_first_setup_ok pins that. The campaign of golden_stride_tree.json
 crosses the analysis paths: overlapping windows (60 ms at a 20 ms stride),
 random loss on both links, a jittered trigger, and aggregation over two
 repetitions per cell. A change meant to keep behaviour must leave the
@@ -29,7 +31,8 @@ from pathlib import Path
 
 import pytest
 
-from sipswitch.cli import main
+from sipswitch.cli import build_call_spec, load_config, main
+from sipswitch.scenario import run_call
 from sipswitch.traffic import read_trace, write_trace
 
 GOLDEN = Path(__file__).with_name("golden_tree.json")
@@ -137,6 +140,26 @@ def test_golden_campaign_tree_is_unchanged(tmp_path, capsys):
     assert got == want
     traces = check_runs_reproduce(out)
     assert any(text.count("\n") == 1 for text in traces)  # header only
+
+
+def test_the_cn_acks_only_the_first_setup_ok(tmp_path):
+    # CONFIG's G729 hybrid wlan-to-cellular cell at repetition 21: the CN's
+    # ACK is lost, the MN resends its OK, and the CN does not ACK that
+    # copy, so setup is incomplete at the call start. RFC 3261 13.3.1.4 has
+    # a caller ACK every 2xx copy; a change to that end changes this test.
+    cfg = tmp_path / "golden.yaml"
+    cfg.write_text(CONFIG + f"out_dir: {tmp_path / 'out'}\n")
+    spec = build_call_spec(load_config(str(cfg)), "G729", "hybrid",
+                           "wlan-to-cellular", 21)
+    assert spec.seed == 29
+    result = run_call(spec)
+    assert result.signaling.lines == [
+        "(0, REGISTER, mn, registrar, cellular, delivered@51009)",
+        "(200000, INVITE, cn, mn, cellular, delivered@262765)",
+        "(262765, OK, mn, cn, cellular, delivered@315265)",
+        "(315265, ACK, cn, mn, cellular, dropped:random-loss)",
+        "(762765, OK, mn, cn, cellular, delivered@847207)"]
+    assert (result.aborted, result.abort_reason) == (True, "setup-incomplete")
 
 
 def test_golden_campaign_tree_is_unchanged_in_parallel(tmp_path, capsys):

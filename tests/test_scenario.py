@@ -83,6 +83,35 @@ def test_hard_loses_exactly_the_downlink_gap_packets():
     assert all(r[6] is None for r in trace_rows(result.trace, UL))
 
 
+@pytest.mark.parametrize("offset_us, prop_us, t_cn_switch, lost", [
+    # trigger on the grid at 3 s; at 0 ms the copy arrives in the us it
+    # was sent, after the media clock queued its entry for that point
+    (2_000_000, 0, 3_000_000, [3_000_000]),
+    (2_000_000, 20_000, 3_020_000, [3_000_000]),
+    (2_000_000, 40_000, 3_040_000, [3_000_000, 3_020_000]),
+    # trigger at 3.005 s; at 15 ms the copy arrives on 3.02 s, whose entry
+    # was queued when 3.0 s ran, before the copy was sent
+    (2_005_000, 15_000, 3_020_000, [3_020_000]),
+    (2_005_000, 14_999, 3_019_999, []),
+    (2_005_000, 35_000, 3_040_000, [3_020_000]),
+], ids=["0ms", "20ms", "40ms", "off-grid-15ms", "off-grid-14.999ms",
+        "off-grid-35ms"])
+def test_the_dl_packet_at_the_cn_switch_is_lost_only_in_the_tie(
+        offset_us, prop_us, t_cn_switch, lost):
+    # G729 hard, wlan to an ideal cellular link with a fixed delay
+    spec = base_spec(codec="G729", procedure=HandoffProcedure.HARD,
+                     call_duration_us=4_000_000, switch_offset_us=offset_us)
+    spec.interfaces = [replace(i, link=LinkParams(None, prop_us))
+                       if i.iface_id == "cellular" else i
+                       for i in spec.interfaces]
+    result = run_call(spec)
+    assert result.t_trigger == 1_000_000 + offset_us
+    assert result.t_cn_switch == t_cn_switch
+    dl = trace_rows(result.trace, DL)
+    assert [r[3] for r in dl if r[6] is not None] == lost
+    assert all(r[6] == LOSS_CLOSED for r in dl if r[6] is not None)
+
+
 def test_hard_gap_is_smaller_toward_the_faster_interface():
     # switching cellular -> wlan: re-INVITE takes 104 us + 5 ms
     result = run_call(base_spec(procedure=HandoffProcedure.HARD,
