@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from math import frexp, fsum, isfinite, isqrt, ldexp
-from operator import add, itemgetter, lshift, mul
+from operator import add, itemgetter, lshift, mul, sub, truediv
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -72,6 +72,7 @@ class WindowMetrics(NamedTuple):
 
 
 def _bind_id(params: EModelParams) -> Callable[[float], float]:
+    """Delay impairment Id(d): linear, with a steeper slope past the knee."""
     a, b, knee = (params.delay_coeff_a, params.delay_coeff_b,
                   params.delay_threshold_ms)
 
@@ -84,6 +85,8 @@ def _bind_id(params: EModelParams) -> Callable[[float], float]:
 
 def _bind_ie(codec: CodecProfile,
              params: EModelParams) -> Callable[[float, float], float]:
+    """Loss-adjusted equipment impairment Ie_eff(ppl, burst_r) = Ie +
+    (ceiling - Ie) * 100*ppl / (100*ppl/burst_r + Bpl), Ie at zero loss."""
     ie, ie_float, bpl = codec.ie, float(codec.ie), codec.bpl
     span = params.loss_ceiling - ie
 
@@ -104,22 +107,6 @@ def emodel(codec: CodecProfile, params: EModelParams = DEFAULT_EMODEL
     """r_factor with codec and params bound once, to call once per window."""
     r0, id_, ie_eff = params.r0, _bind_id(params), _bind_ie(codec, params)
     return lambda d_ms, ppl, burst_r: r0 - id_(d_ms) - ie_eff(ppl, burst_r)
-
-
-def id_delay_impairment(d_ms: float, params: EModelParams = DEFAULT_EMODEL) -> float:
-    """Delay impairment: linear in delay with a steeper slope past the knee."""
-    return _bind_id(params)(d_ms)
-
-
-def ie_effective(codec: CodecProfile, ppl: float, burst_r: float,
-                 params: EModelParams = DEFAULT_EMODEL) -> float:
-    """Loss-adjusted equipment impairment.
-
-    Ie_eff = Ie + (ceiling - Ie) * 100*ppl / (100*ppl/burst_r + Bpl);
-    equals Ie exactly at zero loss. Bursty loss (burst_r > 1) weakens the
-    denominator, raising the impairment.
-    """
-    return _bind_ie(codec, params)(ppl, burst_r)
 
 
 def r_factor(mean_delay_ms: float, ppl: float, burst_r: float,
@@ -352,10 +339,15 @@ class WindowSums:
         n, d = self.n, 1 << self.exp
         if not n:
             raise SimulationError("nothing to aggregate")
-        means = [s1 / d / n for s1 in self.s1]
+        means = list(map(truediv, map(truediv, self.s1, repeat(d)),
+                         repeat(n)))
         m = n * (n - 1) * d * d
-        return means, [_sqrt_of_ratio(n * s2 - s1 * s1, m) if m else 0.0
-                       for s1, s2 in zip(self.s1, self.s2)]
+        if not m:
+            return means, [0.0] * len(means)
+        # n*S2 - S1**2 is 0 for a column of equal values, whose std is 0.0
+        spreads = map(sub, map(mul, repeat(n), self.s2),
+                      map(mul, self.s1, self.s1))
+        return means, [_sqrt_of_ratio(v, m) if v else 0.0 for v in spreads]
 
 
 def stdev(values: Sequence[float]) -> float:

@@ -6,6 +6,7 @@ import heapq
 import random
 from collections import deque
 from functools import partial
+from itertools import repeat
 from typing import Callable, Optional
 
 from .core import (
@@ -171,6 +172,11 @@ class Link:
     waiting). Arrival times are clamped to be non-decreasing so delivery
     order always equals offer order. The parameters obey LinkParams' rules,
     which CallSpec.validate applies.
+
+    A lossless link whose queue has drained, offered packets no closer
+    together than one serialization, delivers them without queueing; offer
+    computes such packets in closed form (see there), with the same fates,
+    counters and random draws as one packet at a time.
     """
 
     def __init__(self, engine: Engine, link_id: str, params: LinkParams,
@@ -212,6 +218,16 @@ class Link:
         Returns each packet's fate: (arrival_time_us, None) when delivered,
         (None, cause) when dropped. The link must not change state and no
         other packet may be offered between the times.
+
+        Packets go through the queue one at a time until one finds it empty
+        on a lossless link whose serialization takes no longer than the
+        spacing of the times. From that packet on none can wait or be
+        dropped, so the rest take a closed form: packet j arrives at
+        times[j] + serialization + its delay, clamped to be non-decreasing,
+        and only the last finish time stays in the queue. A random delay is
+        drawn packet by packet exactly as in the queue loop, so both forms
+        take the same draws in the same order and leave the stream in the
+        same state.
         """
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
@@ -232,6 +248,7 @@ class Link:
         span = self.prop_hi_us - lo + 1
         getrandbits = self.rng.getrandbits
         bits = span.bit_length()
+        uncongested = loss_prob == 0.0 and serialization <= times.step
         last_arrival = self._last_arrival
         dropped = 0
         fates: list[Fate] = []
@@ -239,6 +256,8 @@ class Link:
         for t in times:
             while busy and busy[0] <= t:
                 popleft()
+            if uncongested and not busy:
+                break
             if len(busy) >= capacity:
                 out(_QUEUE_FULL)
                 dropped += 1
@@ -259,6 +278,27 @@ class Link:
                 arrival = last_arrival
             last_arrival = arrival
             out((arrival, None))
+        rest = times[len(fates):]
+        if rest:
+            shift = serialization + lo
+            arrivals = range(rest.start + shift, rest.stop + shift, rest.step)
+            if span == 1:
+                # increasing: only those before the last arrival are clamped
+                head = min(len(arrivals), len(range(
+                    arrivals.start, last_arrival, arrivals.step)))
+                fates += repeat((last_arrival, None), head)
+                fates += zip(arrivals[head:], repeat(None))
+            else:
+                for arrival in arrivals:
+                    r = getrandbits(bits)
+                    while r >= span:
+                        r = getrandbits(bits)
+                    arrival += r
+                    if arrival > last_arrival:
+                        last_arrival = arrival
+                    out((last_arrival, None))
+            last_arrival = fates[-1][0]
+            push(rest[-1] + serialization)
         self._last_arrival = last_arrival
         self.delivered += n - dropped
         self.dropped += dropped

@@ -1,0 +1,47 @@
+"""A Link that puts every packet through its queue, one at a time: the
+oracle for the closed form that Link.offer takes once a lossless link's
+queue has drained."""
+
+from sipswitch.core import IfaceState
+from sipswitch.simnet import _LINK_DOWN, _QUEUE_FULL, _RANDOM_LOSS, Link
+
+
+class PerPacketLink(Link):
+    """Link.offer without its closed form."""
+
+    def offer(self, times, size_bytes):
+        if size_bytes <= 0:
+            raise ValueError("size_bytes must be positive")
+        n = len(times)
+        self.offered += n
+        if self.state is IfaceState.DOWN:
+            self.dropped += n
+            return [_LINK_DOWN] * n
+        serialization = self.serialization_us(size_bytes)
+        busy = self._busy
+        lo, span = self.prop_lo_us, self.prop_hi_us - self.prop_lo_us + 1
+        fates = []
+        for t in times:
+            while busy and busy[0] <= t:
+                busy.popleft()
+            if len(busy) >= self.queue_capacity_pkts:
+                fates.append(_QUEUE_FULL)
+                continue
+            if self.loss_prob > 0.0 and self.rng.random() < self.loss_prob:
+                fates.append(_RANDOM_LOSS)
+                continue
+            finish = (busy[-1] if busy else t) + serialization
+            busy.append(finish)
+            arrival = finish + lo
+            if span > 1:
+                r = self.rng.getrandbits(span.bit_length())
+                while r >= span:
+                    r = self.rng.getrandbits(span.bit_length())
+                arrival += r
+            arrival = max(arrival, self._last_arrival)
+            self._last_arrival = arrival
+            fates.append((arrival, None))
+        delivered = sum(cause is None for _, cause in fates)
+        self.delivered += delivered
+        self.dropped += n - delivered
+        return fates

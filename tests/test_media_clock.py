@@ -12,6 +12,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import sipswitch.scenario as scenario
+from sipswitch.cli import build_call_spec
 from sipswitch.core import (
     CODEC_PRESETS,
     DL,
@@ -30,6 +31,7 @@ from sipswitch.handoff import HandoffProcedure, media_route
 from sipswitch.scenario import CN_IFACE, CallSpec, _CallRuntime
 from sipswitch.simnet import UNLIMITED, Link
 
+from per_packet_link import PerPacketLink
 from trace_rows import trace_rows
 
 
@@ -109,11 +111,9 @@ class _HeapMediaRuntime(_CallRuntime):
                              subject=stream_id)
 
 
-def outcome(runtime_class, spec):
-    """Everything a run leaves behind that the two media paths must share."""
-    with mock.patch.object(scenario, "Link",
-                           _HeapLink if runtime_class is _HeapMediaRuntime
-                           else Link):
+def outcome(runtime_class, spec, link_class=Link):
+    """Everything a run leaves behind that two media paths must share."""
+    with mock.patch.object(scenario, "Link", link_class):
         runtime = runtime_class(spec)
     try:
         result = runtime.run()
@@ -191,7 +191,8 @@ def call_specs(draw):
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(call_specs())
 def test_the_media_clock_equals_one_heap_event_per_packet(spec):
-    assert outcome(_CallRuntime, spec) == outcome(_HeapMediaRuntime, spec)
+    assert outcome(_CallRuntime, spec) == outcome(_HeapMediaRuntime, spec,
+                                                  _HeapLink)
 
 
 def test_the_oracle_sees_the_losses_and_aborts_it_is_meant_to_cover():
@@ -209,11 +210,41 @@ def test_the_oracle_sees_the_losses_and_aborts_it_is_meant_to_cover():
         log_events=True, seed=3,
         signaling_drop_plan=frozenset({("REINVITE", 0)}))
     got = outcome(_CallRuntime, spec)
-    assert got == outcome(_HeapMediaRuntime, spec)
+    assert got == outcome(_HeapMediaRuntime, spec, _HeapLink)
     causes = {row[6] for row in got["rows"]}
     assert {LOSS_CLOSED, LOSS_QUEUE, LOSS_RANDOM} <= causes
     assert any("REINVITE" in line and "dropped:forced" in line
                for line in got["signaling"])
+
+
+# ---------------------------------------------------------------------------
+# the links' closed form against every packet through the queue
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(call_specs())
+def test_the_closed_form_link_equals_the_per_packet_link(spec):
+    assert outcome(_CallRuntime, spec) == outcome(_CallRuntime, spec,
+                                                  PerPacketLink)
+
+
+def test_the_closed_form_after_a_reinvite_queues_media(make_config):
+    # over campaign-B's 64 kbps cellular link the re-INVITE is still
+    # serializing when the next media segment starts, so that segment's
+    # first packets queue behind it before the closed form takes over
+    spec = build_call_spec(make_config(preset="campaign-B"), "G729", "hard",
+                           "wlan-to-cellular", 0)
+    queued = []
+
+    class WatchedLink(Link):
+        def offer(self, times, size_bytes):
+            if len(times) > 1 and self._busy and self._busy[-1] > times[0]:
+                queued.append(self.link_id)
+            return super().offer(times, size_bytes)
+
+    got = outcome(_CallRuntime, spec, WatchedLink)
+    assert "cellular-ul" in queued
+    assert got == outcome(_CallRuntime, spec, PerPacketLink)
 
 
 def _spec(**kw):

@@ -12,8 +12,6 @@ from sipswitch.metrics import (
     WindowMetrics,
     burst_ratio,
     call_summary,
-    id_delay_impairment,
-    ie_effective,
     r_factor,
     window_series,
     write_metrics,
@@ -26,6 +24,7 @@ from sipswitch.traffic import (
     write_trace,
 )
 
+from emodel_terms import id_delay_impairment, ie_effective
 from trace_rows import trace_rows
 
 G711 = CODEC_PRESETS["G711"]

@@ -44,6 +44,7 @@ from sipswitch.metrics import (
     EModelParams,
     WindowMetrics,
     WindowSums,
+    _sqrt_of_ratio,
     burst_ratio,
     call_summary,
     emodel,
@@ -185,6 +186,31 @@ def test_window_sums_of_any_split_and_order_are_fsum_and_stdev(columns,
         means, stds = total.finish()
         got = [m.hex() for m in means], [s.hex() for s in stds]
         assert got == want, (rows, chunks)
+
+
+def per_column_finish(sums):
+    """WindowSums.finish as one formula per column."""
+    n, d = sums.n, 1 << sums.exp
+    m = n * (n - 1) * d * d
+    return ([s1 / d / n for s1 in sums.s1],
+            [_sqrt_of_ratio(n * s2 - s1 * s1, m) if m else 0.0
+             for s1, s2 in zip(sums.s1, sums.s2)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(COLUMN, min_size=1, max_size=6))
+@example([[0.0]])                               # n = 1
+@example([[2.5, 2.5, 2.5], [0.0, -0.0, 0.0]])   # equal values, both zeros
+@example([[-0.0, -0.0], [1e-12, -1e-12], [3.0, -0.0]])
+def test_window_sums_finish_is_the_per_column_formula(columns):
+    n = min(map(len, columns))
+    sums = WindowSums()
+    for i in range(n):
+        sums.add(range(len(columns)), [column[i] for column in columns])
+    means, stds = sums.finish()
+    want_means, want_stds = per_column_finish(sums)
+    assert [m.hex() for m in means] == [m.hex() for m in want_means]
+    assert [s.hex() for s in stds] == [s.hex() for s in want_stds]
 
 
 def test_window_sums_reject_mismatched_grids_and_an_empty_fold():

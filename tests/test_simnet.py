@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sipswitch.core import (
     LOSS_LINK_DOWN,
@@ -19,6 +19,8 @@ from sipswitch.simnet import (
     RngStream,
     SchedulingInPastError,
 )
+
+from per_packet_link import PerPacketLink
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +315,77 @@ def test_link_delays_are_randint_draw_for_draw(seed, lo, span, loss, n):
             want.append(lo if span == 1 else rng.randint(lo, hi))
     assert got == want
     assert link.rng.getstate() == rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# the closed form for a drained, lossless link
+
+SIZE = 200
+
+
+def _case(**kw):
+    """One example of the test below: a lossless link, 40 packets 20 ms
+    apart, a random 40-80 ms delay, serialization as long as the spacing."""
+    case = dict(seed=1, lo=40_000, span=40_001, step=20_000,
+                serialization="equal", capacity=50, loss=0.0, n=40,
+                queued=0, clamp=None)
+    case.update(kw)
+    return case
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 64),
+       lo=st.integers(0, 100_000),
+       span=st.one_of(st.just(1), st.just(40_001),
+                      st.integers(1, 17).flatmap(_spans)),
+       step=st.integers(1, 40_000),
+       serialization=st.sampled_from(["none", "below", "equal", "above"]),
+       capacity=st.integers(1, 4),
+       loss=st.sampled_from([0.0, 0.0, 0.3]),
+       n=st.integers(1, 50),
+       queued=st.integers(0, 4),
+       clamp=st.one_of(st.none(), st.integers(0, 200_000)))
+@example(**_case())
+@example(**_case(serialization="above"))
+@example(**_case(capacity=1))
+@example(**_case(span=1, lo=5_000))
+@example(**_case(span=2 ** 12 - 1))
+@example(**_case(span=2 ** 12 + 1))
+@example(**_case(queued=3))
+@example(**_case(clamp=30_000))
+@example(**_case(span=1, lo=5_000, clamp=50_000))
+def test_offer_over_a_range_is_per_packet_transmit_at_each_time(
+        seed, lo, span, step, serialization, capacity, loss, n, queued,
+        clamp):
+    # queued: a packet that many times SIZE offered 1 us before the range;
+    # clamp: a last arrival that far past the first packet's earliest one
+    ser = {"none": 0, "below": step // 2, "equal": step,
+           "above": step + 1}[serialization]
+    params = LinkParams(SIZE * 8000 / ser if ser else UNLIMITED,
+                        (lo, lo + span - 1), capacity, loss)
+    eng = Engine()
+    got_link = Link(Engine(), "x", params, random.Random(seed))
+    want_link = PerPacketLink(eng, "x", params, random.Random(seed))
+    assert got_link.serialization_us(SIZE) == ser
+    start = 1 + step
+    for link in (got_link, want_link):
+        if queued:
+            link.offer(range(start - 1, start), queued * SIZE)
+        if clamp is not None:
+            link._last_arrival = max(link._last_arrival,
+                                     start + ser + lo + clamp)
+    times = range(start, start + n * step, step)
+    got = got_link.offer(times, SIZE)
+    want = []
+    for t in times:
+        eng.schedule(t, lambda: want.append(want_link.transmit(SIZE)))
+    eng.run_until(times[-1])
+    assert got == want
+    assert ((got_link.offered, got_link.delivered, got_link.dropped)
+            == (want_link.offered, want_link.delivered, want_link.dropped))
+    assert list(got_link._busy) == list(want_link._busy)
+    assert got_link._last_arrival == want_link._last_arrival
+    assert got_link.rng.getstate() == want_link.rng.getstate()
 
 
 # ---------------------------------------------------------------------------
