@@ -12,10 +12,11 @@ call_start + switch_offset, watchdog 10 s later.
 
 Media runs on one periodic media clock in the engine, not as heap events:
 the run is cut into segments at the control events (SIP sends and arrivals,
-timers, the trigger), and each segment's packets are generated at once.
-Only control events change the handoff state or put SIP messages on a link,
-so within a segment every packet sees the same route and the link sees
-only that segment's media.
+timers, the trigger), and each segment's packets are generated at once:
+each direction's packets go to the link in one offer, and their fates into
+the trace in one PacketTrace.extend. Only control events change the
+handoff state or put SIP messages on a link, so within a segment every
+packet sees the same route and the link sees only that segment's media.
 
 A media packet's fate is sealed at generation time: the route (including
 whether the required MN interface is Closed) is the one in force when the
@@ -70,7 +71,7 @@ from .handoff import (
     check_state,
     media_route,
 )
-from .simnet import Engine, Fate, Link, RngStream
+from .simnet import Engine, Link, RngStream
 from .sip import (
     Exchange,
     ExchangeState,
@@ -386,9 +387,9 @@ class _CallRuntime:
         media clock hands over each stretch of grid points that lies between
         two control events. Within a segment each direction's route is
         constant (only control events change the handoff state), so each
-        direction is routed once and its packets go to the link in one
-        offer; then every packet's fate is recorded, UL before DL at each
-        grid point.
+        direction is routed once, its packets go to the link in one offer,
+        and their fates go into the trace in one PacketTrace.extend, UL's
+        segment before DL's.
 
         One clock carries both directions exactly. The UL and DL streams
         share one grid and start back to back, and a media tick schedules
@@ -401,25 +402,21 @@ class _CallRuntime:
         size = spec.codec.payload_bytes + spec.header_overhead_bytes
         state = self.state
 
-        def fates(direction: str, links: dict[str, Link],
-                  times: range) -> list[Fate]:
+        def fates(direction: str, links: dict[str, Link], times: range
+                  ) -> tuple[list[Optional[SimTime]], list[Optional[str]]]:
             mn_iface = media_route(state, direction)
             if mn_iface is None:
-                return [(None, LOSS_CLOSED)] * len(times)
+                return [None] * len(times), [LOSS_CLOSED] * len(times)
             return links[mn_iface].offer(times, size)
 
         def segment(t: SimTime, n: int) -> None:
             times = range(t, t + n * interval, interval)
             ul = fates(UL, self.links_ul, times)
             dl = fates(DL, self.links_dl, times)
-            record = self.trace.record
-            ul_iface = state.ul_media_iface
             seq = (t - t_start) // interval
-            for gen, (ul_arrival, ul_cause), (dl_arrival, dl_cause) in zip(
-                    times, ul, dl):
-                record("ul", UL, seq, gen, ul_iface, ul_arrival, ul_cause)
-                record("dl", DL, seq, gen, CN_IFACE, dl_arrival, dl_cause)
-                seq += 1
+            extend = self.trace.extend
+            extend("ul", UL, seq, times, state.ul_media_iface, *ul)
+            extend("dl", DL, seq, times, CN_IFACE, *dl)
 
         self.engine.start_clock(t_start, interval,
                                 t_start + spec.call_duration_us, segment,

@@ -157,11 +157,10 @@ class RngStream:
 UNLIMITED = None
 
 
-# A packet's fate: (arrival_time_us, None) or (None, loss cause).
+# A packet's fate: (arrival_time_us, None) or (None, loss cause). Link.offer
+# gives a run of fates as two columns, (arrivals, causes), with the same
+# pair at each index.
 Fate = tuple[Optional[int], Optional[str]]
-_LINK_DOWN: Fate = (None, LOSS_LINK_DOWN)
-_QUEUE_FULL: Fate = (None, LOSS_QUEUE)
-_RANDOM_LOSS: Fate = (None, LOSS_RANDOM)
 
 
 class Link:
@@ -212,12 +211,14 @@ class Link:
             raise ValueError(f"link state must be Up or Down, got {state!r}")
         self.state = state
 
-    def offer(self, times: range, size_bytes: int) -> list[Fate]:
+    def offer(self, times: range, size_bytes: int
+              ) -> tuple[list[Optional[int]], list[Optional[str]]]:
         """Offer one packet of size_bytes at each of the times, in order.
 
-        Returns each packet's fate: (arrival_time_us, None) when delivered,
-        (None, cause) when dropped. The link must not change state and no
-        other packet may be offered between the times.
+        Returns the packets' fates as two columns, (arrivals, causes): packet
+        j arrived at arrivals[j] with causes[j] None when delivered, or was
+        dropped with arrivals[j] None for causes[j]. The link must not change
+        state and no other packet may be offered between the times.
 
         Packets go through the queue one at a time until one finds it empty
         on a lossless link whose serialization takes no longer than the
@@ -235,7 +236,7 @@ class Link:
         self.offered += n
         if self.state is IfaceState.DOWN:
             self.dropped += n
-            return [_LINK_DOWN] * n
+            return [None] * n, [LOSS_LINK_DOWN] * n
         serialization = self.serialization_us(size_bytes)
         busy = self._busy
         popleft, push = busy.popleft, busy.append
@@ -251,19 +252,22 @@ class Link:
         uncongested = loss_prob == 0.0 and serialization <= times.step
         last_arrival = self._last_arrival
         dropped = 0
-        fates: list[Fate] = []
-        out = fates.append
+        arrivals: list[Optional[int]] = []
+        causes: list[Optional[str]] = []
+        add_arrival, add_cause = arrivals.append, causes.append
         for t in times:
             while busy and busy[0] <= t:
                 popleft()
             if uncongested and not busy:
                 break
             if len(busy) >= capacity:
-                out(_QUEUE_FULL)
+                add_arrival(None)
+                add_cause(LOSS_QUEUE)
                 dropped += 1
                 continue
             if loss_prob > 0.0 and random_() < loss_prob:
-                out(_RANDOM_LOSS)
+                add_arrival(None)
+                add_cause(LOSS_RANDOM)
                 dropped += 1
                 continue
             finish = (busy[-1] if busy else t) + serialization
@@ -277,32 +281,34 @@ class Link:
             if arrival < last_arrival:
                 arrival = last_arrival
             last_arrival = arrival
-            out((arrival, None))
-        rest = times[len(fates):]
+            add_arrival(arrival)
+            add_cause(None)
+        rest = times[len(arrivals):]
         if rest:
             shift = serialization + lo
-            arrivals = range(rest.start + shift, rest.stop + shift, rest.step)
+            earliest = range(rest.start + shift, rest.stop + shift, rest.step)
             if span == 1:
                 # increasing: only those before the last arrival are clamped
-                head = min(len(arrivals), len(range(
-                    arrivals.start, last_arrival, arrivals.step)))
-                fates += repeat((last_arrival, None), head)
-                fates += zip(arrivals[head:], repeat(None))
+                head = min(len(earliest), len(range(
+                    earliest.start, last_arrival, earliest.step)))
+                arrivals += repeat(last_arrival, head)
+                arrivals += earliest[head:]
             else:
-                for arrival in arrivals:
+                for arrival in earliest:
                     r = getrandbits(bits)
                     while r >= span:
                         r = getrandbits(bits)
                     arrival += r
                     if arrival > last_arrival:
                         last_arrival = arrival
-                    out((last_arrival, None))
-            last_arrival = fates[-1][0]
+                    add_arrival(last_arrival)
+            causes += repeat(None, len(rest))
+            last_arrival = arrivals[-1]
             push(rest[-1] + serialization)
         self._last_arrival = last_arrival
         self.delivered += n - dropped
         self.dropped += dropped
-        return fates
+        return arrivals, causes
 
     def transmit(self, size_bytes: int,
                  on_arrive: Optional[Callable[[int], None]] = None,
@@ -314,9 +320,9 @@ class Link:
         on_arrive is given it runs as an engine event at the arrival time.
         """
         now = self.engine.now
-        fate = self.offer(range(now, now + 1), size_bytes)[0]
-        arrival = fate[0]
+        arrivals, causes = self.offer(range(now, now + 1), size_bytes)
+        arrival = arrivals[0]
         if on_arrive is not None and arrival is not None:
             self.engine.schedule(arrival, lambda: on_arrive(arrival),
                                  kind="arrival", subject=note or self.link_id)
-        return fate
+        return arrival, causes[0]

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Optional
+from itertools import repeat
+from operator import ge
+from typing import Optional, Sequence
 
 from .core import LOSS_CAUSES, UL, InternalInvariantError, SimTime
 
@@ -47,11 +49,74 @@ class PacketTrace:
     directions maps each direction, in the order of its first packet, to
     its DirectionTrace. A direction carries one stream, whose packets are
     recorded with seq 0, 1, 2, ... in non-decreasing generation time, so a
-    packet's seq is its index in the direction's lists.
+    packet's seq is its index in the direction's lists. A run records each
+    media segment with extend; record takes one packet, and is what extend
+    falls back to.
     """
 
     def __init__(self):
         self.directions: dict[str, DirectionTrace] = {}
+
+    def extend(self, stream_id: str, direction: str, seq: int, times: range,
+               send_iface: str, arrivals: Sequence[Optional[SimTime]],
+               causes: Sequence[Optional[str]]) -> None:
+        """Append the fates of packets seq, seq + 1, ... generated at times
+        and sent on send_iface, as Link.offer gives them: packet j arrived
+        at arrivals[j] or was lost for causes[j]. Accepts and rejects
+        exactly as record does packet by packet, and raises record's
+        TraceConservationError for the first bad packet, with the packets
+        before it appended.
+
+        The segment is cut at its lost packets (arrival None). Each run of
+        delivered packets between them is admitted with one test: it
+        continues the direction's stream (the next seq, the same stream id,
+        a first time no earlier than the direction's last one, inside a
+        range of positive step), no cause is set, and no arrival is earlier
+        than its generation. A run that passes is appended at once, and a
+        direction's first run registers the direction. Every lost packet,
+        and each packet of a run that fails, goes through record.
+        """
+        n = len(times)
+        if len(arrivals) != n or len(causes) != n:
+            raise TraceConservationError(
+                f"{stream_id} seq {seq}: {n} times but {len(arrivals)} "
+                f"arrivals and {len(causes)} causes")
+        ascending = times.step > 0
+        record, find = self.record, arrivals.index
+        start = 0
+        while start < n:
+            try:
+                stop = find(None, start)
+            except ValueError:
+                stop = n
+            if start < stop:
+                gens = times[start:stop]
+                run = arrivals[start:stop]
+                packets = self.directions.get(direction)
+                if packets is None:
+                    follows = seq + start == 0
+                else:
+                    follows = (seq + start == len(packets.gen)
+                               and stream_id == packets.stream_id
+                               and gens[0] >= packets.gen[-1])
+                if (ascending and follows
+                        and causes[start:stop].count(None) == stop - start
+                        and all(map(ge, run, gens))):
+                    if packets is None:
+                        packets = self.directions[direction] = DirectionTrace(
+                            stream_id)
+                    packets.gen += gens
+                    packets.iface += repeat(send_iface, stop - start)
+                    packets.arrival += run
+                    packets.cause += repeat(None, stop - start)
+                else:
+                    for j in range(start, stop):
+                        record(stream_id, direction, seq + j, times[j],
+                               send_iface, arrivals[j], causes[j])
+            if stop < n:
+                record(stream_id, direction, seq + stop, times[stop],
+                       send_iface, None, causes[stop])
+            start = stop + 1
 
     def record(self, stream_id: str, direction: str, seq: int,
                gen_time: SimTime, send_iface: str,
@@ -59,6 +124,8 @@ class PacketTrace:
                loss_cause: Optional[str]) -> None:
         """Append one packet's fate, or raise TraceConservationError.
 
+        extend sends here each lost packet of a segment and each packet of
+        a delivered run that fails its test; read_trace records each row.
         Admission is one test: a packet that continues its direction's
         stream (the next seq, the same stream id, no earlier generation
         time) with exactly one valid fate (an arrival no earlier than its

@@ -2,8 +2,8 @@
 oracle for the closed form that Link.offer takes once a lossless link's
 queue has drained."""
 
-from sipswitch.core import IfaceState
-from sipswitch.simnet import _LINK_DOWN, _QUEUE_FULL, _RANDOM_LOSS, Link
+from sipswitch.core import LOSS_LINK_DOWN, LOSS_QUEUE, LOSS_RANDOM, IfaceState
+from sipswitch.simnet import Link
 
 
 class PerPacketLink(Link):
@@ -16,19 +16,21 @@ class PerPacketLink(Link):
         self.offered += n
         if self.state is IfaceState.DOWN:
             self.dropped += n
-            return [_LINK_DOWN] * n
+            return [None] * n, [LOSS_LINK_DOWN] * n
         serialization = self.serialization_us(size_bytes)
         busy = self._busy
         lo, span = self.prop_lo_us, self.prop_hi_us - self.prop_lo_us + 1
-        fates = []
+        arrivals, causes = [], []
         for t in times:
             while busy and busy[0] <= t:
                 busy.popleft()
             if len(busy) >= self.queue_capacity_pkts:
-                fates.append(_QUEUE_FULL)
+                arrivals.append(None)
+                causes.append(LOSS_QUEUE)
                 continue
             if self.loss_prob > 0.0 and self.rng.random() < self.loss_prob:
-                fates.append(_RANDOM_LOSS)
+                arrivals.append(None)
+                causes.append(LOSS_RANDOM)
                 continue
             finish = (busy[-1] if busy else t) + serialization
             busy.append(finish)
@@ -40,8 +42,9 @@ class PerPacketLink(Link):
                 arrival += r
             arrival = max(arrival, self._last_arrival)
             self._last_arrival = arrival
-            fates.append((arrival, None))
-        delivered = sum(cause is None for _, cause in fates)
+            arrivals.append(arrival)
+            causes.append(None)
+        delivered = causes.count(None)
         self.delivered += delivered
         self.dropped += n - delivered
-        return fates
+        return arrivals, causes

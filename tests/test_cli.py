@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sipswitch import cli
-from sipswitch.core import DL, LOSS_CLOSED, UL, SimulationError
+from sipswitch.core import DL, LOSS_CLOSED, LOSS_RANDOM, UL, SimulationError
 from sipswitch.metrics import WindowMetrics, WindowSums
 from sipswitch.cli import (
     ConfigError,
@@ -20,7 +20,7 @@ from sipswitch.cli import (
     main,
 )
 
-from trace_rows import lost_count, trace_rows
+from trace_rows import trace_rows
 
 
 def write_config(tmp_path, text="", name="config.yaml"):
@@ -551,30 +551,40 @@ def test_the_bench_patches_what_its_owners_define():
 
 def test_the_bench_counts_what_the_media_tick_calls(tmp_path, monkeypatch):
     # bench/trace_layers.py counts media_route calls through the scenario
-    # global, and reads gen_time and loss_cause as PacketTrace.record's
-    # positional args[4] and args[7]. Media is routed once per direction and
-    # segment between control events, and recorded once per packet.
+    # global, and counts losses from PacketTrace.record's positional
+    # args[4] (gen_time) and args[7] (loss_cause). Media is routed once per
+    # direction and segment between control events, and each segment is
+    # recorded by PacketTrace.extend: every lost packet goes through record,
+    # and a run of delivered packets that passes its test does not.
     import sipswitch.scenario as scenario
     from sipswitch.traffic import PacketTrace
     assert list(inspect.signature(PacketTrace.record).parameters) == [
         "self", "stream_id", "direction", "seq", "gen_time", "send_iface",
         "arrival_time", "loss_cause"]
-    routes, causes = [], []
+    routes, recorded = [], []
     route, record = scenario.media_route, PacketTrace.record
     monkeypatch.setattr(scenario, "media_route",
                         lambda *args: routes.append(args) or route(*args))
-    monkeypatch.setattr(PacketTrace, "record",
-                        lambda *args: causes.append(args[7]) or record(*args))
-    cfg = load_config(write_config(tmp_path, ONE_RUN))
-    result = scenario.run_call(
-        build_call_spec(cfg, "G729", "hard", "wlan-to-cellular", 0))
-    assert len(causes) == result.trace.generated > 0
-    directions = [direction for _, direction in routes]
-    assert directions.count(UL) >= 1 and directions.count(DL) >= 1
-    assert len(routes) < result.trace.generated
-    # the hard switch loses downlink packets to the Closed old interface
-    lost = lost_count(result.trace)
-    assert causes.count(LOSS_CLOSED) == lost > 0
+    monkeypatch.setattr(PacketTrace, "record", lambda *args: recorded.append(
+        (args[4], args[7])) or record(*args))
+    # the hard switch loses downlink packets to the Closed old interface;
+    # a lossy cellular link loses packets at random as well
+    lossy = "interfaces:\n  cellular:\n    loss_prob: 0.05\n"
+    for text, cause in ((ONE_RUN, LOSS_CLOSED), (ONE_RUN + lossy, LOSS_RANDOM)):
+        routes.clear()
+        recorded.clear()
+        cfg = load_config(write_config(tmp_path, text))
+        result = scenario.run_call(
+            build_call_spec(cfg, "G729", "hard", "wlan-to-cellular", 0))
+        lost = [(gen, why) for packets in result.trace.directions.values()
+                for gen, why in zip(packets.gen, packets.cause)
+                if why is not None]
+        assert sorted(recorded) == sorted(lost)
+        assert any(why == cause for _, why in lost)
+        assert len(recorded) < result.trace.generated
+        directions = [direction for _, direction in routes]
+        assert directions.count(UL) >= 1 and directions.count(DL) >= 1
+        assert len(routes) < result.trace.generated
 
 
 def test_a_broken_invariant_exits_three(tmp_path, capsys, monkeypatch):

@@ -275,7 +275,8 @@ def test_offer_is_transmit_at_each_time():
     for t in times:
         eng.schedule(t, lambda: fates.append(single.transmit(200)))
     eng.run_until(times[-1])
-    assert batch.offer(times, 200) == fates
+    arrivals, causes = batch.offer(times, 200)
+    assert list(zip(arrivals, causes)) == fates
     assert {cause for _, cause in fates} == {None, LOSS_QUEUE, LOSS_RANDOM}
     assert ((batch.offered, batch.delivered, batch.dropped)
             == (single.offered, single.delivered, single.dropped))
@@ -305,7 +306,7 @@ def test_link_delays_are_randint_draw_for_draw(seed, lo, span, loss, n):
                  rng=random.Random(seed))
     times = range(0, n * step, step)
     got = [None if arrival is None else arrival - t
-           for t, (arrival, _) in zip(times, link.offer(times, 100))]
+           for t, arrival in zip(times, link.offer(times, 100)[0])]
     rng = random.Random(seed)
     want = []
     for _ in times:
@@ -375,7 +376,8 @@ def test_offer_over_a_range_is_per_packet_transmit_at_each_time(
             link._last_arrival = max(link._last_arrival,
                                      start + ser + lo + clamp)
     times = range(start, start + n * step, step)
-    got = got_link.offer(times, SIZE)
+    arrivals, causes = got_link.offer(times, SIZE)
+    got = list(zip(arrivals, causes))
     want = []
     for t in times:
         eng.schedule(t, lambda: want.append(want_link.transmit(SIZE)))

@@ -2,7 +2,7 @@ import csv
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sipswitch.core import (
     CODEC_PRESETS,
@@ -207,12 +207,13 @@ def test_written_trace_bytes_are_stable(tmp_path):
 # One packet of a random trace: its gap in us since the previous one of its
 # direction (0 is a tie), and its delay in us or its loss cause.
 GAP = st.sampled_from([0, 1, 20_000, 20_000, 30_000])
-FATE = st.one_of(st.integers(min_value=0, max_value=300_000),
-                 st.sampled_from(LOSS_CAUSES))
+DELAY = st.integers(min_value=0, max_value=300_000)
+LOST = st.sampled_from(LOSS_CAUSES)
+FATE = st.one_of(DELAY, LOST)
 
 
 @st.composite
-def packet_streams(draw):
+def packet_streams(draw, gaps=GAP, fates=FATE):
     """The packets of a two-direction trace as record's arguments, in
     recording order: either generation order, as a run and read_trace
     record them, or one whole direction before the other. The directions
@@ -222,11 +223,11 @@ def packet_streams(draw):
     start = draw(st.integers(min_value=0, max_value=2_000_000))
     packets = []
     for stream_id, direction in (("ul", UL), ("dl", DL)):
-        fates = draw(st.lists(FATE, max_size=40))
-        switch = draw(st.integers(min_value=0, max_value=len(fates)))
+        drawn = draw(st.lists(fates, max_size=40))
+        switch = draw(st.integers(min_value=0, max_value=len(drawn)))
         gen = start + draw(st.sampled_from([0, 0, 1, 20_000]))
-        for seq, fate in enumerate(fates):
-            gen += draw(GAP) if seq else 0
+        for seq, fate in enumerate(drawn):
+            gen += draw(gaps) if seq else 0
             iface = ("cn0" if direction == DL
                      else "wlan" if seq < switch else "cellular")
             fate = ((gen + fate, None) if isinstance(fate, int)
@@ -337,11 +338,11 @@ FAULTS = ("seq", "stream", "earlier", "both-fates", "no-fate",
 
 
 @st.composite
-def faulted_packet_streams(draw):
-    """packet_streams with at most one packet changed by one fault from
-    FAULTS, at a drawn position or on the first packet of that position's
-    direction."""
-    packets = draw(packet_streams())
+def faulted_packet_streams(draw, **kw):
+    """packet_streams(**kw) with at most one packet changed by one fault
+    from FAULTS, at a drawn position or on the first packet of that
+    position's direction."""
+    packets = draw(packet_streams(**kw))
     fault = draw(st.sampled_from((None, *FAULTS)))
     if fault is None or not packets:
         return packets
@@ -394,3 +395,103 @@ def test_record_accepts_and_rejects_as_its_per_check_form(packets):
         assert trace_lists(trace) == trace_lists(reference), packet
         if outcomes[0] is not None:   # a rejected packet changes nothing
             assert trace_lists(trace) == before, packet
+
+
+# ---------------------------------------------------------------------------
+# extend against record, packet by packet
+
+# Runs as a media clock makes them: mostly one spacing, mostly delivered.
+SEGMENT_GAP = st.sampled_from([0, 1, 30_000, *[20_000] * 6])
+SEGMENT_FATE = st.one_of(DELAY, DELAY, DELAY, LOST)
+
+
+def _continues(segment, packet):
+    """Whether packet can end segment, a list of record's arguments: the
+    same stream, direction and interface, the next seq, and times on one
+    range of nonzero step (a negative one holds an earlier fault)."""
+    last = segment[-1]
+    step = packet[3] - last[3]
+    return (packet[:2] == last[:2] and packet[4] == last[4]
+            and packet[2] == last[2] + 1 and step != 0
+            and (len(segment) == 1 or step == segment[1][3] - segment[0][3]))
+
+
+@st.composite
+def faulted_segments(draw):
+    """faulted_packet_streams cut into PacketTrace.extend's arguments.
+
+    Each direction's packets are cut into segments of consecutive seqs, one
+    stream and one interface, whose times form a range; a fault that cannot
+    be written so (a seq or stream fault, an earlier time on a run of
+    positive step) starts a segment. Segments may also be cut at drawn
+    points. The directions' segments are interleaved in a drawn order, and
+    an empty segment may be put in anywhere."""
+    packets = draw(faulted_packet_streams(gaps=SEGMENT_GAP,
+                                          fates=SEGMENT_FATE))
+    cut: dict[str, list[list]] = {}
+    for packet in packets:
+        segments = cut.setdefault(packet[1], [])
+        if (segments and _continues(segments[-1], packet)
+                and draw(st.integers(0, 9))):
+            segments[-1].append(packet)
+        else:
+            segments.append([packet])
+    order = draw(st.permutations([direction for direction, segments
+                                  in cut.items() for _ in segments]))
+    out = []
+    for direction in order:
+        segment = cut[direction].pop(0)
+        stream_id, _, seq, gen, iface = segment[0][:5]
+        step = segment[1][3] - gen if len(segment) > 1 else 1
+        out.append((stream_id, direction, seq,
+                    range(gen, gen + step * len(segment), step), iface,
+                    [p[5] for p in segment], [p[6] for p in segment]))
+    if draw(st.booleans()):
+        direction = draw(st.sampled_from([UL, DL]))
+        gen = draw(st.integers(0, 100_000))
+        out.insert(draw(st.integers(0, len(out))), (
+            direction.lower(), direction, draw(st.integers(0, 3)),
+            range(gen, gen, 20_000), "wlan", [], []))
+    return out
+
+
+def _outcome(call, *args):
+    try:
+        call(*args)
+    except TraceConservationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _record_each(trace, stream_id, direction, seq, times, send_iface,
+                 arrivals, causes):
+    for j, gen in enumerate(times):
+        trace.record(stream_id, direction, seq + j, gen, send_iface,
+                     arrivals[j], causes[j])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(segments=faulted_segments())
+# an empty segment before a direction's first, and a run of negative step
+@example(segments=[("dl", DL, 5, range(0, 0, 20_000), "cn0", [], []),
+                   ("dl", DL, 0, range(0, 60_000, 20_000), "cn0",
+                    [5_000, None, 45_000], [None, LOSS_CLOSED, None])])
+@example(segments=[("ul", UL, 0, range(40_000, 0, -20_000), "wlan",
+                    [45_000, 25_000], [None, None])])
+def test_extend_accepts_and_rejects_as_record_does_packet_by_packet(
+        segments):
+    trace, reference = PacketTrace(), ReferenceTrace()
+    for segment in segments:
+        got = _outcome(trace.extend, *segment)
+        assert got == _outcome(_record_each, reference, *segment), segment
+        # the packets before a rejected one are appended, as record's are
+        assert trace_lists(trace) == trace_lists(reference), segment
+
+
+def test_extend_needs_one_fate_per_time():
+    trace = PacketTrace()
+    with pytest.raises(TraceConservationError,
+                       match="ul seq 0: 2 times but 1 arrivals and 2 causes"):
+        trace.extend("ul", UL, 0, range(0, 40_000, 20_000), "wlan",
+                     [5_000], [None, None])
+    assert trace.directions == {}
