@@ -203,18 +203,22 @@ def run_campaign(config: ExperimentConfig,
     split.
     """
     out_dir = Path(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
-        raise ConfigError([f"out_dir: {out_dir}: {exc.strerror}"]) from None
-    warnings = capacity_warnings(config)
-    for line in warnings:
-        print(f"warning: {line}", file=sys.stderr)
-
     cells = [(codec, proc, direction)
              for codec in config.codecs
              for proc in config.procedures
              for direction in config.directions]
+    # Every directory is made before the first run: a file in the way, no
+    # permission or a name the file system refuses is then a config error.
+    try:
+        for path in (out_dir, *(out_dir / "_".join(cell) for cell in cells)):
+            path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"out_dir: {path}: "
+                           f"{getattr(exc, 'strerror', None) or exc}"]) from None
+    warnings = capacity_warnings(config)
+    for line in warnings:
+        print(f"warning: {line}", file=sys.stderr)
+
     reps = config.repetitions
     workers = min(parallel, len(cells) * reps)
     starts = range(0, reps, -(-reps // workers))

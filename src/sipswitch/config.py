@@ -186,7 +186,8 @@ def _entries(value: dict, prefix: str, allowed, bad: list[str]):
 
 def _names(raw: dict, key: str, what: str, known, bad: list[str]) -> list:
     """The non-empty list of names at key (one name is a list of one),
-    reporting each name outside known (None knows every name)."""
+    reporting each name outside known (None knows every name), each that
+    cannot be one component of a cell directory's name, and each repeat."""
     names = raw.get(key)
     if isinstance(names, str):
         names = [names]
@@ -195,10 +196,14 @@ def _names(raw: dict, key: str, what: str, known, bad: list[str]) -> list:
         return []
     if known is not None:
         known = sorted(known)  # a list: an unhashable name is just unknown
-        for name in names:
-            if name not in known:
-                bad.append(f"{key}: unknown {what} {name!r}; known: "
-                           f"{', '.join(known)}")
+    for i, name in enumerate(names):
+        if known is not None and name not in known:
+            bad.append(f"{key}: unknown {what} {name!r}; known: "
+                       f"{', '.join(known)}")
+        if isinstance(name, str) and ("/" in name or "\0" in name):
+            bad.append(f"{key}: {what} {name!r} holds '/' or a NUL byte")
+        if names[:i].count(name) == 1:  # a list: names can be unhashable
+            bad.append(f"{key}: {what} {name!r} is listed more than once")
     return names
 
 

@@ -49,9 +49,10 @@ class PacketTrace:
     directions maps each direction, in the order of its first packet, to
     its DirectionTrace. A direction carries one stream, whose packets are
     recorded with seq 0, 1, 2, ... in non-decreasing generation time, so a
-    packet's seq is its index in the direction's lists. A run records each
-    media segment with extend; record takes one packet, and is what extend
-    falls back to.
+    packet's seq is its index in the direction's lists. record admits one
+    packet, check by check, and is the only per-packet admission. A run
+    records each media segment with extend, which appends a run of
+    delivered packets at once and passes every other packet to record.
     """
 
     def __init__(self):
@@ -73,8 +74,9 @@ class PacketTrace:
         a first time no earlier than the direction's last one, inside a
         range of positive step), no cause is set, and no arrival is earlier
         than its generation. A run that passes is appended at once, and a
-        direction's first run registers the direction. Every lost packet,
-        and each packet of a run that fails, goes through record.
+        direction's first run registers the direction. One loop then passes
+        to record, in order, the packets of a run that fails and the lost
+        packet that ends the run.
         """
         n = len(times)
         if len(arrivals) != n or len(causes) != n:
@@ -109,50 +111,26 @@ class PacketTrace:
                     packets.iface += repeat(send_iface, stop - start)
                     packets.arrival += run
                     packets.cause += repeat(None, stop - start)
-                else:
-                    for j in range(start, stop):
-                        record(stream_id, direction, seq + j, times[j],
-                               send_iface, arrivals[j], causes[j])
-            if stop < n:
-                record(stream_id, direction, seq + stop, times[stop],
-                       send_iface, None, causes[stop])
+                    start = stop
+            for j in range(start, min(stop + 1, n)):
+                record(stream_id, direction, seq + j, times[j], send_iface,
+                       arrivals[j], causes[j])
             start = stop + 1
 
     def record(self, stream_id: str, direction: str, seq: int,
                gen_time: SimTime, send_iface: str,
                arrival_time: Optional[SimTime],
                loss_cause: Optional[str]) -> None:
-        """Append one packet's fate, or raise TraceConservationError.
+        """Append one packet's fate, or raise TraceConservationError naming
+        the first check it fails: the direction's stream id, the next seq, a
+        generation time no earlier than the previous packet's, exactly one
+        of arrival and loss cause, an arrival no earlier than its
+        generation, a known loss cause. A direction is registered only once
+        its first packet passes.
 
         extend sends here each lost packet of a segment and each packet of
         a delivered run that fails its test; read_trace records each row.
-        Admission is one test: a packet that continues its direction's
-        stream (the next seq, the same stream id, no earlier generation
-        time) with exactly one valid fate (an arrival no earlier than its
-        generation, or a known loss cause) is appended at once. Any other
-        packet, a direction's first among them, goes to _diagnose, which
-        applies each check in turn and names the first that fails.
         """
-        packets = self.directions.get(direction)
-        if (packets is not None and seq == len(packets.gen)
-                and stream_id == packets.stream_id
-                and gen_time >= packets.gen[-1]
-                and (loss_cause in LOSS_CAUSES if arrival_time is None
-                     else loss_cause is None and arrival_time >= gen_time)):
-            packets.gen.append(gen_time)
-            packets.iface.append(send_iface)
-            packets.arrival.append(arrival_time)
-            packets.cause.append(loss_cause)
-            return
-        self._diagnose(stream_id, direction, seq, gen_time, send_iface,
-                       arrival_time, loss_cause)
-
-    def _diagnose(self, stream_id: str, direction: str, seq: int,
-                  gen_time: SimTime, send_iface: str,
-                  arrival_time: Optional[SimTime],
-                  loss_cause: Optional[str]) -> None:
-        """record's checks one at a time: raise for the first that fails,
-        else append the packet, registering a new direction only now."""
         packets = self.directions.get(direction) or DirectionTrace(stream_id)
         gens = packets.gen
         if stream_id != packets.stream_id:

@@ -3,6 +3,9 @@ import importlib
 import inspect
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -676,6 +679,13 @@ custom_codecs:
      "interfaces.wlan.technology: unknown ['wired']"),
     ("codecs: [[G729]]\n", "codecs: unknown codec ['G729']"),
     ("preset: [campaign-A]\n", "preset: unknown preset ['campaign-A']"),
+    # a name listed twice used to run its cells twice into one directory
+    ("codecs: [G729, G711, G729]\n",
+     "codecs: codec 'G729' is listed more than once"),
+    ("procedures: [hard, hard]\n",
+     "procedures: procedure 'hard' is listed more than once"),
+    ("directions: [cellular-to-wlan, cellular-to-wlan]\n",
+     "directions: direction 'cellular-to-wlan' is listed more than once"),
 ])
 def test_validate_names_the_bad_field(tmp_path, capsys, text, message):
     assert main(["validate", write_config(tmp_path, text)]) == 1
@@ -723,6 +733,71 @@ def test_an_out_dir_below_a_file_is_a_config_error(tmp_path, capsys,
     assert "Traceback" not in err
     assert started == []  # no run and no pool
     assert blocker.read_text() == "a file\n"
+
+
+def _custom_codec(name: str) -> str:
+    """ONE_RUN with its codec replaced by a copy of G729 named name."""
+    g729 = {"bitrate_kbps": 8.0, "packet_interval_ms": 20.0,
+            "payload_bytes": 20, "ie": 11.0, "bpl": 19.0}
+    return ONE_RUN.replace(  # JSON is YAML, and it escapes a NUL byte
+        "codecs: [G729]", f"codecs: {json.dumps([name])}\n"
+                          f"custom_codecs: {json.dumps({name: g729})}")
+
+
+def _files_below(root: Path) -> set[Path]:
+    return {path for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("text,key", [
+    (_custom_codec("../../zz/esc"), "codecs"),
+    (_custom_codec("a\0b"), "codecs"),
+    (ONE_RUN.replace("directions: [cellular-to-wlan]",
+                     "directions: [a/b-to-wlan]\n"
+                     "interfaces: {a/b: {technology: wired, q_weight: 0.1}}"),
+     "directions"),
+], ids=["dot-dot", "nul", "slash-in-interface"])
+def test_a_name_that_is_not_one_path_component_fails_validate(
+        tmp_path, capsys, text, key):
+    out = tmp_path / "oz" / "sub"
+    cfg = write_config(tmp_path, text)
+    before = _files_below(tmp_path)
+    assert main(["validate", cfg]) == 1
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err
+    assert "Traceback" not in err
+    assert _files_below(tmp_path) == before
+    assert [p for p in tmp_path.rglob("*") if p.is_dir()] == []
+
+
+@pytest.mark.parametrize("text,bad_path", [
+    (_custom_codec("C" * 250), "C" * 250 + "_hard_cellular-to-wlan"),
+    (ONE_RUN + 'out_dir: "x\\0y"\n', "x\0y"),
+], ids=["name-too-long", "nul-in-out-dir"])
+def test_a_directory_the_file_system_refuses_is_a_config_error(
+        tmp_path, capsys, monkeypatch, text, bad_path):
+    started = []
+    monkeypatch.setattr(cli, "run_call", started.append)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, text)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error: out_dir: " in err and bad_path in err
+    assert "Traceback" not in err
+    assert started == []  # every directory is made before the first run
+    assert _files_below(tmp_path) == {tmp_path / "config.yaml"}
+
+
+def test_importing_the_cli_leaves_out_the_pool_and_statistics():
+    """A serial run's setup imports neither; the bench times that import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, sipswitch.cli; print(sorted({'multiprocessing', "
+             "'statistics'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "two"])

@@ -1,5 +1,7 @@
-"""Property test of the config boundary: a junk value in any numeric setting
-either fails `validate` with exit 1 or runs to completion with exit 0 or 2.
+"""Property tests of the config boundary: a junk value in any numeric
+setting, or any codec or interface name, either fails `validate` with exit 1
+or runs to completion with exit 0 or 2, and a run writes only inside its out
+dir.
 """
 
 import copy
@@ -94,3 +96,36 @@ def test_junk_in_any_numeric_setting_fails_validate_or_runs(path, value):
         assert rc in (0, 1)
         if rc == 0 and path[0] not in SCALE_THE_WORK:
             assert cli.main(["run", str(cfg)]) in (0, 2)
+
+
+# Names drawn from the characters that matter to a path or a CSV row, and
+# the pinned names that used to escape the out dir. At most six characters:
+# "../../" climbs two levels, so every write stays inside the temporary
+# directory even where the out dir is escaped.
+NAMES = st.one_of(st.sampled_from(["..", "../x", "a/b", ""]),
+                  st.text("ab/\0.,-_", max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=NAMES, as_codec=st.booleans(), twice=st.booleans())
+def test_any_name_fails_validate_or_runs_inside_the_out_dir(name, as_codec,
+                                                            twice):
+    config = copy.deepcopy(TINY)
+    if as_codec:
+        config["custom_codecs"] = {name: TINY["custom_codecs"]["X"]}
+        config["codecs"] = [name] * (1 + twice)
+    else:
+        config["interfaces"][name] = {"technology": "wired", "q_weight": 0.5}
+        config["directions"] = [f"cellular-to-{name}"] * (1 + twice)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "d1", "d2", "d3", "out")
+        config["out_dir"] = str(out)
+        cfg = Path(tmp) / "config.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        rc = cli.main(["validate", str(cfg)])
+        assert rc in (0, 1)
+        if rc == 0:
+            assert cli.main(["run", str(cfg)]) in (0, 2)
+        written = [path for path in Path(tmp).rglob("*")
+                   if path.is_file() and path != cfg]
+        assert all(out in path.parents for path in written)
