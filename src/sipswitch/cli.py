@@ -213,7 +213,9 @@ def run_campaign(config: ExperimentConfig,
         for path in (out_dir, *(out_dir / "_".join(cell) for cell in cells)):
             path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
-        raise ConfigError([f"out_dir: {path}: "
+        shown = "".join(c if c.isprintable() else repr(c)[1:-1]
+                        for c in str(path))  # a NUL byte as \x00
+        raise ConfigError([f"out_dir: {shown}: "
                            f"{getattr(exc, 'strerror', None) or exc}"]) from None
     warnings = capacity_warnings(config)
     for line in warnings:

@@ -257,6 +257,19 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
         codec_profiles[name] = profile
 
     codecs = _names(raw, "codecs", "codec", codec_profiles, bad)
+    # A window grid no denser than the packet grid: a direction then has at
+    # most one window more than the fastest codec has packets.
+    grid = "window_len_ms" if raw["stride_ms"] is None else "stride_ms"
+    fastest = min((codec_profiles[c] for c in codecs if isinstance(c, str)
+                   and c in codec_profiles
+                   and not validate_codec(codec_profiles[c])),
+                  key=lambda codec: codec.packet_interval_us, default=None)
+    if grid not in failed and fastest is not None \
+            and ms_to_us(raw[grid]) < fastest.packet_interval_us:
+        bad.append(f"{grid}: {raw[grid]} is shorter than the packet interval "
+                   f"of {fastest.name}, {fastest.packet_interval_ms} ms"
+                   + (" (with no stride_ms, the window length is the stride)"
+                      if grid == "window_len_ms" else ""))
     procedures = _names(raw, "procedures", "procedure",
                         (p.value for p in HandoffProcedure), bad)
 

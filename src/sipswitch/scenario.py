@@ -36,7 +36,7 @@ uplink loses that packet as closed-interface and a 20 or 40 ms one does not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -73,14 +73,15 @@ from .handoff import (
 )
 from .simnet import Engine, Link, RngStream
 from .sip import (
+    ClientTransaction,
     Exchange,
     ExchangeState,
-    ForwardTransaction,
-    Registrar,
+    RegistrarBinding,
     SignalingConfig,
     SignalingLog,
     SipMessage,
     SipMethod,
+    apply_register,
     build_register,
     retransmit,
 )
@@ -93,8 +94,10 @@ from .traffic import (
 CN_URI = "cn"
 CN_IFACE = "cn0"
 
-# The call's SIP exchanges by caller (each endpoint calls once). The registrar
-# resends the INVITE, the MN its re-INVITE; nothing answers the one REGISTER.
+# The call's SIP exchanges by caller (each endpoint calls once). Each request
+# is one ClientTransaction: the INVITE's targets are the MN's binding in q
+# order, with fallback, the re-INVITE's the new interface, without. Nothing
+# answers the one REGISTER.
 EXCHANGES = {x.caller: x for x in (
     Exchange(SipMethod.INVITE, CN_URI, "setup-ok", ack_every_ok=False,
              forced_drops=False),
@@ -189,7 +192,7 @@ class RunResult:
     t_cn_switch: Optional[SimTime]
     t_completed: Optional[SimTime]
     closed_old_at: Optional[SimTime]
-    setup_transaction: Optional[ForwardTransaction]
+    setup_transaction: Optional[ClientTransaction]
 
 
 class _CallRuntime:
@@ -222,16 +225,11 @@ class _CallRuntime:
             old_iface=spec.switch_from, new_iface=spec.switch_to,
             iface_states={i.iface_id: i.state for i in spec.interfaces})
 
-        self.registrar = Registrar(
-            self.engine, lambda msg, contact: self._send(
-                replace(msg, via_iface=contact.iface)), spec.signaling)
-        self.setup_transaction: Optional[ForwardTransaction] = None
+        self.bindings: dict[str, RegistrarBinding] = {}
         self.aborted = False
         self.abort_reason: Optional[str] = None
         self.exchanges = {caller: ExchangeState() for caller in EXCHANGES}
         self._drop_counts: dict[str, int] = {}
-        self._rtx = (ms_to_us(spec.signaling.rtx_interval_ms),
-                     spec.signaling.max_retransmissions)
 
     # -- signaling ---------------------------------------------------------
 
@@ -275,12 +273,12 @@ class _CallRuntime:
 
     def _receive(self, msg: SipMessage) -> None:
         """Arrival at the core (registrar and CN) or at the MN. The
-        registrar keeps a REGISTER; any other message goes to its row. The
-        caller ACKs the first OK, and every copy if its row says so. The
-        registrar sees every setup OK; the MN's first handoff OK completes
-        the switch."""
+        registrar keeps a REGISTER's binding; any other message goes to its
+        row. Every OK answers the caller's transaction; the caller ACKs the
+        first OK, and every copy if its row says so. The MN's first handoff
+        OK completes the switch."""
         if msg.method is SipMethod.REGISTER:
-            self.registrar.handle_register(msg)
+            self.bindings[msg.from_uri] = apply_register(msg)
             return
         ex = exchange_of(msg)
         progress = self.exchanges[ex.caller]
@@ -291,9 +289,8 @@ class _CallRuntime:
             self._on_request(ex, progress, msg)
             return
         first, progress.answered = not progress.answered, True
-        if ex.method is SipMethod.INVITE:
-            self.registrar.deliver_answer(msg, mn_address(msg.via_iface))
-        elif first:
+        progress.request.answer(self.engine.now, mn_address(msg.via_iface))
+        if first and ex.method is SipMethod.REINVITE:
             t, state = self.engine.now, self.state
             state.phase, state.t_completed = HandoffPhase.COMPLETED, t
             self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][1])
@@ -322,8 +319,10 @@ class _CallRuntime:
         ok = progress.ok = self._message(SipMethod.OK, msg.to_uri,
                                          msg.via_iface, msg.msg_id, media_src)
         self._send(ok)
+        sig = self.spec.signaling
         retransmit(self.engine, lambda: self._send(ok),
-                   lambda: not progress.acked, *self._rtx, ex.ok_subject)
+                   lambda: not progress.acked, ms_to_us(sig.rtx_interval_ms),
+                   sig.max_retransmissions, ex.ok_subject)
 
     def _send_register(self) -> None:
         self._send(build_register(MN_URI, self.spec.interfaces,
@@ -334,7 +333,11 @@ class _CallRuntime:
         invite = self._message(SipMethod.INVITE, CN_URI, CN_IFACE,
                                media_src=Address(CN_URI, CN_IFACE, MEDIA_PORT))
         # CN and registrar share the core: hand over without a link hop.
-        self.setup_transaction = self.registrar.forward_with_fallback(invite)
+        binding = self.bindings.get(invite.to_uri)
+        targets = tuple(c.address for c in binding.entries) if binding else ()
+        txn = self.exchanges[CN_URI].request = ClientTransaction(
+            invite, targets, "INVITE", self.spec.signaling, fallback=True)
+        txn.start(self.engine, self._send)
 
     def _setup_guard(self) -> None:
         if not self.exchanges[CN_URI].acked:  # the CN ACKs only if answered
@@ -352,12 +355,12 @@ class _CallRuntime:
             return
         state.phase, state.t_trigger = HandoffPhase.SWITCHING, t
         self.handoff_log.record(t, "MN", "trigger", "Stable", "Switching")
-        msg = self._message(SipMethod.REINVITE, MN_URI, state.new_iface,
-                            media_src=mn_address(state.new_iface))
-        self._send(msg)
-        retransmit(self.engine, lambda: self._send(msg),
-                   lambda: state.phase is HandoffPhase.SWITCHING,
-                   *self._rtx, "reinvite")
+        new = mn_address(state.new_iface)
+        msg = self._message(SipMethod.REINVITE, MN_URI, new.iface,
+                            media_src=new)
+        txn = self.exchanges[MN_URI].request = ClientTransaction(
+            msg, (new,), "reinvite", self.spec.signaling, fallback=False)
+        txn.start(self.engine, self._send)
         self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][0])
 
     def _apply_steps(self, steps: tuple[Step, ...]) -> None:
@@ -472,10 +475,6 @@ class _CallRuntime:
 
         horizon = max(call_end, t_trigger + spec.watchdog_us) + 1_000_000
         self.engine.run_until(horizon)
-        # The registrar sends through this runtime. Break that reference
-        # cycle, so that the run's trace is freed as soon as its result is
-        # dropped and not at the garbage collector's next full pass.
-        self.registrar.send = None
         self._check_conservation(call_end)
 
         return RunResult(
@@ -487,7 +486,7 @@ class _CallRuntime:
             t_cn_switch=self.state.t_cn_switch,
             t_completed=self.state.t_completed,
             closed_old_at=self.state.closed_old_at,
-            setup_transaction=self.setup_transaction)
+            setup_transaction=self.exchanges[CN_URI].request)
 
 
 def run_call(spec: CallSpec) -> RunResult:

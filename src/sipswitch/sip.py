@@ -1,11 +1,13 @@
 """SIP signaling model: messages, the registrar's q-weight priority list,
-serial forwarding with fallback, the exchange rows a call applies, and the
-one retransmission timer every resent message uses."""
+the exchange rows a call applies, the one client transaction every request
+is sent by (serial forwarding with fallback for the INVITE, plain resends
+for the re-INVITE), and the one retransmission timer every resent message
+uses."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .core import (
@@ -106,6 +108,7 @@ class Exchange:
 class ExchangeState:
     """How far one exchange has got."""
 
+    request: Optional[ClientTransaction] = None  # the caller's request
     ok: Optional[SipMessage] = None  # the callee's answer to every copy
     answered: bool = False  # an OK reached the caller
     acked: bool = False  # an ACK reached the callee
@@ -164,26 +167,74 @@ def apply_register(msg: SipMessage) -> RegistrarBinding:
     return RegistrarBinding(uri=msg.from_uri, entries=ordered)
 
 
-# Forward transaction outcomes.
+# Client transaction outcomes.
 PENDING = "pending"
 DELIVERED = "delivered"
 UNREACHABLE = "unreachable"
 
 
-class ForwardTransaction:
-    """Progress of one forwarded message through the priority list."""
+class ClientTransaction:
+    """One request sent until answered (RFC 3261 17.1), to its targets in
+    order (16.6's sequential search). Each target gets the request via its
+    interface, resent every rtx_interval_ms up to max_retransmissions times.
+    With fallback, the next target takes over after fallback_timeout_ms,
+    with no resend at or after it, and the transaction is unreachable once
+    the last target times out. Without, its resends are all it does.
 
-    def __init__(self, msg: SipMessage):
+    It holds no callback, so that a finished run is freed without the
+    collector: start hands the engine and the send function to its timers.
+    """
+
+    def __init__(self, msg: SipMessage, targets: tuple[Address, ...],
+                 subject: str, config: SignalingConfig, fallback: bool):
         self.msg = msg
+        self.targets = targets
+        self.subject = subject  # of its sip-rtx and sip-fallback-timeout
+        self.rtx_us = ms_to_us(config.rtx_interval_ms)
+        self.resends = config.max_retransmissions
+        self.fallback_us: Optional[int] = None
+        if fallback:
+            self.fallback_us = ms_to_us(config.fallback_timeout_ms)
+            self.resends = min(self.resends,
+                               (self.fallback_us - 1) // self.rtx_us)
         self.status = PENDING
         self.via_address: Optional[Address] = None
         self.attempts: list[tuple[Address, int]] = []
-        self.attempt_idx = 0  # priority entry currently being tried
+        self.attempt_idx = 0  # the target being tried
         self.completed_at: Optional[int] = None
 
-    def _finish(self, status: str, now: int) -> None:
-        self.status = status
-        self.completed_at = now
+    def start(self, engine: Engine, send: Callable[[SipMessage], None],
+              idx: int = 0) -> None:
+        """Try targets[idx], the first unless falling back."""
+        if self.status != PENDING:
+            return
+        if idx >= len(self.targets):
+            self.status, self.completed_at = UNREACHABLE, engine.now
+            return
+        self.attempt_idx = idx
+        address = self.targets[idx]
+        msg = replace(self.msg, via_iface=address.iface)
+
+        def send_once() -> None:
+            self.attempts.append((address, engine.now))
+            send(msg)
+
+        send_once()
+        retransmit(engine, send_once,
+                   lambda: self.status == PENDING and self.attempt_idx == idx,
+                   self.rtx_us, self.resends, self.subject)
+        if self.fallback_us is not None:
+            engine.schedule_in(
+                self.fallback_us, lambda: self.start(engine, send, idx + 1),
+                kind="sip-fallback-timeout", subject=self.subject)
+
+    def answer(self, now: int, from_address: Address) -> None:
+        """An answer came from from_address. The first one completes the
+        transaction; later ones, and any after it went unreachable, do
+        nothing."""
+        if self.status == PENDING:
+            self.via_address = from_address
+            self.status, self.completed_at = DELIVERED, now
 
 
 class SignalingLog:
@@ -197,83 +248,3 @@ class SignalingLog:
             f"({time_us}, {msg.method.value}, {msg.from_uri}, {msg.to_uri},"
             f" {msg.via_iface}, {outcome})"
         )
-
-
-class Registrar:
-    """Holds bindings and forwards messages serially down the priority list.
-
-    Each entry is attempted with up to max_retransmissions resends at
-    rtx_interval; fallback to the next entry happens only when no answer
-    arrives within fallback_timeout_ms.
-    """
-
-    def __init__(self, engine: Engine,
-                 send: Callable[[SipMessage, Address], None],
-                 config: SignalingConfig = SignalingConfig()):
-        self.engine = engine
-        self.send = send
-        self.config = config
-        self.bindings: dict[str, RegistrarBinding] = {}
-        self._pending: dict[int, ForwardTransaction] = {}
-
-    def handle_register(self, msg: SipMessage) -> RegistrarBinding:
-        binding = apply_register(msg)
-        self.bindings[msg.from_uri] = binding
-        return binding
-
-    def forward_with_fallback(self, msg: SipMessage) -> ForwardTransaction:
-        """Start forwarding msg toward the binding of msg.to_uri."""
-        txn = ForwardTransaction(msg)
-        binding = self.bindings.get(msg.to_uri)
-        if binding is None or not binding.entries:
-            txn._finish(UNREACHABLE, self.engine.now)
-            return txn
-        self._pending[msg.msg_id] = txn
-        self._attempt(txn, binding, 0)
-        return txn
-
-    def _attempt(self, txn: ForwardTransaction, binding: RegistrarBinding,
-                 idx: int) -> None:
-        if txn.status != PENDING:
-            return
-        if idx >= len(binding.entries):
-            self._pending.pop(txn.msg.msg_id, None)
-            txn._finish(UNREACHABLE, self.engine.now)
-            return
-        txn.attempt_idx = idx
-        address = binding.entries[idx].address
-
-        def send_once() -> None:
-            txn.attempts.append((address, self.engine.now))
-            self.send(txn.msg, address)
-
-        send_once()
-        # No resend at or after the fallback timeout.
-        rtx_us = ms_to_us(self.config.rtx_interval_ms)
-        timeout_us = ms_to_us(self.config.fallback_timeout_ms)
-        retransmit(self.engine, send_once,
-                   lambda: txn.status == PENDING and txn.attempt_idx == idx,
-                   rtx_us, min(self.config.max_retransmissions,
-                               (timeout_us - 1) // rtx_us),
-                   txn.msg.method.value)
-        self.engine.schedule_in(
-            timeout_us,
-            lambda: self._attempt(txn, binding, idx + 1),
-            kind="sip-fallback-timeout", subject=txn.msg.method.value)
-
-    def deliver_answer(self, answer: SipMessage,
-                       from_address: Optional[Address] = None) -> bool:
-        """Answer to a forwarded message arrived; completes the transaction.
-
-        Returns False for answers that match no pending transaction
-        (late duplicates after completion).
-        """
-        txn = self._pending.pop(answer.in_reply_to, None)
-        if txn is None or txn.status != PENDING:
-            return False
-        if from_address is not None:
-            txn.via_address = from_address
-        elif txn.attempts:
-            txn.via_address = txn.attempts[-1][0]
-        txn._finish(DELIVERED, self.engine.now)
-        return True

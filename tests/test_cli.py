@@ -692,6 +692,30 @@ def test_validate_names_the_bad_field(tmp_path, capsys, text, message):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_window_grid_denser_than_the_packet_grid(
+        tmp_path, capsys):
+    # this 2 s G729 call used to validate and then need 2.27 GB to run:
+    # 2,000,001 windows in each direction for its 101 packets
+    cfg = write_config(tmp_path, ONE_RUN + "window_len_ms: 0.001\n")
+    assert main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert ("config error: window_len_ms: 0.001 is shorter than the packet "
+            "interval of G729, 20.0 ms") in err
+    # a stride sets the grid when given: a short window may ride on it
+    for text, rc in (("stride_ms: 20\n", 0), ("stride_ms: 19.999\n", 1)):
+        cfg = write_config(tmp_path, ONE_RUN + "window_len_ms: 0.001\n" + text)
+        assert main(["validate", cfg]) == rc
+    assert "config error: stride_ms: 19.999 is shorter" in \
+        capsys.readouterr().err
+    # the campaign's fastest codec sets the grid: G711's 20 ms, not the
+    # 30 ms of G723.1
+    for codecs, rc in (("[G723.1]", 1), ("[G723.1, G711]", 0)):
+        cfg = write_config(tmp_path, f"codecs: {codecs}\nstride_ms: 25\n")
+        assert main(["validate", cfg]) == rc
+    assert "stride_ms: 25 is shorter than the packet interval of G723.1, " \
+        "30.0 ms" in capsys.readouterr().err
+
+
 def test_validate_command_reports_ok_or_violations(tmp_path, capsys):
     good = write_config(tmp_path, TINY)
     assert main(["validate", good]) == 0
@@ -772,7 +796,7 @@ def test_a_name_that_is_not_one_path_component_fails_validate(
 
 @pytest.mark.parametrize("text,bad_path", [
     (_custom_codec("C" * 250), "C" * 250 + "_hard_cellular-to-wlan"),
-    (ONE_RUN + 'out_dir: "x\\0y"\n', "x\0y"),
+    (ONE_RUN + 'out_dir: "x\\0y"\n', "x\\x00y"),  # printed escaped
 ], ids=["name-too-long", "nul-in-out-dir"])
 def test_a_directory_the_file_system_refuses_is_a_config_error(
         tmp_path, capsys, monkeypatch, text, bad_path):
@@ -784,6 +808,7 @@ def test_a_directory_the_file_system_refuses_is_a_config_error(
     assert main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert "config error: out_dir: " in err and bad_path in err
+    assert "\0" not in err
     assert "Traceback" not in err
     assert started == []  # every directory is made before the first run
     assert _files_below(tmp_path) == {tmp_path / "config.yaml"}

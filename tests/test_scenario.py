@@ -185,7 +185,7 @@ def test_single_register_carries_both_interfaces_sorted_by_q():
     runtime = _CallRuntime(base_spec())
     result = runtime.run()
     assert sum(", REGISTER," in l for l in result.signaling.lines) == 1
-    entries = runtime.registrar.bindings["mn"].entries
+    entries = runtime.bindings["mn"].entries
     assert [c.address for c in entries] == [CELL_ADDR, WLAN_ADDR]
     assert [c.q_weight for c in entries] == [0.9, 0.5]
 

@@ -12,8 +12,8 @@ from sipswitch.sip import (
     DELIVERED,
     PENDING,
     UNREACHABLE,
+    ClientTransaction,
     Contact,
-    Registrar,
     SignalingConfig,
     SignalingLog,
     SipError,
@@ -107,145 +107,6 @@ def test_signaling_log_format_and_count():
 
 
 # ---------------------------------------------------------------------------
-# serial forwarding with fallback
-
-
-def _registered_registrar(engine, send, config=SignalingConfig()):
-    reg = Registrar(engine, send, config)
-    reg.handle_register(build_register("mn", [
-        _iface("wlan", 0.5),
-        _iface("cellular", 0.9),
-    ]))
-    return reg
-
-
-def _invite(msg_id=101):
-    return SipMessage(SipMethod.INVITE, "cn", "mn", "cn0", 700, msg_id=msg_id)
-
-
-def _ok(in_reply_to=101):
-    return SipMessage(SipMethod.OK, "mn", "cn", "wlan", 450, msg_id=900,
-                      in_reply_to=in_reply_to)
-
-
-def test_forward_answers_on_first_priority_entry():
-    eng = Engine()
-    reg_holder = []
-
-    def send(msg, addr):
-        # the top-priority target answers after a 10 ms round trip
-        if addr == CELL:
-            eng.schedule_in(10_000, lambda: reg_holder[0].deliver_answer(_ok()))
-
-    reg = _registered_registrar(eng, send)
-    reg_holder.append(reg)
-    txn = reg.forward_with_fallback(_invite())
-    eng.run_until(5_000_000)
-    assert txn.status == DELIVERED
-    assert txn.completed_at == 10_000
-    assert [a for a, _ in txn.attempts] == [CELL]
-    assert txn.via_address == CELL
-
-
-def test_forward_falls_back_after_retransmission_and_timeout():
-    eng = Engine()
-    reg_holder = []
-
-    def send(msg, addr):
-        # cellular is unreachable; wlan answers after a 10 ms round trip
-        if addr == WLAN:
-            eng.schedule_in(10_000, lambda: reg_holder[0].deliver_answer(_ok()))
-
-    reg = _registered_registrar(eng, send)
-    reg_holder.append(reg)
-    txn = reg.forward_with_fallback(_invite())
-    eng.run_until(5_000_000)
-    assert txn.status == DELIVERED
-    # attempt schedule: top entry at 0, its retransmission at 500 ms,
-    # fallback to the next entry when the 2 s per-entry timeout expires
-    assert txn.attempts == [(CELL, 0), (CELL, 500_000), (WLAN, 2_000_000)]
-    assert txn.completed_at == 2_010_000
-    assert txn.via_address == WLAN
-
-
-def test_forward_exhausts_every_entry_then_unreachable():
-    eng = Engine()
-    reg = _registered_registrar(eng, lambda msg, addr: None)
-    txn = reg.forward_with_fallback(_invite())
-    eng.run_until(10_000_000)
-    assert txn.status == UNREACHABLE
-    assert [a for a, _ in txn.attempts] == [CELL, CELL, WLAN, WLAN]
-    assert txn.completed_at == 4_000_000  # two entries, 2 s each
-
-
-def test_forward_to_unknown_uri_is_immediately_unreachable():
-    eng = Engine()
-    reg = Registrar(eng, lambda msg, addr: None)
-    txn = reg.forward_with_fallback(_invite())
-    assert txn.status == UNREACHABLE
-    assert txn.attempts == []
-
-
-def test_no_retransmission_when_timeout_shorter_than_rtx_interval():
-    eng = Engine()
-    reg = _registered_registrar(eng, lambda msg, addr: None,
-                                SignalingConfig(fallback_timeout_ms=400))
-    txn = reg.forward_with_fallback(_invite())
-    eng.run_until(10_000_000)
-    assert txn.attempts == [(CELL, 0), (WLAN, 400_000)]
-    assert txn.status == UNREACHABLE
-    assert txn.completed_at == 800_000
-
-
-def test_late_duplicate_answer_is_ignored():
-    eng = Engine()
-    reg_holder = []
-
-    def send(msg, addr):
-        if addr == CELL:
-            eng.schedule_in(10_000, lambda: reg_holder[0].deliver_answer(_ok()))
-
-    reg = _registered_registrar(eng, send)
-    reg_holder.append(reg)
-    txn = reg.forward_with_fallback(_invite())
-    eng.run_until(5_000_000)
-    assert txn.status == DELIVERED
-    assert reg.deliver_answer(_ok()) is False  # duplicate after completion
-
-
-def test_answer_records_explicit_source_address():
-    eng = Engine()
-    reg_holder = []
-
-    def send(msg, addr):
-        if addr == CELL:
-            eng.schedule_in(
-                10_000,
-                lambda: reg_holder[0].deliver_answer(_ok(), from_address=WLAN))
-
-    reg = _registered_registrar(eng, send)
-    reg_holder.append(reg)
-    txn = reg.forward_with_fallback(_invite())
-    eng.run_until(5_000_000)
-    assert txn.status == DELIVERED
-    assert txn.via_address == WLAN  # answer arrived from a different interface
-
-
-def test_answer_after_fallback_does_not_resurrect_earlier_entry():
-    eng = Engine()
-    sends = []
-    reg = _registered_registrar(eng, lambda msg, addr: sends.append((eng.now, addr)))
-    txn = reg.forward_with_fallback(_invite())
-    # answer arrives while the second entry is being attempted
-    eng.schedule(2_100_000, lambda: reg.deliver_answer(_ok()))
-    eng.run_until(10_000_000)
-    assert txn.status == DELIVERED
-    assert txn.completed_at == 2_100_000
-    # no retransmissions fire after delivery
-    assert all(t <= 2_100_000 for t, _ in sends)
-
-
-# ---------------------------------------------------------------------------
 # the retransmission timer
 
 
@@ -276,18 +137,136 @@ def test_retransmit_zero_times_schedules_nothing():
     assert eng.run_until(10_000_000) == 0
 
 
+# ---------------------------------------------------------------------------
+# the client transaction: serial forwarding with fallback
+
+
+def _bound_targets():
+    # the registrar's binding of both interfaces, highest q first
+    binding = apply_register(build_register("mn", [
+        _iface("wlan", 0.5),
+        _iface("cellular", 0.9),
+    ]))
+    return tuple(c.address for c in binding.entries)
+
+
+def _invite(msg_id=101):
+    return SipMessage(SipMethod.INVITE, "cn", "mn", "cn0", 700, msg_id=msg_id)
+
+
+def _forward(eng, answering=(), config=SignalingConfig(), targets=None,
+             fallback=True, answer_from=None):
+    """Start an INVITE transaction over the bound targets. A target in
+    answering answers each copy after a 10 ms round trip, from its own
+    address or from answer_from."""
+    txn = ClientTransaction(_invite(), _bound_targets() if targets is None
+                            else targets, "INVITE", config, fallback)
+
+    def send(msg):
+        address = Address("mn", msg.via_iface, 5004)
+        if address in answering:
+            eng.schedule_in(10_000, lambda: txn.answer(
+                eng.now, answer_from or address))
+
+    txn.start(eng, send)
+    return txn
+
+
+def test_forward_answers_on_first_priority_entry():
+    eng = Engine()
+    # the top-priority target answers
+    txn = _forward(eng, answering=(CELL,))
+    eng.run_until(5_000_000)
+    assert txn.status == DELIVERED
+    assert txn.completed_at == 10_000
+    assert [a for a, _ in txn.attempts] == [CELL]
+    assert txn.via_address == CELL
+
+
+def test_forward_falls_back_after_retransmission_and_timeout():
+    eng = Engine()
+    # cellular is unreachable; wlan answers
+    txn = _forward(eng, answering=(WLAN,))
+    eng.run_until(5_000_000)
+    assert txn.status == DELIVERED
+    # attempt schedule: top entry at 0, its retransmission at 500 ms,
+    # fallback to the next entry when the 2 s per-entry timeout expires
+    assert txn.attempts == [(CELL, 0), (CELL, 500_000), (WLAN, 2_000_000)]
+    assert txn.completed_at == 2_010_000
+    assert txn.via_address == WLAN
+
+
+def test_forward_exhausts_every_entry_then_unreachable():
+    eng = Engine()
+    txn = _forward(eng)
+    eng.run_until(10_000_000)
+    assert txn.status == UNREACHABLE
+    assert [a for a, _ in txn.attempts] == [CELL, CELL, WLAN, WLAN]
+    assert txn.completed_at == 4_000_000  # two entries, 2 s each
+
+
+def test_forward_to_unknown_uri_is_immediately_unreachable():
+    # no binding: the transaction has no target
+    eng = Engine()
+    txn = _forward(eng, targets=())
+    assert txn.status == UNREACHABLE
+    assert txn.attempts == []
+
+
+def test_no_retransmission_when_timeout_shorter_than_rtx_interval():
+    eng = Engine()
+    txn = _forward(eng, config=SignalingConfig(fallback_timeout_ms=400))
+    eng.run_until(10_000_000)
+    assert txn.attempts == [(CELL, 0), (WLAN, 400_000)]
+    assert txn.status == UNREACHABLE
+    assert txn.completed_at == 800_000
+
+
+def test_without_fallback_the_timeout_neither_caps_resends_nor_falls_back():
+    # the re-INVITE's case: one target, no fallback, whatever the timeout
+    eng = Engine(log_events=True)
+    txn = _forward(eng, config=SignalingConfig(fallback_timeout_ms=400),
+                   targets=(WLAN,), fallback=False)
+    eng.run_until(10_000_000)
+    assert txn.attempts == [(WLAN, 0), (WLAN, 500_000)]
+    assert txn.status == PENDING
+    assert not any("sip-fallback-timeout" in l for l in eng.event_log)
+
+
+def test_late_duplicate_answer_is_ignored():
+    eng = Engine()
+    txn = _forward(eng, answering=(CELL,))
+    eng.run_until(5_000_000)
+    assert txn.status == DELIVERED
+    txn.answer(6_000_000, WLAN)  # duplicate after completion
+    assert (txn.status, txn.completed_at, txn.via_address) == \
+        (DELIVERED, 10_000, CELL)
+
+
+def test_answer_records_explicit_source_address():
+    eng = Engine()
+    txn = _forward(eng, answering=(CELL,), answer_from=WLAN)
+    eng.run_until(5_000_000)
+    assert txn.status == DELIVERED
+    assert txn.via_address == WLAN  # answer arrived from a different interface
+
+
+def test_answer_after_fallback_does_not_resurrect_earlier_entry():
+    eng = Engine()
+    txn = _forward(eng)
+    # answer arrives while the second entry is being attempted
+    eng.schedule(2_100_000, lambda: txn.answer(eng.now, WLAN))
+    eng.run_until(10_000_000)
+    assert txn.status == DELIVERED
+    assert txn.completed_at == 2_100_000
+    # no retransmissions fire after delivery
+    assert all(t <= 2_100_000 for _, t in txn.attempts)
+
+
 def test_registrar_resends_every_interval_then_falls_back():
     eng = Engine()
-    reg_holder = []
-
-    def send(msg, addr):
-        if addr == WLAN:
-            eng.schedule_in(10_000, lambda: reg_holder[0].deliver_answer(_ok()))
-
-    reg = _registered_registrar(eng, send,
-                                SignalingConfig(max_retransmissions=3))
-    reg_holder.append(reg)
-    txn = reg.forward_with_fallback(_invite())
+    txn = _forward(eng, answering=(WLAN,),
+                   config=SignalingConfig(max_retransmissions=3))
     eng.run_until(5_000_000)
     assert txn.attempts == [(CELL, 0), (CELL, 500_000), (CELL, 1_000_000),
                             (CELL, 1_500_000), (WLAN, 2_000_000)]
@@ -297,15 +276,8 @@ def test_registrar_resends_every_interval_then_falls_back():
 
 def test_answered_transaction_dispatches_no_further_retransmission():
     eng = Engine(log_events=True)
-    reg_holder = []
-
-    def send(msg, addr):
-        eng.schedule_in(10_000, lambda: reg_holder[0].deliver_answer(_ok()))
-
-    reg = _registered_registrar(eng, send,
-                                SignalingConfig(max_retransmissions=3))
-    reg_holder.append(reg)
-    txn = reg.forward_with_fallback(_invite())
+    txn = _forward(eng, answering=(CELL, WLAN),
+                   config=SignalingConfig(max_retransmissions=3))
     eng.run_until(5_000_000)
     assert txn.attempts == [(CELL, 0)]
     # only the timer armed with the first send fires, as a no-op
