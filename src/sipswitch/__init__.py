@@ -4,7 +4,6 @@ multihomed VoIP nodes, with E-model call quality metrics."""
 __version__ = "0.1.0"
 
 from .core import (
-    Address,
     CodecProfile,
     CODEC_PRESETS,
     IfaceState,
@@ -16,7 +15,6 @@ from .handoff import HandoffProcedure
 from .scenario import CallSpec, RunResult, run_call
 
 __all__ = [
-    "Address",
     "CodecProfile",
     "CODEC_PRESETS",
     "IfaceState",

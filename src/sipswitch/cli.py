@@ -32,6 +32,8 @@ from .core import (
     UL,
     CodecProfile,
     InternalInvariantError,
+    ms_to_us,
+    s_to_us,
     validate_codec,
     violations,
 )
@@ -44,7 +46,7 @@ from .metrics import (
     window_series,
     write_metrics,
 )
-from .scenario import run_call
+from .scenario import CallSpec, run_call
 from .traffic import read_trace, write_csv, write_trace
 
 
@@ -87,11 +89,11 @@ def write_aggregate(path: Path, agg: AggregateSeries) -> None:
     write_csv(str(path), tuple(header), list(map(",".join, zip(*columns))))
 
 
-def _run_one(task: tuple) -> dict:
-    """Execute one repetition and write its artifacts; returns the pieces
-    the aggregation step needs, its window series among them."""
-    spec, run_dir_str, window_len_ms, stride_ms, emodel, use_burst = task
-    run_dir = Path(run_dir_str)
+def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
+    """Execute one repetition and write its artifacts; returns what its
+    cell reads: the manifest fields, the window series and, per direction,
+    (lost packets, loss % of the call, loss % of the switch window or None
+    when there is none)."""
     run_dir.mkdir(parents=True, exist_ok=True)
     result = run_call(spec)
     write_trace(str(run_dir / "trace.csv"), spec.run_id, result.trace)
@@ -104,28 +106,27 @@ def _run_one(task: tuple) -> dict:
 
     out: dict[str, Any] = {
         "run_id": spec.run_id, "seed": spec.seed, "aborted": result.aborted,
-        "abort_reason": result.abort_reason, "series": {}, "summary": {},
-        "switch_window": {},
-    }
+        "abort_reason": result.abort_reason, "series": {}, "loss": {}}
+    emodel, use_burst = config.emodel, config.use_burst_ratio
     for direction, name in ((UL, "ul"), (DL, "dl")):
-        series = window_series(result.trace, direction, spec.codec,
-                               window_len_ms, stride_ms, emodel, use_burst)
+        series = out["series"][name] = window_series(
+            result.trace, direction, spec.codec, config.window_len_ms,
+            config.stride_ms, emodel, use_burst)
         write_metrics(str(run_dir / f"metrics_{name}.csv"), spec.run_id,
                       series)
-        out["series"][name] = series
-        out["summary"][name] = (
-            call_summary(result.trace, direction, spec.codec, emodel,
-                         use_burst) if series else None)
+        if not series:
+            continue
+        summary = call_summary(result.trace, direction, spec.codec, emodel,
+                               use_burst)
+        pct_switch = None
         if result.t_trigger is not None and result.t_completed is not None:
             # The trigger comes after the call start, so media has started.
             packets = result.trace.directions[direction]
             lo = bisect_left(packets.gen, result.t_trigger)
             hi = bisect_right(packets.gen, result.t_completed)
-            out["switch_window"][name] = {
-                "generated": hi - lo,
-                "lost": hi - lo - packets.cause[lo:hi].count(None)}
-        else:
-            out["switch_window"][name] = None
+            lost = hi - lo - packets.cause[lo:hi].count(None)
+            pct_switch = 100.0 * lost / (hi - lo) if hi > lo else None
+        out["loss"][name] = (summary.lost, 100.0 * summary.ppl, pct_switch)
     return out
 
 
@@ -144,10 +145,8 @@ def _run_chunk(task: tuple) -> tuple[dict[str, WindowSums], list[dict]]:
     sums = {"ul": WindowSums(), "dl": WindowSums()}
     runs = []
     for rep in reps:
-        run = _run_one((build_call_spec(config, *cell, rep),
-                        str(cell_dir / f"r{rep:03d}"), config.window_len_ms,
-                        config.stride_ms, config.emodel,
-                        config.use_burst_ratio))
+        spec = build_call_spec(config, *cell, rep)
+        run = _run_one(config, spec, cell_dir / f"r{rep:03d}")
         series = run.pop("series")
         if not run["aborted"]:
             for name, cell_sums in sums.items():
@@ -171,11 +170,8 @@ def _finish_cell(out_dir: Path, cell: tuple[str, str, str],
             sums.merge(chunk_sums[name])
         write_aggregate(out_dir / cell_id / f"aggregate_{name}.csv",
                         aggregate(sums))
-        lost = [r["summary"][name].lost for r in good]
-        pct_call = [100.0 * r["summary"][name].ppl for r in good]
-        pct_switch = [100.0 * sw["lost"] / sw["generated"] for sw in
-                      (r["switch_window"][name] for r in good)
-                      if sw and sw["generated"]]
+        lost, pct_call, pct_switch = zip(*(r["loss"][name] for r in good))
+        pct_switch = [pct for pct in pct_switch if pct is not None]
         rows.append((cell_id, *cell, name.upper(), len(good),
                      len(runs) - len(good), fsum(lost) / len(lost),
                      stdev(lost), fsum(pct_call) / len(pct_call),
@@ -394,6 +390,18 @@ def main(argv: Optional[list[str]] = None) -> int:
                      * len(config.directions))
             print(f"ok: scenario {config.scenario!r}, {cells} cell(s) x "
                   f"{config.repetitions} repetition(s)")
+            # Per codec, a full run's direction has a packet at each whole
+            # interval of the call, both ends included, and a window at each
+            # whole stride from its first packet to its last.
+            duration = s_to_us(config.call_duration_s)
+            stride = ms_to_us(config.window_len_ms if config.stride_ms is None
+                              else config.stride_ms)
+            steps = [(duration // i, duration // i * i // stride)
+                     for i in (config.codec_profiles[c].packet_interval_us
+                               for c in config.codecs)]
+            packets, windows = (max(col) + 1 for col in zip(*steps))
+            print(f"work: {cells * config.repetitions} run(s), each at most "
+                  f"{packets} packets and {windows} windows per direction")
             for line in capacity_warnings(config):
                 print(f"warning: {line}", file=sys.stderr)
             return 0

@@ -1,4 +1,4 @@
-"""Shared domain types: simulation time, codecs, addresses, interfaces."""
+"""Shared domain types: simulation time, codecs, interfaces."""
 
 from __future__ import annotations
 
@@ -55,19 +55,6 @@ class IfaceState(Enum):
     UP = "Up"
     DOWN = "Down"
     CLOSED = "Closed"
-
-
-@dataclass(frozen=True)
-class Address:
-    """Opaque network endpoint identity: (node, interface, port).
-
-    Addresses are identifiers, not parsed IP strings; the simulator never
-    routes by prefix.
-    """
-
-    node: str
-    iface: str
-    port: int = 0
 
 
 # Relative tolerance for the codec rate identity
@@ -226,12 +213,6 @@ class LinkParams:
 
 
 MN_URI = "mn"
-MEDIA_PORT = 5004
-
-
-def mn_address(iface_id: str) -> Address:
-    """Where the MN receives media and signaling on interface iface_id."""
-    return Address(MN_URI, iface_id, MEDIA_PORT)
 
 # q_weight in [0, 1] orders the registrar's signaling priority list;
 # magnitudes carry no proportional meaning beyond ordering.
@@ -241,17 +222,13 @@ Q_WEIGHT = Numeric(0, 1)
 @dataclass(frozen=True)
 class InterfaceDescriptor:
     """An MN interface: identity, technology, q-weight (Q_WEIGHT) and the
-    parameters of its access links. Its address follows from its id."""
+    parameters of its access links. SIP and media name it by its id."""
 
     iface_id: str
     technology: Technology
     q_weight: float
     link: LinkParams
     state: IfaceState = IfaceState.UP
-
-    @property
-    def address(self) -> Address:
-        return mn_address(self.iface_id)
 
 
 # Built-in codec presets. Impairment defaults assume packet loss concealment

@@ -35,7 +35,7 @@ uplink loses that packet as closed-interface and a 20 or 40 ms one does not.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,11 +44,9 @@ from .core import (
     LINK_PARAMS_RULES,
     LOSS_CLOSED,
     MAX_PACKET_BYTES,
-    MEDIA_PORT,
     MN_URI,
     Q_WEIGHT,
     UL,
-    Address,
     CodecProfile,
     IfaceState,
     InterfaceDescriptor,
@@ -56,7 +54,6 @@ from .core import (
     Numeric,
     SimTime,
     SimulationError,
-    mn_address,
     ms_to_us,
     validate_codec,
     violations,
@@ -74,9 +71,9 @@ from .handoff import (
 from .simnet import Engine, Link, RngStream
 from .sip import (
     ClientTransaction,
+    Contact,
     Exchange,
     ExchangeState,
-    RegistrarBinding,
     SignalingConfig,
     SignalingLog,
     SipMessage,
@@ -208,7 +205,6 @@ class _CallRuntime:
         self.trace = PacketTrace()
         self.signaling = SignalingLog()
         self.handoff_log = HandoffLog()
-        self._msg_ids = itertools.count(1)
 
         self.links_ul: dict[str, Link] = {}
         self.links_dl: dict[str, Link] = {}
@@ -225,26 +221,27 @@ class _CallRuntime:
             old_iface=spec.switch_from, new_iface=spec.switch_to,
             iface_states={i.iface_id: i.state for i in spec.interfaces})
 
-        self.bindings: dict[str, RegistrarBinding] = {}
+        self.bindings: dict[str, tuple[Contact, ...]] = {}  # q-ordered
         self.aborted = False
         self.abort_reason: Optional[str] = None
         self.exchanges = {caller: ExchangeState() for caller in EXCHANGES}
         self._drop_counts: dict[str, int] = {}
+        self._dl_at_cn_switch: Optional[int] = None  # DL packets recorded then
+        self._closed = {UL: 0, DL: 0}  # media packets lost to a Closed iface
 
     # -- signaling ---------------------------------------------------------
 
     def _message(self, method: SipMethod, sender: str, via: str,
-                 reply_to: int = 0,
-                 media_src: Optional[Address] = None) -> SipMessage:
+                 media_iface: Optional[str] = None) -> SipMessage:
         """A message from sender (MN_URI or CN_URI) to its peer, sized by
-        method, with the next msg id."""
+        method."""
         sizes = self.spec.signaling
         size = {SipMethod.OK: sizes.ok_bytes,
                 SipMethod.ACK: sizes.ack_bytes}.get(method, sizes.invite_bytes)
         return SipMessage(method=method, from_uri=sender,
                           to_uri=CN_URI if sender == MN_URI else MN_URI,
-                          via_iface=via, size_bytes=size, media_src=media_src,
-                          msg_id=next(self._msg_ids), in_reply_to=reply_to)
+                          via_iface=via, size_bytes=size,
+                          media_iface=media_iface)
 
     def _send(self, msg: SipMessage) -> None:
         """Offer a signaling message to its link, the MN's uplink or the
@@ -289,35 +286,34 @@ class _CallRuntime:
             self._on_request(ex, progress, msg)
             return
         first, progress.answered = not progress.answered, True
-        progress.request.answer(self.engine.now, mn_address(msg.via_iface))
+        progress.request.answer(self.engine.now, msg.via_iface)
         if first and ex.method is SipMethod.REINVITE:
             t, state = self.engine.now, self.state
             state.phase, state.t_completed = HandoffPhase.COMPLETED, t
             self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][1])
             self.handoff_log.record(t, "MN", "ok", "Switching", "Completed")
         if first or ex.ack_every_ok:
-            self._send(self._message(SipMethod.ACK, ex.caller,
-                                     msg.via_iface, msg.msg_id))
+            self._send(self._message(SipMethod.ACK, ex.caller, msg.via_iface))
 
     def _on_request(self, ex: Exchange, progress: ExchangeState,
                     msg: SipMessage) -> None:
         """The callee answers every copy with one OK, resent until ACKed.
-        The MN's setup OK names its media address. The first re-INVITE copy
-        retargets the CN's downlink media to its media_src, from the packet
-        generated now on, but in the tie the module docstring states."""
+        The first re-INVITE copy retargets the CN's downlink media to its
+        media_iface, from the packet generated now on, but in the tie the
+        module docstring states: the DL packets recorded by now, which the
+        closed-loss check reads, say which way the tie went."""
         if progress.ok is not None:  # a resent or fallback copy
             self._send(progress.ok)
             return
-        media_src, t, state = None, self.engine.now, self.state
+        t, state = self.engine.now, self.state
         if ex.method is SipMethod.REINVITE:
-            state.dl_media_iface, state.t_cn_switch = msg.media_src.iface, t
+            self._dl_at_cn_switch = len(self.trace.directions[DL].gen)
+            state.dl_media_iface, state.t_cn_switch = msg.media_iface, t
             self._check_state()
             self.handoff_log.record(t, "CN", "dst-switch", state.phase.value,
                                     state.phase.value)
-        else:
-            media_src = mn_address(self.spec.switch_from)
         ok = progress.ok = self._message(SipMethod.OK, msg.to_uri,
-                                         msg.via_iface, msg.msg_id, media_src)
+                                         msg.via_iface)
         self._send(ok)
         sig = self.spec.signaling
         retransmit(self.engine, lambda: self._send(ok),
@@ -326,15 +322,12 @@ class _CallRuntime:
 
     def _send_register(self) -> None:
         self._send(build_register(MN_URI, self.spec.interfaces,
-                                  config=self.spec.signaling,
-                                  msg_id=next(self._msg_ids)))
+                                  config=self.spec.signaling))
 
     def _send_invite(self) -> None:
-        invite = self._message(SipMethod.INVITE, CN_URI, CN_IFACE,
-                               media_src=Address(CN_URI, CN_IFACE, MEDIA_PORT))
+        invite = self._message(SipMethod.INVITE, CN_URI, CN_IFACE)
         # CN and registrar share the core: hand over without a link hop.
-        binding = self.bindings.get(invite.to_uri)
-        targets = tuple(c.address for c in binding.entries) if binding else ()
+        targets = tuple(c.iface for c in self.bindings.get(invite.to_uri, ()))
         txn = self.exchanges[CN_URI].request = ClientTransaction(
             invite, targets, "INVITE", self.spec.signaling, fallback=True)
         txn.start(self.engine, self._send)
@@ -355,9 +348,8 @@ class _CallRuntime:
             return
         state.phase, state.t_trigger = HandoffPhase.SWITCHING, t
         self.handoff_log.record(t, "MN", "trigger", "Stable", "Switching")
-        new = mn_address(state.new_iface)
-        msg = self._message(SipMethod.REINVITE, MN_URI, new.iface,
-                            media_src=new)
+        new = state.new_iface
+        msg = self._message(SipMethod.REINVITE, MN_URI, new, media_iface=new)
         txn = self.exchanges[MN_URI].request = ClientTransaction(
             msg, (new,), "reinvite", self.spec.signaling, fallback=False)
         txn.start(self.engine, self._send)
@@ -403,12 +395,13 @@ class _CallRuntime:
         t_start = spec.call_start_us
         interval = spec.codec.packet_interval_us
         size = spec.codec.payload_bytes + spec.header_overhead_bytes
-        state = self.state
+        state, closed = self.state, self._closed
 
         def fates(direction: str, links: dict[str, Link], times: range
                   ) -> tuple[list[Optional[SimTime]], list[Optional[str]]]:
             mn_iface = media_route(state, direction)
             if mn_iface is None:
+                closed[direction] += len(times)
                 return [None] * len(times), [LOSS_CLOSED] * len(times)
             return links[mn_iface].offer(times, size)
 
@@ -451,6 +444,26 @@ class _CallRuntime:
                     f"{direction} stream generated {got} packets, "
                     f"expected {want}")
 
+    def _check_closed_losses(self) -> None:
+        """Only the hard procedure loses packets to a Closed interface, and
+        only on DL: exactly those generated from the trigger on that were
+        recorded before the CN switched, or all to the end if it never did.
+        The trigger comes after the call start, so DL has packets then."""
+        lo = hi = 0
+        t_trigger, closed = self.state.t_trigger, self._closed
+        if self.spec.procedure is HandoffProcedure.HARD \
+                and t_trigger is not None:
+            dl = self.trace.directions[DL]
+            lo = bisect_left(dl.gen, t_trigger)
+            hi = (len(dl.gen) if self._dl_at_cn_switch is None
+                  else self._dl_at_cn_switch)
+        if closed[UL] or closed[DL] != hi - lo or hi > lo and \
+                dl.cause[lo:hi].count(LOSS_CLOSED) != hi - lo:
+            raise InternalInvariantError(
+                f"closed-interface losses under {self.spec.procedure.value}:"
+                f" UL {closed[UL]}, DL {closed[DL]}; expected DL packets "
+                f"[{lo}, {hi}) only")
+
     # -- run ---------------------------------------------------------------
 
     def run(self) -> RunResult:
@@ -476,6 +489,7 @@ class _CallRuntime:
         horizon = max(call_end, t_trigger + spec.watchdog_us) + 1_000_000
         self.engine.run_until(horizon)
         self._check_conservation(call_end)
+        self._check_closed_losses()
 
         return RunResult(
             run_id=spec.run_id, trace=self.trace, signaling=self.signaling,

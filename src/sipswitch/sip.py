@@ -13,7 +13,6 @@ from typing import Callable, Optional
 from .core import (
     MAX_PACKET_BYTES,
     US_PER_MS,
-    Address,
     IfaceState,
     InterfaceDescriptor,
     Numeric,
@@ -38,16 +37,16 @@ class SipMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class Contact:
-    """One registered address with its priority weight."""
+    """One registered MN interface, by id, with its priority weight."""
 
-    address: Address
+    iface: str
     q_weight: float
 
 
 @dataclass(frozen=True)
 class SipMessage:
-    """One SIP message. An INVITE, REINVITE or its OK names in media_src
-    where its sender wants to receive media."""
+    """One SIP message. A REINVITE names in media_iface the MN interface
+    that is to receive the call's downlink media from now on."""
 
     method: SipMethod
     from_uri: str
@@ -55,9 +54,7 @@ class SipMessage:
     via_iface: str
     size_bytes: int
     contacts: tuple[Contact, ...] = ()
-    media_src: Optional[Address] = None
-    msg_id: int = 0
-    in_reply_to: int = 0
+    media_iface: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -114,14 +111,6 @@ class ExchangeState:
     acked: bool = False  # an ACK reached the callee
 
 
-@dataclass(frozen=True)
-class RegistrarBinding:
-    """Priority-ordered contact list for one URI, highest q first."""
-
-    uri: str
-    entries: tuple[Contact, ...]
-
-
 def retransmit(engine: Engine, resend: Callable[[], None],
                pending: Callable[[], bool], interval_us: int, times: int,
                subject: str) -> None:
@@ -142,29 +131,26 @@ def retransmit(engine: Engine, resend: Callable[[], None],
 
 
 def build_register(uri: str, interfaces: list[InterfaceDescriptor],
-                   registrar_uri: str = "registrar",
-                   config: SignalingConfig = SignalingConfig(),
-                   msg_id: int = 0) -> SipMessage:
+                   config: SignalingConfig = SignalingConfig()) -> SipMessage:
     """REGISTER carrying one contact per Up interface, sent via the
     highest-weight Up interface. Down and Closed interfaces are excluded."""
     up = [i for i in interfaces if i.state is IfaceState.UP]
     if not up:
         raise SipError(f"{uri}: no Up interface, nothing to register")
     via = max(up, key=lambda i: i.q_weight).iface_id
-    contacts = tuple(Contact(i.address, i.q_weight) for i in up)
     return SipMessage(method=SipMethod.REGISTER, from_uri=uri,
-                      to_uri=registrar_uri, via_iface=via,
-                      size_bytes=config.register_bytes, contacts=contacts,
-                      msg_id=msg_id)
+                      to_uri="registrar", via_iface=via,
+                      size_bytes=config.register_bytes,
+                      contacts=tuple(Contact(i.iface_id, i.q_weight)
+                                     for i in up))
 
 
-def apply_register(msg: SipMessage) -> RegistrarBinding:
-    """Replace the URI's binding wholesale: contacts sorted by descending
-    q weight, ties keeping the message's contact order."""
+def apply_register(msg: SipMessage) -> tuple[Contact, ...]:
+    """The URI's binding, replacing the old one wholesale: the contacts by
+    descending q weight, ties keeping the message's contact order."""
     if msg.method is not SipMethod.REGISTER:
         raise SipError(f"apply_register needs REGISTER, got {msg.method.value}")
-    ordered = tuple(sorted(msg.contacts, key=lambda c: -c.q_weight))
-    return RegistrarBinding(uri=msg.from_uri, entries=ordered)
+    return tuple(sorted(msg.contacts, key=lambda c: -c.q_weight))
 
 
 # Client transaction outcomes.
@@ -175,17 +161,18 @@ UNREACHABLE = "unreachable"
 
 class ClientTransaction:
     """One request sent until answered (RFC 3261 17.1), to its targets in
-    order (16.6's sequential search). Each target gets the request via its
-    interface, resent every rtx_interval_ms up to max_retransmissions times.
-    With fallback, the next target takes over after fallback_timeout_ms,
-    with no resend at or after it, and the transaction is unreachable once
-    the last target times out. Without, its resends are all it does.
+    order (16.6's sequential search). Each target, an MN interface id, gets
+    the request via that interface, resent every rtx_interval_ms up to
+    max_retransmissions times. With fallback, the next target takes over
+    after fallback_timeout_ms, with no resend at or after it, and the
+    transaction is unreachable once the last target times out. Without,
+    its resends are all it does.
 
     It holds no callback, so that a finished run is freed without the
     collector: start hands the engine and the send function to its timers.
     """
 
-    def __init__(self, msg: SipMessage, targets: tuple[Address, ...],
+    def __init__(self, msg: SipMessage, targets: tuple[str, ...],
                  subject: str, config: SignalingConfig, fallback: bool):
         self.msg = msg
         self.targets = targets
@@ -198,8 +185,8 @@ class ClientTransaction:
             self.resends = min(self.resends,
                                (self.fallback_us - 1) // self.rtx_us)
         self.status = PENDING
-        self.via_address: Optional[Address] = None
-        self.attempts: list[tuple[Address, int]] = []
+        self.via_iface: Optional[str] = None  # where the answer came from
+        self.attempts: list[tuple[str, int]] = []  # (target, send time)
         self.attempt_idx = 0  # the target being tried
         self.completed_at: Optional[int] = None
 
@@ -212,11 +199,11 @@ class ClientTransaction:
             self.status, self.completed_at = UNREACHABLE, engine.now
             return
         self.attempt_idx = idx
-        address = self.targets[idx]
-        msg = replace(self.msg, via_iface=address.iface)
+        target = self.targets[idx]
+        msg = replace(self.msg, via_iface=target)
 
         def send_once() -> None:
-            self.attempts.append((address, engine.now))
+            self.attempts.append((target, engine.now))
             send(msg)
 
         send_once()
@@ -228,12 +215,12 @@ class ClientTransaction:
                 self.fallback_us, lambda: self.start(engine, send, idx + 1),
                 kind="sip-fallback-timeout", subject=self.subject)
 
-    def answer(self, now: int, from_address: Address) -> None:
-        """An answer came from from_address. The first one completes the
+    def answer(self, now: int, from_iface: str) -> None:
+        """An answer came via from_iface. The first one completes the
         transaction; later ones, and any after it went unreachable, do
         nothing."""
         if self.status == PENDING:
-            self.via_address = from_address
+            self.via_iface = from_iface
             self.status, self.completed_at = DELIVERED, now
 
 

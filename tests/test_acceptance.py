@@ -367,12 +367,10 @@ def test_criterion_10_registration_fallback_and_no_midcall_register(
 
     txn = result.setup_transaction
     assert txn.status == DELIVERED
-    addresses = {i.iface_id: i.address for i in spec.interfaces}
-    wlan_addr, cell_addr = addresses["wlan"], addresses["cellular"]
     # attempts walk descending q: wlan (0.95) twice, then cellular (0.9)
-    assert txn.attempts == [(wlan_addr, 200_000), (wlan_addr, 700_000),
-                            (cell_addr, 2_200_000)]
-    assert txn.via_address == cell_addr
+    assert txn.attempts == [("wlan", 200_000), ("wlan", 700_000),
+                            ("cellular", 2_200_000)]
+    assert txn.via_iface == "cellular"
     elapsed = txn.completed_at - 200_000
     assert elapsed <= 2_500_000, f"fallback took {elapsed} us"
 

@@ -726,6 +726,37 @@ def test_validate_command_reports_ok_or_violations(tmp_path, capsys):
     assert "config error:" in err and "G999" in err
 
 
+def test_validate_states_the_work(tmp_path, capsys):
+    # campaign-A: 18 cells x 50 repetitions; G711 and G729 send every 20 ms
+    # over 60 s, both ends included, in 60 ms windows
+    cfg = write_config(tmp_path, "{}\n")
+    assert main(["validate", cfg, "--preset", "campaign-A"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok: scenario 'campaign-A', 18 cell(s) x 50 repetition(s)",
+        "work: 900 run(s), each at most 3001 packets and 1001 windows per "
+        "direction"]
+
+
+def test_the_work_validate_states_is_what_a_run_writes(tmp_path, capsys):
+    # off-grid duration and a stride that divides neither codec interval
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, (
+        "codecs: [G723.1, G729]\nprocedures: [soft]\n"
+        "directions: [wlan-to-cellular]\nrepetitions: 1\n"
+        "call_duration_s: 2.01\nswitch_time_s: 1\nwindow_len_ms: 100\n"
+        f"stride_ms: 45\nout_dir: {out}\n"))
+    assert main(["validate", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "work: 2 run(s), each at most 101 packets and 45 windows per direction"
+    assert main(["run", cfg]) == 0
+    runs = sorted(out.glob("*/r000"))
+    packets = [len((r / "trace.csv").read_text().splitlines()) - 1
+               for r in runs]
+    windows = [len((r / "metrics_ul.csv").read_text().splitlines()) - 1
+               for r in runs]
+    assert (max(packets) // 2, max(windows)) == (101, 45)
+
+
 def test_run_with_invalid_config_exits_one(tmp_path, capsys):
     bad = write_config(tmp_path, "procedures: [teleport]\n")
     assert main(["run", bad]) == 1

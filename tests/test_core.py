@@ -2,7 +2,6 @@ import pytest
 
 from sipswitch.core import (
     CODEC_PRESETS,
-    Address,
     CodecProfile,
     IfaceState,
     InterfaceDescriptor,
@@ -22,14 +21,6 @@ def test_time_conversions():
     assert s_to_us(60.0) == 60_000_000
     assert s_to_us(0.2) == 200_000
     assert isinstance(ms_to_us(1.5), int)
-
-
-def test_address_equality_and_hashing():
-    a = Address("mn", "wlan", 5004)
-    assert a == Address("mn", "wlan", 5004)
-    assert a != Address("mn", "cellular", 5004)
-    # usable as dict key
-    assert {a: 1}[Address("mn", "wlan", 5004)] == 1
 
 
 def test_builtin_codec_presets_are_valid():
@@ -92,11 +83,3 @@ def test_interface_descriptor_q_weight_bounds():
         assert d.state is IfaceState.UP
     for q in (-0.1, 1.01, 2.0):
         assert Q_WEIGHT.violation(q) is not None
-
-
-def test_interface_descriptor_address_follows_from_its_id():
-    # an MN interface receives media at (mn, its id, 5004); no caller can
-    # give it an address that disagrees with its id
-    d = InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE, 0.9,
-                            LinkParams(384.0, (40_000, 80_000)))
-    assert d.address == Address("mn", "cellular", 5004)

@@ -98,6 +98,7 @@ class _HeapMediaRuntime(_CallRuntime):
             mn_iface = media_route(state, direction)
             if mn_iface is None:
                 arrival, cause = None, LOSS_CLOSED
+                self._closed[direction] += 1  # the runtime's closed tally
             else:
                 arrival, cause = links[mn_iface].transmit(size)
             self.trace.record(stream_id, direction, seq, gen,

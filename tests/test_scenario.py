@@ -9,7 +9,6 @@ from sipswitch.core import (
     LOSS_CLOSED,
     LOSS_LINK_DOWN,
     UL,
-    Address,
     IfaceState,
     InterfaceDescriptor,
     LinkParams,
@@ -21,9 +20,6 @@ from sipswitch.scenario import CallSpec, _CallRuntime, run_call
 from sipswitch.sip import DELIVERED, SignalingConfig
 
 from trace_rows import lost_count, trace_rows
-
-WLAN_ADDR = Address("mn", "wlan", 5004)
-CELL_ADDR = Address("mn", "cellular", 5004)
 
 
 def base_spec(codec="G711", procedure=HandoffProcedure.HYBRID,
@@ -185,8 +181,8 @@ def test_single_register_carries_both_interfaces_sorted_by_q():
     runtime = _CallRuntime(base_spec())
     result = runtime.run()
     assert sum(", REGISTER," in l for l in result.signaling.lines) == 1
-    entries = runtime.bindings["mn"].entries
-    assert [c.address for c in entries] == [CELL_ADDR, WLAN_ADDR]
+    entries = runtime.bindings["mn"]
+    assert [c.iface for c in entries] == ["cellular", "wlan"]
     assert [c.q_weight for c in entries] == [0.9, 0.5]
 
 
@@ -194,7 +190,7 @@ def test_invite_goes_to_the_top_priority_contact_first():
     result = run_call(base_spec())
     txn = result.setup_transaction
     assert txn.status == DELIVERED
-    assert [a for a, _ in txn.attempts] == [CELL_ADDR]
+    assert [a for a, _ in txn.attempts] == ["cellular"]
 
 
 def test_media_interface_is_independent_of_signaling_priority():

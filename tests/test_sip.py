@@ -1,7 +1,6 @@
 import pytest
 
 from sipswitch.core import (
-    Address,
     IfaceState,
     InterfaceDescriptor,
     LinkParams,
@@ -24,9 +23,9 @@ from sipswitch.sip import (
     retransmit,
 )
 
-# the addresses that InterfaceDescriptor derives from the interface ids
-WLAN = Address("mn", "wlan", 5004)
-CELL = Address("mn", "cellular", 5004)
+# the interface ids that contacts and targets name
+WLAN = "wlan"
+CELL = "cellular"
 
 
 def _iface(iface_id, q, state=IfaceState.UP):
@@ -80,16 +79,15 @@ def test_apply_register_sorts_by_descending_q():
         _iface("cellular", 0.9),
     ])
     binding = apply_register(msg)
-    assert binding.uri == "mn"
-    assert [c.address for c in binding.entries] == [CELL, WLAN]
+    assert [c.iface for c in binding] == [CELL, WLAN]
 
 
 def test_apply_register_ties_keep_message_order():
-    a, b = Address("mn", "a", 1), Address("mn", "b", 1)
+    a, b = "a", "b"
     msg = SipMessage(SipMethod.REGISTER, "mn", "registrar", "a", 450,
                      contacts=(Contact(a, 0.7), Contact(b, 0.7)))
     binding = apply_register(msg)
-    assert [c.address for c in binding.entries] == [a, b]
+    assert [c.iface for c in binding] == [a, b]
 
 
 def test_apply_register_rejects_other_methods():
@@ -147,26 +145,25 @@ def _bound_targets():
         _iface("wlan", 0.5),
         _iface("cellular", 0.9),
     ]))
-    return tuple(c.address for c in binding.entries)
+    return tuple(c.iface for c in binding)
 
 
-def _invite(msg_id=101):
-    return SipMessage(SipMethod.INVITE, "cn", "mn", "cn0", 700, msg_id=msg_id)
+def _invite():
+    return SipMessage(SipMethod.INVITE, "cn", "mn", "cn0", 700)
 
 
 def _forward(eng, answering=(), config=SignalingConfig(), targets=None,
              fallback=True, answer_from=None):
     """Start an INVITE transaction over the bound targets. A target in
-    answering answers each copy after a 10 ms round trip, from its own
-    address or from answer_from."""
+    answering answers each copy after a 10 ms round trip, via its own
+    interface or via answer_from."""
     txn = ClientTransaction(_invite(), _bound_targets() if targets is None
                             else targets, "INVITE", config, fallback)
 
     def send(msg):
-        address = Address("mn", msg.via_iface, 5004)
-        if address in answering:
+        if msg.via_iface in answering:
             eng.schedule_in(10_000, lambda: txn.answer(
-                eng.now, answer_from or address))
+                eng.now, answer_from or msg.via_iface))
 
     txn.start(eng, send)
     return txn
@@ -180,7 +177,7 @@ def test_forward_answers_on_first_priority_entry():
     assert txn.status == DELIVERED
     assert txn.completed_at == 10_000
     assert [a for a, _ in txn.attempts] == [CELL]
-    assert txn.via_address == CELL
+    assert txn.via_iface == CELL
 
 
 def test_forward_falls_back_after_retransmission_and_timeout():
@@ -193,7 +190,7 @@ def test_forward_falls_back_after_retransmission_and_timeout():
     # fallback to the next entry when the 2 s per-entry timeout expires
     assert txn.attempts == [(CELL, 0), (CELL, 500_000), (WLAN, 2_000_000)]
     assert txn.completed_at == 2_010_000
-    assert txn.via_address == WLAN
+    assert txn.via_iface == WLAN
 
 
 def test_forward_exhausts_every_entry_then_unreachable():
@@ -239,7 +236,7 @@ def test_late_duplicate_answer_is_ignored():
     eng.run_until(5_000_000)
     assert txn.status == DELIVERED
     txn.answer(6_000_000, WLAN)  # duplicate after completion
-    assert (txn.status, txn.completed_at, txn.via_address) == \
+    assert (txn.status, txn.completed_at, txn.via_iface) == \
         (DELIVERED, 10_000, CELL)
 
 
@@ -248,7 +245,7 @@ def test_answer_records_explicit_source_address():
     txn = _forward(eng, answering=(CELL,), answer_from=WLAN)
     eng.run_until(5_000_000)
     assert txn.status == DELIVERED
-    assert txn.via_address == WLAN  # answer arrived from a different interface
+    assert txn.via_iface == WLAN  # answer arrived via a different interface
 
 
 def test_answer_after_fallback_does_not_resurrect_earlier_entry():
