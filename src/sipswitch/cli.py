@@ -1,5 +1,7 @@
-"""Experiment runner: seeded repetition sweeps, aggregation, delimited-text
-export of every series and table, and the command line."""
+"""Experiment runner and command line: seeded repetition sweeps that write
+each run's artifacts, each cell's aggregates (through the metrics window
+pipeline), the loss summary and the manifest; the recompute path; and
+`validate`."""
 
 from __future__ import annotations
 
@@ -9,10 +11,8 @@ import json
 import sys
 from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from math import fsum
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Optional
 
@@ -39,54 +39,17 @@ from .core import (
 )
 from .metrics import (
     EModelParams,
-    WindowMetrics,
     WindowSums,
+    aggregate,
     call_summary,
+    fold,
     stdev,
     window_series,
+    write_aggregate,
     write_metrics,
 )
 from .scenario import CallSpec, run_call
-from .traffic import read_trace, write_csv, write_trace
-
-
-@dataclass
-class AggregateSeries:
-    """Elementwise mean and sample standard deviation across repetitions."""
-
-    window_starts: list[int]
-    means: dict[str, list[float]]
-    stds: dict[str, list[float]]
-
-
-AGGREGATE_FIELDS = ("mean_delay_ms", "ppl", "burst_r", "r_factor")
-_AGGREGATE_VALUES = itemgetter(*map(WindowMetrics._fields.index,
-                                    AGGREGATE_FIELDS))
-
-
-def _fold(sums: WindowSums, series: list[WindowMetrics]) -> None:
-    """Fold one run's window series into sums, window after window."""
-    sums.add([m.window_start for m in series],
-             list(chain.from_iterable(map(_AGGREGATE_VALUES, series))))
-
-
-def aggregate(sums: WindowSums) -> AggregateSeries:
-    """Per window and field, the mean and the sample std across the runs
-    folded into sums."""
-    means, stds = sums.finish()
-    k = len(AGGREGATE_FIELDS)
-    return AggregateSeries(
-        window_starts=list(sums.grid),
-        means={f: means[i::k] for i, f in enumerate(AGGREGATE_FIELDS)},
-        stds={f: stds[i::k] for i, f in enumerate(AGGREGATE_FIELDS)})
-
-
-def write_aggregate(path: Path, agg: AggregateSeries) -> None:
-    header, columns = ["window_start_us"], [map(str, agg.window_starts)]
-    for fname in AGGREGATE_FIELDS:
-        header += [f"{fname}_mean", f"{fname}_std"]
-        columns += [map(repr, agg.means[fname]), map(repr, agg.stds[fname])]
-    write_csv(str(path), tuple(header), list(map(",".join, zip(*columns))))
+from .traffic import expected_packet_count, read_trace, write_trace
 
 
 def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
@@ -107,17 +70,15 @@ def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
     out: dict[str, Any] = {
         "run_id": spec.run_id, "seed": spec.seed, "aborted": result.aborted,
         "abort_reason": result.abort_reason, "series": {}, "loss": {}}
-    emodel, use_burst = config.emodel, config.use_burst_ratio
     for direction, name in ((UL, "ul"), (DL, "dl")):
         series = out["series"][name] = window_series(
             result.trace, direction, spec.codec, config.window_len_ms,
-            config.stride_ms, emodel, use_burst)
+            config.stride_ms, config.emodel, config.use_burst_ratio)
         write_metrics(str(run_dir / f"metrics_{name}.csv"), spec.run_id,
                       series)
         if not series:
             continue
-        summary = call_summary(result.trace, direction, spec.codec, emodel,
-                               use_burst)
+        summary = call_summary(result.trace, direction)
         pct_switch = None
         if result.t_trigger is not None and result.t_completed is not None:
             # The trigger comes after the call start, so media has started.
@@ -150,7 +111,7 @@ def _run_chunk(task: tuple) -> tuple[dict[str, WindowSums], list[dict]]:
         series = run.pop("series")
         if not run["aborted"]:
             for name, cell_sums in sums.items():
-                _fold(cell_sums, series[name])
+                fold(cell_sums, series[name])
         runs.append(run)
     return sums, runs
 
@@ -168,7 +129,7 @@ def _finish_cell(out_dir: Path, cell: tuple[str, str, str],
         sums = WindowSums()
         for chunk_sums, _ in chunks:
             sums.merge(chunk_sums[name])
-        write_aggregate(out_dir / cell_id / f"aggregate_{name}.csv",
+        write_aggregate(str(out_dir / cell_id / f"aggregate_{name}.csv"),
                         aggregate(sums))
         lost, pct_call, pct_switch = zip(*(r["loss"][name] for r in good))
         pct_switch = [pct for pct in pct_switch if pct is not None]
@@ -390,16 +351,18 @@ def main(argv: Optional[list[str]] = None) -> int:
                      * len(config.directions))
             print(f"ok: scenario {config.scenario!r}, {cells} cell(s) x "
                   f"{config.repetitions} repetition(s)")
-            # Per codec, a full run's direction has a packet at each whole
-            # interval of the call, both ends included, and a window at each
-            # whole stride from its first packet to its last.
+            # Per codec, a full run's direction has the packets the run
+            # checks for, and a window at each whole stride from its first
+            # packet to its last.
             duration = s_to_us(config.call_duration_s)
             stride = ms_to_us(config.window_len_ms if config.stride_ms is None
                               else config.stride_ms)
-            steps = [(duration // i, duration // i * i // stride)
-                     for i in (config.codec_profiles[c].packet_interval_us
-                               for c in config.codecs)]
-            packets, windows = (max(col) + 1 for col in zip(*steps))
+            counts = []
+            for codec in config.codecs:
+                interval = config.codec_profiles[codec].packet_interval_us
+                n = expected_packet_count(0, duration, interval)
+                counts.append((n, (n - 1) * interval // stride + 1))
+            packets, windows = map(max, zip(*counts))
             print(f"work: {cells * config.repetitions} run(s), each at most "
                   f"{packets} packets and {windows} windows per direction")
             for line in capacity_warnings(config):

@@ -1,5 +1,7 @@
-"""Loss ratio, one-way delay, burst ratio, E-model R-factor, the
-sliding-window quality series and its export.
+"""The window pipeline: per-window loss ratio, one-way delay, burst ratio
+and E-model R-factor of a packet trace, the metrics file, the exact
+per-window sums across a cell's runs and its aggregate file; and a run's
+whole-call loss totals.
 
 All computations are pure functions of a packet trace; recomputing from an
 exported trace file reproduces in-run values bit for bit.
@@ -9,8 +11,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
-from math import frexp, fsum, isfinite, isqrt, ldexp
+from itertools import accumulate, chain, repeat
+from math import frexp, isfinite, isqrt, ldexp
 from operator import add, itemgetter, lshift, mul, sub, truediv
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -61,14 +63,12 @@ class WindowMetrics(NamedTuple):
     """
 
     window_start: SimTime
-    window_len_ms: float
     mean_delay_ms: float
     ppl: float
     burst_r: float
     r_factor: float
     carried: bool = False
     carried_delay: bool = False
-    generated: int = 0
 
 
 def _bind_id(params: EModelParams) -> Callable[[float], float]:
@@ -104,16 +104,11 @@ def _bind_ie(codec: CodecProfile,
 
 def emodel(codec: CodecProfile, params: EModelParams = DEFAULT_EMODEL
            ) -> Callable[[float, float, float], float]:
-    """r_factor with codec and params bound once, to call once per window."""
+    """R(d_ms, ppl, burst_r) = r0 - Id - Ie_eff, with codec and params
+    bound once, to call once per window; not clamped (total loss can push
+    it below 0)."""
     r0, id_, ie_eff = params.r0, _bind_id(params), _bind_ie(codec, params)
     return lambda d_ms, ppl, burst_r: r0 - id_(d_ms) - ie_eff(ppl, burst_r)
-
-
-def r_factor(mean_delay_ms: float, ppl: float, burst_r: float,
-             codec: CodecProfile,
-             params: EModelParams = DEFAULT_EMODEL) -> float:
-    """R = r0 - Id - Ie_eff, not clamped (total loss can push it below 0)."""
-    return emodel(codec, params)(mean_delay_ms, ppl, burst_r)
 
 
 def burst_ratio(loss_flags, ppl: float) -> float:
@@ -123,19 +118,17 @@ def burst_ratio(loss_flags, ppl: float) -> float:
     1.0 when nothing was lost; at total loss (ppl = 1) the independence
     expectation diverges, so the observed mean run length is returned.
     """
-    runs: list[int] = []
-    current = 0
-    for lost in loss_flags:
-        if lost:
-            current += 1
-        elif current:
-            runs.append(current)
-            current = 0
-    if current:
-        runs.append(current)
+    lost = runs = 0
+    prev = None
+    for flag in loss_flags:
+        if flag:
+            lost += 1
+            if not prev:
+                runs += 1   # a loss not after a loss starts a run
+        prev = flag
     if not runs or ppl <= 0.0:
         return 1.0
-    observed = fsum(runs) / len(runs)
+    observed = lost / runs
     if ppl >= 1.0:
         return observed
     return observed * (1.0 - ppl)
@@ -183,7 +176,7 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
         if generated == 0:
             # Nothing generated here: carry the previous window forward. The
             # first window holds the first packet, so a previous one exists.
-            wm = tuple.__new__(WindowMetrics, (start, *prev[1:6], True, True, 0))
+            wm = tuple.__new__(WindowMetrics, (start, *prev[1:5], True, True))
         else:
             window = causes[lo:hi]
             delivered = window.count(None)
@@ -197,8 +190,8 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
             br = (burst_ratio(window, ppl)
                   if n_lost and use_burst_ratio else 1.0)
             wm = tuple.__new__(WindowMetrics, (
-                start, window_len_ms, delay, ppl, br, r_of(delay, ppl, br),
-                False, not delivered, generated))
+                start, delay, ppl, br, r_of(delay, ppl, br), False,
+                not delivered))
         out.append(wm)
         prev = wm
         start += stride_us
@@ -207,36 +200,23 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
 
 @dataclass(frozen=True)
 class CallSummary:
-    """Whole-call totals and the call-level R-factor."""
+    """Whole-call packet totals of one direction."""
 
     generated: int
     delivered: int
     lost: int
     ppl: float
-    mean_delay_ms: float
-    burst_r: float
-    r_factor: float
 
 
-def call_summary(trace: PacketTrace, direction: str, codec: CodecProfile,
-                 params: EModelParams = DEFAULT_EMODEL,
-                 use_burst_ratio: bool = True) -> CallSummary:
+def call_summary(trace: PacketTrace, direction: str) -> CallSummary:
     packets = trace.directions.get(direction)
     if packets is None:
         raise ValueError(f"trace has no {direction} packets")
     causes = packets.cause
     generated, delivered = len(causes), causes.count(None)
     lost = generated - delivered
-    ppl = lost / generated
-    # Exact: all arrivals less all generation times, plus the lost packets'
-    # (a loss cause is a non-empty string); filter drops None, and 0 adds 0.
-    delay_us = (sum(filter(None, packets.arrival)) - sum(packets.gen)
-                + sum(compress(packets.gen, causes)))
-    delay = float(delay_us) / (delivered * US_PER_MS) if delivered else 0.0
-    br = burst_ratio(causes, ppl) if lost and use_burst_ratio else 1.0
     return CallSummary(generated=generated, delivered=delivered, lost=lost,
-                       ppl=ppl, mean_delay_ms=delay, burst_r=br,
-                       r_factor=r_factor(delay, ppl, br, codec, params))
+                       ppl=lost / generated)
 
 
 METRICS_COLUMNS = ("run_id", "window_start_us", "mean_delay_ms", "ppl",
@@ -249,7 +229,7 @@ def write_metrics(path: str, run_id: str, series: list[WindowMetrics]) -> None:
     zip(*series) would hold one iterator per window, enough to start the
     cyclic collector several times per file."""
     start, delay, ppl, br, r, carried, carried_delay = (
-        map(itemgetter(i), series) for i in (0, 2, 3, 4, 5, 6, 7))
+        map(itemgetter(i), series) for i in range(7))
     write_csv(path, METRICS_COLUMNS, list(map(",".join, zip(
         repeat(CsvFields()[run_id]), map(str, start), map(repr, delay),
         map(repr, ppl), map(repr, br), map(repr, r),
@@ -357,3 +337,42 @@ def stdev(values: Sequence[float]) -> float:
     for value in values:
         sums.add((), (value,))
     return sums.finish()[1][0]
+
+
+@dataclass
+class AggregateSeries:
+    """Elementwise mean and sample standard deviation across repetitions."""
+
+    window_starts: list[int]
+    means: dict[str, list[float]]
+    stds: dict[str, list[float]]
+
+
+AGGREGATE_FIELDS = ("mean_delay_ms", "ppl", "burst_r", "r_factor")
+_AGGREGATE_VALUES = itemgetter(*map(WindowMetrics._fields.index,
+                                    AGGREGATE_FIELDS))
+
+
+def fold(sums: WindowSums, series: list[WindowMetrics]) -> None:
+    """Fold one run's window series into sums, window after window."""
+    sums.add([m.window_start for m in series],
+             list(chain.from_iterable(map(_AGGREGATE_VALUES, series))))
+
+
+def aggregate(sums: WindowSums) -> AggregateSeries:
+    """Per window and field, the mean and the sample std across the runs
+    folded into sums."""
+    means, stds = sums.finish()
+    k = len(AGGREGATE_FIELDS)
+    return AggregateSeries(
+        window_starts=list(sums.grid),
+        means={f: means[i::k] for i, f in enumerate(AGGREGATE_FIELDS)},
+        stds={f: stds[i::k] for i, f in enumerate(AGGREGATE_FIELDS)})
+
+
+def write_aggregate(path: str, agg: AggregateSeries) -> None:
+    header, columns = ["window_start_us"], [map(str, agg.window_starts)]
+    for fname in AGGREGATE_FIELDS:
+        header += [f"{fname}_mean", f"{fname}_std"]
+        columns += [map(repr, agg.means[fname]), map(repr, agg.stds[fname])]
+    write_csv(path, tuple(header), list(map(",".join, zip(*columns))))

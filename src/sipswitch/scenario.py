@@ -68,7 +68,7 @@ from .handoff import (
     check_state,
     media_route,
 )
-from .simnet import Engine, Link, RngStream
+from .simnet import Engine, Link, substream
 from .sip import (
     ClientTransaction,
     Contact,
@@ -201,7 +201,6 @@ class _CallRuntime:
             raise SimulationError("invalid call spec: " + "; ".join(bad))
         self.spec = spec
         self.engine = Engine(log_events=spec.log_events)
-        self.rng = RngStream(spec.seed)
         self.trace = PacketTrace()
         self.signaling = SignalingLog()
         self.handoff_log = HandoffLog()
@@ -213,7 +212,7 @@ class _CallRuntime:
                 link_id = f"{iface.iface_id}-{end}"
                 link = links[iface.iface_id] = Link(
                     self.engine, link_id, iface.link,
-                    self.rng.substream(f"link/{link_id}"))
+                    substream(spec.seed, f"link/{link_id}"))
                 if link_id in spec.down_links:
                     link.set_state(IfaceState.DOWN)
 
@@ -471,7 +470,7 @@ class _CallRuntime:
         call_end = spec.call_start_us + spec.call_duration_us
         t_trigger = spec.call_start_us + spec.switch_offset_us
         if spec.switch_jitter_us:
-            t_trigger += self.rng.substream("trigger").randint(
+            t_trigger += substream(spec.seed, "trigger").randint(
                 -spec.switch_jitter_us, spec.switch_jitter_us)
 
         self.engine.schedule(0, self._send_register, kind="sip-send",

@@ -133,24 +133,15 @@ class Engine:
         self._heap.clear()
 
 
-class RngStream:
-    """Named deterministic random substreams derived from one seed.
+def substream(seed: int, name: str) -> random.Random:
+    """A named deterministic random stream derived from one seed.
 
     Each (seed, name) pair yields an independent, reproducible stream, so
-    adding a consumer never perturbs the draws of existing ones.
+    adding a consumer never perturbs the draws of existing ones. A run asks
+    for each name once.
     """
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._streams: dict[str, random.Random] = {}
-
-    def substream(self, name: str) -> random.Random:
-        rng = self._streams.get(name)
-        if rng is None:
-            # String seeding hashes via sha512: stable across processes.
-            rng = random.Random(f"{self.seed}/{name}")
-            self._streams[name] = rng
-        return rng
+    # String seeding hashes via sha512: stable across processes.
+    return random.Random(f"{seed}/{name}")
 
 
 # Bitrate value meaning "no serialization delay".

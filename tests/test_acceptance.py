@@ -20,15 +20,12 @@ from sipswitch.core import (
     UL,
 )
 from sipswitch.handoff import HandoffPhase, HandoffProcedure
-from sipswitch.metrics import (
-    r_factor,
-    window_series,
-)
+from sipswitch.metrics import window_series
 from sipswitch.scenario import run_call
 from sipswitch.sip import DELIVERED, SipMethod
 from sipswitch.traffic import read_trace
 
-from emodel_terms import id_delay_impairment, ie_effective
+from emodel_terms import id_delay_impairment, ie_effective, r_factor
 from trace_rows import lost_count, trace_rows
 
 PROCS = ("hard", "hybrid", "soft")

@@ -13,10 +13,9 @@ import pytest
 
 from sipswitch import cli
 from sipswitch.core import DL, LOSS_CLOSED, LOSS_RANDOM, UL, SimulationError
-from sipswitch.metrics import WindowMetrics, WindowSums
+from sipswitch.metrics import WindowMetrics, WindowSums, aggregate, fold
 from sipswitch.cli import (
     ConfigError,
-    aggregate,
     build_call_spec,
     capacity_warnings,
     load_config,
@@ -226,15 +225,15 @@ def test_build_call_spec_wires_the_grid_cell(tmp_path):
 
 
 def _series(values, start_step=60_000):
-    return [WindowMetrics(window_start=i * start_step, window_len_ms=60.0,
-                          mean_delay_ms=v, ppl=v, burst_r=1.0, r_factor=v)
+    return [WindowMetrics(window_start=i * start_step, mean_delay_ms=v,
+                          ppl=v, burst_r=1.0, r_factor=v)
             for i, v in enumerate(values)]
 
 
 def _folded(*series_list):
     sums = WindowSums()
     for series in series_list:
-        cli._fold(sums, series)
+        fold(sums, series)
     return sums
 
 

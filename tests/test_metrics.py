@@ -12,7 +12,6 @@ from sipswitch.metrics import (
     WindowMetrics,
     burst_ratio,
     call_summary,
-    r_factor,
     window_series,
     write_metrics,
 )
@@ -24,7 +23,7 @@ from sipswitch.traffic import (
     write_trace,
 )
 
-from emodel_terms import id_delay_impairment, ie_effective
+from emodel_terms import id_delay_impairment, ie_effective, r_factor
 from trace_rows import trace_rows
 
 G711 = CODEC_PRESETS["G711"]
@@ -168,10 +167,9 @@ def test_window_series_partitions_and_computes_each_window():
     series = window_series(tr, DL, G711)
     assert [m.window_start for m in series] == [0, 60_000]
     w0, w1 = series
-    assert (w0.generated, w0.ppl, w0.mean_delay_ms) == (3, 0.0, 10.0)
+    assert (w0.ppl, w0.mean_delay_ms) == (0.0, 10.0)
     assert w0.burst_r == 1.0
     assert w0.r_factor == pytest.approx(r_factor(10.0, 0.0, 1.0, G711))
-    assert w1.generated == 3
     assert w1.ppl == pytest.approx(2 / 3)
     assert w1.mean_delay_ms == pytest.approx(30.0)
     # one run of 2 among 3 packets: 2 * (1 - 2/3)
@@ -213,7 +211,6 @@ def test_empty_windows_carry_previous_values():
     assert len(series) == 6               # starts at 0, 10, ..., 50 ms
     for m in series[1:5]:
         assert m.carried and m.carried_delay
-        assert m.generated == 0
         assert m.mean_delay_ms == 5.0     # copied forward
         assert m.r_factor == series[0].r_factor
     assert not series[5].carried
@@ -227,7 +224,11 @@ def test_windows_partition_the_trace_when_stride_equals_window():
         else:
             _delivered(tr, seq, seq * 20_000, 8_000)
     series = window_series(tr, DL, G711)
-    assert sum(m.generated for m in series) == 101
+    # window k holds exactly packets 3k, 3k + 1 and 3k + 2 (the last, 99
+    # and 100), as its loss ratio shows
+    assert [m.ppl for m in series] == [
+        sum(seq % 7 == 3 for seq in window) / len(window)
+        for window in (range(k, min(k + 3, 101)) for k in range(0, 101, 3))]
 
 
 def test_stride_can_overlap_windows():
@@ -337,14 +338,11 @@ def test_call_summary_totals():
     _delivered(tr, 0, 0, 10_000)
     _delivered(tr, 1, 20_000, 20_000)
     _lost(tr, 2, 40_000)
-    s = call_summary(tr, DL, G711)
+    s = call_summary(tr, DL)
     assert (s.generated, s.delivered, s.lost) == (3, 2, 1)
     assert s.ppl == pytest.approx(1 / 3)
-    assert s.mean_delay_ms == pytest.approx(15.0)
-    assert s.r_factor == pytest.approx(
-        r_factor(15.0, 1 / 3, burst_ratio([0, 0, 1], 1 / 3), G711))
     with pytest.raises(ValueError):
-        call_summary(tr, UL, G711)
+        call_summary(tr, UL)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +374,23 @@ def read_metrics(path):
         assert tuple(next(reader)) == METRICS_COLUMNS
         rows = list(reader)
     series = [WindowMetrics(
-        window_start=int(row[1]), window_len_ms=0.0,
-        mean_delay_ms=float(row[2]), ppl=float(row[3]),
-        burst_r=float(row[4]), r_factor=float(row[5]),
+        window_start=int(row[1]), mean_delay_ms=float(row[2]),
+        ppl=float(row[3]), burst_r=float(row[4]), r_factor=float(row[5]),
         carried=bool(int(row[6])), carried_delay=bool(int(row[7])))
         for row in rows]
     return (rows[-1][0] if rows else ""), series
+
+
+def test_write_metrics_writes_every_window_field_in_order(tmp_path):
+    # the metrics file is the window series: after the run id, one column
+    # per WindowMetrics field, in field order
+    assert METRICS_COLUMNS[1:] == ("window_start_us",
+                                   *WindowMetrics._fields[1:])
+    path = tmp_path / "metrics.csv"
+    write_metrics(str(path), "r", [
+        WindowMetrics(20_000, 1.5, 0.25, 2.0, 80.5, False, True)])
+    assert path.read_text().splitlines()[1].split(",") == [
+        "r", "20000", "1.5", "0.25", "2.0", "80.5", "0", "1"]
 
 
 def test_metrics_file_round_trip_preserves_floats(tmp_path):

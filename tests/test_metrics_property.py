@@ -5,10 +5,11 @@ fsum(values) / n and statistics.stdev however its runs are split and
 merged, the
 one-pass window_series must equal the former bisect-and-slice version,
 kept below as the oracle, and call_summary its totals taken row by row, on
-random traces. The E-model bound once per series must equal the former
-per-call r_factor, and the column-wise write_metrics and write_aggregate
-the former per-row rendering, byte for byte; both former versions are kept
-below as oracles.
+random traces. The one-loop burst_ratio must equal the former mean of a
+list of run lengths, the E-model bound once per series the former per-call
+r_factor, and the column-wise write_metrics and write_aggregate the former
+per-row rendering, byte for byte; the former versions are kept below as
+oracles.
 """
 
 import math
@@ -31,30 +32,28 @@ from sipswitch.core import (
     InternalInvariantError,
     SimulationError,
 )
-from sipswitch.cli import (
-    AGGREGATE_FIELDS,
-    AggregateSeries,
-    _fold,
-    aggregate,
-    write_aggregate,
-)
 from sipswitch.metrics import (
+    AGGREGATE_FIELDS,
     DEFAULT_EMODEL,
     METRICS_COLUMNS,
+    AggregateSeries,
     EModelParams,
     WindowMetrics,
     WindowSums,
     _sqrt_of_ratio,
+    aggregate,
     burst_ratio,
     call_summary,
     emodel,
-    r_factor,
+    fold,
     stdev,
     window_series,
+    write_aggregate,
     write_metrics,
 )
 from sipswitch.traffic import CsvFields, PacketTrace, write_csv
 
+from emodel_terms import r_factor
 from trace_rows import trace_rows
 
 G729 = CODEC_PRESETS["G729"]
@@ -258,7 +257,7 @@ def reference_window_series(trace, direction, codec, window_len_ms=60.0,
         window = rows[lo:hi]
         if not window:
             wm = prev._replace(window_start=start, carried=True,
-                               carried_delay=True, generated=0)
+                               carried_delay=True)
         else:
             flags = [r[6] is not None for r in window]
             lost = sum(flags)
@@ -269,13 +268,11 @@ def reference_window_series(trace, direction, codec, window_len_ms=60.0,
                              if r[5] is not None) / (delivered * US_PER_MS)
             else:
                 delay = prev.mean_delay_ms if prev else 0.0
-            br = burst_ratio(flags, ppl) if use_burst_ratio else 1.0
+            br = reference_burst_ratio(flags, ppl) if use_burst_ratio else 1.0
             wm = WindowMetrics(
-                window_start=start, window_len_ms=window_len_ms,
-                mean_delay_ms=delay, ppl=ppl, burst_r=br,
+                window_start=start, mean_delay_ms=delay, ppl=ppl, burst_r=br,
                 r_factor=r_factor(delay, ppl, br, codec, params),
-                carried=False, carried_delay=lost == len(window),
-                generated=len(window))
+                carried=False, carried_delay=lost == len(window))
         out.append(wm)
         prev = wm
         start += stride_us
@@ -327,21 +324,64 @@ def test_one_pass_window_series_equals_the_former_one(
 
 @EXACT
 @given(packets=st.lists(PACKET, min_size=1, max_size=80),
-       other=st.lists(PACKET, max_size=5),
-       use_burst_ratio=st.booleans())
-def test_call_summary_equals_its_totals_row_by_row(packets, other,
-                                                   use_burst_ratio):
+       other=st.lists(PACKET, max_size=5))
+def test_call_summary_equals_its_totals_row_by_row(packets, other):
     trace = build_trace(packets, other)
     rows = trace_rows(trace, DL)
-    delays = [r[5] - r[3] for r in rows if r[5] is not None]
-    flags = [r[6] is not None for r in rows]
-    got = call_summary(trace, DL, G729, use_burst_ratio=use_burst_ratio)
+    delivered = sum(r[5] is not None for r in rows)
+    lost = sum(r[6] is not None for r in rows)
+    got = call_summary(trace, DL)
     assert (got.generated, got.delivered, got.lost) == (
-        len(rows), len(delays), sum(flags))
-    assert got.mean_delay_ms == (fsum(delays) / (len(delays) * US_PER_MS)
-                                 if delays else 0.0)
-    assert got.burst_r == (burst_ratio(flags, got.ppl)
-                           if use_burst_ratio else 1.0)
+        len(rows), delivered, lost)
+    assert got.ppl == lost / len(rows)
+
+
+# ---------------------------------------------------------------------------
+# burst_ratio against the former implementation
+
+
+def reference_burst_ratio(loss_flags, ppl):
+    """burst_ratio as it was: the list of loss-run lengths, then their
+    mean."""
+    runs = []
+    current = 0
+    for lost in loss_flags:
+        if lost:
+            current += 1
+        elif current:
+            runs.append(current)
+            current = 0
+    if current:
+        runs.append(current)
+    if not runs or ppl <= 0.0:
+        return 1.0
+    observed = fsum(runs) / len(runs)
+    if ppl >= 1.0:
+        return observed
+    return observed * (1.0 - ppl)
+
+
+# Loss marks as the runtime passes them (a cause or None) and as tests do.
+FLAG = st.sampled_from([None, LOSS_RANDOM, False, True, 0, 1])
+
+
+@EXACT
+@example([], 0.0)
+@example([None] * 5, 0.0)                  # none lost
+@example([LOSS_RANDOM] * 5, 1.0)           # all lost
+@example([None, LOSS_RANDOM, LOSS_RANDOM, None, LOSS_RANDOM], 0.0)
+@example([None, LOSS_RANDOM, LOSS_RANDOM, None, LOSS_RANDOM], 1.0)
+@given(st.one_of(st.lists(FLAG, max_size=60),
+                 st.lists(st.sampled_from([None, LOSS_RANDOM]), max_size=5),
+                 st.tuples(FLAG, st.integers(0, 40)).map(
+                     lambda fn: [fn[0]] * fn[1])),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+def test_burst_ratio_is_the_former_run_length_mean_bit_for_bit(flags, ppl):
+    # at the drawn ppl, including 0 and 1, and at the flags' own
+    own = sum(map(bool, flags)) / len(flags) if flags else 0.0
+    for p in (ppl, own):
+        assert (burst_ratio(flags, p).hex()
+                == reference_burst_ratio(flags, p).hex()), (flags, p)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +462,9 @@ SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
                            1e16, 2.0 ** 53 + 2, 1e300, 1.0, -1.0, 0.5])
 VALUE = st.one_of(SPECIAL, st.floats(), st.sampled_from([1 / 3, 2 / 3]),
                   st.integers(-2, 2), st.integers(10 ** 16, 10 ** 20))
-ZEROS = [WindowMetrics(0, 60.0, 0.0, 0.0, 1.0, 0.0, False, False, 3),
-         WindowMetrics(20_000, 60.0, -0.0, -0.0, 1, -0.0, True, True, 0),
-         WindowMetrics(40_000, 60.0, 0.0, 0, 1.0, 0.0, False, True, 3)]
+ZEROS = [WindowMetrics(0, 0.0, 0.0, 1.0, 0.0, False, False),
+         WindowMetrics(20_000, -0.0, -0.0, 1, -0.0, True, True),
+         WindowMetrics(40_000, 0.0, 0, 1.0, 0.0, False, True)]
 
 
 def reference_write_metrics(path, run_id, series):
@@ -433,7 +473,7 @@ def reference_write_metrics(path, run_id, series):
     write_csv(path, METRICS_COLUMNS, [
         f"{run},{start},{delay!r},{ppl!r},{br!r},{r!r},{carried:d},"
         f"{carried_delay:d}"
-        for start, _, delay, ppl, br, r, carried, carried_delay, _ in series])
+        for start, delay, ppl, br, r, carried, carried_delay in series])
 
 
 def reference_write_aggregate(path, agg):
@@ -459,7 +499,7 @@ def same_bytes(write, reference, *args):
 
 WINDOW = st.builds(
     lambda start, values, carried, carried_delay: WindowMetrics(
-        start, 60.0, *values, carried, carried_delay, 3),
+        start, *values, carried, carried_delay),
     st.integers(0, 2 ** 53), st.tuples(VALUE, VALUE, VALUE, VALUE),
     st.booleans(), st.booleans())
 RUN_IDS = st.sampled_from(["G729_hard_wlan-to-cellular_r000", "a,b", 'q"'])
@@ -509,5 +549,5 @@ def test_write_aggregate_is_the_per_row_rendering_on_random_runs(first,
     gaps = [gap for gap, _ in first]
     sums = WindowSums()
     for run in [first, *([*zip(gaps, (d for _, d in o))] for o in others)]:
-        _fold(sums, window_series(build_trace(run, []), DL, G729, 60.0))
+        fold(sums, window_series(build_trace(run, []), DL, G729, 60.0))
     same_bytes(write_aggregate, reference_write_aggregate, aggregate(sums))

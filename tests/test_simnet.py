@@ -16,8 +16,8 @@ from sipswitch.simnet import (
     UNLIMITED,
     Engine,
     Link,
-    RngStream,
     SchedulingInPastError,
+    substream,
 )
 
 from per_packet_link import PerPacketLink
@@ -99,28 +99,22 @@ def test_run_until_picks_up_events_scheduled_during_run():
 
 
 def test_substreams_are_reproducible_across_instances():
-    a = RngStream(7).substream("link/wlan-dl")
-    b = RngStream(7).substream("link/wlan-dl")
+    a = substream(7, "link/wlan-dl")
+    b = substream(7, "link/wlan-dl")
     assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
 
 
 def test_substreams_with_different_names_are_independent():
-    rng = RngStream(7)
-    xs = [rng.substream("alpha").random() for _ in range(10)]
-    ys = [rng.substream("beta").random() for _ in range(10)]
+    alpha, beta = substream(7, "alpha"), substream(7, "beta")
+    xs = [alpha.random() for _ in range(10)]
+    ys = [beta.random() for _ in range(10)]
     assert xs != ys
 
 
-def test_substream_is_cached_not_restarted():
-    rng = RngStream(7)
-    first = rng.substream("alpha").random()
-    second = rng.substream("alpha").random()
-    assert first != second  # continues the stream rather than reseeding
-
-
 def test_different_seeds_differ():
-    xs = [RngStream(1).substream("s").random() for _ in range(5)]
-    ys = [RngStream(2).substream("s").random() for _ in range(5)]
+    one, two = substream(1, "s"), substream(2, "s")
+    xs = [one.random() for _ in range(5)]
+    ys = [two.random() for _ in range(5)]
     assert xs != ys
 
 
