@@ -32,6 +32,7 @@ from .core import (
     UL,
     CodecProfile,
     InternalInvariantError,
+    SimulationError,
     ms_to_us,
     s_to_us,
     validate_codec,
@@ -56,9 +57,19 @@ def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
     """Execute one repetition and write its artifacts; returns what its
     cell reads: the manifest fields, the window series and, per direction,
     (lost packets, loss % of the call, loss % of the switch window or None
-    when there is none)."""
+    when there is none). A SimulationError inside the run aborts it alone,
+    with the error as its reason and no files; a broken invariant or a
+    config error still ends the campaign."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    result = run_call(spec)
+    out: dict[str, Any] = {"run_id": spec.run_id, "seed": spec.seed,
+                           "series": {}, "loss": {}}
+    try:
+        result = run_call(spec)
+    except (ConfigError, InternalInvariantError):
+        raise
+    except SimulationError as exc:
+        out.update(aborted=True, abort_reason=f"{type(exc).__name__}: {exc}")
+        return out
     write_trace(str(run_dir / "trace.csv"), spec.run_id, result.trace)
     logs = {"signaling.log": result.signaling.lines,
             "handoff.log": result.handoff_log.lines}
@@ -67,9 +78,7 @@ def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
     for name, lines in logs.items():
         (run_dir / name).write_text("\n".join(lines) + "\n" if lines else "")
 
-    out: dict[str, Any] = {
-        "run_id": spec.run_id, "seed": spec.seed, "aborted": result.aborted,
-        "abort_reason": result.abort_reason, "series": {}, "loss": {}}
+    out.update(aborted=result.aborted, abort_reason=result.abort_reason)
     for direction, name in ((UL, "ul"), (DL, "dl")):
         series = out["series"][name] = window_series(
             result.trace, direction, spec.codec, config.window_len_ms,
@@ -78,16 +87,16 @@ def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
                       series)
         if not series:
             continue
-        summary = call_summary(result.trace, direction)
+        lost, ppl = call_summary(result.trace, direction)
         pct_switch = None
         if result.t_trigger is not None and result.t_completed is not None:
             # The trigger comes after the call start, so media has started.
             packets = result.trace.directions[direction]
             lo = bisect_left(packets.gen, result.t_trigger)
             hi = bisect_right(packets.gen, result.t_completed)
-            lost = hi - lo - packets.cause[lo:hi].count(None)
-            pct_switch = 100.0 * lost / (hi - lo) if hi > lo else None
-        out["loss"][name] = (summary.lost, 100.0 * summary.ppl, pct_switch)
+            switch_lost = hi - lo - packets.cause[lo:hi].count(None)
+            pct_switch = 100.0 * switch_lost / (hi - lo) if hi > lo else None
+        out["loss"][name] = (lost, 100.0 * ppl, pct_switch)
     return out
 
 

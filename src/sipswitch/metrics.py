@@ -10,11 +10,11 @@ exported trace file reproduces in-run values bit for bit.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from math import frexp, isfinite, isqrt, ldexp
-from operator import add, itemgetter, lshift, mul, sub, truediv
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import add, lshift, mul, sub, truediv
+from typing import Callable, Optional, Sequence
 
 from .core import (
     US_PER_MS,
@@ -54,21 +54,28 @@ EMODEL_RULES = {
 DEFAULT_EMODEL = EModelParams()
 
 
-class WindowMetrics(NamedTuple):
-    """One sliding window's averaged metrics and resulting R-factor.
+@dataclass
+class WindowSeries:
+    """One direction's sliding windows as seven parallel columns, one entry
+    per window: its start, averaged metrics and resulting R-factor. No
+    window is an object of its own. Its length is the number of windows, so
+    a direction with no packets gives an empty, falsy series.
 
     carried: no packet was generated in the window; all values copied from
     the previous window. carried_delay: no packet was delivered, so only the
     delay is copied (ppl is real, typically 1).
     """
 
-    window_start: SimTime
-    mean_delay_ms: float
-    ppl: float
-    burst_r: float
-    r_factor: float
-    carried: bool = False
-    carried_delay: bool = False
+    window_start: list[SimTime] = field(default_factory=list)
+    mean_delay_ms: list[float] = field(default_factory=list)
+    ppl: list[float] = field(default_factory=list)
+    burst_r: list[float] = field(default_factory=list)
+    r_factor: list[float] = field(default_factory=list)
+    carried: list[bool] = field(default_factory=list)
+    carried_delay: list[bool] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.window_start)
 
 
 def _bind_id(params: EModelParams) -> Callable[[float], float]:
@@ -102,13 +109,15 @@ def _bind_ie(codec: CodecProfile,
     return ie_eff
 
 
-def emodel(codec: CodecProfile, params: EModelParams = DEFAULT_EMODEL
-           ) -> Callable[[float, float, float], float]:
-    """R(d_ms, ppl, burst_r) = r0 - Id - Ie_eff, with codec and params
-    bound once, to call once per window; not clamped (total loss can push
-    it below 0)."""
-    r0, id_, ie_eff = params.r0, _bind_id(params), _bind_ie(codec, params)
-    return lambda d_ms, ppl, burst_r: r0 - id_(d_ms) - ie_eff(ppl, burst_r)
+def emodel(codec: CodecProfile, params: EModelParams,
+           delays: Sequence[float], ppls: Sequence[float],
+           brs: Sequence[float]) -> list[float]:
+    """R = r0 - Id(d_ms) - Ie_eff(ppl, burst_r) of each window, over its
+    delay, loss and burst ratio columns, with codec and params bound once;
+    not clamped (total loss can push it below 0)."""
+    id_, ie_eff = _bind_id(params), _bind_ie(codec, params)
+    return list(map(sub, map(sub, repeat(params.r0), map(id_, delays)),
+                    map(ie_eff, ppls, brs)))
 
 
 def burst_ratio(loss_flags, ppl: float) -> float:
@@ -138,7 +147,7 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
                   window_len_ms: float = 60.0,
                   stride_ms: Optional[float] = None,
                   params: EModelParams = DEFAULT_EMODEL,
-                  use_burst_ratio: bool = True) -> list[WindowMetrics]:
+                  use_burst_ratio: bool = True) -> WindowSeries:
     """Window the trace by generation time and compute each window's metrics.
 
     Windows tile from the first generation instant while their start does
@@ -147,11 +156,13 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
 
     One pass: two pointers bound the packets generated in each window. Its
     slice of loss causes gives its losses and prefix sums its delay sum, an
-    exact integer, so the mean delay equals fsum over the window.
+    exact integer, so the mean delay equals fsum over the window. A window
+    with nothing generated keeps the previous window's delay, loss and
+    burst ratio, so its R, evaluated with the rest, is the previous one's.
     """
     packets = trace.directions.get(direction)
     if packets is None:
-        return []
+        return WindowSeries()
     gens, causes = packets.gen, packets.cause
     window_us = round(window_len_ms * US_PER_MS)
     stride_us = round((stride_ms if stride_ms is not None else window_len_ms)
@@ -161,23 +172,20 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
     cum_delay = list(accumulate(
         (0 if arrival is None else arrival - gen
          for gen, arrival in zip(gens, packets.arrival)), initial=0))
-    n, last, r_of = len(gens), gens[-1], emodel(codec, params)
-    out: list[WindowMetrics] = []
-    prev: Optional[WindowMetrics] = None
-    lo = hi = 0
-    start = gens[0]
-    while start <= last:
+    starts = list(range(gens[0], gens[-1] + 1, stride_us))
+    delays, ppls, brs, carried, carried_delay = [], [], [], [], []
+    n, lo, hi = len(gens), 0, 0
+    # The first window holds the first packet, so it sets all three; an
+    # all-lost first window keeps the delay 0.0.
+    delay = ppl = br = 0.0
+    for start in starts:
         while gens[lo] < start:
             lo += 1
         end = start + window_us
         while hi < n and gens[hi] < end:
             hi += 1
         generated = hi - lo
-        if generated == 0:
-            # Nothing generated here: carry the previous window forward. The
-            # first window holds the first packet, so a previous one exists.
-            wm = tuple.__new__(WindowMetrics, (start, *prev[1:5], True, True))
-        else:
+        if generated:
             window = causes[lo:hi]
             delivered = window.count(None)
             n_lost = generated - delivered
@@ -185,55 +193,41 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
             if delivered:
                 delay = (float(cum_delay[hi] - cum_delay[lo])
                          / (delivered * US_PER_MS))
-            else:
-                delay = prev.mean_delay_ms if prev is not None else 0.0
             br = (burst_ratio(window, ppl)
                   if n_lost and use_burst_ratio else 1.0)
-            wm = tuple.__new__(WindowMetrics, (
-                start, delay, ppl, br, r_of(delay, ppl, br), False,
-                not delivered))
-        out.append(wm)
-        prev = wm
-        start += stride_us
-    return out
+        delays.append(delay)
+        ppls.append(ppl)
+        brs.append(br)
+        carried.append(not generated)
+        carried_delay.append(not (generated and delivered))
+    return WindowSeries(starts, delays, ppls, brs,
+                        emodel(codec, params, delays, ppls, brs),
+                        carried, carried_delay)
 
 
-@dataclass(frozen=True)
-class CallSummary:
-    """Whole-call packet totals of one direction."""
-
-    generated: int
-    delivered: int
-    lost: int
-    ppl: float
-
-
-def call_summary(trace: PacketTrace, direction: str) -> CallSummary:
+def call_summary(trace: PacketTrace, direction: str) -> tuple[int, float]:
+    """One direction's lost packets and their share of those generated."""
     packets = trace.directions.get(direction)
     if packets is None:
         raise ValueError(f"trace has no {direction} packets")
     causes = packets.cause
-    generated, delivered = len(causes), causes.count(None)
-    lost = generated - delivered
-    return CallSummary(generated=generated, delivered=delivered, lost=lost,
-                       ppl=lost / generated)
+    lost = len(causes) - causes.count(None)
+    return lost, lost / len(causes)
 
 
 METRICS_COLUMNS = ("run_id", "window_start_us", "mean_delay_ms", "ppl",
                    "burst_r", "r_factor", "carried", "carried_delay")
 
 
-def write_metrics(path: str, run_id: str, series: list[WindowMetrics]) -> None:
+def write_metrics(path: str, run_id: str, series: WindowSeries) -> None:
     """One row per window, built column by column (each float as its repr,
-    each flag, a bool, as 0 or 1). The columns are read with itemgetter:
-    zip(*series) would hold one iterator per window, enough to start the
-    cyclic collector several times per file."""
-    start, delay, ppl, br, r, carried, carried_delay = (
-        map(itemgetter(i), series) for i in range(7))
+    each flag, a bool, as 0 or 1)."""
     write_csv(path, METRICS_COLUMNS, list(map(",".join, zip(
-        repeat(CsvFields()[run_id]), map(str, start), map(repr, delay),
-        map(repr, ppl), map(repr, br), map(repr, r),
-        map("01".__getitem__, carried), map("01".__getitem__, carried_delay)))))
+        repeat(CsvFields()[run_id]), map(str, series.window_start),
+        map(repr, series.mean_delay_ms), map(repr, series.ppl),
+        map(repr, series.burst_r), map(repr, series.r_factor),
+        map("01".__getitem__, series.carried),
+        map("01".__getitem__, series.carried_delay)))))
 
 
 # Bits of the integer square root taken before its one rounding to a float:
@@ -349,25 +343,25 @@ class AggregateSeries:
 
 
 AGGREGATE_FIELDS = ("mean_delay_ms", "ppl", "burst_r", "r_factor")
-_AGGREGATE_VALUES = itemgetter(*map(WindowMetrics._fields.index,
-                                    AGGREGATE_FIELDS))
 
 
-def fold(sums: WindowSums, series: list[WindowMetrics]) -> None:
-    """Fold one run's window series into sums, window after window."""
-    sums.add([m.window_start for m in series],
-             list(chain.from_iterable(map(_AGGREGATE_VALUES, series))))
+def fold(sums: WindowSums, series: WindowSeries) -> None:
+    """Fold one run's window series into sums, field after field."""
+    sums.add(series.window_start, list(chain.from_iterable(
+        getattr(series, f) for f in AGGREGATE_FIELDS)))
 
 
 def aggregate(sums: WindowSums) -> AggregateSeries:
     """Per window and field, the mean and the sample std across the runs
     folded into sums."""
     means, stds = sums.finish()
-    k = len(AGGREGATE_FIELDS)
+    w = len(sums.grid)
     return AggregateSeries(
         window_starts=list(sums.grid),
-        means={f: means[i::k] for i, f in enumerate(AGGREGATE_FIELDS)},
-        stds={f: stds[i::k] for i, f in enumerate(AGGREGATE_FIELDS)})
+        means={f: means[i * w:(i + 1) * w]
+               for i, f in enumerate(AGGREGATE_FIELDS)},
+        stds={f: stds[i * w:(i + 1) * w]
+              for i, f in enumerate(AGGREGATE_FIELDS)})
 
 
 def write_aggregate(path: str, agg: AggregateSeries) -> None:

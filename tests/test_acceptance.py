@@ -48,8 +48,8 @@ def _register_times(signaling_lines):
 def _min_nontransition_r(series, t_trigger):
     lo = t_trigger - WINDOW_US
     hi = t_trigger + RECOVERY_US
-    values = [m.r_factor for m in series
-              if m.window_start < lo or m.window_start > hi]
+    values = [r for start, r in zip(series.window_start, series.r_factor)
+              if start < lo or start > hi]
     return min(values)
 
 
@@ -92,13 +92,12 @@ def campaign_a(make_config):
                         _min_nontransition_r(series_dl, result.t_trigger))
 
                     if codec == "G711" and direction == "cellular-to-wlan":
-                        grid = [m.window_start for m in series_dl]
+                        grid = series_dl.window_start
                         if stats["grid_dl"] is None:
                             stats["grid_dl"] = grid
                         else:
                             assert stats["grid_dl"] == grid
-                        stats["r_series_dl"].append(
-                            [m.r_factor for m in series_dl])
+                        stats["r_series_dl"].append(series_dl.r_factor)
                 elapsed = time.perf_counter() - t0
                 if proc in ("hybrid", "soft"):
                     hybrid_soft_elapsed += elapsed

@@ -12,8 +12,16 @@ from pathlib import Path
 import pytest
 
 from sipswitch import cli
-from sipswitch.core import DL, LOSS_CLOSED, LOSS_RANDOM, UL, SimulationError
-from sipswitch.metrics import WindowMetrics, WindowSums, aggregate, fold
+from sipswitch.core import (
+    DL,
+    LOSS_CLOSED,
+    LOSS_RANDOM,
+    UL,
+    InternalInvariantError,
+    SimulationError,
+)
+from sipswitch.metrics import WindowSums, aggregate, fold
+from sipswitch.sip import SipError
 from sipswitch.cli import (
     ConfigError,
     build_call_spec,
@@ -22,7 +30,7 @@ from sipswitch.cli import (
     main,
 )
 
-from trace_rows import trace_rows
+from trace_rows import Window, series_of
 
 
 def write_config(tmp_path, text="", name="config.yaml"):
@@ -225,9 +233,8 @@ def test_build_call_spec_wires_the_grid_cell(tmp_path):
 
 
 def _series(values, start_step=60_000):
-    return [WindowMetrics(window_start=i * start_step, mean_delay_ms=v,
-                          ppl=v, burst_r=1.0, r_factor=v)
-            for i, v in enumerate(values)]
+    return series_of(Window(i * start_step, v, v, 1.0, v, False, False)
+                     for i, v in enumerate(values))
 
 
 def _folded(*series_list):
@@ -596,6 +603,100 @@ def test_a_broken_invariant_exits_three(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'out'}\n")
     assert main(["run", cfg]) == 3
     assert "injected violation" in capsys.readouterr().err
+
+
+def test_a_series_length_is_its_metrics_file_rows(tmp_path, capsys,
+                                                  monkeypatch):
+    # the bench records len() of window_series' result as metrics.windows,
+    # and _run_one skips the loss totals of a direction whose series is
+    # falsy; a run aborted before media writes header-only metrics files
+    seen = []
+
+    def spy(*args, _fn=cli.window_series):
+        series = _fn(*args)
+        seen.append((len(series), bool(series)))
+        return series
+
+    monkeypatch.setattr(cli, "window_series", spy)
+    silent = ONE_RUN + "interfaces:\n" + "".join(
+        f"  {iface}:\n    loss_prob: 1.0\n" for iface in ("wlan", "cellular"))
+    rows = []
+    for name, text, code in (("good", ONE_RUN, 0), ("silent", silent, 2)):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, text + f"out_dir: {out}\n")
+        assert main(["run", cfg]) == code
+        run_dir = out / "G729_hard_cellular-to-wlan" / "r000"
+        for direction in ("ul", "dl"):
+            lines = (run_dir / f"metrics_{direction}.csv").read_text()
+            rows.append(len(lines.splitlines()) - 1)
+    assert seen == [(n, n > 0) for n in rows]
+    assert rows == [34, 34, 0, 0]   # 2 s of 20 ms packets in 60 ms windows
+
+
+# ---------------------------------------------------------------------------
+# an error inside one run
+
+
+def _failing_run_call(exc, run_call=cli.run_call):
+    """run_call, raising exc in each cell's second repetition."""
+    def failing(spec):
+        if spec.run_id.endswith("_r001"):
+            raise exc
+        return run_call(spec)
+    return failing
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_a_simulation_error_inside_a_run_aborts_that_run_alone(
+        tmp_path, capfd, monkeypatch, parallel):
+    monkeypatch.setattr(cli, "run_call", _failing_run_call(
+        SipError("no transaction for the message")))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, TINY + f"out_dir: {out}\n")
+    assert main(["run", cfg, "--parallel", parallel]) == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert "2 run(s) aborted; see manifest.json" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    for cell in manifest["cells"]:
+        good, bad = cell["runs"]
+        assert (good["aborted"], good["abort_reason"]) == (False, None)
+        assert bad == {"run_id": f"{cell['cell_id']}_r001",
+                       "seed": bad["seed"], "aborted": True,
+                       "abort_reason":
+                           "SipError: no transaction for the message"}
+        assert not any((out / cell["cell_id"] / "r001").iterdir())
+        # the cell's files come from its one good run
+        assert (out / cell["cell_id"] / "aggregate_dl.csv").is_file()
+    assert any("SipError: no transaction" in w
+               for w in manifest["warnings"])
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("exc,code,message", [
+    (InternalInvariantError("a broken invariant"), 3,
+     "internal invariant violation: a broken invariant"),
+    (ConfigError(["a bad setting"]), 1, "config error: a bad setting"),
+], ids=["invariant", "config"])
+def test_a_broken_invariant_or_config_error_inside_a_run_still_ends_it(
+        tmp_path, capfd, monkeypatch, parallel, exc, code, message):
+    monkeypatch.setattr(cli, "run_call", _failing_run_call(exc))
+    cfg = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'out'}\n")
+    assert main(["run", cfg, "--parallel", parallel]) == code
+    err = capfd.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_any_other_error_inside_a_run_is_not_an_aborted_run(
+        tmp_path, capfd, monkeypatch, parallel):
+    # the bench's injected fault must still count as a failed call
+    monkeypatch.setattr(cli, "run_call",
+                        _failing_run_call(RuntimeError("not the model's")))
+    cfg = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'out'}\n")
+    with pytest.raises(RuntimeError, match="not the model's"):
+        main(["run", cfg, "--parallel", parallel])
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("switch_time,jitter", [

@@ -1,4 +1,6 @@
 import csv
+import gc
+from dataclasses import fields
 from math import fsum
 
 import pytest
@@ -9,9 +11,11 @@ from sipswitch.metrics import (
     DEFAULT_EMODEL,
     METRICS_COLUMNS,
     EModelParams,
-    WindowMetrics,
+    WindowSeries,
+    WindowSums,
     burst_ratio,
     call_summary,
+    fold,
     window_series,
     write_metrics,
 )
@@ -24,7 +28,7 @@ from sipswitch.traffic import (
 )
 
 from emodel_terms import id_delay_impairment, ie_effective, r_factor
-from trace_rows import trace_rows
+from trace_rows import Window, series_of, trace_rows, window_rows
 
 G711 = CODEC_PRESETS["G711"]
 G729 = CODEC_PRESETS["G729"]
@@ -165,8 +169,8 @@ def test_window_series_partitions_and_computes_each_window():
     _lost(tr, 4, 80_000)
     _delivered(tr, 5, 100_000, 30_000)             # window 1: 2 of 3 lost
     series = window_series(tr, DL, G711)
-    assert [m.window_start for m in series] == [0, 60_000]
-    w0, w1 = series
+    assert series.window_start == [0, 60_000]
+    w0, w1 = window_rows(series)
     assert (w0.ppl, w0.mean_delay_ms) == (0.0, 10.0)
     assert w0.burst_r == 1.0
     assert w0.r_factor == pytest.approx(r_factor(10.0, 0.0, 1.0, G711))
@@ -184,8 +188,7 @@ def test_all_lost_window_carries_delay_but_reports_real_loss():
         _delivered(tr, seq, gen, 10_000)
     for seq, gen in enumerate(range(60_000, 120_000, 20_000), start=3):
         _lost(tr, seq, gen)
-    series = window_series(tr, DL, G711)
-    w1 = series[1]
+    w1 = window_rows(window_series(tr, DL, G711))[1]
     assert w1.ppl == 1.0
     assert w1.mean_delay_ms == 10.0      # carried from the previous window
     assert w1.carried_delay and not w1.carried
@@ -199,15 +202,15 @@ def test_first_window_all_lost_falls_back_to_zero_delay():
     _lost(tr, 1, 20_000)
     series = window_series(tr, DL, G711)
     assert len(series) == 1
-    assert series[0].mean_delay_ms == 0.0
-    assert series[0].carried_delay
+    assert series.mean_delay_ms == [0.0]
+    assert series.carried_delay == [True]
 
 
 def test_empty_windows_carry_previous_values():
     tr = PacketTrace()
     _delivered(tr, 0, 0, 5_000)
     _delivered(tr, 1, 50_000, 5_000)
-    series = window_series(tr, DL, G711, window_len_ms=10.0)
+    series = window_rows(window_series(tr, DL, G711, window_len_ms=10.0))
     assert len(series) == 6               # starts at 0, 10, ..., 50 ms
     for m in series[1:5]:
         assert m.carried and m.carried_delay
@@ -226,7 +229,7 @@ def test_windows_partition_the_trace_when_stride_equals_window():
     series = window_series(tr, DL, G711)
     # window k holds exactly packets 3k, 3k + 1 and 3k + 2 (the last, 99
     # and 100), as its loss ratio shows
-    assert [m.ppl for m in series] == [
+    assert series.ppl == [
         sum(seq % 7 == 3 for seq in window) / len(window)
         for window in (range(k, min(k + 3, 101)) for k in range(0, 101, 3))]
 
@@ -236,14 +239,15 @@ def test_stride_can_overlap_windows():
     for seq in range(10):
         _delivered(tr, seq, seq * 20_000, 8_000)
     series = window_series(tr, DL, G711, window_len_ms=60.0, stride_ms=20.0)
-    assert [m.window_start for m in series] == \
+    assert series.window_start == \
         [k * 20_000 for k in range(10)]  # one start per generation instant
 
 
 def test_window_series_on_empty_direction_is_empty():
     tr = PacketTrace()
     _delivered(tr, 0, 0, 1_000, direction=UL, stream="ul")
-    assert window_series(tr, DL, G711) == []
+    series = window_series(tr, DL, G711)
+    assert series == WindowSeries() and len(series) == 0 and not series
 
 
 def test_window_series_without_burst_adjustment():
@@ -252,8 +256,8 @@ def test_window_series_without_burst_adjustment():
     _lost(tr, 1, 20_000)
     _lost(tr, 2, 40_000)
     series = window_series(tr, DL, G711, use_burst_ratio=False)
-    assert series[0].burst_r == 1.0
-    assert series[0].r_factor == pytest.approx(
+    assert series.burst_r == [1.0]
+    assert series.r_factor[0] == pytest.approx(
         r_factor(10.0, 2 / 3, 1.0, G711))
 
 
@@ -265,6 +269,34 @@ def test_window_series_rejects_nonpositive_window():
     with pytest.raises(ValueError):
         window_series(tr, DL, G711, stride_ms=-5.0)
 
+
+
+def test_no_stage_of_the_window_pipeline_allocates_per_window(tmp_path):
+    # A window is no object of its own from analysis through export to the
+    # fold: with the collector off, the three stages leave a small constant
+    # of GC-tracked objects behind (about 40), not one per window, so a
+    # series starts no collection however long it is.
+    tr = PacketTrace()
+    for seq in range(3_001):
+        if seq % 13 in (4, 5):
+            _lost(tr, seq, seq * 20_000, cause=LOSS_RANDOM)
+        else:
+            _delivered(tr, seq, seq * 20_000, 40_000 + seq % 17)
+    sums = WindowSums()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        before = gc.get_count()[0]
+        series = window_series(tr, DL, G729, 60.0, 20.0)
+        write_metrics(str(tmp_path / "metrics.csv"), "r", series)
+        fold(sums, series)
+        grown = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(series) == 3_001 and any(series.ppl)
+    assert grown < 100, grown
 
 # ---------------------------------------------------------------------------
 # direct window queries: a second, row-by-row derivation of the windowed
@@ -320,7 +352,7 @@ def test_window_series_matches_the_oracles_on_a_lossy_run(make_config):
     for direction in (UL, DL):
         series = window_series(result.trace, direction, G729)
         assert series
-        for wm in series:
+        for wm in window_rows(series):
             assert not wm.carried
             ppl = loss_ratio(result.trace, wm.window_start, 60_000, direction)
             assert wm.ppl == pytest.approx(ppl, abs=1e-12)
@@ -338,9 +370,10 @@ def test_call_summary_totals():
     _delivered(tr, 0, 0, 10_000)
     _delivered(tr, 1, 20_000, 20_000)
     _lost(tr, 2, 40_000)
-    s = call_summary(tr, DL)
-    assert (s.generated, s.delivered, s.lost) == (3, 2, 1)
-    assert s.ppl == pytest.approx(1 / 3)
+    lost, ppl = call_summary(tr, DL)
+    causes = tr.directions[DL].cause   # generated and delivered
+    assert (len(causes), causes.count(None), lost) == (3, 2, 1)
+    assert ppl == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         call_summary(tr, UL)
 
@@ -373,22 +406,22 @@ def read_metrics(path):
         reader = csv.reader(fh)
         assert tuple(next(reader)) == METRICS_COLUMNS
         rows = list(reader)
-    series = [WindowMetrics(
+    series = series_of(Window(
         window_start=int(row[1]), mean_delay_ms=float(row[2]),
         ppl=float(row[3]), burst_r=float(row[4]), r_factor=float(row[5]),
         carried=bool(int(row[6])), carried_delay=bool(int(row[7])))
-        for row in rows]
+        for row in rows)
     return (rows[-1][0] if rows else ""), series
 
 
 def test_write_metrics_writes_every_window_field_in_order(tmp_path):
     # the metrics file is the window series: after the run id, one column
-    # per WindowMetrics field, in field order
-    assert METRICS_COLUMNS[1:] == ("window_start_us",
-                                   *WindowMetrics._fields[1:])
+    # per WindowSeries column, in field order
+    assert METRICS_COLUMNS[1:] == ("window_start_us", *(
+        f.name for f in fields(WindowSeries)[1:]))
     path = tmp_path / "metrics.csv"
-    write_metrics(str(path), "r", [
-        WindowMetrics(20_000, 1.5, 0.25, 2.0, 80.5, False, True)])
+    write_metrics(str(path), "r", series_of([
+        Window(20_000, 1.5, 0.25, 2.0, 80.5, False, True)]))
     assert path.read_text().splitlines()[1].split(",") == [
         "r", "20000", "1.5", "0.25", "2.0", "80.5", "0", "1"]
 
@@ -403,7 +436,7 @@ def test_metrics_file_round_trip_preserves_floats(tmp_path):
     run_id, back = read_metrics(str(path))
     assert run_id == "rX"
     assert len(back) == len(series)
-    for a, b in zip(series, back):
+    for a, b in zip(window_rows(series), window_rows(back)):
         # str(float) round-trips exactly through the CSV
         assert b.mean_delay_ms == a.mean_delay_ms
         assert b.ppl == a.ppl
@@ -431,7 +464,7 @@ def csv_writer_metrics(path, run_id, series):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(METRICS_COLUMNS)
-        for m in series:
+        for m in window_rows(series):
             w.writerow((run_id, m.window_start, m.mean_delay_ms, m.ppl,
                         m.burst_r, m.r_factor, int(m.carried),
                         int(m.carried_delay)))

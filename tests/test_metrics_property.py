@@ -6,10 +6,10 @@ merged, the
 one-pass window_series must equal the former bisect-and-slice version,
 kept below as the oracle, and call_summary its totals taken row by row, on
 random traces. The one-loop burst_ratio must equal the former mean of a
-list of run lengths, the E-model bound once per series the former per-call
-r_factor, and the column-wise write_metrics and write_aggregate the former
-per-row rendering, byte for byte; the former versions are kept below as
-oracles.
+list of run lengths, the E-model over a series' columns the former per-call
+r_factor window by window, and the column-wise write_metrics and
+write_aggregate the former per-row rendering, byte for byte; the former
+versions are kept below as oracles.
 """
 
 import math
@@ -38,7 +38,6 @@ from sipswitch.metrics import (
     METRICS_COLUMNS,
     AggregateSeries,
     EModelParams,
-    WindowMetrics,
     WindowSums,
     _sqrt_of_ratio,
     aggregate,
@@ -54,7 +53,7 @@ from sipswitch.metrics import (
 from sipswitch.traffic import CsvFields, PacketTrace, write_csv
 
 from emodel_terms import r_factor
-from trace_rows import trace_rows
+from trace_rows import Window, series_of, trace_rows, window_rows
 
 G729 = CODEC_PRESETS["G729"]
 
@@ -269,7 +268,7 @@ def reference_window_series(trace, direction, codec, window_len_ms=60.0,
             else:
                 delay = prev.mean_delay_ms if prev else 0.0
             br = reference_burst_ratio(flags, ppl) if use_burst_ratio else 1.0
-            wm = WindowMetrics(
+            wm = Window(
                 window_start=start, mean_delay_ms=delay, ppl=ppl, burst_r=br,
                 r_factor=r_factor(delay, ppl, br, codec, params),
                 carried=False, carried_delay=lost == len(window))
@@ -314,12 +313,12 @@ def build_trace(packets, other_direction):
 def test_one_pass_window_series_equals_the_former_one(
         packets, other, window_ms, stride, use_burst_ratio):
     trace = build_trace(packets, other)
-    got = window_series(trace, DL, G729, window_ms, stride,
-                        use_burst_ratio=use_burst_ratio)
+    series = window_series(trace, DL, G729, window_ms, stride,
+                           use_burst_ratio=use_burst_ratio)
     want = reference_window_series(trace, DL, G729, window_ms, stride,
                                    use_burst_ratio=use_burst_ratio)
-    assert len(got) == len(want)
-    assert repr(got) == repr(want)  # repr: every float bit for bit
+    assert len(series) == len(want)
+    assert repr(window_rows(series)) == repr(want)  # every float bit for bit
 
 
 @EXACT
@@ -330,10 +329,11 @@ def test_call_summary_equals_its_totals_row_by_row(packets, other):
     rows = trace_rows(trace, DL)
     delivered = sum(r[5] is not None for r in rows)
     lost = sum(r[6] is not None for r in rows)
-    got = call_summary(trace, DL)
-    assert (got.generated, got.delivered, got.lost) == (
+    got_lost, got_ppl = call_summary(trace, DL)
+    causes = trace.directions[DL].cause   # generated and delivered
+    assert (len(causes), causes.count(None), got_lost) == (
         len(rows), delivered, lost)
-    assert got.ppl == lost / len(rows)
+    assert got_ppl == lost / len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,7 @@ def test_burst_ratio_is_the_former_run_length_mean_bit_for_bit(flags, ppl):
 
 
 # ---------------------------------------------------------------------------
-# The E-model, bound once per series, against the former per-call version
+# The E-model over a series' columns, against the former per-call version
 
 
 def reference_r_factor(d_ms, ppl, burst_r, codec, params=DEFAULT_EMODEL):
@@ -427,7 +427,7 @@ CODECS = st.sampled_from(sorted(CODEC_PRESETS.values(), key=repr))
 def test_the_bound_e_model_is_r_factor_bit_for_bit(d_ms, ppl, burst_r,
                                                    codec, params):
     want = reference_r_factor(d_ms, ppl, burst_r, codec, params).hex()
-    assert emodel(codec, params)(d_ms, ppl, burst_r).hex() == want
+    assert emodel(codec, params, [d_ms], [ppl], [burst_r])[0].hex() == want
     assert r_factor(d_ms, ppl, burst_r, codec, params).hex() == want
 
 
@@ -447,8 +447,25 @@ def raised(f, *args):
 def test_the_bound_e_model_rejects_what_r_factor_rejected(d_ms, ppl, burst_r,
                                                           codec):
     want = raised(reference_r_factor, d_ms, ppl, burst_r, codec)
-    assert raised(emodel(codec), d_ms, ppl, burst_r) == want
+    assert raised(emodel, codec, DEFAULT_EMODEL, [d_ms], [ppl],
+                  [burst_r]) == want
     assert raised(r_factor, d_ms, ppl, burst_r, codec) == want
+
+
+@EXACT
+@given(st.lists(st.tuples(
+    st.one_of(DELAYS_MS, st.just(-0.5)), st.one_of(PPLS, st.just(1.5)),
+    st.one_of(BURSTS, st.just(0.0))), max_size=12), CODECS, EMODELS)
+def test_the_e_model_over_columns_is_r_factor_window_by_window(windows,
+                                                               codec, params):
+    # every R bit for bit, or the first bad window's error
+    delays, ppls, brs = map(list, zip(*windows)) if windows else ([],) * 3
+    want = [raised(reference_r_factor, *w, codec, params) for w in windows]
+    first_bad = next(filter(None, want), None)
+    assert raised(emodel, codec, params, delays, ppls, brs) == first_bad
+    if first_bad is None:
+        assert [r.hex() for r in emodel(codec, params, delays, ppls, brs)] == [
+            reference_r_factor(*w, codec, params).hex() for w in windows]
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +479,9 @@ SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
                            1e16, 2.0 ** 53 + 2, 1e300, 1.0, -1.0, 0.5])
 VALUE = st.one_of(SPECIAL, st.floats(), st.sampled_from([1 / 3, 2 / 3]),
                   st.integers(-2, 2), st.integers(10 ** 16, 10 ** 20))
-ZEROS = [WindowMetrics(0, 0.0, 0.0, 1.0, 0.0, False, False),
-         WindowMetrics(20_000, -0.0, -0.0, 1, -0.0, True, True),
-         WindowMetrics(40_000, 0.0, 0, 1.0, 0.0, False, True)]
+ZEROS = [Window(0, 0.0, 0.0, 1.0, 0.0, False, False),
+         Window(20_000, -0.0, -0.0, 1, -0.0, True, True),
+         Window(40_000, 0.0, 0, 1.0, 0.0, False, True)]
 
 
 def reference_write_metrics(path, run_id, series):
@@ -473,7 +490,8 @@ def reference_write_metrics(path, run_id, series):
     write_csv(path, METRICS_COLUMNS, [
         f"{run},{start},{delay!r},{ppl!r},{br!r},{r!r},{carried:d},"
         f"{carried_delay:d}"
-        for start, delay, ppl, br, r, carried, carried_delay in series])
+        for start, delay, ppl, br, r, carried, carried_delay
+        in window_rows(series)])
 
 
 def reference_write_aggregate(path, agg):
@@ -498,7 +516,7 @@ def same_bytes(write, reference, *args):
 
 
 WINDOW = st.builds(
-    lambda start, values, carried, carried_delay: WindowMetrics(
+    lambda start, values, carried, carried_delay: Window(
         start, *values, carried, carried_delay),
     st.integers(0, 2 ** 53), st.tuples(VALUE, VALUE, VALUE, VALUE),
     st.booleans(), st.booleans())
@@ -508,9 +526,10 @@ RUN_IDS = st.sampled_from(["G729_hard_wlan-to-cellular_r000", "a,b", 'q"'])
 @EXACT
 @example(ZEROS, "r")
 @given(st.lists(WINDOW, max_size=30), RUN_IDS)
-def test_write_metrics_is_the_per_row_rendering_on_any_series(series,
+def test_write_metrics_is_the_per_row_rendering_on_any_series(windows,
                                                               run_id):
-    same_bytes(write_metrics, reference_write_metrics, run_id, series)
+    same_bytes(write_metrics, reference_write_metrics, run_id,
+               series_of(windows))
 
 
 @EXACT

@@ -1,6 +1,14 @@
-"""A trace's packets as rows, for tests that compare or filter packets."""
+"""A trace's packets as rows, and a window series as rows, for tests that
+compare or filter packets or windows one at a time."""
+
+from collections import namedtuple
+from dataclasses import fields
 
 from sipswitch.core import UL
+from sipswitch.metrics import WindowSeries
+
+# One window of a series: its start, metrics, R-factor and carry flags.
+Window = namedtuple("Window", [f.name for f in fields(WindowSeries)])
 
 
 def trace_rows(trace, direction=None):
@@ -21,3 +29,14 @@ def lost_count(trace, direction=None):
     return sum(len(packets.cause) - packets.cause.count(None)
                for name, packets in trace.directions.items()
                if direction in (None, name))
+
+
+def window_rows(series):
+    """A column window series as one Window per window."""
+    return [Window(*row) for row in zip(*(getattr(series, name)
+                                          for name in Window._fields))]
+
+
+def series_of(windows):
+    """The column window series that holds the given windows in order."""
+    return WindowSeries(*map(list, zip(*windows)))
