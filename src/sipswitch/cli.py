@@ -10,7 +10,6 @@ import csv
 import json
 import sys
 from bisect import bisect_left, bisect_right
-from contextlib import nullcontext
 from itertools import islice
 from math import fsum
 from pathlib import Path
@@ -196,12 +195,13 @@ def run_campaign(config: ExperimentConfig,
     aborted_total = 0
     loss_rows = []
     manifest_cells = []
-    pool_context = nullcontext()
+    pool = None
     if workers > 1:
-        import multiprocessing  # a serial run does without it
-        pool_context = multiprocessing.Pool(workers)
-    with pool_context as pool:
-        results = (pool.imap if pool else map)(_run_chunk, tasks)
+        # a serial run does without it
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers)
+    try:
+        results = (pool.map if pool else map)(_run_chunk, tasks)
         for cell in cells:
             entry, rows = _finish_cell(out_dir, cell,
                                        list(islice(results, len(starts))))
@@ -214,6 +214,13 @@ def run_campaign(config: ExperimentConfig,
                                 for r in aborted))
             manifest_cells.append(entry)
             loss_rows += rows
+    finally:
+        if pool:
+            # After an error in a run, the chunks not yet started are
+            # dropped and the running ones end on their own: a worker
+            # killed while it sends its result leaves the result pipe
+            # locked, and the parent then waits on it forever.
+            pool.shutdown(cancel_futures=True)
 
     with open(out_dir / "loss_summary.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

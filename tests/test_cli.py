@@ -2,11 +2,11 @@ import ast
 import importlib
 import inspect
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent import futures
 from pathlib import Path
 
 import pytest
@@ -879,7 +879,7 @@ def test_an_out_dir_below_a_file_is_a_config_error(tmp_path, capsys,
     blocker.write_text("a file\n")
     started = []
     monkeypatch.setattr(cli, "run_call", started.append)
-    monkeypatch.setattr(multiprocessing, "Pool", started.append)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", started.append)
     out = blocker / "sub"
     assert main(["run", write_config(tmp_path, TINY), "--out", str(out),
                  *args]) == 1
@@ -973,16 +973,13 @@ def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
         def __init__(self, processes):
             sizes.append(processes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks):
+        def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     four = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'four'}\n")
     assert main(["run", four, "--parallel", "64"]) == 0
     assert sizes == [4]   # 2 procedures x 2 repetitions
