@@ -289,7 +289,8 @@ def recompute_metrics(trace_file: str,
         bad = validate_codec(codec) + [
             f"{name}: {problem}"
             for name, problem in violations(settings, SETTING_RULES)]
-    except (ValueError, TypeError, AttributeError, KeyError) as exc:
+    except (ValueError, TypeError, AttributeError, KeyError,
+            RecursionError) as exc:
         bad = [f"{type(exc).__name__}: {exc}"]
     if bad:
         raise ConfigError([f"{manifest_file}: {v}" for v in bad])

@@ -207,6 +207,22 @@ def _names(raw: dict, key: str, what: str, known, bad: list[str]) -> list:
     return names
 
 
+# The most values a config file may hold, an alias's counted again at every
+# use: six levels of 9-way aliases stand for 531,441 values, and each one
+# would be printed in its setting's violation.
+MAX_CONFIG_VALUES = 10_000
+
+
+def _holds_too_many_values(doc: Any) -> bool:
+    todo, count = [doc], 0
+    while todo and count <= MAX_CONFIG_VALUES:
+        node = todo.pop()
+        count += 1
+        if isinstance(node, (dict, list)):
+            todo.extend(node.values() if isinstance(node, dict) else node)
+    return count > MAX_CONFIG_VALUES
+
+
 def load_config(path: str, preset: Optional[str] = None,
                 overrides: Optional[dict[str, Any]] = None) -> ExperimentConfig:
     """Read, merge (defaults <- preset <- file <- overrides), and validate.
@@ -218,8 +234,12 @@ def load_config(path: str, preset: Optional[str] = None,
         raise ConfigError([f"{path}: file not found"])
     try:
         raw = yaml.safe_load(file_path.read_text())
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a huge int
+    # ValueError: a huge int; RecursionError: a deeply nested value
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError([f"{path}: parse error: {exc}"])
+    if _holds_too_many_values(raw):
+        raise ConfigError([f"{path}: more than {MAX_CONFIG_VALUES} values "
+                           f"once its aliases are expanded"])
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -1,4 +1,4 @@
-"""Shared domain types: simulation time, codecs, interfaces."""
+"""Shared domain types: simulation time, codecs, interfaces, run logs."""
 
 from __future__ import annotations
 
@@ -43,6 +43,16 @@ class SimulationError(Exception):
 
 class InternalInvariantError(SimulationError):
     """A simulator self-check failed; indicates a bug, not bad input."""
+
+
+class LineLog:
+    """signaling.log or handoff.log: one "(f1, f2, ...)" line per record."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def record(self, *fields: object) -> None:
+        self.lines.append("(" + ", ".join(map(str, fields)) + ")")
 
 
 class Technology(Enum):

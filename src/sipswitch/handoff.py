@@ -63,10 +63,6 @@ class HandoffState:
         for iface in (self.old_iface, self.new_iface):
             self.iface_states.setdefault(iface, IfaceState.UP)
 
-    @property
-    def old_iface_state(self) -> IfaceState:
-        return self.iface_states[self.old_iface]
-
 
 class Step(enum.Enum):
     """One change the MN makes to its media path during a switch."""
@@ -85,7 +81,7 @@ class Step(enum.Enum):
 
     def applied(self, state: HandoffState) -> bool:
         if self is Step.CLOSE_OLD:
-            return state.old_iface_state is IfaceState.CLOSED
+            return state.iface_states[state.old_iface] is IfaceState.CLOSED
         return state.ul_media_iface == state.new_iface
 
 
@@ -136,14 +132,3 @@ def check_state(state: HandoffState, proc: HandoffProcedure) -> list[str]:
     if cn_dst is not None and state.dl_media_iface != cn_dst:
         bad.append(f"{phase} but CN not targeting {cn_dst}")
     return bad
-
-
-class HandoffLog:
-    """One line per endpoint state transition."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def record(self, time_us: SimTime, endpoint: str, transition: str,
-               before: str, after: str) -> None:
-        self.lines.append(f"({time_us}, {endpoint}, {transition}, {before}, {after})")

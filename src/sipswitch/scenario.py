@@ -51,6 +51,7 @@ from .core import (
     IfaceState,
     InterfaceDescriptor,
     InternalInvariantError,
+    LineLog,
     Numeric,
     SimTime,
     SimulationError,
@@ -59,7 +60,6 @@ from .core import (
     violations,
 )
 from .handoff import (
-    HandoffLog,
     HandoffPhase,
     HandoffProcedure,
     HandoffState,
@@ -75,7 +75,6 @@ from .sip import (
     Exchange,
     ExchangeState,
     SignalingConfig,
-    SignalingLog,
     SipMessage,
     SipMethod,
     apply_register,
@@ -177,10 +176,9 @@ class CallSpec:
 class RunResult:
     """Everything a run produced: trace, logs, and the final session state."""
 
-    run_id: str
     trace: PacketTrace
-    signaling: SignalingLog
-    handoff_log: HandoffLog
+    signaling: LineLog
+    handoff_log: LineLog
     event_log: list[str]
     state: HandoffState
     aborted: bool
@@ -202,19 +200,18 @@ class _CallRuntime:
         self.spec = spec
         self.engine = Engine(log_events=spec.log_events)
         self.trace = PacketTrace()
-        self.signaling = SignalingLog()
-        self.handoff_log = HandoffLog()
+        self.signaling = LineLog()
+        self.handoff_log = LineLog()
 
         self.links_ul: dict[str, Link] = {}
         self.links_dl: dict[str, Link] = {}
         for iface in spec.interfaces:
             for links, end in ((self.links_ul, "ul"), (self.links_dl, "dl")):
                 link_id = f"{iface.iface_id}-{end}"
-                link = links[iface.iface_id] = Link(
+                links[iface.iface_id] = Link(
                     self.engine, link_id, iface.link,
-                    substream(spec.seed, f"link/{link_id}"))
-                if link_id in spec.down_links:
-                    link.set_state(IfaceState.DOWN)
+                    substream(spec.seed, f"link/{link_id}"),
+                    down=link_id in spec.down_links)
 
         self.state = HandoffState(
             old_iface=spec.switch_from, new_iface=spec.switch_to,
@@ -253,19 +250,20 @@ class _CallRuntime:
                 raise InternalInvariantError(
                     f"MN tried to send {key} from Closed interface {iface}")
             links = self.links_ul
+        fields = (self.engine.now, key, msg.from_uri, msg.to_uri, iface)
         ex = exchange_of(msg)
         if ex.forced_drops and msg.method in (ex.method, SipMethod.OK):
             occurrence = self._drop_counts.get(key, 0)
             self._drop_counts[key] = occurrence + 1
             if (key, occurrence) in self.spec.signaling_drop_plan:
-                self.signaling.record(self.engine.now, msg, "dropped:forced")
+                self.signaling.record(*fields, "dropped:forced")
                 return
         arrival, cause = links[iface].transmit(
             msg.size_bytes, on_arrive=lambda t: self._receive(msg),
             note=f"sip-{key}")
         outcome = (f"delivered@{arrival}" if cause is None
                    else f"dropped:{cause}")
-        self.signaling.record(self.engine.now, msg, outcome)
+        self.signaling.record(*fields, outcome)
 
     def _receive(self, msg: SipMessage) -> None:
         """Arrival at the core (registrar and CN) or at the MN. The
@@ -491,7 +489,7 @@ class _CallRuntime:
         self._check_closed_losses()
 
         return RunResult(
-            run_id=spec.run_id, trace=self.trace, signaling=self.signaling,
+            trace=self.trace, signaling=self.signaling,
             handoff_log=self.handoff_log, event_log=self.engine.event_log,
             state=self.state, aborted=self.aborted,
             abort_reason=self.abort_reason,

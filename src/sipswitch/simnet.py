@@ -13,7 +13,6 @@ from .core import (
     LOSS_LINK_DOWN,
     LOSS_QUEUE,
     LOSS_RANDOM,
-    IfaceState,
     LinkParams,
     SimulationError,
 )
@@ -161,7 +160,7 @@ class Link:
     The queue capacity counts packets in the system (serializing plus
     waiting). Arrival times are clamped to be non-decreasing so delivery
     order always equals offer order. The parameters obey LinkParams' rules,
-    which CallSpec.validate applies.
+    which CallSpec.validate applies. A down link drops every packet.
 
     A lossless link whose queue has drained, offered packets no closer
     together than one serialization, delivers them without queueing; offer
@@ -170,7 +169,7 @@ class Link:
     """
 
     def __init__(self, engine: Engine, link_id: str, params: LinkParams,
-                 rng: Optional[random.Random] = None):
+                 rng: Optional[random.Random] = None, down: bool = False):
         if isinstance(params.prop_delay_us, (list, tuple)):
             lo, hi = params.prop_delay_us
         else:
@@ -183,7 +182,7 @@ class Link:
         self.queue_capacity_pkts = params.queue_capacity_pkts
         self.loss_prob = params.loss_prob
         self.rng = rng if rng is not None else random.Random(0)
-        self.state = IfaceState.UP
+        self.down = down
         self.offered = 0
         self.delivered = 0
         self.dropped = 0
@@ -196,20 +195,14 @@ class Link:
         # bits / kbps gives ms; times 1000 gives us.
         return round(size_bytes * 8000 / self.bitrate_kbps)
 
-    def set_state(self, state: IfaceState) -> None:
-        """Up/Down the link. Packets already in flight are still delivered."""
-        if state not in (IfaceState.UP, IfaceState.DOWN):
-            raise ValueError(f"link state must be Up or Down, got {state!r}")
-        self.state = state
-
     def offer(self, times: range, size_bytes: int
               ) -> tuple[list[Optional[int]], list[Optional[str]]]:
         """Offer one packet of size_bytes at each of the times, in order.
 
         Returns the packets' fates as two columns, (arrivals, causes): packet
         j arrived at arrivals[j] with causes[j] None when delivered, or was
-        dropped with arrivals[j] None for causes[j]. The link must not change
-        state and no other packet may be offered between the times.
+        dropped with arrivals[j] None for causes[j]. No other packet may be
+        offered between the times.
 
         Packets go through the queue one at a time until one finds it empty
         on a lossless link whose serialization takes no longer than the
@@ -225,7 +218,7 @@ class Link:
             raise ValueError("size_bytes must be positive")
         n = len(times)
         self.offered += n
-        if self.state is IfaceState.DOWN:
+        if self.down:
             self.dropped += n
             return [None] * n, [LOSS_LINK_DOWN] * n
         serialization = self.serialization_us(size_bytes)

@@ -222,16 +222,3 @@ class ClientTransaction:
         if self.status == PENDING:
             self.via_iface = from_iface
             self.status, self.completed_at = DELIVERED, now
-
-
-class SignalingLog:
-    """One line per SIP message offered to a link."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def record(self, time_us: int, msg: SipMessage, outcome: str) -> None:
-        self.lines.append(
-            f"({time_us}, {msg.method.value}, {msg.from_uri}, {msg.to_uri},"
-            f" {msg.via_iface}, {outcome})"
-        )

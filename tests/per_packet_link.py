@@ -2,7 +2,7 @@
 oracle for the closed form that Link.offer takes once a lossless link's
 queue has drained."""
 
-from sipswitch.core import LOSS_LINK_DOWN, LOSS_QUEUE, LOSS_RANDOM, IfaceState
+from sipswitch.core import LOSS_LINK_DOWN, LOSS_QUEUE, LOSS_RANDOM
 from sipswitch.simnet import Link
 
 
@@ -14,7 +14,7 @@ class PerPacketLink(Link):
             raise ValueError("size_bytes must be positive")
         n = len(times)
         self.offered += n
-        if self.state is IfaceState.DOWN:
+        if self.down:
             self.dropped += n
             return [None] * n, [LOSS_LINK_DOWN] * n
         serialization = self.serialization_us(size_bytes)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sipswitch import cli
+from sipswitch import cli, config
 from sipswitch.core import (
     DL,
     LOSS_CLOSED,
@@ -114,6 +114,31 @@ def test_missing_file_and_parse_errors(tmp_path):
     # an integer too long to convert used to end in a traceback
     with pytest.raises(ConfigError, match="parse error"):
         load_config(write_config(tmp_path, "base_seed: " + "1" * 5000))
+
+
+def test_a_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    # PyYAML composes one level per call, so 2,000 levels used to end in a
+    # RecursionError traceback
+    cfg = write_config(tmp_path, "a: " + "[" * 2000 + "]" * 2000 + "\n")
+    assert main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {cfg}: parse error: " in err
+    assert "Traceback" not in err
+
+
+def test_an_alias_bomb_fails_validate_in_a_few_lines(tmp_path, capsys):
+    # window_len_ms as six levels, each holding 9 aliases of the one before
+    # it, used to write 1.9 MB to stderr: one repr of every one of the
+    # 9 ** 6 expanded values
+    lines = ["window_len_ms:", "  - &l0 [" + ", ".join(["1"] * 9) + "]"]
+    for i in range(1, 6):
+        lines.append(f"  - &l{i} [" + ", ".join([f"*l{i - 1}"] * 9) + "]")
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: {cfg}: more than "
+                   f"{config.MAX_CONFIG_VALUES} values once its aliases are "
+                   f"expanded\n")
 
 
 def test_every_violation_is_reported_at_once(tmp_path):
@@ -507,6 +532,19 @@ def test_recompute_metrics_rejects_a_malformed_manifest(
     assert main(["recompute-metrics", str(trace), "--manifest",
                  str(path)]) == 1
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_recompute_metrics_rejects_a_deeply_nested_manifest(
+        tmp_path, capsys, tiny_run):
+    # json.loads recurses once per array and used to end in a
+    # RecursionError traceback
+    trace, _ = tiny_run
+    path = tmp_path / "manifest.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["recompute-metrics", str(trace), "--manifest",
+                 str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {path}: RecursionError: " in err
 
 
 def _bench_cli_spans() -> dict:

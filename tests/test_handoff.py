@@ -3,10 +3,9 @@ from dataclasses import replace
 import pytest
 
 from sipswitch.config import build_call_spec
-from sipswitch.core import DL, UL, IfaceState
+from sipswitch.core import DL, UL, IfaceState, LineLog
 from sipswitch.handoff import (
     PROCEDURE_STEPS,
-    HandoffLog,
     HandoffPhase,
     HandoffProcedure,
     HandoffState,
@@ -275,6 +274,6 @@ def test_full_lifecycle_is_invariant_clean_for_every_procedure():
 
 
 def test_handoff_log_format():
-    log = HandoffLog()
+    log = LineLog()
     log.record(31_000_000, "MN", "trigger", "Stable", "Switching")
     assert log.lines == ["(31000000, MN, trigger, Stable, Switching)"]

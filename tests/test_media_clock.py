@@ -21,7 +21,6 @@ from sipswitch.core import (
     LOSS_QUEUE,
     LOSS_RANDOM,
     UL,
-    IfaceState,
     InterfaceDescriptor,
     LinkParams,
     SimulationError,
@@ -43,7 +42,7 @@ class _HeapLink(Link):
             raise ValueError("size_bytes must be positive")
         t = self.engine.now
         self.offered += 1
-        if self.state is IfaceState.DOWN:
+        if self.down:
             self.dropped += 1
             return None, LOSS_LINK_DOWN
         busy = self._busy

@@ -8,7 +8,6 @@ from sipswitch.core import (
     LOSS_LINK_DOWN,
     LOSS_QUEUE,
     LOSS_RANDOM,
-    IfaceState,
     LinkParams,
     SimulationError,
 )
@@ -190,15 +189,12 @@ def test_queue_drains_as_time_advances():
 
 def test_down_link_drops_everything():
     eng = Engine()
-    link = _link(eng, UNLIMITED, 0)
-    link.set_state(IfaceState.DOWN)
+    link = Link(eng, "test-link", LinkParams(UNLIMITED, 0), down=True)
     assert link.transmit(100) == (None, LOSS_LINK_DOWN)
-    link.set_state(IfaceState.UP)
-    assert link.transmit(100) == (0, None)
-    with pytest.raises(ValueError):
-        link.set_state("Sideways")
-    with pytest.raises(ValueError):  # Closed is an endpoint state, not a link's
-        link.set_state(IfaceState.CLOSED)
+    assert link.offer(range(0, 60, 20), 100) == ([None] * 3,
+                                                 [LOSS_LINK_DOWN] * 3)
+    assert (link.offered, link.delivered, link.dropped) == (4, 0, 4)
+    assert _link(eng, UNLIMITED, 0).transmit(100) == (0, None)  # built up
 
 
 def test_bernoulli_loss_extremes():

@@ -3,6 +3,7 @@ import pytest
 from sipswitch.core import (
     IfaceState,
     InterfaceDescriptor,
+    LineLog,
     LinkParams,
     Technology,
 )
@@ -14,7 +15,6 @@ from sipswitch.sip import (
     ClientTransaction,
     Contact,
     SignalingConfig,
-    SignalingLog,
     SipError,
     SipMessage,
     SipMethod,
@@ -96,9 +96,9 @@ def test_apply_register_rejects_other_methods():
 
 
 def test_signaling_log_format_and_count():
-    log = SignalingLog()
-    msg = SipMessage(SipMethod.INVITE, "cn", "mn", "cn0", 700)
-    log.record(200_000, msg, "delivered@214583")
+    log = LineLog()
+    log.record(200_000, SipMethod.INVITE.value, "cn", "mn", "cn0",
+               "delivered@214583")
     assert log.lines == ["(200000, INVITE, cn, mn, cn0, delivered@214583)"]
     assert sum(", INVITE," in line for line in log.lines) == 1
     assert sum(", REGISTER," in line for line in log.lines) == 0
