@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .core import (
     CodecProfile,
     CODEC_PRESETS,
-    IfaceState,
     InterfaceDescriptor,
     SimulationError,
     Technology,
@@ -17,7 +16,6 @@ from .scenario import CallSpec, RunResult, run_call
 __all__ = [
     "CodecProfile",
     "CODEC_PRESETS",
-    "IfaceState",
     "InterfaceDescriptor",
     "SimulationError",
     "Technology",

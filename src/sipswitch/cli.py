@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import islice
@@ -24,6 +25,8 @@ from .config import (
     build_call_spec,
     capacity_warnings,
     config_as_dict,
+    flag_violations,
+    grid_violations,
     load_config,
 )
 from .core import (
@@ -187,7 +190,11 @@ def run_campaign(config: ExperimentConfig,
         print(f"warning: {line}", file=sys.stderr)
 
     reps = config.repetitions
-    workers = min(parallel, len(cells) * reps)
+    wanted = min(parallel, len(cells) * reps)
+    workers = min(wanted, len(os.sched_getaffinity(0)))
+    if workers < wanted:
+        print(f"warning: --parallel {parallel}: {workers} worker(s), the CPUs "
+              f"this process may use", file=sys.stderr)
     starts = range(0, reps, -(-reps // workers))
     tasks = ((config, cell, range(start, min(start + starts.step, reps)))
              for cell in cells for start in starts)
@@ -286,9 +293,10 @@ def recompute_metrics(trace_file: str,
         settings = manifest["settings"]
         codec = CodecProfile(**settings["codec_profiles"][codec_name])
         emodel = EModelParams(**settings["emodel"])
-        bad = validate_codec(codec) + [
-            f"{name}: {problem}"
-            for name, problem in violations(settings, SETTING_RULES)]
+        bad = validate_codec(codec) or grid_violations(settings, codec)
+        bad += [f"{name}: {problem}" for name, problem
+                in violations(settings, SETTING_RULES)]
+        bad += flag_violations(settings)
     except (ValueError, TypeError, AttributeError, KeyError,
             RecursionError) as exc:
         bad = [f"{type(exc).__name__}: {exc}"]
@@ -329,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--reps", type=int, help="override repetitions")
     run_p.add_argument("--out", help="override output directory")
     run_p.add_argument("--parallel", type=_worker_count, default=1,
-                       help="worker processes (runs are independent)")
+                       help="worker processes (runs are independent), at "
+                            "most one per usable CPU")
 
     val_p = sub.add_parser("validate", help="check a config and exit")
     val_p.add_argument("config")

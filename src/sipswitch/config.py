@@ -155,6 +155,27 @@ _INTERFACE_RULES = {"prop_delay_ms": Range(Numeric(0, unit_us=US_PER_MS)),
                     **LINK_RULES, "q_weight": Q_WEIGHT}
 
 
+def grid_violations(settings: dict, codec: CodecProfile) -> list[str]:
+    """A window grid no denser than codec's packet grid: a direction then
+    has at most one window more than it has packets. A grid setting that
+    breaks its own rule is reported by SETTING_RULES instead."""
+    grid = "window_len_ms" if settings["stride_ms"] is None else "stride_ms"
+    if SETTING_RULES[grid].violation(settings.get(grid)) is not None \
+            or ms_to_us(settings[grid]) >= codec.packet_interval_us:
+        return []
+    return [f"{grid}: {settings[grid]} is shorter than the packet interval "
+            f"of {codec.name}, {codec.packet_interval_ms} ms"
+            + (" (with no stride_ms, the window length is the stride)"
+               if grid == "window_len_ms" else "")]
+
+
+def flag_violations(settings: dict) -> list[str]:
+    """Each true/false setting that is not a bool."""
+    return [f"{key}: expected true/false, got {settings.get(key)!r}"
+            for key in ("use_burst_ratio", "log_events")
+            if type(settings.get(key)) is not bool]
+
+
 def _check(values: dict, rules: dict, prefix: str, bad: list[str]) -> set[str]:
     """Report each value that breaks its rule; returns their names."""
     found = violations(values, rules)
@@ -277,19 +298,12 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
         codec_profiles[name] = profile
 
     codecs = _names(raw, "codecs", "codec", codec_profiles, bad)
-    # A window grid no denser than the packet grid: a direction then has at
-    # most one window more than the fastest codec has packets.
-    grid = "window_len_ms" if raw["stride_ms"] is None else "stride_ms"
     fastest = min((codec_profiles[c] for c in codecs if isinstance(c, str)
                    and c in codec_profiles
                    and not validate_codec(codec_profiles[c])),
                   key=lambda codec: codec.packet_interval_us, default=None)
-    if grid not in failed and fastest is not None \
-            and ms_to_us(raw[grid]) < fastest.packet_interval_us:
-        bad.append(f"{grid}: {raw[grid]} is shorter than the packet interval "
-                   f"of {fastest.name}, {fastest.packet_interval_ms} ms"
-                   + (" (with no stride_ms, the window length is the stride)"
-                      if grid == "window_len_ms" else ""))
+    if fastest is not None:
+        bad += grid_violations(raw, fastest)
     procedures = _names(raw, "procedures", "procedure",
                         (p.value for p in HandoffProcedure), bad)
 
@@ -354,9 +368,7 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
         section = _section(raw.get(key) or {}, f"{key}.", rules, bad)
         if section is not None:
             _check(vars(cls()) | section, rules, f"{key}.", bad)
-    for key in ("use_burst_ratio", "log_events"):
-        if type(raw.get(key)) is not bool:
-            bad.append(f"{key}: expected true/false, got {raw.get(key)!r}")
+    bad += flag_violations(raw)
     if bad:
         raise ConfigError(bad)
 

@@ -61,12 +61,6 @@ class Technology(Enum):
     WIRED = "wired"
 
 
-class IfaceState(Enum):
-    UP = "Up"
-    DOWN = "Down"
-    CLOSED = "Closed"
-
-
 # Relative tolerance for the codec rate identity
 # payload_bytes * 8 / packet_interval_ms == bitrate_kbps.
 RATE_IDENTITY_TOL = 0.02
@@ -238,7 +232,6 @@ class InterfaceDescriptor:
     technology: Technology
     q_weight: float
     link: LinkParams
-    state: IfaceState = IfaceState.UP
 
 
 # Built-in codec presets. Impairment defaults assume packet loss concealment

@@ -19,10 +19,10 @@ answers it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .core import DL, UL, IfaceState, SimTime
+from .core import DL, UL, SimTime
 
 
 class HandoffProcedure(enum.Enum):
@@ -41,14 +41,13 @@ class HandoffPhase(enum.Enum):
 class HandoffState:
     """Session-level switching state shared by the MN and CN views.
 
-    iface_states tracks Up/Down/Closed per MN interface. Uplink media
-    leaves by ul_media_iface; the CN sends downlink media to dl_media_iface.
-    Both start on the old interface.
+    Uplink media leaves by ul_media_iface; the CN sends downlink media to
+    dl_media_iface. Both start on the old interface. The old interface is
+    Closed from closed_old_at on; no other interface ever is.
     """
 
     old_iface: str
     new_iface: str
-    iface_states: dict[str, IfaceState] = field(default_factory=dict)
     phase: HandoffPhase = HandoffPhase.STABLE
     ul_media_iface: str = ""
     dl_media_iface: str = ""
@@ -60,8 +59,10 @@ class HandoffState:
     def __post_init__(self):
         self.ul_media_iface = self.ul_media_iface or self.old_iface
         self.dl_media_iface = self.dl_media_iface or self.old_iface
-        for iface in (self.old_iface, self.new_iface):
-            self.iface_states.setdefault(iface, IfaceState.UP)
+
+    def closed(self, iface: str) -> bool:
+        """Whether the MN has closed iface: only Step.CLOSE_OLD closes one."""
+        return iface == self.old_iface and self.closed_old_at is not None
 
 
 class Step(enum.Enum):
@@ -73,7 +74,6 @@ class Step(enum.Enum):
     def apply(self, state: HandoffState, t: SimTime) -> str:
         """Make the change at time t; returns its handoff.log transition."""
         if self is Step.CLOSE_OLD:
-            state.iface_states[state.old_iface] = IfaceState.CLOSED
             state.closed_old_at = t
             return f"close-{state.old_iface}"
         state.ul_media_iface = state.new_iface
@@ -81,7 +81,7 @@ class Step(enum.Enum):
 
     def applied(self, state: HandoffState) -> bool:
         if self is Step.CLOSE_OLD:
-            return state.iface_states[state.old_iface] is IfaceState.CLOSED
+            return state.closed(state.old_iface)
         return state.ul_media_iface == state.new_iface
 
 
@@ -106,9 +106,7 @@ def media_route(state: HandoffState, direction: str) -> Optional[str]:
         iface = state.dl_media_iface
     else:
         raise ValueError(f"unknown media direction {direction!r}")
-    if state.iface_states.get(iface) is IfaceState.CLOSED:
-        return None
-    return iface
+    return None if state.closed(iface) else iface
 
 
 def check_state(state: HandoffState, proc: HandoffProcedure) -> list[str]:

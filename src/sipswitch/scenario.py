@@ -5,7 +5,7 @@ node (CN). Each MN interface has its own uplink and downlink access link;
 the CN and the registrar sit together on an ideal core, so the access links
 are the only modeled hops.
 
-Timeline: REGISTER at t=0 (all Up interfaces, q-weighted), CN's INVITE at
+Timeline: REGISTER at t=0 (every interface, q-weighted), CN's INVITE at
 200 ms forwarded through the registrar's priority list, media on
 [call_start, call_start+duration], switching trigger at
 call_start + switch_offset, watchdog 10 s later.
@@ -48,7 +48,6 @@ from .core import (
     Q_WEIGHT,
     UL,
     CodecProfile,
-    IfaceState,
     InterfaceDescriptor,
     InternalInvariantError,
     LineLog,
@@ -155,13 +154,8 @@ class CallSpec:
         for iface in self.interfaces:
             found = [*violations(vars(iface), {"q_weight": Q_WEIGHT}),
                      *violations(vars(iface.link), LINK_PARAMS_RULES)]
-            # Closed is the state only the switch sets.
-            if iface.state not in (IfaceState.UP, IfaceState.DOWN):
-                found.append(("state", "must start Up or Down"))
             bad.extend(f"interface {iface.iface_id!r}: {name} {problem}"
                        for name, problem in found)
-        if all(i.state is not IfaceState.UP for i in self.interfaces):
-            bad.append("no interface starts Up")
         if self.switch_from == self.switch_to:
             bad.append("switch_from equals switch_to")
         bad.extend(validate_codec(self.codec))
@@ -184,9 +178,7 @@ class RunResult:
     aborted: bool
     abort_reason: Optional[str]
     t_trigger: Optional[SimTime]
-    t_cn_switch: Optional[SimTime]
     t_completed: Optional[SimTime]
-    closed_old_at: Optional[SimTime]
     setup_transaction: Optional[ClientTransaction]
 
 
@@ -213,9 +205,8 @@ class _CallRuntime:
                     substream(spec.seed, f"link/{link_id}"),
                     down=link_id in spec.down_links)
 
-        self.state = HandoffState(
-            old_iface=spec.switch_from, new_iface=spec.switch_to,
-            iface_states={i.iface_id: i.state for i in spec.interfaces})
+        self.state = HandoffState(old_iface=spec.switch_from,
+                                  new_iface=spec.switch_to)
 
         self.bindings: dict[str, tuple[Contact, ...]] = {}  # q-ordered
         self.aborted = False
@@ -246,7 +237,7 @@ class _CallRuntime:
         iface, key = msg.via_iface, msg.method.value
         links = self.links_dl
         if msg.from_uri == MN_URI:
-            if self.state.iface_states[iface] is IfaceState.CLOSED:
+            if self.state.closed(iface):
                 raise InternalInvariantError(
                     f"MN tried to send {key} from Closed interface {iface}")
             links = self.links_ul
@@ -336,13 +327,8 @@ class _CallRuntime:
     # -- handoff phase -----------------------------------------------------
 
     def _on_trigger(self) -> None:
-        """The MN switches now, unless its new interface is not Up."""
+        """The MN switches now."""
         t, state = self.engine.now, self.state
-        if state.iface_states[state.new_iface] is not IfaceState.UP:
-            self.handoff_log.record(t, "MN",
-                                    "warn:trigger-refused:new-iface-not-up",
-                                    "Stable", "Stable")
-            return
         state.phase, state.t_trigger = HandoffPhase.SWITCHING, t
         self.handoff_log.record(t, "MN", "trigger", "Stable", "Switching")
         new = state.new_iface
@@ -494,9 +480,7 @@ class _CallRuntime:
             state=self.state, aborted=self.aborted,
             abort_reason=self.abort_reason,
             t_trigger=self.state.t_trigger,
-            t_cn_switch=self.state.t_cn_switch,
             t_completed=self.state.t_completed,
-            closed_old_at=self.state.closed_old_at,
             setup_transaction=self.exchanges[CN_URI].request)
 
 

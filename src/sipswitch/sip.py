@@ -13,7 +13,6 @@ from typing import Callable, Optional
 from .core import (
     MAX_PACKET_BYTES,
     US_PER_MS,
-    IfaceState,
     InterfaceDescriptor,
     Numeric,
     SimulationError,
@@ -132,17 +131,16 @@ def retransmit(engine: Engine, resend: Callable[[], None],
 
 def build_register(uri: str, interfaces: list[InterfaceDescriptor],
                    config: SignalingConfig = SignalingConfig()) -> SipMessage:
-    """REGISTER carrying one contact per Up interface, sent via the
-    highest-weight Up interface. Down and Closed interfaces are excluded."""
-    up = [i for i in interfaces if i.state is IfaceState.UP]
-    if not up:
-        raise SipError(f"{uri}: no Up interface, nothing to register")
-    via = max(up, key=lambda i: i.q_weight).iface_id
+    """REGISTER carrying one contact per interface, sent via the
+    highest-weight one."""
+    if not interfaces:
+        raise SipError(f"{uri}: no interface, nothing to register")
+    via = max(interfaces, key=lambda i: i.q_weight).iface_id
     return SipMessage(method=SipMethod.REGISTER, from_uri=uri,
                       to_uri="registrar", via_iface=via,
                       size_bytes=config.register_bytes,
                       contacts=tuple(Contact(i.iface_id, i.q_weight)
-                                     for i in up))
+                                     for i in interfaces))
 
 
 def apply_register(msg: SipMessage) -> tuple[Contact, ...]:

@@ -164,7 +164,7 @@ def test_criterion_02_hard_gap_matches_hand_computation(make_config):
             dst_line = next(l for l in result.handoff_log.lines
                             if "CN, dst-switch" in l)
             t_close, t_dst = _line_time(close_line), _line_time(dst_line)
-            assert t_close == result.t_trigger == result.closed_old_at
+            assert t_close == result.t_trigger == result.state.closed_old_at
             gap = t_dst - t_close
             assert gap == expected_gap[direction], (codec, direction)
 
@@ -410,10 +410,11 @@ def test_criterion_11_handshake_loss_interleavings_all_terminate(make_config):
                 assert result.state.phase is HandoffPhase.COMPLETED, (proc,
                                                                       plan)
                 outcomes["completed"] += 1
-            if result.closed_old_at is not None:
+            closed_at = result.state.closed_old_at
+            if closed_at is not None:
                 for r in trace_rows(result.trace, UL):
                     if r[4] == spec.switch_from and r[5] is not None:
-                        assert r[3] < result.closed_old_at, (proc, plan, r)
+                        assert r[3] < closed_at, (proc, plan, r)
     assert outcomes["completed"] + outcomes["watchdog"] == 48
     # some interleavings lose the handshake for good
     assert outcomes["watchdog"] > 0, outcomes

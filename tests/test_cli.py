@@ -514,24 +514,38 @@ def _break(manifest, *path, value=None):
     return json.dumps(manifest)
 
 
-@pytest.mark.parametrize("broken", [
-    lambda m: "{not json",  # JSONDecodeError
-    lambda m: "[]",  # AttributeError
-    lambda m: _break(m, "codec_profiles", "G729", "ie"),  # TypeError
-    lambda m: _break(m, "emodel", "r0", value=-1),  # ValueError
-    lambda m: _break(m, "window_len_ms", value=0),  # ValueError
-    lambda m: _break(m, "codec_profiles", "G729", "payload_bytes", value=0),
+@pytest.mark.parametrize("broken,shown", [
+    (lambda m: "{not json", "JSONDecodeError: "),
+    (lambda m: "[]", "AttributeError: "),
+    (lambda m: _break(m, "codec_profiles", "G729", "ie"), "TypeError: "),
+    (lambda m: _break(m, "emodel", "r0", value=-1), "ValueError: r0 "),
+    (lambda m: _break(m, "window_len_ms", value=0),
+     "window_len_ms: must be > 0"),
+    (lambda m: _break(m, "codec_profiles", "G729", "payload_bytes", value=0),
+     "G729: payload_bytes must be >= 1"),
+    # validate's own rules, which recompute-metrics used to skip
+    (lambda m: _break(m, "stride_ms", value=0.5),
+     "stride_ms: 0.5 is shorter than the packet interval of G729, 20.0 ms"),
+    (lambda m: _break(m, "stride_ms", value=0.001),
+     "stride_ms: 0.001 is shorter than"),
+    (lambda m: _break(m, "use_burst_ratio", value="no"),
+     "use_burst_ratio: expected true/false, got 'no'"),
+    (lambda m: _break(m, "use_burst_ratio"),
+     "use_burst_ratio: expected true/false, got None"),
+    (lambda m: _break(m, "stride_ms"), "KeyError: 'stride_ms'"),
 ], ids=["not-json", "list", "codec-without-ie", "negative-r0",
-        "zero-window", "zero-payload"])
+        "zero-window", "zero-payload", "sub-packet-stride", "1-us-stride",
+        "string-flag", "no-flag", "no-stride"])
 def test_recompute_metrics_rejects_a_malformed_manifest(
-        tmp_path, capsys, tiny_run, broken):
-    # each used to end in a traceback
+        tmp_path, capsys, tiny_run, broken, shown):
+    # the first six and the last two used to end in a traceback
     trace, manifest = tiny_run
     path = tmp_path / "manifest.json"
     path.write_text(broken(manifest))
     assert main(["recompute-metrics", str(trace), "--manifest",
                  str(path)]) == 1
-    assert f"config error: {path}: " in capsys.readouterr().err
+    assert f"config error: {path}: {shown}" in capsys.readouterr().err
+    assert not list(trace.parent.glob("recomputed_*"))
 
 
 def test_recompute_metrics_rejects_a_deeply_nested_manifest(
@@ -1003,8 +1017,10 @@ def test_a_parallel_value_below_one_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
-                                                   monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts of the pools run_campaign asks for; the stub runs
+    the chunks in this process and starts none."""
     sizes = []
 
     class RecordingPool:
@@ -1018,6 +1034,13 @@ def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
             pass
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
+                                                   monkeypatch, pool_sizes):
+    sizes = pool_sizes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     four = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'four'}\n")
     assert main(["run", four, "--parallel", "64"]) == 0
     assert sizes == [4]   # 2 procedures x 2 repetitions
@@ -1025,6 +1048,20 @@ def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
                        name="one.yaml")
     assert main(["run", one, "--parallel", "8"]) == 0
     assert sizes == [4]   # one run needs no pool
+
+
+def test_the_pool_starts_no_more_workers_than_cpus(tmp_path, capsys,
+                                                   monkeypatch, pool_sizes):
+    sizes = pool_sizes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    four = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'four'}\n")
+    assert main(["run", four, "--parallel", "10000"]) == 0
+    assert sizes == [2]   # 4 runs, 2 usable CPUs
+    assert "warning: --parallel 10000: 2 worker(s), the CPUs this process " \
+        "may use" in capsys.readouterr().err
+    assert main(["run", four, "--parallel", "2"]) == 0
+    assert sizes == [2, 2]
+    assert "--parallel" not in capsys.readouterr().err
 
 
 # base_seed 3 aborts the middle repetition only: --parallel 2 puts it in a
@@ -1047,7 +1084,9 @@ interfaces:
 """
 
 
-def test_the_chunk_split_never_changes_bytes(tmp_path, capsys):
+def test_the_chunk_split_never_changes_bytes(tmp_path, capsys, monkeypatch):
+    # three workers even on a host with fewer CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     trees = {}
     for parallel in ("1", "2", "3"):   # chunks of 3, 2+1 and 1+1+1 runs
         out = tmp_path / f"out{parallel}"

@@ -3,7 +3,6 @@ import pytest
 from sipswitch.core import (
     CODEC_PRESETS,
     CodecProfile,
-    IfaceState,
     InterfaceDescriptor,
     LinkParams,
     Q_WEIGHT,
@@ -80,6 +79,5 @@ def test_interface_descriptor_q_weight_bounds():
         d = InterfaceDescriptor("wlan", Technology.WLAN_LIKE, q,
                                 LinkParams(None, 0))
         assert Q_WEIGHT.violation(d.q_weight) is None
-        assert d.state is IfaceState.UP
     for q in (-0.1, 1.01, 2.0):
         assert Q_WEIGHT.violation(q) is not None

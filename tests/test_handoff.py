@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from sipswitch.config import build_call_spec
-from sipswitch.core import DL, UL, IfaceState, LineLog
+from sipswitch.core import DL, UL, LineLog
 from sipswitch.handoff import (
     PROCEDURE_STEPS,
     HandoffPhase,
@@ -45,8 +45,8 @@ def test_initial_state_defaults():
     assert s.phase is HandoffPhase.STABLE
     assert s.ul_media_iface == "wlan"
     assert s.dl_media_iface == "wlan"
-    assert s.iface_states == {"wlan": IfaceState.UP, "cellular": IfaceState.UP}
     assert s.closed_old_at is None
+    assert not s.closed("wlan") and not s.closed("cellular")
     assert not any(step.applied(s) for step in Step)
     assert check_state(s, HARD) == []
 
@@ -58,8 +58,8 @@ def test_initial_state_defaults():
 def test_hard_trigger_closes_old_and_moves_uplink():
     s = fresh_state()
     assert trigger(s, HARD) == ["close-wlan", "uplink-cellular"]
-    assert s.iface_states["wlan"] is IfaceState.CLOSED
     assert s.closed_old_at == 10
+    assert s.closed("wlan") and not s.closed("cellular")
     assert s.ul_media_iface == "cellular"
     assert check_state(s, HARD) == []
 
@@ -67,8 +67,8 @@ def test_hard_trigger_closes_old_and_moves_uplink():
 def test_hybrid_trigger_moves_uplink_but_keeps_old_open():
     s = fresh_state()
     assert trigger(s, HYBRID) == ["uplink-cellular"]
-    assert s.iface_states["wlan"] is IfaceState.UP
     assert s.closed_old_at is None
+    assert not s.closed("wlan")
     assert s.ul_media_iface == "cellular"
     assert check_state(s, HYBRID) == []
 
@@ -76,7 +76,7 @@ def test_hybrid_trigger_moves_uplink_but_keeps_old_open():
 def test_soft_trigger_changes_no_media_path():
     s = fresh_state()
     assert trigger(s, SOFT) == []
-    assert s.iface_states["wlan"] is IfaceState.UP
+    assert s.closed_old_at is None
     assert s.ul_media_iface == "wlan"
     assert check_state(s, SOFT) == []
 
@@ -95,10 +95,11 @@ def reinvites(result):
 def test_first_reinvite_retargets_downlink(make_config):
     result = run_call(build_call_spec(make_config(), "G729", "soft",
                                       "wlan-to-cellular", 0))
-    assert reinvites(result) == [result.t_cn_switch]
+    t_cn_switch = result.state.t_cn_switch
+    assert reinvites(result) == [t_cn_switch]
     assert result.state.dl_media_iface == "cellular"
     assert [l for l in result.handoff_log.lines if ", CN," in l] == [
-        f"({result.t_cn_switch}, CN, dst-switch, Switching, Switching)"]
+        f"({t_cn_switch}, CN, dst-switch, Switching, Switching)"]
 
 
 def test_duplicate_reinvite_gets_ok_but_changes_nothing(make_config):
@@ -108,7 +109,7 @@ def test_duplicate_reinvite_gets_ok_but_changes_nothing(make_config):
     result = run_call(replace(
         spec, signaling_drop_plan=frozenset({("OK", 0)})))
     first, duplicate = reinvites(result)
-    assert result.t_cn_switch == first  # the first arrival stands
+    assert result.state.t_cn_switch == first  # the first arrival stands
     assert any(l.startswith(f"({duplicate}, OK, cn, mn,")
                for l in result.signaling.lines)
     assert sum(", CN," in l for l in result.handoff_log.lines) == 1
@@ -134,8 +135,8 @@ def test_ok_closes_old_interface_for_hybrid():
     trigger(s, HYBRID)
     cn_switch(s)
     assert ok(s, HYBRID) == ["close-wlan"]
-    assert s.iface_states["wlan"] is IfaceState.CLOSED
     assert s.closed_old_at == 50
+    assert s.closed("wlan") and not s.closed("cellular")
     assert check_state(s, HYBRID) == []
 
 
@@ -145,7 +146,7 @@ def test_ok_moves_uplink_and_closes_old_for_soft():
     cn_switch(s)
     assert ok(s, SOFT) == ["uplink-cellular", "close-wlan"]
     assert s.ul_media_iface == "cellular"
-    assert s.iface_states["wlan"] is IfaceState.CLOSED
+    assert s.closed_old_at == 50 and s.closed("wlan")
     assert check_state(s, SOFT) == []
 
 
@@ -203,24 +204,22 @@ def test_media_route_rejects_unknown_direction():
 # invariant checking and logging
 
 
-def corrupt(proc, phase, old=None, **fields):
-    """check_state of a session taken to phase, then given the old
-    interface's state and the fields."""
+def corrupt(proc, phase, **fields):
+    """check_state of a session taken to phase, then given the fields."""
     s = fresh_state()
     if phase is not HandoffPhase.STABLE:
         trigger(s, proc)
     if phase is HandoffPhase.COMPLETED:
         cn_switch(s)
         ok(s, proc)
-    if old is not None:
-        s.iface_states["wlan"] = old
     for name, value in fields.items():
         setattr(s, name, value)
     return check_state(s, proc)
 
 
 STABLE, SWITCHING, COMPLETED = HandoffPhase
-CLOSED, UP = IfaceState.CLOSED, IfaceState.UP
+# the old interface closed at 10, or not closed
+CLOSED, UP = {"closed_old_at": 10}, {"closed_old_at": None}
 
 
 def test_check_state_flags_corrupted_states():
@@ -229,20 +228,20 @@ def test_check_state_flags_corrupted_states():
          "soft Stable but uplink new applied"),
         (SOFT, STABLE, {"dl_media_iface": "cellular"},  # no re-INVITE yet
          "soft Stable but CN not targeting wlan"),
-        (HARD, STABLE, {"old": CLOSED}, "hard Stable but close old applied"),
-        (HARD, SWITCHING, {"old": UP},
+        (HARD, STABLE, CLOSED, "hard Stable but close old applied"),
+        (HARD, SWITCHING, UP,
          "hard Switching but close old not applied"),
         (HARD, SWITCHING, {"ul_media_iface": "wlan"},
          "hard Switching but uplink new not applied"),
-        (HYBRID, SWITCHING, {"old": CLOSED},
+        (HYBRID, SWITCHING, CLOSED,
          "hybrid Switching but close old applied"),
         (HYBRID, SWITCHING, {"ul_media_iface": "wlan"},
          "hybrid Switching but uplink new not applied"),
         (SOFT, SWITCHING, {"ul_media_iface": "cellular"},  # moved early
          "soft Switching but uplink new applied"),
-        (SOFT, SWITCHING, {"old": CLOSED},
+        (SOFT, SWITCHING, CLOSED,
          "soft Switching but close old applied"),
-        (HYBRID, COMPLETED, {"old": UP},
+        (HYBRID, COMPLETED, UP,
          "hybrid Completed but close old not applied"),
         (SOFT, COMPLETED, {"dl_media_iface": "wlan"},  # the CN's switch undone
          "soft Completed but CN not targeting cellular"),

@@ -42,7 +42,7 @@ def closed_by_the_log(result, procedure):
 def assert_the_gap_rule(spec):
     result = run_call(spec)
     flags, t_cn_switch = closed_by_the_log(result, spec.procedure)
-    assert result.t_cn_switch == t_cn_switch
+    assert result.state.t_cn_switch == t_cn_switch
     causes = {d: p.cause for d, p in result.trace.directions.items()}
     assert LOSS_CLOSED not in causes.get(UL, [])
     assert [cause == LOSS_CLOSED for cause in causes.get(DL, [])] == flags

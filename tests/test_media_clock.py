@@ -131,8 +131,8 @@ def outcome(runtime_class, spec, link_class=Link):
                    list(link._busy), link._last_arrival,
                    link.rng.getstate()) for link in links],
         "ends": (result.aborted, result.abort_reason, result.t_trigger,
-                 result.t_cn_switch, result.t_completed,
-                 result.closed_old_at),
+                 result.state.t_cn_switch, result.t_completed,
+                 result.state.closed_old_at),
     }
 
 

@@ -8,16 +8,17 @@ from sipswitch.core import (
     DL,
     LOSS_CLOSED,
     LOSS_LINK_DOWN,
+    MN_URI,
     UL,
-    IfaceState,
     InterfaceDescriptor,
+    InternalInvariantError,
     LinkParams,
     SimulationError,
     Technology,
 )
-from sipswitch.handoff import HandoffPhase, HandoffProcedure
+from sipswitch.handoff import HandoffPhase, HandoffProcedure, Step
 from sipswitch.scenario import CallSpec, _CallRuntime, run_call
-from sipswitch.sip import DELIVERED, SignalingConfig
+from sipswitch.sip import DELIVERED, SignalingConfig, SipMethod
 
 from trace_rows import lost_count, trace_rows
 
@@ -39,7 +40,7 @@ def base_spec(codec="G711", procedure=HandoffProcedure.HYBRID,
 
 
 def with_wlan(spec, **changes):
-    """spec with its wlan interface changed: q_weight, link or state."""
+    """spec with its wlan interface changed: q_weight or link."""
     spec.interfaces = [replace(i, **changes) if i.iface_id == "wlan" else i
                        for i in spec.interfaces]
     return spec
@@ -69,8 +70,8 @@ def test_hard_loses_exactly_the_downlink_gap_packets():
                                 cellular_prop=60_000))
     assert not result.aborted
     assert result.t_trigger == 6_000_000
-    assert result.closed_old_at == 6_000_000
-    assert result.t_cn_switch == 6_074_583
+    assert result.state.closed_old_at == 6_000_000
+    assert result.state.t_cn_switch == 6_074_583
     lost_rows = [r for r in trace_rows(result.trace, DL) if r[6] is not None]
     assert [r[3] for r in lost_rows] == [6_000_000, 6_020_000,
                                          6_040_000, 6_060_000]
@@ -102,7 +103,7 @@ def test_the_dl_packet_at_the_cn_switch_is_lost_only_in_the_tie(
                        for i in spec.interfaces]
     result = run_call(spec)
     assert result.t_trigger == 1_000_000 + offset_us
-    assert result.t_cn_switch == t_cn_switch
+    assert result.state.t_cn_switch == t_cn_switch
     dl = trace_rows(result.trace, DL)
     assert [r[3] for r in dl if r[6] is not None] == lost
     assert all(r[6] == LOSS_CLOSED for r in dl if r[6] is not None)
@@ -112,7 +113,7 @@ def test_hard_gap_is_smaller_toward_the_faster_interface():
     # switching cellular -> wlan: re-INVITE takes 104 us + 5 ms
     result = run_call(base_spec(procedure=HandoffProcedure.HARD,
                                 direction=("cellular", "wlan")))
-    assert result.t_cn_switch - result.t_trigger == 5_104
+    assert result.state.t_cn_switch - result.t_trigger == 5_104
     lost_rows = [r for r in trace_rows(result.trace) if r[6] is not None]
     assert [(r[1], r[3], r[6]) for r in lost_rows] == \
         [(DL, 6_000_000, LOSS_CLOSED)]
@@ -123,7 +124,7 @@ def test_packets_in_flight_at_close_are_still_delivered():
                                 direction=("wlan", "cellular"),
                                 cellular_prop=60_000))
     for r in trace_rows(result.trace, DL):
-        if r[3] < result.closed_old_at:
+        if r[3] < result.state.closed_old_at:
             assert r[5] is not None  # generated before the close: delivered
 
 
@@ -186,6 +187,18 @@ def test_single_register_carries_both_interfaces_sorted_by_q():
     assert [c.q_weight for c in entries] == [0.9, 0.5]
 
 
+def test_the_mn_never_sends_from_its_closed_interface():
+    # the runtime's own check on the one Closed fact, closed_old_at
+    runtime = _CallRuntime(base_spec())
+    Step.CLOSE_OLD.apply(runtime.state, 0)
+    with pytest.raises(InternalInvariantError,
+                       match="send ACK from Closed interface wlan"):
+        runtime._send(runtime._message(SipMethod.ACK, MN_URI, "wlan"))
+    runtime._send(runtime._message(SipMethod.ACK, MN_URI, "cellular"))
+    [line] = runtime.signaling.lines
+    assert line.startswith("(0, ACK, mn, cn, cellular, delivered@")
+
+
 def test_invite_goes_to_the_top_priority_contact_first():
     result = run_call(base_spec())
     txn = result.setup_transaction
@@ -206,7 +219,7 @@ def test_media_interface_is_independent_of_signaling_priority():
 def test_handoff_log_records_the_transition_sequence(procedure):
     result = run_call(base_spec(procedure=procedure,
                                 direction=("cellular", "wlan")))
-    t0, tc, td = result.t_trigger, result.t_cn_switch, result.t_completed
+    t0, tc, td = result.t_trigger, result.state.t_cn_switch, result.t_completed
     trigger = f"({t0}, MN, trigger, Stable, Switching)"
     dst_switch = f"({tc}, CN, dst-switch, Switching, Switching)"
     ok = f"({td}, MN, ok, Switching, Completed)"
@@ -229,30 +242,14 @@ def test_handoff_log_records_the_transition_sequence(procedure):
             ok],
     }[procedure]
     hard = procedure is HandoffProcedure.HARD
-    assert result.closed_old_at == (t0 if hard else td)
-
-
-def test_trigger_refused_when_new_interface_not_up():
-    # the one handoff.log line no golden tree reaches: the switch is
-    # refused, and the call goes on to its end on the old interface
-    spec = base_spec()
-    spec.interfaces = [replace(i, state=IfaceState.DOWN)
-                       if i.iface_id == "cellular" else i
-                       for i in spec.interfaces]
-    result = run_call(spec)
-    t = spec.call_start_us + spec.switch_offset_us
-    assert result.handoff_log.lines == [
-        f"({t}, MN, warn:trigger-refused:new-iface-not-up, Stable, Stable)"]
-    assert not result.aborted
-    assert result.state.phase is HandoffPhase.STABLE
-    assert {r[4] for r in trace_rows(result.trace, UL)} == {"wlan"}
+    assert result.state.closed_old_at == (t0 if hard else td)
 
 
 def test_hard_closes_at_trigger_soft_closes_at_ok():
     hard = run_call(base_spec(procedure=HandoffProcedure.HARD))
-    assert hard.closed_old_at == hard.t_trigger
+    assert hard.state.closed_old_at == hard.t_trigger
     soft = run_call(base_spec(procedure=HandoffProcedure.SOFT))
-    assert soft.closed_old_at == soft.t_completed
+    assert soft.state.closed_old_at == soft.t_completed
     # soft keeps uplink on the old interface until the OK arrives
     in_between = [r for r in trace_rows(soft.trace, UL)
                   if soft.t_trigger <= r[3] < soft.t_completed]
@@ -354,18 +351,6 @@ def test_invalid_specs_are_rejected_with_reasons():
                            match="invalid call spec: switch offset"):
             run_call(spec)
     assert base_spec(switch_jitter_us=4_999_999).validate() == []
-
-    # a run needs an Up interface to register, and Closed is the state only
-    # the switch itself sets
-    spec = base_spec()
-    spec.interfaces = [replace(i, state=IfaceState.DOWN)
-                       for i in spec.interfaces]
-    with pytest.raises(SimulationError, match="no interface starts Up"):
-        run_call(spec)
-    spec = with_wlan(base_spec(), state=IfaceState.CLOSED)
-    with pytest.raises(SimulationError,
-                       match="interface 'wlan': state must start Up or Down"):
-        run_call(spec)
 
     assert base_spec().validate() == []
 

@@ -1,7 +1,6 @@
 import pytest
 
 from sipswitch.core import (
-    IfaceState,
     InterfaceDescriptor,
     LineLog,
     LinkParams,
@@ -28,9 +27,9 @@ WLAN = "wlan"
 CELL = "cellular"
 
 
-def _iface(iface_id, q, state=IfaceState.UP):
+def _iface(iface_id, q):
     tech = Technology.WLAN_LIKE if iface_id == "wlan" else Technology.CELLULAR_LIKE
-    return InterfaceDescriptor(iface_id, tech, q, LinkParams(None, 0), state)
+    return InterfaceDescriptor(iface_id, tech, q, LinkParams(None, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -49,28 +48,9 @@ def test_build_register_one_contact_per_up_interface():
         _iface("cellular", 0.9),
     ])
     assert msg.method is SipMethod.REGISTER
-    assert msg.via_iface == "cellular"  # highest q among Up interfaces
+    assert msg.via_iface == "cellular"  # the highest q
     assert msg.contacts == (Contact(WLAN, 0.5), Contact(CELL, 0.9))
     assert msg.size_bytes == 450
-
-
-def test_build_register_excludes_down_and_closed():
-    msg = build_register("mn", [
-        _iface("wlan", 0.5),
-        _iface("cellular", 0.9, IfaceState.DOWN),
-    ])
-    assert msg.via_iface == "wlan"
-    assert msg.contacts == (Contact(WLAN, 0.5),)
-    msg = build_register("mn", [
-        _iface("wlan", 0.5, IfaceState.CLOSED),
-        _iface("cellular", 0.9),
-    ])
-    assert msg.contacts == (Contact(CELL, 0.9),)
-
-
-def test_build_register_with_no_up_interface_raises():
-    with pytest.raises(SipError):
-        build_register("mn", [_iface("wlan", 0.5, IfaceState.DOWN)])
 
 
 def test_apply_register_sorts_by_descending_q():
