@@ -52,7 +52,12 @@ from .metrics import (
     write_metrics,
 )
 from .scenario import CallSpec, run_call
-from .traffic import expected_packet_count, read_trace, write_trace
+from .traffic import (
+    clear_grid_memo,
+    expected_packet_count,
+    read_trace,
+    write_trace,
+)
 
 
 def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
@@ -170,6 +175,7 @@ def run_campaign(config: ExperimentConfig,
     does not grow with the repetitions, and the bytes do not depend on the
     split.
     """
+    clear_grid_memo()
     out_dir = Path(config.out_dir)
     cells = [(codec, proc, direction)
              for codec in config.codecs

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from math import frexp, isfinite, isqrt, ldexp
+from math import frexp, isfinite, isqrt
 from operator import add, lshift, mul, sub, truediv
 from typing import Callable, Optional, Sequence
 
@@ -25,7 +25,7 @@ from .core import (
     SimulationError,
     check_fields,
 )
-from .traffic import CsvFields, PacketTrace, write_csv
+from .traffic import CsvFields, PacketTrace, window_bounds, write_csv
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,14 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
     not pass the last one; stride defaults to the window length. With
     use_burst_ratio False every window uses burst_r = 1 (plain loss model).
 
-    One pass: two pointers bound the packets generated in each window. Its
-    slice of loss causes gives its losses and prefix sums its delay sum, an
-    exact integer, so the mean delay equals fsum over the window. A window
-    with nothing generated keeps the previous window's delay, loss and
-    burst ratio, so its R, evaluated with the rest, is the previous one's.
+    One pass over the windows' packet bounds, which window_bounds takes
+    from its grid memo on a run's packet grid and finds with two pointers
+    on any other times (ties, gaps, times that only look like a grid). A
+    window's slice of loss causes gives its losses and prefix sums its
+    delay sum, an exact integer, so the mean delay equals fsum over the
+    window. A window with nothing generated keeps the previous window's
+    delay, loss and burst ratio, so its R, evaluated with the rest, is the
+    previous one's.
     """
     packets = trace.directions.get(direction)
     if packets is None:
@@ -172,18 +175,13 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
     cum_delay = list(accumulate(
         (0 if arrival is None else arrival - gen
          for gen, arrival in zip(gens, packets.arrival)), initial=0))
-    starts = list(range(gens[0], gens[-1] + 1, stride_us))
+    starts = range(gens[0], gens[-1] + 1, stride_us)
+    los, his = window_bounds(gens, starts, window_us)
     delays, ppls, brs, carried, carried_delay = [], [], [], [], []
-    n, lo, hi = len(gens), 0, 0
     # The first window holds the first packet, so it sets all three; an
     # all-lost first window keeps the delay 0.0.
     delay = ppl = br = 0.0
-    for start in starts:
-        while gens[lo] < start:
-            lo += 1
-        end = start + window_us
-        while hi < n and gens[hi] < end:
-            hi += 1
+    for lo, hi in zip(los, his):
         generated = hi - lo
         if generated:
             window = causes[lo:hi]
@@ -200,7 +198,7 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
         brs.append(br)
         carried.append(not generated)
         carried_delay.append(not (generated and delivered))
-    return WindowSeries(starts, delays, ppls, brs,
+    return WindowSeries(list(starts), delays, ppls, brs,
                         emodel(codec, params, delays, ppls, brs),
                         carried, carried_delay)
 
@@ -220,14 +218,15 @@ METRICS_COLUMNS = ("run_id", "window_start_us", "mean_delay_ms", "ppl",
 
 
 def write_metrics(path: str, run_id: str, series: WindowSeries) -> None:
-    """One row per window, built column by column (each float as its repr,
-    each flag, a bool, as 0 or 1)."""
-    write_csv(path, METRICS_COLUMNS, list(map(",".join, zip(
-        repeat(CsvFields()[run_id]), map(str, series.window_start),
-        map(repr, series.mean_delay_ms), map(repr, series.ppl),
-        map(repr, series.burst_r), map(repr, series.r_factor),
-        map("01".__getitem__, series.carried),
-        map("01".__getitem__, series.carried_delay)))))
+    """One row per window (each float as its repr, each flag, a bool, as 0
+    or 1)."""
+    run = CsvFields()[run_id]
+    write_csv(path, METRICS_COLUMNS, [
+        f"{run},{start},{delay!r},{ppl!r},{br!r},{r!r},{'01'[c]},{'01'[cd]}"
+        for start, delay, ppl, br, r, c, cd in zip(
+            series.window_start, series.mean_delay_ms, series.ppl,
+            series.burst_r, series.r_factor, series.carried,
+            series.carried_delay)])
 
 
 # Bits of the integer square root taken before its one rounding to a float:
@@ -273,7 +272,8 @@ class WindowSums:
             k = max(self.exp, 53 - frexp(low)[1])
             if frexp(max(mags, default=0.0))[1] > 53:
                 raise OverflowError   # an int this large may not convert
-            scaled = list(map(int, map(ldexp, values, repeat(k))))
+            # exact below overflow; 2.0 ** k itself overflows from k = 1024
+            scaled = list(map(int, map(mul, values, repeat(2.0 ** k))))
         except (OverflowError, ValueError):   # too wide, or not finite
             try:
                 ratios = [v.as_integer_ratio() for v in values]

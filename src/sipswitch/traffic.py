@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import lru_cache
 from itertools import repeat
 from operator import ge
 from typing import Optional, Sequence
 
-from .core import LOSS_CAUSES, UL, InternalInvariantError, SimTime
+from .core import DL, LOSS_CAUSES, UL, InternalInvariantError, SimTime
 
 # RTP 12 + UDP 8 + IP 20: metrics are taken at IP level.
 DEFAULT_HEADER_OVERHEAD_BYTES = 40
@@ -174,7 +175,8 @@ TRACE_COLUMNS = ("run_id", "stream_id", "direction", "seq", "gen_time_us",
 
 class CsvFields(dict):
     """Each string as csv.writer renders it inside a row, quoted when it
-    holds a comma, a quote or a line break; rendered once per value."""
+    holds a comma, a quote or a line break, and None as ''; rendered once
+    per value."""
 
     def __missing__(self, value: str) -> str:
         buf = io.StringIO()
@@ -189,21 +191,107 @@ def write_csv(path: str, header: tuple[str, ...], lines: list[str]) -> None:
         fh.write("\n".join([",".join(header), *lines, ""]))
 
 
+# The grid memo. Every run of a campaign with one codec and call length
+# generates its media on one grid, call_start + seq * interval in both
+# directions, so what depends only on the grid is computed once per grid:
+# the "seq,gen" text of write_trace and each window's packet bounds. Each
+# entry is a pure function of its key, and is used only for times equal
+# to its grid, so it never changes a byte. Both caches are bounded, and
+# run_campaign clears them (clear_grid_memo).
+
+
+@lru_cache(maxsize=4)
+def media_grid(first: SimTime, step: int,
+               n: int) -> tuple[list[SimTime], tuple[str, ...]]:
+    """The grid first + seq * step for seq < n, as a list to compare a
+    trace's times with (never to change), and each point's "seq,gen"
+    text."""
+    gens = list(range(first, first + n * step, step))
+    return gens, tuple(f"{seq},{gen}" for seq, gen in enumerate(gens))
+
+
+def grid_of(gens: list[SimTime]) -> Optional[tuple[int, int, int]]:
+    """The key (first time, step, count) of gens if they are exactly a grid
+    of positive step with two points or more, else None."""
+    if len(gens) < 2 or gens[1] <= gens[0]:
+        return None
+    key = (gens[0], gens[1] - gens[0], len(gens))
+    return key if media_grid(*key)[0] == gens else None
+
+
+def _walk_bounds(gens: list[SimTime], starts: range,
+                 width: int) -> tuple[list[int], list[int]]:
+    los, his = [], []
+    n, lo, hi = len(gens), 0, 0
+    for start in starts:
+        while gens[lo] < start:
+            lo += 1
+        end = start + width
+        while hi < n and gens[hi] < end:
+            hi += 1
+        los.append(lo)
+        his.append(hi)
+    return los, his
+
+
+@lru_cache(maxsize=4)
+def _grid_bounds(grid: tuple[int, int, int], starts: range,
+                 width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    los, his = _walk_bounds(media_grid(*grid)[0], starts, width)
+    return tuple(los), tuple(his)
+
+
+def window_bounds(gens: list[SimTime], starts: range,
+                  width: int) -> tuple[Sequence[int], Sequence[int]]:
+    """For each start s, the lo and hi such that gens[lo:hi] are the times
+    in [s, s + width), found with two pointers over the ascending gens;
+    every start lies in [gens[0], gens[-1]]. Memoised when gens are a grid
+    (grid_of)."""
+    grid = grid_of(gens)
+    return (_grid_bounds(grid, starts, width) if grid
+            else _walk_bounds(gens, starts, width))
+
+
+def clear_grid_memo() -> None:
+    media_grid.cache_clear()
+    _grid_bounds.cache_clear()
+
+
 def write_trace(path: str, run_id: str, trace: PacketTrace) -> None:
     """One row per packet, in generation order; at equal generation times
     UL comes before DL (and any other direction, by name), whichever was
-    recorded first."""
+    recorded first.
+
+    A run's trace, UL and DL alone on one grid (grid_of), is written pair
+    by pair: each grid point's UL row, then its DL row, with the grid's
+    memoised "seq,gen" text and no sort. Every other trace (ties, gaps, one
+    direction, other direction names, directions of different times, or a
+    hand-made file read back) is merged by a stable sort of its generation
+    times. Both give the same bytes."""
     f = CsvFields()
+    run = f[run_id]
+    ul, dl = trace.directions.get(UL), trace.directions.get(DL)
+    key = (len(trace.directions) == 2 and ul and dl and ul.gen == dl.gen
+           and grid_of(ul.gen))
+    if key:
+        u = f"{run},{f[ul.stream_id]},{f[UL]},"
+        d = f"{run},{f[dl.stream_id]},{f[DL]},"
+        write_csv(path, TRACE_COLUMNS, [
+            f"{u}{sg},{f[ui]},{'' if ua is None else ua},{f[uc]}\n"
+            f"{d}{sg},{f[di]},{'' if da is None else da},{f[dc]}"
+            for sg, ui, ua, uc, di, da, dc in zip(
+                media_grid(*key)[1], ul.iface, ul.arrival, ul.cause,
+                dl.iface, dl.arrival, dl.cause)])
+        return
     gens, lines = [], []
     directions = sorted(trace.directions.items(),
                         key=lambda item: (item[0] != UL, item[0]))
     for direction, packets in directions:
-        head = f"{f[run_id]},{f[packets.stream_id]},{f[direction]},"
+        head = f"{run},{f[packets.stream_id]},{f[direction]},"
         gens += packets.gen
         lines += [
             f"{head}{seq},{gen},{f[iface]},"
-            f"{'' if arrival is None else arrival},"
-            f"{'' if cause is None else f[cause]}"
+            f"{'' if arrival is None else arrival},{f[cause]}"
             for seq, (gen, iface, arrival, cause) in enumerate(zip(
                 packets.gen, packets.iface, packets.arrival, packets.cause))]
     # sorted is stable, and each direction's packets are in generation order

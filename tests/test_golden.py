@@ -27,10 +27,14 @@ compared as JSON text, so an int that turns into a float shows.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from sipswitch import traffic
 from sipswitch.cli import build_call_spec, load_config, main
 from sipswitch.scenario import run_call
 from sipswitch.traffic import read_trace, write_trace
@@ -183,6 +187,41 @@ def test_golden_stride_tree_is_unchanged(tmp_path, capsys, args):
     assert got == want
     if not args:
         check_runs_reproduce(out)
+
+
+MEMO_BASE = """
+procedures: [hard]
+directions: [wlan-to-cellular]
+repetitions: 2
+call_duration_s: 12
+switch_time_s: 6
+"""
+MEMO_CONFIGS = {
+    "g729": "codecs: [G729]\n" + MEMO_BASE,
+    "g723": "codecs: [G723.1]\n" + MEMO_BASE,
+    "g729-stride": "codecs: [G729]\nstride_ms: 20\n" + MEMO_BASE,
+}
+
+
+def test_campaigns_in_one_process_write_what_each_writes_alone(tmp_path,
+                                                                capsys):
+    # The grid memo outlives a run: campaigns back to back in one process,
+    # on the same grid, another grid, then the first grid at another
+    # stride, must each write the tree of a fresh process.
+    src = Path(__file__).resolve().parents[1] / "src"
+    for name, config in MEMO_CONFIGS.items():
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(config)
+        here, alone = tmp_path / name / "here", tmp_path / name / "alone"
+        assert main(["run", str(cfg), "--out", str(here)]) == 0
+        subprocess.run([sys.executable, "-m", "sipswitch.cli", "run",
+                        str(cfg), "--out", str(alone)], check=True,
+                       capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+        assert tree_digests(here) == tree_digests(alone), name
+    assert traffic.media_grid.cache_info().hits > 0
+    assert traffic.media_grid.cache_info().maxsize is not None
+    assert traffic._grid_bounds.cache_info().maxsize is not None
 
 
 SHORT = "repetitions: 1\ncall_duration_s: 2\nswitch_time_s: 1\n"

@@ -12,6 +12,8 @@ write_aggregate the former per-row rendering, byte for byte; the former
 versions are kept below as oracles.
 """
 
+import csv
+import io
 import math
 import os
 import statistics
@@ -26,6 +28,8 @@ from hypothesis import example, given, settings, strategies as st
 from sipswitch.core import (
     CODEC_PRESETS,
     DL,
+    LOSS_CAUSES,
+    LOSS_CLOSED,
     LOSS_RANDOM,
     UL,
     US_PER_MS,
@@ -50,7 +54,14 @@ from sipswitch.metrics import (
     write_aggregate,
     write_metrics,
 )
-from sipswitch.traffic import CsvFields, PacketTrace, write_csv
+from sipswitch.traffic import (
+    TRACE_COLUMNS,
+    CsvFields,
+    PacketTrace,
+    grid_of,
+    write_csv,
+    write_trace,
+)
 
 from emodel_terms import r_factor
 from trace_rows import Window, series_of, trace_rows, window_rows
@@ -570,3 +581,119 @@ def test_write_aggregate_is_the_per_row_rendering_on_random_runs(first,
     for run in [first, *([*zip(gaps, (d for _, d in o))] for o in others)]:
         fold(sums, window_series(build_trace(run, []), DL, G729, 60.0))
     same_bytes(write_aggregate, reference_write_aggregate, aggregate(sums))
+
+
+# ---------------------------------------------------------------------------
+# The grid memo's paths: a run's trace, UL and DL on one grid, is written
+# pair by pair and windowed with memoised bounds; a trace that only looks
+# like the grid must take the direct path and come out the same.
+
+GRID_RUN_IDS = st.sampled_from(["G729_hard_r000", 'odd, "quoted" id'])
+GRID_IFACES = st.sampled_from(["wlan", "cellular", 'odd, "quoted" if'])
+GRID_FATE = st.one_of(st.integers(0, 300_000), st.sampled_from(LOSS_CAUSES))
+GRID_WINDOWS = [(60.0, None), (60.0, 20.0), (20.0, None), (100.5, 30.0),
+                (10.0, 5.0)]
+
+
+@st.composite
+def run_shaped_traces(draw):
+    """The packets of a run as record's arguments: UL and DL on one grid,
+    start + seq * interval, of which an aborted run keeps a prefix (DL at
+    most one packet shorter, as a path the pairing must refuse). Each
+    packet is delayed or lost; DL loses a block to a closed interface and
+    UL switches interface at a drawn packet."""
+    start = draw(st.integers(0, 2_000_000))
+    interval = draw(st.sampled_from([1, 7_000, 20_000, 30_000]))
+    n = draw(st.integers(1, 60))
+    n_dl = n - draw(st.sampled_from([0, 0, 0, 1]))
+    switch = draw(st.integers(0, n))
+    ul_from, ul_to = draw(GRID_IFACES), draw(GRID_IFACES)
+    closed_from = draw(st.integers(0, n))
+    closed_to = draw(st.integers(closed_from, n))
+    packets = []
+    for seq in range(n):
+        gen = start + seq * interval
+        for direction, length in ((UL, n), (DL, n_dl)):
+            if seq >= length:
+                continue
+            fate = draw(GRID_FATE)
+            if direction == DL and closed_from <= seq < closed_to:
+                fate = LOSS_CLOSED
+            iface = ("cn0" if direction == DL
+                     else ul_from if seq < switch else ul_to)
+            fate = ((gen + fate, None) if isinstance(fate, int)
+                    else (None, fate))
+            packets.append((direction.lower(), direction, seq, gen, iface,
+                            *fate))
+    return packets
+
+
+def look_alike(packets, draw):
+    """The same packets with one later generation time moved, keeping each
+    packet's delay: the first two times and the count are the grid's, the
+    times are not. The moved time ties its predecessor or lands before its
+    successor."""
+    gens = sorted({p[3] for p in packets})
+    j = draw(st.integers(2, len(gens) - 1))
+    room = gens[1] - gens[0] - 1 if j < len(gens) - 1 else 10 ** 6
+    moved = (gens[j - 1] if room < 1 or draw(st.booleans())
+             else gens[j] + draw(st.integers(1, room)))
+    out = []
+    for stream_id, direction, seq, gen, iface, arrival, cause in packets:
+        if gen == gens[j]:
+            gen, arrival = moved, (None if arrival is None
+                                   else arrival - gens[j] + moved)
+        out.append((stream_id, direction, seq, gen, iface, arrival, cause))
+    return out
+
+
+def record_packets(packets):
+    trace = PacketTrace()
+    for packet in packets:
+        trace.record(*packet)
+    return trace
+
+
+def csv_rendering(run_id, trace):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows((run_id, *row) for row in trace_rows(trace))
+    return buf.getvalue().encode()
+
+
+def check_grid_paths(trace, run_id):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace(path, run_id, trace)
+        with open(path, "rb") as fh:
+            assert fh.read() == csv_rendering(run_id, trace)
+    for window_ms, stride in GRID_WINDOWS:
+        for direction in (UL, DL):
+            series = window_series(trace, direction, G729, window_ms, stride)
+            want = reference_window_series(trace, direction, G729, window_ms,
+                                           stride)
+            assert repr(window_rows(series)) == repr(want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(packets=run_shaped_traces(), run_id=GRID_RUN_IDS)
+def test_a_run_shaped_trace_takes_the_grid_paths_to_the_same_bytes(
+        packets, run_id):
+    trace = record_packets(packets)
+    ul = trace.directions[UL].gen
+    assert len(ul) < 2 or grid_of(ul) is not None   # the memo's path
+    check_grid_paths(trace, run_id)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(packets=run_shaped_traces().filter(
+           lambda ps: len({p[3] for p in ps}) >= 3),
+       run_id=GRID_RUN_IDS, data=st.data())
+def test_a_trace_that_only_looks_like_the_grid_comes_out_right(
+        packets, run_id, data):
+    check_grid_paths(record_packets(packets), run_id)  # memoise the grid
+    moved = record_packets(look_alike(packets, data.draw))
+    assert grid_of(moved.directions[UL].gen) is None
+    check_grid_paths(moved, run_id)
+
