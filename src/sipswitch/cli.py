@@ -19,29 +19,23 @@ from typing import Any, Optional
 from . import __version__
 from .config import (
     PRESETS,
-    SETTING_RULES,
     ConfigError,
     ExperimentConfig,
     build_call_spec,
     capacity_warnings,
     config_as_dict,
-    flag_violations,
-    grid_violations,
+    config_from_settings,
     load_config,
 )
 from .core import (
     DL,
     UL,
-    CodecProfile,
     InternalInvariantError,
     SimulationError,
     ms_to_us,
     s_to_us,
-    validate_codec,
-    violations,
 )
 from .metrics import (
-    EModelParams,
     WindowSums,
     aggregate,
     call_summary,
@@ -58,6 +52,19 @@ from .traffic import (
     read_trace,
     write_trace,
 )
+
+
+def _write_metrics(config: ExperimentConfig, codec, trace, run_id: str,
+                   stem: str) -> dict:
+    """Each media direction's window series, written to <stem>_{ul,dl}.csv:
+    the one derivation of a run's metrics files and of their recompute."""
+    series = {}
+    for direction, name in ((UL, "ul"), (DL, "dl")):
+        series[name] = window_series(trace, direction, codec,
+                                     config.window_len_ms, config.stride_ms,
+                                     config.emodel, config.use_burst_ratio)
+        write_metrics(f"{stem}_{name}.csv", run_id, series[name])
+    return series
 
 
 def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
@@ -85,14 +92,11 @@ def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
     for name, lines in logs.items():
         (run_dir / name).write_text("\n".join(lines) + "\n" if lines else "")
 
-    out.update(aborted=result.aborted, abort_reason=result.abort_reason)
+    out.update(aborted=result.aborted, abort_reason=result.abort_reason,
+               series=_write_metrics(config, spec.codec, result.trace,
+                                     spec.run_id, str(run_dir / "metrics")))
     for direction, name in ((UL, "ul"), (DL, "dl")):
-        series = out["series"][name] = window_series(
-            result.trace, direction, spec.codec, config.window_len_ms,
-            config.stride_ms, config.emodel, config.use_burst_ratio)
-        write_metrics(str(run_dir / f"metrics_{name}.csv"), spec.run_id,
-                      series)
-        if not series:
+        if not out["series"][name]:
             continue
         lost, ppl = call_summary(result.trace, direction)
         pct_switch = None
@@ -263,7 +267,8 @@ def recompute_metrics(trace_file: str,
     """Re-derive both metric files from an exported trace.
 
     The codec, window, and model parameters come from the campaign manifest
-    (found in a parent directory unless given explicitly).
+    (found in a parent directory unless given explicitly), whose settings
+    must pass every rule of a config file (config_from_settings).
     """
     trace_path = Path(trace_file)
     if not trace_path.is_file():
@@ -287,38 +292,24 @@ def recompute_metrics(trace_file: str,
     # The manifest comes from outside: any fault in it is a config error.
     try:
         manifest = json.loads(manifest_file.read_text())
-        codec_name = None
-        for cell in manifest.get("cells", []):
-            if any(r["run_id"] == run_id for r in cell.get("runs", [])):
-                codec_name = cell["codec"]
-                break
-        if codec_name is None:
-            raise ConfigError(
-                [f"{trace_file}: run id {run_id!r} not found in "
-                 f"{manifest_file}"])
-        settings = manifest["settings"]
-        codec = CodecProfile(**settings["codec_profiles"][codec_name])
-        emodel = EModelParams(**settings["emodel"])
-        bad = validate_codec(codec) or grid_violations(settings, codec)
-        bad += [f"{name}: {problem}" for name, problem
-                in violations(settings, SETTING_RULES)]
-        bad += flag_violations(settings)
-    except (ValueError, TypeError, AttributeError, KeyError,
+        codec_name = next((cell["codec"] for cell in manifest.get("cells", [])
+                           if any(r["run_id"] == run_id
+                                  for r in cell.get("runs", []))), None)
+        if codec_name is not None:
+            config = config_from_settings(manifest["settings"])
+            codec = config.codec_profiles[codec_name]
+    except (ConfigError, ValueError, TypeError, AttributeError, KeyError,
             RecursionError) as exc:
-        bad = [f"{type(exc).__name__}: {exc}"]
-    if bad:
-        raise ConfigError([f"{manifest_file}: {v}" for v in bad])
+        raise ConfigError([f"{manifest_file}: {v}" for v in getattr(
+            exc, "violations", [f"{type(exc).__name__}: {exc}"])]) from None
+    if codec_name is None:
+        raise ConfigError(
+            [f"{trace_file}: run id {run_id!r} not found in "
+             f"{manifest_file}"])
 
-    written = []
-    for direction, name in ((UL, "ul"), (DL, "dl")):
-        series = window_series(trace, direction, codec,
-                               settings["window_len_ms"],
-                               settings["stride_ms"], emodel,
-                               settings["use_burst_ratio"])
-        out_path = trace_path.parent / f"recomputed_metrics_{name}.csv"
-        write_metrics(str(out_path), run_id, series)
-        written.append(out_path)
-    return written
+    stem = trace_path.parent / "recomputed_metrics"
+    _write_metrics(config, codec, trace, run_id, str(stem))
+    return [Path(f"{stem}_{name}.csv") for name in ("ul", "dl")]
 
 
 def _worker_count(text: str) -> int:

@@ -1,9 +1,11 @@
-"""Experiment settings: the YAML format with its defaults and presets, the
-rule of every setting in YAML units, and the CallSpec of each repetition."""
+"""Experiment settings: the YAML format with its defaults and presets; the
+rule of every setting in YAML units, which a config file and a manifest's
+settings (config_from_settings) both pass; the CallSpec of each repetition."""
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,7 +140,7 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 _TIME_S = Numeric(0, above=True, unit_us=US_PER_S)
 _TIME_MS = Numeric(0, above=True, unit_us=US_PER_MS)
-# The top-level settings; recompute-metrics applies them to a manifest too.
+# The top-level numbers: an integral one is read as an int, the rest as floats.
 SETTING_RULES = {
     "call_duration_s": _TIME_S, "switch_time_s": _TIME_S,
     "switch_jitter_s": Numeric(0, unit_us=US_PER_S),
@@ -153,27 +155,6 @@ SETTING_RULES = {
 # end of a [low, high] range), and its q-weight.
 _INTERFACE_RULES = {"prop_delay_ms": Range(Numeric(0, unit_us=US_PER_MS)),
                     **LINK_RULES, "q_weight": Q_WEIGHT}
-
-
-def grid_violations(settings: dict, codec: CodecProfile) -> list[str]:
-    """A window grid no denser than codec's packet grid: a direction then
-    has at most one window more than it has packets. A grid setting that
-    breaks its own rule is reported by SETTING_RULES instead."""
-    grid = "window_len_ms" if settings["stride_ms"] is None else "stride_ms"
-    if SETTING_RULES[grid].violation(settings.get(grid)) is not None \
-            or ms_to_us(settings[grid]) >= codec.packet_interval_us:
-        return []
-    return [f"{grid}: {settings[grid]} is shorter than the packet interval "
-            f"of {codec.name}, {codec.packet_interval_ms} ms"
-            + (" (with no stride_ms, the window length is the stride)"
-               if grid == "window_len_ms" else "")]
-
-
-def flag_violations(settings: dict) -> list[str]:
-    """Each true/false setting that is not a bool."""
-    return [f"{key}: expected true/false, got {settings.get(key)!r}"
-            for key in ("use_burst_ratio", "log_events")
-            if type(settings.get(key)) is not bool]
 
 
 def _check(values: dict, rules: dict, prefix: str, bad: list[str]) -> set[str]:
@@ -302,8 +283,14 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
                    and c in codec_profiles
                    and not validate_codec(codec_profiles[c])),
                   key=lambda codec: codec.packet_interval_us, default=None)
-    if fastest is not None:
-        bad += grid_violations(raw, fastest)
+    # A window grid no denser than the packet grid.
+    grid = "window_len_ms" if raw.get("stride_ms") is None else "stride_ms"
+    if fastest is not None and grid not in failed \
+            and ms_to_us(raw[grid]) < fastest.packet_interval_us:
+        bad.append(f"{grid}: {raw[grid]} is shorter than the packet interval "
+                   f"of {fastest.name}, {fastest.packet_interval_ms} ms"
+                   + (" (with no stride_ms, the window length is the stride)"
+                      if grid == "window_len_ms" else ""))
     procedures = _names(raw, "procedures", "procedure",
                         (p.value for p in HandoffProcedure), bad)
 
@@ -368,25 +355,21 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
         section = _section(raw.get(key) or {}, f"{key}.", rules, bad)
         if section is not None:
             _check(vars(cls()) | section, rules, f"{key}.", bad)
-    bad += flag_violations(raw)
+    bad += [f"{key}: expected true/false, got {raw.get(key)!r}"
+            for key in ("use_burst_ratio", "log_events")
+            if type(raw.get(key)) is not bool]
     if bad:
         raise ConfigError(bad)
 
+    numbers = {key: None if raw[key] is None
+               else (int if rule.integer else float)(raw[key])
+               for key, rule in SETTING_RULES.items()}
     return ExperimentConfig(
-        scenario=str(raw["scenario"]), codecs=list(codecs),
+        **numbers, scenario=str(raw["scenario"]), codecs=list(codecs),
         procedures=list(procedures), directions=list(directions),
         interfaces=interfaces, codec_profiles=codec_profiles,
-        call_duration_s=float(raw["call_duration_s"]),
-        switch_time_s=float(raw["switch_time_s"]),
-        switch_jitter_s=float(raw["switch_jitter_s"]),
-        window_len_ms=float(raw["window_len_ms"]),
-        stride_ms=(None if raw["stride_ms"] is None
-                   else float(raw["stride_ms"])),
-        repetitions=int(raw["repetitions"]), base_seed=int(raw["base_seed"]),
-        out_dir=str(raw["out_dir"]),
-        header_overhead_bytes=int(raw["header_overhead_bytes"]),
-        use_burst_ratio=raw["use_burst_ratio"],
-        watchdog_s=float(raw["watchdog_s"]), log_events=raw["log_events"],
+        out_dir=str(raw["out_dir"]), use_burst_ratio=raw["use_burst_ratio"],
+        log_events=raw["log_events"],
         signaling=SignalingConfig(**(raw["signaling"] or {})),
         emodel=EModelParams(**(raw["emodel"] or {})))
 
@@ -442,3 +425,29 @@ def config_as_dict(config: ExperimentConfig) -> dict:
                    **dataclasses.asdict(iface.link)}
         for iface_id, iface in config.interfaces.items()}
     return settings
+
+
+def config_from_settings(settings: dict) -> ExperimentConfig:
+    """config_as_dict's inverse, checked by a config file's rules, which
+    report codec_profiles as custom_codecs and prop_delay_us as
+    prop_delay_ms, in ms. A manifest is complete: a missing setting is a
+    violation. A section that is no mapping raises TypeError/AttributeError."""
+    missing = [f"{field.name}: missing" for field in dataclasses.fields(
+        ExperimentConfig) if field.name not in settings]
+    if missing:
+        raise ConfigError(missing)
+    raw = deepcopy(settings)
+    raw["custom_codecs"] = raw.pop("codec_profiles")
+    for codec in raw["custom_codecs"].values():
+        codec.pop("name", None)
+    for iface in raw["interfaces"].values():
+        iface["prop_delay_ms"] = _in_ms(iface.pop("prop_delay_us", None))
+    return _validate_settings(raw)
+
+
+def _in_ms(delay_us: Any) -> Any:
+    """A delay in us, or [low, high], in ms; the rules report a non-number."""
+    if isinstance(delay_us, (list, tuple)):
+        return [*map(_in_ms, delay_us)]
+    return (delay_us / US_PER_MS if type(delay_us) in (int, float)
+            and abs(delay_us) <= sys.float_info.max else delay_us)

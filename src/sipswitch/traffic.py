@@ -196,11 +196,11 @@ def write_csv(path: str, header: tuple[str, ...], lines: list[str]) -> None:
 # directions, so what depends only on the grid is computed once per grid:
 # the "seq,gen" text of write_trace and each window's packet bounds. Each
 # entry is a pure function of its key, and is used only for times equal
-# to its grid, so it never changes a byte. Both caches are bounded, and
-# run_campaign clears them (clear_grid_memo).
+# to its grid, so it never changes a byte. A campaign never returns to an
+# earlier grid, so each cache keeps one; run_campaign clears them.
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def media_grid(first: SimTime, step: int,
                n: int) -> tuple[list[SimTime], tuple[str, ...]]:
     """The grid first + seq * step for seq < n, as a list to compare a
@@ -234,7 +234,7 @@ def _walk_bounds(gens: list[SimTime], starts: range,
     return los, his
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _grid_bounds(grid: tuple[int, int, int], starts: range,
                  width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     los, his = _walk_bounds(media_grid(*grid)[0], starts, width)

@@ -517,12 +517,14 @@ def _break(manifest, *path, value=None):
 @pytest.mark.parametrize("broken,shown", [
     (lambda m: "{not json", "JSONDecodeError: "),
     (lambda m: "[]", "AttributeError: "),
-    (lambda m: _break(m, "codec_profiles", "G729", "ie"), "TypeError: "),
-    (lambda m: _break(m, "emodel", "r0", value=-1), "ValueError: r0 "),
+    (lambda m: _break(m, "codec_profiles", "G729", "ie"),
+     "custom_codecs.G729: G729: ie must be a finite number, got None"),
+    (lambda m: _break(m, "emodel", "r0", value=-1),
+     "emodel.r0: must be > 0, got -1"),
     (lambda m: _break(m, "window_len_ms", value=0),
      "window_len_ms: must be > 0"),
     (lambda m: _break(m, "codec_profiles", "G729", "payload_bytes", value=0),
-     "G729: payload_bytes must be >= 1"),
+     "custom_codecs.G729: G729: payload_bytes must be >= 1, got 0"),
     # validate's own rules, which recompute-metrics used to skip
     (lambda m: _break(m, "stride_ms", value=0.5),
      "stride_ms: 0.5 is shorter than the packet interval of G729, 20.0 ms"),
@@ -530,15 +532,35 @@ def _break(manifest, *path, value=None):
      "stride_ms: 0.001 is shorter than"),
     (lambda m: _break(m, "use_burst_ratio", value="no"),
      "use_burst_ratio: expected true/false, got 'no'"),
-    (lambda m: _break(m, "use_burst_ratio"),
-     "use_burst_ratio: expected true/false, got None"),
-    (lambda m: _break(m, "stride_ms"), "KeyError: 'stride_ms'"),
+    # a manifest is complete: a missing setting takes no default
+    (lambda m: _break(m, "use_burst_ratio"), "use_burst_ratio: missing"),
+    (lambda m: _break(m, "stride_ms"), "stride_ms: missing"),
+    # and the rest of validate's rules, which recompute-metrics skipped
+    # until it read the settings back through them
+    (lambda m: _break(m, "interfaces", "cellular", "loss_prob", value=2),
+     "interfaces.cellular.loss_prob: must be <= 1, got 2"),
+    (lambda m: _break(m, "interfaces", "wlan", "q_weight", value=7),
+     "interfaces.wlan.q_weight: must be <= 1, got 7"),
+    (lambda m: _break(m, "interfaces", "wlan", "prop_delay_us", value=-5),
+     "interfaces.wlan.prop_delay_ms: must be >= 0, got -0.005"),
+    (lambda m: _break(m, "interfaces", "wlan", "prop_delay_us", value=True),
+     "interfaces.wlan.prop_delay_ms: must be a finite number, got True"),
+    (lambda m: _break(m, "signaling", "ok_bytes", value=0),
+     "signaling.ok_bytes: must be >= 1, got 0"),
+    (lambda m: _break(m, "directions", value=["cellular-to-nowhere"]),
+     "directions: 'cellular-to-nowhere' references unknown interface "
+     "'nowhere'"),
+    (lambda m: _break(m, "extra", value=1), "extra: unknown setting"),
 ], ids=["not-json", "list", "codec-without-ie", "negative-r0",
         "zero-window", "zero-payload", "sub-packet-stride", "1-us-stride",
-        "string-flag", "no-flag", "no-stride"])
+        "string-flag", "no-flag", "no-stride", "loss-above-1",
+        "q-weight-above-1", "negative-delay", "true-delay", "zero-ok-bytes",
+        "unknown-interface", "unknown-key"])
 def test_recompute_metrics_rejects_a_malformed_manifest(
         tmp_path, capsys, tiny_run, broken, shown):
-    # the first six and the last two used to end in a traceback
+    # the first six rows, no-flag and no-stride once ended in a traceback;
+    # each row exits 1 and says what is wrong, in validate's words where a
+    # setting breaks its rule
     trace, manifest = tiny_run
     path = tmp_path / "manifest.json"
     path.write_text(broken(manifest))

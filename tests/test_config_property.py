@@ -1,17 +1,20 @@
 """Property tests of the config boundary: a junk value in any numeric
 setting, or any codec or interface name, either fails `validate` with exit 1
 or runs to completion with exit 0 or 2, and a run writes only inside its out
-dir.
+dir. A config that validates reads back from its manifest settings as
+itself.
 """
 
 import copy
+import json
 import tempfile
 from pathlib import Path
 
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sipswitch import cli, config
+from sipswitch.config import config_as_dict, config_from_settings
 from sipswitch.core import CODEC_RULES
 from sipswitch.metrics import EMODEL_RULES
 from sipswitch.sip import SIGNALING_RULES
@@ -81,6 +84,10 @@ def test_every_numeric_setting_is_covered():
 # to search further.
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(path=st.sampled_from(NUMERIC_PATHS), value=JUNK)
+# a delay near the top of its range that reads back from its us only as
+# us / 1000: us * 0.001 gives 8782039921448021 us
+@example(path=("interfaces", "cellular", "prop_delay_ms"),
+         value=[0, 8782039921448.02])
 def test_junk_in_any_numeric_setting_fails_validate_or_runs(path, value):
     config = copy.deepcopy(TINY)
     node = config
@@ -93,6 +100,13 @@ def test_junk_in_any_numeric_setting_fails_validate_or_runs(path, value):
         cfg.write_text(yaml.safe_dump(config))
         rc = cli.main(["validate", str(cfg)])
         assert rc in (0, 1)
+        if rc == 0:
+            # settings -> config -> settings is the identity, as JSON text
+            # (an int that turns into a float shows)
+            written = config_as_dict(cli.load_config(str(cfg)))
+            want = json.dumps(written, sort_keys=True)
+            assert json.dumps(config_as_dict(config_from_settings(written)),
+                              sort_keys=True) == want
         if rc == 0 and path[0] not in SCALE_THE_WORK:
             assert cli.main(["run", str(cfg)]) in (0, 2)
 

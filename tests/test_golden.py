@@ -22,7 +22,9 @@ the trace's row order, and not only through the digests.
 golden_settings.json holds the manifest settings of configs the trees miss:
 a third, wired interface with a delay range in fractional ms, a custom
 codec written in integers, integral floats, and both presets. They are
-compared as JSON text, so an int that turns into a float shows.
+compared as JSON text, so an int that turns into a float shows. Each is
+also read back into a config (config_from_settings), which must write the
+same text again.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ import pytest
 
 from sipswitch import traffic
 from sipswitch.cli import build_call_spec, load_config, main
+from sipswitch.config import config_as_dict, config_from_settings
 from sipswitch.scenario import run_call
 from sipswitch.traffic import read_trace, write_trace
 
@@ -273,4 +276,8 @@ def test_manifest_settings_are_unchanged(tmp_path, capsys, name):
     settings["out_dir"] = ""
     want = json.loads(GOLDEN_SETTINGS.read_text())[name]
     assert (json.dumps(settings, indent=2, sort_keys=True)
+            == json.dumps(want, indent=2, sort_keys=True))
+    # and the settings read back as the config that wrote them
+    assert (json.dumps(config_as_dict(config_from_settings(want)), indent=2,
+                       sort_keys=True)
             == json.dumps(want, indent=2, sort_keys=True))
