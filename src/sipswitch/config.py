@@ -5,7 +5,6 @@ settings (config_from_settings) both pass; the CallSpec of each repetition."""
 from __future__ import annotations
 
 import dataclasses
-import sys
 from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ import yaml
 from .core import (
     CODEC_PRESETS,
     CODEC_RULES,
+    LINK_PARAMS_RULES,
     LINK_RULES,
     MAX_PACKET_BYTES,
     Q_WEIGHT,
@@ -155,6 +155,8 @@ SETTING_RULES = {
 # end of a [low, high] range), and its q-weight.
 _INTERFACE_RULES = {"prop_delay_ms": Range(Numeric(0, unit_us=US_PER_MS)),
                     **LINK_RULES, "q_weight": Q_WEIGHT}
+# A manifest's delay is in us, as in LinkParams, and obeys its rule.
+_DELAY_US = {"prop_delay_us": LINK_PARAMS_RULES["prop_delay_us"]}
 
 
 def _check(values: dict, rules: dict, prefix: str, bad: list[str]) -> set[str]:
@@ -429,25 +431,36 @@ def config_as_dict(config: ExperimentConfig) -> dict:
 
 def config_from_settings(settings: dict) -> ExperimentConfig:
     """config_as_dict's inverse, checked by a config file's rules, which
-    report codec_profiles as custom_codecs and prop_delay_us as
-    prop_delay_ms, in ms. A manifest is complete: a missing setting is a
-    violation. A section that is no mapping raises TypeError/AttributeError."""
+    report codec_profiles as custom_codecs. Each interface's prop_delay_us
+    is checked by its rule in LinkParams, then read as prop_delay_ms, in ms.
+    A manifest is complete: a missing setting is a violation."""
     missing = [f"{field.name}: missing" for field in dataclasses.fields(
         ExperimentConfig) if field.name not in settings]
     if missing:
         raise ConfigError(missing)
     raw = deepcopy(settings)
     raw["custom_codecs"] = raw.pop("codec_profiles")
-    for codec in raw["custom_codecs"].values():
+    for _, codec in _mapping_entries(raw["custom_codecs"]):
         codec.pop("name", None)
-    for iface in raw["interfaces"].values():
-        iface["prop_delay_ms"] = _in_ms(iface.pop("prop_delay_us", None))
-    return _validate_settings(raw)
+    bad: list[str] = []
+    for iface_id, iface in _mapping_entries(raw["interfaces"]):
+        if not _check(iface, _DELAY_US, f"interfaces.{iface_id}.", bad):
+            us = iface["prop_delay_us"]
+            iface["prop_delay_ms"] = ([end / US_PER_MS for end in us]
+                                      if isinstance(us, (list, tuple))
+                                      else us / US_PER_MS)
+        iface.pop("prop_delay_us", None)
+    try:
+        config = _validate_settings(raw)
+    except ConfigError as exc:
+        raise ConfigError(bad + exc.violations) from None
+    if bad:
+        raise ConfigError(bad)
+    return config
 
 
-def _in_ms(delay_us: Any) -> Any:
-    """A delay in us, or [low, high], in ms; the rules report a non-number."""
-    if isinstance(delay_us, (list, tuple)):
-        return [*map(_in_ms, delay_us)]
-    return (delay_us / US_PER_MS if type(delay_us) in (int, float)
-            and abs(delay_us) <= sys.float_info.max else delay_us)
+def _mapping_entries(value: Any) -> list[tuple[Any, dict]]:
+    """The (key, entry) pairs of value whose entry is a mapping, none if
+    value is no mapping; _validate_settings reports the rest."""
+    return ([(key, entry) for key, entry in value.items()
+             if isinstance(entry, dict)] if isinstance(value, dict) else [])

@@ -32,7 +32,7 @@ DL = "DL"
 LOSS_RANDOM = "random-loss"
 LOSS_QUEUE = "queue-overflow"
 LOSS_CLOSED = "closed-interface"
-LOSS_LINK_DOWN = "link-down"
+LOSS_LINK_DOWN = "link-down"  # only the down links of tests/faults.py
 
 LOSS_CAUSES = (LOSS_RANDOM, LOSS_QUEUE, LOSS_CLOSED, LOSS_LINK_DOWN)
 

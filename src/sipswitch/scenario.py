@@ -94,10 +94,8 @@ CN_IFACE = "cn0"
 # order, with fallback, the re-INVITE's the new interface, without. Nothing
 # answers the one REGISTER.
 EXCHANGES = {x.caller: x for x in (
-    Exchange(SipMethod.INVITE, CN_URI, "setup-ok", ack_every_ok=False,
-             forced_drops=False),
-    Exchange(SipMethod.REINVITE, MN_URI, "handoff-ok", ack_every_ok=True,
-             forced_drops=True))}
+    Exchange(SipMethod.INVITE, CN_URI, "setup-ok", ack_every_ok=False),
+    Exchange(SipMethod.REINVITE, MN_URI, "handoff-ok", ack_every_ok=True))}
 
 
 def exchange_of(msg: SipMessage) -> Exchange:
@@ -137,10 +135,6 @@ class CallSpec:
     seed: int = 1
     run_id: str = "run"
     log_events: bool = False
-    down_links: frozenset[str] = frozenset()
-    # Sends to drop, as {(method, occurrence)}: the requests and OKs of the
-    # forced_drops rows, counted per method (0 = first send, 1 = first resend).
-    signaling_drop_plan: frozenset[tuple[str, int]] = frozenset()
 
     def validate(self) -> list[str]:
         failed = violations(vars(self), SPEC_RULES)
@@ -202,8 +196,7 @@ class _CallRuntime:
                 link_id = f"{iface.iface_id}-{end}"
                 links[iface.iface_id] = Link(
                     self.engine, link_id, iface.link,
-                    substream(spec.seed, f"link/{link_id}"),
-                    down=link_id in spec.down_links)
+                    substream(spec.seed, f"link/{link_id}"))
 
         self.state = HandoffState(old_iface=spec.switch_from,
                                   new_iface=spec.switch_to)
@@ -212,7 +205,6 @@ class _CallRuntime:
         self.aborted = False
         self.abort_reason: Optional[str] = None
         self.exchanges = {caller: ExchangeState() for caller in EXCHANGES}
-        self._drop_counts: dict[str, int] = {}
         self._dl_at_cn_switch: Optional[int] = None  # DL packets recorded then
         self._closed = {UL: 0, DL: 0}  # media packets lost to a Closed iface
 
@@ -232,8 +224,7 @@ class _CallRuntime:
 
     def _send(self, msg: SipMessage) -> None:
         """Offer a signaling message to its link, the MN's uplink or the
-        CN's downlink of via_iface, and log its fate. The drop plan counts
-        the sends of each method that a forced_drops row reaches."""
+        CN's downlink of via_iface, and log its fate."""
         iface, key = msg.via_iface, msg.method.value
         links = self.links_dl
         if msg.from_uri == MN_URI:
@@ -241,20 +232,13 @@ class _CallRuntime:
                 raise InternalInvariantError(
                     f"MN tried to send {key} from Closed interface {iface}")
             links = self.links_ul
-        fields = (self.engine.now, key, msg.from_uri, msg.to_uri, iface)
-        ex = exchange_of(msg)
-        if ex.forced_drops and msg.method in (ex.method, SipMethod.OK):
-            occurrence = self._drop_counts.get(key, 0)
-            self._drop_counts[key] = occurrence + 1
-            if (key, occurrence) in self.spec.signaling_drop_plan:
-                self.signaling.record(*fields, "dropped:forced")
-                return
         arrival, cause = links[iface].transmit(
             msg.size_bytes, on_arrive=lambda t: self._receive(msg),
             note=f"sip-{key}")
         outcome = (f"delivered@{arrival}" if cause is None
                    else f"dropped:{cause}")
-        self.signaling.record(*fields, outcome)
+        self.signaling.record(self.engine.now, key, msg.from_uri, msg.to_uri,
+                              iface, outcome)
 
     def _receive(self, msg: SipMessage) -> None:
         """Arrival at the core (registrar and CN) or at the MN. The

@@ -9,13 +9,7 @@ from functools import partial
 from itertools import repeat
 from typing import Callable, Optional
 
-from .core import (
-    LOSS_LINK_DOWN,
-    LOSS_QUEUE,
-    LOSS_RANDOM,
-    LinkParams,
-    SimulationError,
-)
+from .core import LOSS_QUEUE, LOSS_RANDOM, LinkParams, SimulationError
 
 
 class SchedulingInPastError(SimulationError):
@@ -160,7 +154,7 @@ class Link:
     The queue capacity counts packets in the system (serializing plus
     waiting). Arrival times are clamped to be non-decreasing so delivery
     order always equals offer order. The parameters obey LinkParams' rules,
-    which CallSpec.validate applies. A down link drops every packet.
+    which CallSpec.validate applies.
 
     A lossless link whose queue has drained, offered packets no closer
     together than one serialization, delivers them without queueing; offer
@@ -169,7 +163,7 @@ class Link:
     """
 
     def __init__(self, engine: Engine, link_id: str, params: LinkParams,
-                 rng: Optional[random.Random] = None, down: bool = False):
+                 rng: random.Random):
         if isinstance(params.prop_delay_us, (list, tuple)):
             lo, hi = params.prop_delay_us
         else:
@@ -181,8 +175,7 @@ class Link:
         self.prop_hi_us = hi
         self.queue_capacity_pkts = params.queue_capacity_pkts
         self.loss_prob = params.loss_prob
-        self.rng = rng if rng is not None else random.Random(0)
-        self.down = down
+        self.rng = rng
         self.offered = 0
         self.delivered = 0
         self.dropped = 0
@@ -218,9 +211,6 @@ class Link:
             raise ValueError("size_bytes must be positive")
         n = len(times)
         self.offered += n
-        if self.down:
-            self.dropped += n
-            return [None] * n, [LOSS_LINK_DOWN] * n
         serialization = self.serialization_us(size_bytes)
         busy = self._busy
         popleft, push = busy.popleft, busy.append

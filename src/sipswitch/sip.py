@@ -90,14 +90,12 @@ SIGNALING_RULES = {
 class Exchange:
     """A request and its 2xx in RFC 3261's reliability roles. The callee
     answers every request copy with one OK, resent as ok_subject until ACKed
-    (13.3.1.4); the caller ACKs the first OK, or each if ack_every_ok. The
-    drop plan reaches the request and the OK if forced_drops."""
+    (13.3.1.4); the caller ACKs the first OK, or each if ack_every_ok."""
 
     method: SipMethod
     caller: str
     ok_subject: str
     ack_every_ok: bool
-    forced_drops: bool
 
 
 @dataclass

@@ -2,7 +2,7 @@
 oracle for the closed form that Link.offer takes once a lossless link's
 queue has drained."""
 
-from sipswitch.core import LOSS_LINK_DOWN, LOSS_QUEUE, LOSS_RANDOM
+from sipswitch.core import LOSS_QUEUE, LOSS_RANDOM
 from sipswitch.simnet import Link
 
 
@@ -14,9 +14,6 @@ class PerPacketLink(Link):
             raise ValueError("size_bytes must be positive")
         n = len(times)
         self.offered += n
-        if self.down:
-            self.dropped += n
-            return [None] * n, [LOSS_LINK_DOWN] * n
         serialization = self.serialization_us(size_bytes)
         busy = self._busy
         lo, span = self.prop_lo_us, self.prop_hi_us - self.prop_lo_us + 1

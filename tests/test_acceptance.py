@@ -26,6 +26,7 @@ from sipswitch.sip import DELIVERED, SipMethod
 from sipswitch.traffic import read_trace
 
 from emodel_terms import id_delay_impairment, ie_effective, r_factor
+from faults import run_faulty
 from trace_rows import lost_count, trace_rows
 
 PROCS = ("hard", "hybrid", "soft")
@@ -353,11 +354,10 @@ def test_criterion_10_registration_fallback_and_no_midcall_register(
     cfg = make_config(preset="campaign-A",
                       interfaces={"wlan": {"q_weight": 0.95}})
     spec = build_call_spec(cfg, "G711", "hybrid", "wlan-to-cellular", 0)
-    spec.down_links = frozenset({"wlan-dl"})
     spec.call_start_us = 4_000_000   # setup needs room for the 2 s fallback
     spec.call_duration_us = 6_000_000
     spec.switch_offset_us = 3_000_000
-    result = run_call(spec)
+    result = run_faulty(spec, down_links=frozenset({"wlan-dl"}))
     assert not result.aborted
     assert result.state.phase is HandoffPhase.COMPLETED
 
@@ -396,8 +396,7 @@ def test_criterion_11_handshake_loss_interleavings_all_terminate(make_config):
             spec = build_call_spec(cfg, "G729", proc, "wlan-to-cellular", 0)
             spec.call_duration_us = 15_000_000
             spec.switch_offset_us = 2_000_000
-            spec.signaling_drop_plan = plan
-            result = run_call(spec)
+            result = run_faulty(spec, drops=plan)
             if ("REINVITE", 0) in plan:
                 # the plan reaches the wire: the first re-INVITE is dropped
                 assert any(" REINVITE," in line and "dropped:forced" in line

@@ -542,20 +542,42 @@ def _break(manifest, *path, value=None):
     (lambda m: _break(m, "interfaces", "wlan", "q_weight", value=7),
      "interfaces.wlan.q_weight: must be <= 1, got 7"),
     (lambda m: _break(m, "interfaces", "wlan", "prop_delay_us", value=-5),
-     "interfaces.wlan.prop_delay_ms: must be >= 0, got -0.005"),
+     "interfaces.wlan.prop_delay_us: must be >= 0, got -5"),
     (lambda m: _break(m, "interfaces", "wlan", "prop_delay_us", value=True),
-     "interfaces.wlan.prop_delay_ms: must be a finite number, got True"),
+     "interfaces.wlan.prop_delay_us: must be a finite number, got True"),
     (lambda m: _break(m, "signaling", "ok_bytes", value=0),
      "signaling.ok_bytes: must be >= 1, got 0"),
     (lambda m: _break(m, "directions", value=["cellular-to-nowhere"]),
      "directions: 'cellular-to-nowhere' references unknown interface "
      "'nowhere'"),
     (lambda m: _break(m, "extra", value=1), "extra: unknown setting"),
+    # a section or an entry that is no mapping, which once ended in an
+    # AttributeError
+    (lambda m: _break(m, "codec_profiles", value=[1]),
+     "custom_codecs: expected a mapping"),
+    (lambda m: _break(m, "codec_profiles", "G729", value=5),
+     "custom_codecs.G729: expected a mapping"),
+    (lambda m: _break(m, "interfaces", value="x"),
+     "interfaces: need a mapping with at least two interfaces"),
+    (lambda m: _break(m, "interfaces", "wlan", value=3),
+     "interfaces.wlan: expected a mapping"),
+    # a delay in us that LinkParams' rule refuses, which once ran rounded
+    (lambda m: _break(m, "interfaces", "wlan", "prop_delay_us", value=5.5),
+     "interfaces.wlan.prop_delay_us: must be an integer, got 5.5"),
+    (lambda m: _break(m, "interfaces", "wlan", "prop_delay_us",
+                      value=2 ** 53 + 1),
+     "interfaces.wlan.prop_delay_us: must be <= 9007199254740992.0, "
+     "got 9007199254740993"),
+    (lambda m: _break(m, "interfaces", "wlan", "prop_delay_us",
+                      value=[0, 5.5]),
+     "interfaces.wlan.prop_delay_us: must be an integer, got 5.5"),
 ], ids=["not-json", "list", "codec-without-ie", "negative-r0",
         "zero-window", "zero-payload", "sub-packet-stride", "1-us-stride",
         "string-flag", "no-flag", "no-stride", "loss-above-1",
         "q-weight-above-1", "negative-delay", "true-delay", "zero-ok-bytes",
-        "unknown-interface", "unknown-key"])
+        "unknown-interface", "unknown-key", "list-codecs", "int-codec",
+        "string-interfaces", "int-interface", "fractional-delay",
+        "delay-above-max", "fractional-delay-end"])
 def test_recompute_metrics_rejects_a_malformed_manifest(
         tmp_path, capsys, tiny_run, broken, shown):
     # the first six rows, no-flag and no-stride once ended in a traceback;

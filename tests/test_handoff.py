@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from sipswitch.config import build_call_spec
@@ -14,6 +12,8 @@ from sipswitch.handoff import (
     media_route,
 )
 from sipswitch.scenario import run_call
+
+from faults import run_faulty
 
 HARD, HYBRID, SOFT = HandoffProcedure
 
@@ -106,8 +106,7 @@ def test_duplicate_reinvite_gets_ok_but_changes_nothing(make_config):
     # the CN's first OK is lost, so the MN resends its re-INVITE
     spec = build_call_spec(make_config(), "G729", "soft",
                            "wlan-to-cellular", 0)
-    result = run_call(replace(
-        spec, signaling_drop_plan=frozenset({("OK", 0)})))
+    result = run_faulty(spec, drops=frozenset({("OK", 0)}))
     first, duplicate = reinvites(result)
     assert result.state.t_cn_switch == first  # the first arrival stands
     assert any(l.startswith(f"({duplicate}, OK, cn, mn,")

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 
 from sipswitch.core import DL, LOSS_CLOSED, UL
 from sipswitch.handoff import HandoffProcedure
-from sipswitch.scenario import run_call
 
+from faults import run_faulty
 from test_media_clock import call_specs
 
 REINVITE_ARRIVAL = " arrival sip-REINVITE"
@@ -39,8 +39,8 @@ def closed_by_the_log(result, procedure):
     return flags, t_cn_switch
 
 
-def assert_the_gap_rule(spec):
-    result = run_call(spec)
+def assert_the_gap_rule(spec, faults):
+    result = run_faulty(spec, **faults)
     flags, t_cn_switch = closed_by_the_log(result, spec.procedure)
     assert result.state.t_cn_switch == t_cn_switch
     causes = {d: p.cause for d, p in result.trace.directions.items()}
@@ -53,13 +53,15 @@ def assert_the_gap_rule(spec):
 # max_examples to search further.
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(call_specs())
-def test_closed_interface_losses_are_the_hard_dl_gap(spec):
-    assert_the_gap_rule(spec)
+def test_closed_interface_losses_are_the_hard_dl_gap(spec_faults):
+    assert_the_gap_rule(*spec_faults)
 
 
-def clean(spec):
-    """spec over clean links: no random loss, no link down, no forced drop,
+def clean(spec_faults):
+    """The drawn spec, without its faults, over clean links: no random loss,
     and every queue and bitrate ample for media and signaling."""
+    spec, _ = spec_faults
+
     def ample(link):
         fast = link.bitrate_kbps is None or link.bitrate_kbps >= 384.0
         return replace(link, loss_prob=0.0, queue_capacity_pkts=50,
@@ -67,14 +69,13 @@ def clean(spec):
 
     spec.interfaces = [replace(i, link=ample(i.link))
                        for i in spec.interfaces]
-    spec.down_links = spec.signaling_drop_plan = frozenset()
     return spec
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(call_specs().map(clean))
 def test_over_clean_links_only_the_hard_dl_gap_loses(spec):
-    result, causes = assert_the_gap_rule(spec)
+    result, causes = assert_the_gap_rule(spec, {})
     assert not result.aborted and result.t_completed is not None
     assert causes[UL].count(None) == len(causes[UL])
     lost = [cause for cause in causes[DL] if cause is not None]

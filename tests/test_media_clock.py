@@ -17,7 +17,6 @@ from sipswitch.core import (
     CODEC_PRESETS,
     DL,
     LOSS_CLOSED,
-    LOSS_LINK_DOWN,
     LOSS_QUEUE,
     LOSS_RANDOM,
     UL,
@@ -30,6 +29,7 @@ from sipswitch.handoff import HandoffProcedure, media_route
 from sipswitch.scenario import CN_IFACE, CallSpec, _CallRuntime
 from sipswitch.simnet import UNLIMITED, Link
 
+from faults import FaultyRuntime
 from per_packet_link import PerPacketLink
 from trace_rows import trace_rows
 
@@ -42,9 +42,6 @@ class _HeapLink(Link):
             raise ValueError("size_bytes must be positive")
         t = self.engine.now
         self.offered += 1
-        if self.down:
-            self.dropped += 1
-            return None, LOSS_LINK_DOWN
         busy = self._busy
         while busy and busy[0] <= t:
             busy.popleft()
@@ -74,7 +71,7 @@ class _HeapLink(Link):
         return arrival, None
 
 
-class _HeapMediaRuntime(_CallRuntime):
+class _HeapMediaRuntime(FaultyRuntime):
     """A call whose media runs as one heap event per packet and direction."""
 
     def _start_media(self):
@@ -111,10 +108,10 @@ class _HeapMediaRuntime(_CallRuntime):
                              subject=stream_id)
 
 
-def outcome(runtime_class, spec, link_class=Link):
+def outcome(runtime_class, spec, link_class=Link, **faults):
     """Everything a run leaves behind that two media paths must share."""
     with mock.patch.object(scenario, "Link", link_class):
-        runtime = runtime_class(spec)
+        runtime = runtime_class(spec, **faults)
     try:
         result = runtime.run()
     except SimulationError as exc:
@@ -153,6 +150,7 @@ DROPS = [(method, k) for method in ("REINVITE", "OK") for k in range(3)]
 
 @st.composite
 def call_specs(draw):
+    """(spec, faults): a call and the faults to run it with (faults.py)."""
     codec = CODEC_PRESETS[draw(st.sampled_from(sorted(CODEC_PRESETS)))]
     interval = codec.packet_interval_us
     duration = draw(st.integers(20, 150)) * interval + draw(
@@ -164,7 +162,7 @@ def call_specs(draw):
     if draw(st.booleans()):
         jitter = 0
     switch_from, switch_to = draw(st.permutations(["wlan", "cellular"]))
-    return CallSpec(
+    spec = CallSpec(
         codec=codec,
         procedure=draw(st.sampled_from(list(HandoffProcedure))),
         switch_from=switch_from, switch_to=switch_to,
@@ -179,20 +177,22 @@ def call_specs(draw):
         call_duration_us=duration, switch_offset_us=offset,
         switch_jitter_us=jitter,
         watchdog_us=draw(st.sampled_from([300_000, 10_000_000])),
-        seed=draw(st.integers(0, 2 ** 32)), log_events=True,
-        down_links=frozenset(draw(st.lists(st.sampled_from(LINK_IDS),
-                                           max_size=1))),
-        signaling_drop_plan=frozenset(draw(st.lists(st.sampled_from(DROPS),
-                                                    max_size=3))))
+        seed=draw(st.integers(0, 2 ** 32)), log_events=True)
+    return spec, {
+        "down_links": frozenset(draw(st.lists(st.sampled_from(LINK_IDS),
+                                              max_size=1))),
+        "drops": frozenset(draw(st.lists(st.sampled_from(DROPS),
+                                         max_size=3)))}
 
 
 # derandomize keeps the suite's outcome fixed; drop it and raise
 # max_examples to search further.
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(call_specs())
-def test_the_media_clock_equals_one_heap_event_per_packet(spec):
-    assert outcome(_CallRuntime, spec) == outcome(_HeapMediaRuntime, spec,
-                                                  _HeapLink)
+def test_the_media_clock_equals_one_heap_event_per_packet(spec_faults):
+    spec, faults = spec_faults
+    assert outcome(FaultyRuntime, spec, **faults) == outcome(
+        _HeapMediaRuntime, spec, _HeapLink, **faults)
 
 
 def test_the_oracle_sees_the_losses_and_aborts_it_is_meant_to_cover():
@@ -207,10 +207,10 @@ def test_the_oracle_sees_the_losses_and_aborts_it_is_meant_to_cover():
             InterfaceDescriptor("cellular", Technology.CELLULAR_LIKE, 0.9,
                                 LinkParams(64.0, (40_000, 80_000), 5, 0.05))],
         call_duration_us=4_000_000, switch_offset_us=2_000_000,
-        log_events=True, seed=3,
-        signaling_drop_plan=frozenset({("REINVITE", 0)}))
-    got = outcome(_CallRuntime, spec)
-    assert got == outcome(_HeapMediaRuntime, spec, _HeapLink)
+        log_events=True, seed=3)
+    drops = frozenset({("REINVITE", 0)})
+    got = outcome(FaultyRuntime, spec, drops=drops)
+    assert got == outcome(_HeapMediaRuntime, spec, _HeapLink, drops=drops)
     causes = {row[6] for row in got["rows"]}
     assert {LOSS_CLOSED, LOSS_QUEUE, LOSS_RANDOM} <= causes
     assert any("REINVITE" in line and "dropped:forced" in line
@@ -223,9 +223,12 @@ def test_the_oracle_sees_the_losses_and_aborts_it_is_meant_to_cover():
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(call_specs())
-def test_the_closed_form_link_equals_the_per_packet_link(spec):
-    assert outcome(_CallRuntime, spec) == outcome(_CallRuntime, spec,
-                                                  PerPacketLink)
+def test_the_closed_form_link_equals_the_per_packet_link(spec_faults):
+    spec, faults = spec_faults
+    assert outcome(FaultyRuntime, spec, **faults) == outcome(
+        FaultyRuntime, spec, PerPacketLink, **faults)
+    # and with no fault the fault runtime runs the call as run_call does
+    assert outcome(FaultyRuntime, spec) == outcome(_CallRuntime, spec)
 
 
 def test_the_closed_form_after_a_reinvite_queues_media(make_config):

@@ -20,6 +20,7 @@ from sipswitch.handoff import HandoffPhase, HandoffProcedure, Step
 from sipswitch.scenario import CallSpec, _CallRuntime, run_call
 from sipswitch.sip import DELIVERED, SignalingConfig, SipMethod
 
+from faults import run_faulty
 from trace_rows import lost_count, trace_rows
 
 
@@ -148,17 +149,17 @@ def test_different_seeds_differ():
     assert trace_rows(a.trace) != trace_rows(b.trace)
 
 
-@pytest.mark.parametrize("changes,abort_reason", [
-    *(({"procedure": procedure}, None) for procedure in HandoffProcedure),
+@pytest.mark.parametrize("changes,faults,abort_reason", [
+    *(({"procedure": procedure}, {}, None) for procedure in HandoffProcedure),
     # mid-call: both re-INVITE sends dropped, the watchdog ends the call
-    ({"procedure": HandoffProcedure.HARD, "watchdog_us": 2_000_000,
-      "signaling_drop_plan": frozenset({("REINVITE", 0), ("REINVITE", 1)})},
-     "watchdog"),
+    ({"procedure": HandoffProcedure.HARD, "watchdog_us": 2_000_000},
+     {"drops": frozenset({("REINVITE", 0), ("REINVITE", 1)})}, "watchdog"),
     # at the call start: no signaling gets out
-    ({"down_links": frozenset({"wlan-ul", "cellular-ul"})},
+    ({}, {"down_links": frozenset({"wlan-ul", "cellular-ul"})},
      "setup-incomplete"),
 ], ids=[*map(str, HandoffProcedure), "watchdog", "setup-abort"])
-def test_a_finished_run_leaves_no_reference_cycle(changes, abort_reason):
+def test_a_finished_run_leaves_no_reference_cycle(changes, faults,
+                                                  abort_reason):
     # a campaign drops each run's result after exporting it; the trace must
     # go then, not linger until the collector's next full pass, also when
     # the run aborted with events and the media clock still pending
@@ -166,7 +167,7 @@ def test_a_finished_run_leaves_no_reference_cycle(changes, abort_reason):
     gc.collect()
     gc.disable()
     try:
-        result = run_call(spec)
+        result = run_faulty(spec, **faults)
         assert result.abort_reason == abort_reason
         del result
         assert gc.collect() == 0
@@ -257,8 +258,7 @@ def test_hard_closes_at_trigger_soft_closes_at_ok():
 
 
 def test_forced_drop_plan_is_recovered_by_retransmission():
-    spec = base_spec(signaling_drop_plan=frozenset({("REINVITE", 0)}))
-    result = run_call(spec)
+    result = run_faulty(base_spec(), drops=frozenset({("REINVITE", 0)}))
     assert not result.aborted
     assert result.state.phase is HandoffPhase.COMPLETED
     dropped = [l for l in result.signaling.lines
@@ -271,10 +271,9 @@ def test_forced_drop_plan_is_recovered_by_retransmission():
 
 
 def test_two_dropped_reinvites_complete_on_the_third_send():
-    spec = base_spec(
-        signaling=SignalingConfig(max_retransmissions=2),
-        signaling_drop_plan=frozenset({("REINVITE", 0), ("REINVITE", 1)}))
-    result = run_call(spec)
+    spec = base_spec(signaling=SignalingConfig(max_retransmissions=2))
+    result = run_faulty(spec,
+                        drops=frozenset({("REINVITE", 0), ("REINVITE", 1)}))
     assert not result.aborted
     assert result.state.phase is HandoffPhase.COMPLETED
     reinvites = [l for l in result.signaling.lines if ", REINVITE," in l]
@@ -288,8 +287,7 @@ def test_two_dropped_reinvites_complete_on_the_third_send():
 def test_watchdog_aborts_a_dead_handshake():
     plan = frozenset({("REINVITE", 0), ("REINVITE", 1),
                       ("OK", 0), ("OK", 1)})
-    spec = base_spec(signaling_drop_plan=plan, watchdog_us=2_000_000)
-    result = run_call(spec)
+    result = run_faulty(base_spec(watchdog_us=2_000_000), drops=plan)
     assert result.aborted and result.abort_reason == "watchdog"
     assert result.state.phase is HandoffPhase.SWITCHING
     deadline = result.t_trigger + 2_000_000
@@ -299,8 +297,8 @@ def test_watchdog_aborts_a_dead_handshake():
 
 
 def test_setup_failure_aborts_before_any_media():
-    spec = base_spec(down_links=frozenset({"wlan-dl", "cellular-dl"}))
-    result = run_call(spec)
+    result = run_faulty(base_spec(),
+                        down_links=frozenset({"wlan-dl", "cellular-dl"}))
     assert result.aborted and result.abort_reason == "setup-incomplete"
     assert result.trace.generated == 0
 
@@ -309,9 +307,8 @@ def test_down_uplink_records_link_down_losses_until_the_switch():
     # wlan uplink is dead; signaling survives via cellular, so the call
     # sets up, and every uplink packet is lost until the trigger moves it
     spec = base_spec(procedure=HandoffProcedure.HYBRID,
-                     direction=("wlan", "cellular"),
-                     down_links=frozenset({"wlan-ul"}))
-    result = run_call(spec)
+                     direction=("wlan", "cellular"))
+    result = run_faulty(spec, down_links=frozenset({"wlan-ul"}))
     assert not result.aborted
     ul_lost = [r for r in trace_rows(result.trace, UL) if r[6] is not None]
     assert all(r[6] == LOSS_LINK_DOWN for r in ul_lost)

@@ -19,6 +19,7 @@ from sipswitch.simnet import (
     substream,
 )
 
+from faults import DownLink
 from per_packet_link import PerPacketLink
 
 
@@ -122,7 +123,8 @@ def test_different_seeds_differ():
 
 
 def _link(eng, bitrate, prop, cap=50, loss=0.0, rng=None):
-    return Link(eng, "test-link", LinkParams(bitrate, prop, cap, loss), rng)
+    return Link(eng, "test-link", LinkParams(bitrate, prop, cap, loss),
+                random.Random(0) if rng is None else rng)
 
 
 @pytest.mark.parametrize("bitrate,prop,size,expected_arrival", [
@@ -189,7 +191,8 @@ def test_queue_drains_as_time_advances():
 
 def test_down_link_drops_everything():
     eng = Engine()
-    link = Link(eng, "test-link", LinkParams(UNLIMITED, 0), down=True)
+    link = DownLink(eng, "test-link", LinkParams(UNLIMITED, 0),
+                    random.Random(0))
     assert link.transmit(100) == (None, LOSS_LINK_DOWN)
     assert link.offer(range(0, 60, 20), 100) == ([None] * 3,
                                                  [LOSS_LINK_DOWN] * 3)
@@ -252,7 +255,7 @@ def test_transmit_rejects_an_empty_packet():
     # the link parameters obey LinkParams' rules, which CallSpec.validate
     # applies (tests/test_scenario.py)
     with pytest.raises(ValueError):
-        Link(Engine(), "x", LinkParams(64.0, 0)).transmit(0)
+        Link(Engine(), "x", LinkParams(64.0, 0), random.Random(0)).transmit(0)
 
 
 def test_offer_is_transmit_at_each_time():
