@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import islice, product
 from math import fsum
 from pathlib import Path
 from typing import Any, Optional
@@ -23,6 +23,7 @@ from .config import (
     ExperimentConfig,
     build_call_spec,
     capacity_warnings,
+    cell_id,
     config_as_dict,
     config_from_settings,
     load_config,
@@ -122,7 +123,7 @@ def _run_chunk(task: tuple) -> tuple[dict[str, WindowSums], list[dict]]:
     run's window series into the chunk's sums per media direction and
     keeping the rest of its result. Module-level for multiprocessing."""
     config, cell, reps = task
-    cell_dir = Path(config.out_dir) / "_".join(cell)
+    cell_dir = Path(config.out_dir) / cell_id(*cell)
     sums = {"ul": WindowSums(), "dl": WindowSums()}
     runs = []
     for rep in reps:
@@ -141,7 +142,7 @@ def _finish_cell(out_dir: Path, cell: tuple[str, str, str],
     """Merge a cell's chunks in order, write each media direction's
     aggregate file; returns the cell's manifest entry and its
     loss_summary.csv rows."""
-    cell_id = "_".join(cell)
+    cell_name = cell_id(*cell)
     runs = [run for _, chunk_runs in chunks for run in chunk_runs]
     good = [r for r in runs if not r["aborted"]]
     rows = []
@@ -149,16 +150,16 @@ def _finish_cell(out_dir: Path, cell: tuple[str, str, str],
         sums = WindowSums()
         for chunk_sums, _ in chunks:
             sums.merge(chunk_sums[name])
-        write_aggregate(str(out_dir / cell_id / f"aggregate_{name}.csv"),
+        write_aggregate(str(out_dir / cell_name / f"aggregate_{name}.csv"),
                         aggregate(sums))
         lost, pct_call, pct_switch = zip(*(r["loss"][name] for r in good))
         pct_switch = [pct for pct in pct_switch if pct is not None]
-        rows.append((cell_id, *cell, name.upper(), len(good),
+        rows.append((cell_name, *cell, name.upper(), len(good),
                      len(runs) - len(good), fsum(lost) / len(lost),
                      stdev(lost), fsum(pct_call) / len(pct_call),
                      fsum(pct_switch) / len(pct_switch) if pct_switch
                      else 0.0))
-    entry = {"cell_id": cell_id, "codec": cell[0], "procedure": cell[1],
+    entry = {"cell_id": cell_name, "codec": cell[0], "procedure": cell[1],
              "direction": cell[2],
              "runs": [{key: r[key] for key in
                        ("run_id", "seed", "aborted", "abort_reason")}
@@ -188,7 +189,7 @@ def run_campaign(config: ExperimentConfig,
     # Every directory is made before the first run: a file in the way, no
     # permission or a name the file system refuses is then a config error.
     try:
-        for path in (out_dir, *(out_dir / "_".join(cell) for cell in cells)):
+        for path in (out_dir, *(out_dir / cell_id(*cell) for cell in cells)):
             path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         shown = "".join(c if c.isprintable() else repr(c)[1:-1]
@@ -262,13 +263,28 @@ def _find_manifest(trace_path: Path) -> Optional[Path]:
     return next((path for path in found if path.is_file()), None)
 
 
+def _codec_of_run(config: ExperimentConfig, run_id: str) -> Optional[str]:
+    """The codec of the cell whose directory name run_id extends by _rNNN,
+    NNN a repetition the campaign ran, as build_call_spec writes it. None if
+    there is no such cell; validate keeps the names of cells unique."""
+    head, _, rep = run_id.rpartition("_r")
+    # the length test first: int() refuses a string of over 4300 digits
+    if not rep.isdecimal() or len(rep) > len(f"{config.repetitions:03d}") \
+            or f"{int(rep):03d}" != rep or int(rep) >= config.repetitions:
+        return None
+    return next((cell[0] for cell in product(
+        config.codecs, config.procedures, config.directions)
+        if cell_id(*cell) == head), None)
+
+
 def recompute_metrics(trace_file: str,
                       manifest_path: Optional[str] = None) -> list[Path]:
     """Re-derive both metric files from an exported trace.
 
-    The codec, window, and model parameters come from the campaign manifest
-    (found in a parent directory unless given explicitly), whose settings
-    must pass every rule of a config file (config_from_settings).
+    The codec, window, and model parameters come from the settings of the
+    campaign manifest (found in a parent directory unless given
+    explicitly), which must pass every rule of a config file
+    (config_from_settings); the codec is that of the cell the run id names.
     """
     trace_path = Path(trace_file)
     if not trace_path.is_file():
@@ -292,23 +308,21 @@ def recompute_metrics(trace_file: str,
     # The manifest comes from outside: any fault in it is a config error.
     try:
         manifest = json.loads(manifest_file.read_text())
-        codec_name = next((cell["codec"] for cell in manifest.get("cells", [])
-                           if any(r["run_id"] == run_id
-                                  for r in cell.get("runs", []))), None)
-        if codec_name is not None:
-            config = config_from_settings(manifest["settings"])
-            codec = config.codec_profiles[codec_name]
-    except (ConfigError, ValueError, TypeError, AttributeError, KeyError,
-            RecursionError) as exc:
+        if not isinstance(manifest, dict):
+            raise ConfigError(["top level must be a mapping"])
+        config = config_from_settings(manifest.get("settings"))
+    except (ConfigError, ValueError, RecursionError) as exc:
         raise ConfigError([f"{manifest_file}: {v}" for v in getattr(
             exc, "violations", [f"{type(exc).__name__}: {exc}"])]) from None
+    codec_name = _codec_of_run(config, run_id)
     if codec_name is None:
         raise ConfigError(
             [f"{trace_file}: run id {run_id!r} not found in "
              f"{manifest_file}"])
 
     stem = trace_path.parent / "recomputed_metrics"
-    _write_metrics(config, codec, trace, run_id, str(stem))
+    _write_metrics(config, config.codec_profiles[codec_name], trace, run_id,
+                   str(stem))
     return [Path(f"{stem}_{name}.csv") for name in ("ul", "dl")]
 
 

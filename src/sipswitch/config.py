@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 from copy import deepcopy
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Any, Optional
 
@@ -339,6 +340,17 @@ def _validate_settings(raw: dict[str, Any]) -> ExperimentConfig:
                 bad.append(f"directions: {direction!r} switches an "
                            f"interface to itself")
 
+    # One directory per cell: names may hold '_', so two cells can join alike.
+    codec_ids, procedure_ids, direction_ids = (
+        list(dict.fromkeys(n for n in names if isinstance(n, str)))
+        for names in (codecs, procedures, directions))
+    writers: dict[str, list[tuple]] = {}
+    for cell in product(codec_ids, procedure_ids, direction_ids):
+        name = cell_id(*cell)
+        bad.extend(f"cells {other} and {cell} both write {name}/"
+                   for other in writers.setdefault(name, []))
+        writers[name].append(cell)
+
     if not failed & {"call_duration_s", "switch_time_s", "switch_jitter_s"}:
         # In us, as the run checks them (CallSpec.validate).
         t, d, j = (s_to_us(raw[key]) for key in (
@@ -397,11 +409,17 @@ def capacity_warnings(config: ExperimentConfig) -> list[str]:
     return warnings
 
 
+def cell_id(codec_name: str, procedure: str, direction: str) -> str:
+    """The name of a cell's directory, which validate keeps unique within a
+    campaign; each run's id is it plus _rNNN."""
+    return "_".join((codec_name, procedure, direction))
+
+
 def build_call_spec(config: ExperimentConfig, codec_name: str,
                     procedure: str, direction: str, rep_idx: int) -> CallSpec:
     """The exact CallSpec the campaign runner uses for one repetition."""
     switch_from, switch_to = direction.split("-to-")
-    run_id = f"{codec_name}_{procedure}_{direction}_r{rep_idx:03d}"
+    run_id = f"{cell_id(codec_name, procedure, direction)}_r{rep_idx:03d}"
     return CallSpec(
         codec=config.codec_profiles[codec_name],
         procedure=HandoffProcedure(procedure),
@@ -434,6 +452,8 @@ def config_from_settings(settings: dict) -> ExperimentConfig:
     report codec_profiles as custom_codecs. Each interface's prop_delay_us
     is checked by its rule in LinkParams, then read as prop_delay_ms, in ms.
     A manifest is complete: a missing setting is a violation."""
+    if not isinstance(settings, dict):
+        raise ConfigError(["settings: expected a mapping"])
     missing = [f"{field.name}: missing" for field in dataclasses.fields(
         ExperimentConfig) if field.name not in settings]
     if missing:

@@ -54,7 +54,6 @@ from .core import (
     Numeric,
     SimTime,
     SimulationError,
-    ms_to_us,
     validate_codec,
     violations,
 )
@@ -69,16 +68,16 @@ from .handoff import (
 )
 from .simnet import Engine, Link, substream
 from .sip import (
-    ClientTransaction,
+    DELIVERED,
     Contact,
     Exchange,
     ExchangeState,
     SignalingConfig,
     SipMessage,
     SipMethod,
+    Transaction,
     apply_register,
     build_register,
-    retransmit,
 )
 from .traffic import (
     DEFAULT_HEADER_OVERHEAD_BYTES,
@@ -90,9 +89,9 @@ CN_URI = "cn"
 CN_IFACE = "cn0"
 
 # The call's SIP exchanges by caller (each endpoint calls once). Each request
-# is one ClientTransaction: the INVITE's targets are the MN's binding in q
-# order, with fallback, the re-INVITE's the new interface, without. Nothing
-# answers the one REGISTER.
+# and each OK is one Transaction: the INVITE's targets are the MN's binding in
+# q order, with fallback, the re-INVITE's the new interface and an OK's the
+# interface its request came by, without. Nothing answers the one REGISTER.
 EXCHANGES = {x.caller: x for x in (
     Exchange(SipMethod.INVITE, CN_URI, "setup-ok", ack_every_ok=False),
     Exchange(SipMethod.REINVITE, MN_URI, "handoff-ok", ack_every_ok=True))}
@@ -173,7 +172,7 @@ class RunResult:
     abort_reason: Optional[str]
     t_trigger: Optional[SimTime]
     t_completed: Optional[SimTime]
-    setup_transaction: Optional[ClientTransaction]
+    setup_transaction: Optional[Transaction]
 
 
 class _CallRuntime:
@@ -243,16 +242,16 @@ class _CallRuntime:
     def _receive(self, msg: SipMessage) -> None:
         """Arrival at the core (registrar and CN) or at the MN. The
         registrar keeps a REGISTER's binding; any other message goes to its
-        row. Every OK answers the caller's transaction; the caller ACKs the
-        first OK, and every copy if its row says so. The MN's first handoff
-        OK completes the switch."""
+        row. Every OK answers the caller's transaction and every ACK the
+        callee's OK; the caller ACKs the first OK, and every copy if its row
+        says so. The MN's first handoff OK completes the switch."""
         if msg.method is SipMethod.REGISTER:
             self.bindings[msg.from_uri] = apply_register(msg)
             return
         ex = exchange_of(msg)
         progress = self.exchanges[ex.caller]
         if msg.method is SipMethod.ACK:
-            progress.acked = True
+            progress.ok.answer(self.engine.now, msg.via_iface)
             return
         if msg.method is not SipMethod.OK:
             self._on_request(ex, progress, msg)
@@ -269,13 +268,14 @@ class _CallRuntime:
 
     def _on_request(self, ex: Exchange, progress: ExchangeState,
                     msg: SipMessage) -> None:
-        """The callee answers every copy with one OK, resent until ACKed.
+        """The callee answers every copy with one OK, sent by a Transaction
+        until ACKed; a later copy gets it once more, outside the Transaction.
         The first re-INVITE copy retargets the CN's downlink media to its
         media_iface, from the packet generated now on, but in the tie the
         module docstring states: the DL packets recorded by now, which the
         closed-loss check reads, say which way the tie went."""
         if progress.ok is not None:  # a resent or fallback copy
-            self._send(progress.ok)
+            self._send(progress.ok.msg)
             return
         t, state = self.engine.now, self.state
         if ex.method is SipMethod.REINVITE:
@@ -284,13 +284,11 @@ class _CallRuntime:
             self._check_state()
             self.handoff_log.record(t, "CN", "dst-switch", state.phase.value,
                                     state.phase.value)
-        ok = progress.ok = self._message(SipMethod.OK, msg.to_uri,
-                                         msg.via_iface)
-        self._send(ok)
-        sig = self.spec.signaling
-        retransmit(self.engine, lambda: self._send(ok),
-                   lambda: not progress.acked, ms_to_us(sig.rtx_interval_ms),
-                   sig.max_retransmissions, ex.ok_subject)
+        progress.ok = Transaction(
+            self._message(SipMethod.OK, msg.to_uri, msg.via_iface),
+            (msg.via_iface,), ex.ok_subject, self.spec.signaling,
+            fallback=False)
+        progress.ok.start(self.engine, self._send)
 
     def _send_register(self) -> None:
         self._send(build_register(MN_URI, self.spec.interfaces,
@@ -300,12 +298,13 @@ class _CallRuntime:
         invite = self._message(SipMethod.INVITE, CN_URI, CN_IFACE)
         # CN and registrar share the core: hand over without a link hop.
         targets = tuple(c.iface for c in self.bindings.get(invite.to_uri, ()))
-        txn = self.exchanges[CN_URI].request = ClientTransaction(
+        txn = self.exchanges[CN_URI].request = Transaction(
             invite, targets, "INVITE", self.spec.signaling, fallback=True)
         txn.start(self.engine, self._send)
 
     def _setup_guard(self) -> None:
-        if not self.exchanges[CN_URI].acked:  # the CN ACKs only if answered
+        ok = self.exchanges[CN_URI].ok  # the CN ACKs only if answered
+        if ok is None or ok.status != DELIVERED:
             self._abort("setup-incomplete")
 
     # -- handoff phase -----------------------------------------------------
@@ -317,7 +316,7 @@ class _CallRuntime:
         self.handoff_log.record(t, "MN", "trigger", "Stable", "Switching")
         new = state.new_iface
         msg = self._message(SipMethod.REINVITE, MN_URI, new, media_iface=new)
-        txn = self.exchanges[MN_URI].request = ClientTransaction(
+        txn = self.exchanges[MN_URI].request = Transaction(
             msg, (new,), "reinvite", self.spec.signaling, fallback=False)
         txn.start(self.engine, self._send)
         self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][0])

@@ -1,13 +1,13 @@
 """SIP signaling model: messages, the registrar's q-weight priority list,
-the exchange rows a call applies, the one client transaction every request
-is sent by (serial forwarding with fallback for the INVITE, plain resends
-for the re-INVITE), and the one retransmission timer every resent message
-uses."""
+the exchange rows a call applies, and the one transaction that sends every
+resent message until it is answered: serial forwarding with fallback for
+the INVITE, plain resends for the re-INVITE and for each request's OK."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .core import (
@@ -89,8 +89,9 @@ SIGNALING_RULES = {
 @dataclass(frozen=True)
 class Exchange:
     """A request and its 2xx in RFC 3261's reliability roles. The callee
-    answers every request copy with one OK, resent as ok_subject until ACKed
-    (13.3.1.4); the caller ACKs the first OK, or each if ack_every_ok."""
+    answers every request copy with one OK, a Transaction with subject
+    ok_subject that the ACK answers (13.3.1.4); the caller ACKs the first
+    OK, or each if ack_every_ok."""
 
     method: SipMethod
     caller: str
@@ -100,31 +101,12 @@ class Exchange:
 
 @dataclass
 class ExchangeState:
-    """How far one exchange has got."""
+    """How far one exchange has got. The OK's status is DELIVERED once an
+    ACK reached the callee."""
 
-    request: Optional[ClientTransaction] = None  # the caller's request
-    ok: Optional[SipMessage] = None  # the callee's answer to every copy
+    request: Optional[Transaction] = None  # the caller's request
+    ok: Optional[Transaction] = None  # the callee's answer to every copy
     answered: bool = False  # an OK reached the caller
-    acked: bool = False  # an ACK reached the callee
-
-
-def retransmit(engine: Engine, resend: Callable[[], None],
-               pending: Callable[[], bool], interval_us: int, times: int,
-               subject: str) -> None:
-    """Resend every interval_us, at most `times` times, while pending().
-
-    Call right after the first send. Each timer is armed only when the one
-    before it has resent, so an answered message leaves at most one no-op
-    timer behind.
-    """
-    def fire() -> None:
-        if pending():
-            resend()
-            retransmit(engine, resend, pending, interval_us, times - 1,
-                       subject)
-
-    if times > 0:
-        engine.schedule_in(interval_us, fire, kind="sip-rtx", subject=subject)
 
 
 def build_register(uri: str, interfaces: list[InterfaceDescriptor],
@@ -149,20 +131,21 @@ def apply_register(msg: SipMessage) -> tuple[Contact, ...]:
     return tuple(sorted(msg.contacts, key=lambda c: -c.q_weight))
 
 
-# Client transaction outcomes.
+# Transaction outcomes.
 PENDING = "pending"
 DELIVERED = "delivered"
 UNREACHABLE = "unreachable"
 
 
-class ClientTransaction:
-    """One request sent until answered (RFC 3261 17.1), to its targets in
-    order (16.6's sequential search). Each target, an MN interface id, gets
-    the request via that interface, resent every rtx_interval_ms up to
-    max_retransmissions times. With fallback, the next target takes over
-    after fallback_timeout_ms, with no resend at or after it, and the
-    transaction is unreachable once the last target times out. Without,
-    its resends are all it does.
+class Transaction:
+    """One message sent to its targets until answered: a request until its
+    OK arrives (RFC 3261 17.1), a 2xx until its ACK does (13.3.1.4). The
+    targets are tried in order (16.6's sequential search). Each target, an
+    MN interface id, gets the message via that interface, resent every
+    rtx_interval_ms up to max_retransmissions times. With fallback, the next
+    target takes over after fallback_timeout_ms, with no resend at or after
+    it, and the transaction is unreachable once the last target times out.
+    Without, its resends are all it does.
 
     It holds no callback, so that a finished run is freed without the
     collector: start hands the engine and the send function to its timers.
@@ -195,21 +178,28 @@ class ClientTransaction:
             self.status, self.completed_at = UNREACHABLE, engine.now
             return
         self.attempt_idx = idx
-        target = self.targets[idx]
-        msg = replace(self.msg, via_iface=target)
-
-        def send_once() -> None:
-            self.attempts.append((target, engine.now))
-            send(msg)
-
-        send_once()
-        retransmit(engine, send_once,
-                   lambda: self.status == PENDING and self.attempt_idx == idx,
-                   self.rtx_us, self.resends, self.subject)
+        msg = replace(self.msg, via_iface=self.targets[idx])
+        self._send(engine, send, msg, idx, self.resends)
         if self.fallback_us is not None:
             engine.schedule_in(
                 self.fallback_us, lambda: self.start(engine, send, idx + 1),
                 kind="sip-fallback-timeout", subject=self.subject)
+
+    def _send(self, engine: Engine, send: Callable[[SipMessage], None],
+              msg: SipMessage, idx: int, resends: int) -> None:
+        """Send msg to targets[idx] unless it was answered or fell back
+        since, and arm the next resend while `resends` are left. Each timer
+        is armed by the send before it, so an answered message leaves at
+        most one no-op timer behind."""
+        if self.status != PENDING or self.attempt_idx != idx:
+            return
+        self.attempts.append((msg.via_iface, engine.now))
+        send(msg)
+        if resends > 0:
+            engine.schedule_in(
+                self.rtx_us, partial(self._send, engine, send, msg, idx,
+                                     resends - 1),
+                kind="sip-rtx", subject=self.subject)
 
     def answer(self, now: int, from_iface: str) -> None:
         """An answer came via from_iface. The first one completes the

@@ -516,7 +516,9 @@ def _break(manifest, *path, value=None):
 
 @pytest.mark.parametrize("broken,shown", [
     (lambda m: "{not json", "JSONDecodeError: "),
-    (lambda m: "[]", "AttributeError: "),
+    (lambda m: "[]", "top level must be a mapping"),
+    (lambda m: json.dumps({**m, "settings": []}),
+     "settings: expected a mapping"),
     (lambda m: _break(m, "codec_profiles", "G729", "ie"),
      "custom_codecs.G729: G729: ie must be a finite number, got None"),
     (lambda m: _break(m, "emodel", "r0", value=-1),
@@ -571,8 +573,9 @@ def _break(manifest, *path, value=None):
     (lambda m: _break(m, "interfaces", "wlan", "prop_delay_us",
                       value=[0, 5.5]),
      "interfaces.wlan.prop_delay_us: must be an integer, got 5.5"),
-], ids=["not-json", "list", "codec-without-ie", "negative-r0",
-        "zero-window", "zero-payload", "sub-packet-stride", "1-us-stride",
+], ids=["not-json", "list", "list-settings", "codec-without-ie",
+        "negative-r0", "zero-window", "zero-payload", "sub-packet-stride",
+        "1-us-stride",
         "string-flag", "no-flag", "no-stride", "loss-above-1",
         "q-weight-above-1", "negative-delay", "true-delay", "zero-ok-bytes",
         "unknown-interface", "unknown-key", "list-codecs", "int-codec",
@@ -590,6 +593,55 @@ def test_recompute_metrics_rejects_a_malformed_manifest(
                  str(path)]) == 1
     assert f"config error: {path}: {shown}" in capsys.readouterr().err
     assert not list(trace.parent.glob("recomputed_*"))
+
+
+@pytest.mark.parametrize("broken", [
+    lambda m: {**m, "cells": [1]},
+    lambda m: {**m, "cells": [{**m["cells"][0], "runs": [1]}]},
+    lambda m: {**m, "cells": [{**m["cells"][0], "codec": "G999"}]},
+], ids=["int-cell", "int-run", "unknown-codec"])
+def test_recompute_metrics_reads_the_run_from_settings_not_cells(
+        tmp_path, tiny_run, broken):
+    # the codec comes from the settings and the cell the run id names, so
+    # what the cells list says plays no part; it once raised a TypeError,
+    # an AttributeError or a KeyError
+    trace, manifest = tiny_run
+    copy = tmp_path / "trace.csv"
+    copy.write_bytes(trace.read_bytes())
+    path = tmp_path / "manifest.json"
+    written = []
+    for shown in (manifest, broken(manifest)):
+        path.write_text(json.dumps(shown))
+        assert main(["recompute-metrics", str(copy), "--manifest",
+                     str(path)]) == 0
+        written.append([(tmp_path / f"recomputed_metrics_{name}.csv"
+                         ).read_bytes() for name in ("ul", "dl")])
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("rep,settings", [
+    ("r001", {}), ("r0", {}), ("r0000", {}),
+    ("r000", {"codecs": ["G711"]}),
+    ("r000", {"directions": ["wlan-to-cellular"]})],
+    ids=["past-repetitions", "short-digits", "long-digits", "other-codec",
+         "other-direction"])
+def test_recompute_metrics_finds_no_run_outside_the_campaign(
+        tmp_path, capsys, tiny_run, rep, settings):
+    # a run id names a cell and a repetition as build_call_spec writes
+    # them; the settings' campaign must have run both
+    trace, manifest = tiny_run
+    run_id = f"G729_hard_cellular-to-wlan_{rep}"
+    copy = tmp_path / "trace.csv"
+    copy.write_text(trace.read_text().replace(
+        "G729_hard_cellular-to-wlan_r000,", f"{run_id},"))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(
+        {**manifest, "settings": {**manifest["settings"], **settings}}))
+    assert main(["recompute-metrics", str(copy), "--manifest",
+                 str(path)]) == 1
+    assert (f"config error: {copy}: run id {run_id!r} not found in {path}"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("recomputed_*"))
 
 
 def test_recompute_metrics_rejects_a_deeply_nested_manifest(
@@ -1019,6 +1071,58 @@ def test_a_name_that_is_not_one_path_component_fails_validate(
     assert "Traceback" not in err
     assert _files_below(tmp_path) == before
     assert [p for p in tmp_path.rglob("*") if p.is_dir()] == []
+
+
+def test_two_cells_that_write_one_directory_fail_validate(tmp_path, capsys):
+    # a cell's directory joins its names with '_', which a name may hold:
+    # the second cell's runs once overwrote the first's
+    g729 = {"bitrate_kbps": 8.0, "packet_interval_ms": 20.0,
+            "payload_bytes": 20, "ie": 11.0, "bpl": 19.0}
+    iface = {"technology": "wired", "q_weight": 0.5}
+    cfg = write_config(tmp_path, ONE_RUN.replace(
+        "codecs: [G729]", "codecs: [C1, C1_hard]\ncustom_codecs: "
+        + json.dumps({"C1": g729, "C1_hard": g729})).replace(
+        "directions: [cellular-to-wlan]",
+        "directions: [hard_a-to-b, a-to-b, a-to-hard_a]\ninterfaces: "
+        + json.dumps({"hard_a": iface, "a": iface, "b": iface})))
+    before = _files_below(tmp_path)
+    assert main(["validate", cfg]) == 1
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    shown = ("config error: cells ('C1', 'hard', 'hard_a-to-b') and "
+             "('C1_hard', 'hard', 'a-to-b') both write C1_hard_hard_a-to-b/")
+    assert err.splitlines() == [shown, shown]  # one pair; run writes nothing
+    assert _files_below(tmp_path) == before
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_pair_of_cells_that_share_a_directory_is_named(tmp_path):
+    # three cells that share one directory are three pairs
+    g729 = {"bitrate_kbps": 8.0, "packet_interval_ms": 20.0,
+            "payload_bytes": 20, "ie": 11.0, "bpl": 19.0}
+    iface = {"technology": "wired", "q_weight": 0.5}
+    codecs = ["C", "C_hard", "C_hard_hard"]
+    cfg = write_config(tmp_path, ONE_RUN.replace(
+        "codecs: [G729]", f"codecs: {json.dumps(codecs)}\ncustom_codecs: "
+        + json.dumps(dict.fromkeys(codecs, g729))).replace(
+        "directions: [cellular-to-wlan]",
+        "directions: [x-to-y, hard_x-to-y, hard_hard_x-to-y]\ninterfaces: "
+        + json.dumps(dict.fromkeys(("x", "hard_x", "hard_hard_x", "y"),
+                                   iface))))
+    with pytest.raises(ConfigError) as caught:
+        load_config(cfg)
+    three = "C_hard_hard_hard_x-to-y/"
+    assert caught.value.violations == [
+        "cells ('C', 'hard', 'hard_x-to-y') and ('C_hard', 'hard', "
+        "'x-to-y') both write C_hard_hard_x-to-y/",
+        f"cells ('C', 'hard', 'hard_hard_x-to-y') and ('C_hard', 'hard', "
+        f"'hard_x-to-y') both write {three}",
+        f"cells ('C', 'hard', 'hard_hard_x-to-y') and ('C_hard_hard', "
+        f"'hard', 'x-to-y') both write {three}",
+        f"cells ('C_hard', 'hard', 'hard_x-to-y') and ('C_hard_hard', "
+        f"'hard', 'x-to-y') both write {three}",
+        "cells ('C_hard', 'hard', 'hard_hard_x-to-y') and ('C_hard_hard', "
+        "'hard', 'hard_x-to-y') both write C_hard_hard_hard_hard_x-to-y/"]
 
 
 @pytest.mark.parametrize("text,bad_path", [
