@@ -41,12 +41,13 @@ from .metrics import (
     aggregate,
     call_summary,
     fold,
+    shared_head,
     stdev,
     window_series,
     write_aggregate,
     write_metrics,
 )
-from .scenario import CallSpec, run_call
+from .scenario import CallSpec, grouped, run_call
 from .traffic import (
     clear_grid_memo,
     expected_packet_count,
@@ -56,25 +57,34 @@ from .traffic import (
 
 
 def _write_metrics(config: ExperimentConfig, codec, trace, run_id: str,
-                   stem: str) -> dict:
+                   stem: str, given: Optional[dict] = None) -> dict:
     """Each media direction's window series, written to <stem>_{ul,dl}.csv:
-    the one derivation of a run's metrics files and of their recompute."""
-    series = {}
+    the one derivation of a run's metrics files and of their recompute.
+    given maps a direction to the leading windows and rows that the run
+    shares with a sibling (shared_head); returns each direction's series
+    and rows."""
+    written = {}
     for direction, name in ((UL, "ul"), (DL, "dl")):
-        series[name] = window_series(trace, direction, codec,
-                                     config.window_len_ms, config.stride_ms,
-                                     config.emodel, config.use_burst_ratio)
-        write_metrics(f"{stem}_{name}.csv", run_id, series[name])
-    return series
+        head, head_rows = (given or {}).get(name, (None, ()))
+        series = window_series(trace, direction, codec,
+                               config.window_len_ms, config.stride_ms,
+                               config.emodel, config.use_burst_ratio, head)
+        written[name] = series, write_metrics(f"{stem}_{name}.csv", run_id,
+                                              series, head_rows)
+    return written
 
 
-def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
+def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path,
+             shared: Optional[dict] = None) -> dict:
     """Execute one repetition and write its artifacts; returns what its
     cell reads: the manifest fields, the window series and, per direction,
     (lost packets, loss % of the call, loss % of the switch window or None
     when there is none). A SimulationError inside the run aborts it alone,
     with the error as its reason and no files; a broken invariant or a
-    config error still ends the campaign."""
+    config error still ends the campaign. shared, given for the runs of a
+    procedure group (grouped), holds the metrics windows, and their rows,
+    that they share (shared_head): the first run past the trigger fills
+    it, and the others take them from it."""
     run_dir.mkdir(parents=True, exist_ok=True)
     out: dict[str, Any] = {"run_id": spec.run_id, "seed": spec.seed,
                            "series": {}, "loss": {}}
@@ -93,9 +103,15 @@ def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path) -> dict:
     for name, lines in logs.items():
         (run_dir / name).write_text("\n".join(lines) + "\n" if lines else "")
 
+    written = _write_metrics(config, spec.codec, result.trace, spec.run_id,
+                             str(run_dir / "metrics"), shared)
+    if shared == {} and result.t_trigger is not None:
+        # every run of the group has the packets generated before it
+        shared.update((name, shared_head(*pair, result.t_trigger,
+                                         config.window_len_ms))
+                      for name, pair in written.items())
     out.update(aborted=result.aborted, abort_reason=result.abort_reason,
-               series=_write_metrics(config, spec.codec, result.trace,
-                                     spec.run_id, str(run_dir / "metrics")))
+               series={name: series for name, (series, _) in written.items()})
     for direction, name in ((UL, "ul"), (DL, "dl")):
         if not out["series"][name]:
             continue
@@ -118,23 +134,31 @@ LOSS_SUMMARY_COLUMNS = (
     "mean_loss_pct_whole_call", "mean_loss_pct_switch_window")
 
 
-def _run_chunk(task: tuple) -> tuple[dict[str, WindowSums], list[dict]]:
-    """Run a contiguous chunk of one cell's repetitions, folding each good
-    run's window series into the chunk's sums per media direction and
-    keeping the rest of its result. Module-level for multiprocessing."""
-    config, cell, reps = task
-    cell_dir = Path(config.out_dir) / cell_id(*cell)
-    sums = {"ul": WindowSums(), "dl": WindowSums()}
-    runs = []
+def _run_chunk(task: tuple
+               ) -> list[tuple[dict[str, WindowSums], list[dict]]]:
+    """Run a contiguous chunk of one (codec, direction)'s repetitions, each
+    over every procedure of the campaign: a procedure group (grouped), or
+    with one procedure its one run. Each good run's window series is folded
+    into its cell's sums per media direction, and the rest of its result
+    kept. Returns each procedure's cell's sums and runs, in the config's
+    order. Module-level for multiprocessing."""
+    config, (codec, direction), reps = task
+    cells = [(codec, procedure, direction) for procedure in config.procedures]
+    chunks = [({"ul": WindowSums(), "dl": WindowSums()}, []) for _ in cells]
     for rep in reps:
-        spec = build_call_spec(config, *cell, rep)
-        run = _run_one(config, spec, cell_dir / f"r{rep:03d}")
-        series = run.pop("series")
-        if not run["aborted"]:
-            for name, cell_sums in sums.items():
-                fold(cell_sums, series[name])
-        runs.append(run)
-    return sums, runs
+        specs = [build_call_spec(config, *cell, rep) for cell in cells]
+        shared = None
+        if len(specs) > 1:
+            specs, shared = grouped(specs), {}
+        for cell, spec, (sums, runs) in zip(cells, specs, chunks):
+            run = _run_one(config, spec, Path(config.out_dir)
+                           / cell_id(*cell) / f"r{rep:03d}", shared)
+            series = run.pop("series")
+            if not run["aborted"]:
+                for name, cell_sums in sums.items():
+                    fold(cell_sums, series[name])
+            runs.append(run)
+    return chunks
 
 
 def _finish_cell(out_dir: Path, cell: tuple[str, str, str],
@@ -172,13 +196,17 @@ def run_campaign(config: ExperimentConfig,
     """Run every (codec x procedure x direction) cell; returns the output
     directory and the number of aborted runs.
 
-    A cell's repetitions are split into contiguous chunks, at most one per
-    worker (serially, one). A chunk folds each run's window series into
-    exact sums once the run's files are written and drops them. Chunks
-    arrive in task order, so a cell's chunks arrive together: the parent
-    merges them, writes the cell's aggregates and drops the cell. Memory
-    does not grow with the repetitions, and the bytes do not depend on the
-    split.
+    The unit of work is a procedure group: one (codec, direction,
+    repetition) over every procedure, whose runs share their part before
+    the trigger (_run_chunk). A (codec, direction)'s repetitions are split
+    into contiguous chunks, at most one per worker (serially, one). A chunk
+    folds each run's window series into its cell's exact sums once the
+    run's files are written and drops them. Chunks arrive in task order,
+    so a (codec, direction)'s chunks arrive together, with its cells; the
+    parent finishes the cells in campaign order, keeping those that come
+    early (at most one codec's), merges each cell's chunks, writes its
+    aggregates and drops it. Memory does not grow with the repetitions, and
+    the bytes do not depend on the split.
     """
     clear_grid_memo()
     out_dir = Path(config.out_dir)
@@ -201,14 +229,16 @@ def run_campaign(config: ExperimentConfig,
         print(f"warning: {line}", file=sys.stderr)
 
     reps = config.repetitions
-    wanted = min(parallel, len(cells) * reps)
+    # each repetition of a (codec, direction) pair is a procedure group
+    pairs = list(product(config.codecs, config.directions))
+    wanted = min(parallel, len(pairs) * reps)
     workers = min(wanted, len(os.sched_getaffinity(0)))
     if workers < wanted:
         print(f"warning: --parallel {parallel}: {workers} worker(s), the CPUs "
               f"this process may use", file=sys.stderr)
     starts = range(0, reps, -(-reps // workers))
-    tasks = ((config, cell, range(start, min(start + starts.step, reps)))
-             for cell in cells for start in starts)
+    tasks = ((config, pair, range(start, min(start + starts.step, reps)))
+             for pair in pairs for start in starts)
 
     aborted_total = 0
     loss_rows = []
@@ -220,9 +250,16 @@ def run_campaign(config: ExperimentConfig,
         pool = ProcessPoolExecutor(workers)
     try:
         results = (pool.map if pool else map)(_run_chunk, tasks)
+        arrived = ((pair, list(islice(results, len(starts))))
+                   for pair in pairs)
+        early: dict[tuple, list[tuple]] = {}
         for cell in cells:
-            entry, rows = _finish_cell(out_dir, cell,
-                                       list(islice(results, len(starts))))
+            while cell not in early:
+                (codec, direction), chunks = next(arrived)
+                for procedure, *cell_chunks in zip(config.procedures,
+                                                   *chunks):
+                    early[codec, procedure, direction] = cell_chunks
+            entry, rows = _finish_cell(out_dir, cell, early.pop(cell))
             aborted = [r for r in entry["runs"] if r["aborted"]]
             aborted_total += len(aborted)
             if aborted:

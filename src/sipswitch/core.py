@@ -54,6 +54,11 @@ class LineLog:
     def record(self, *fields: object) -> None:
         self.lines.append("(" + ", ".join(map(str, fields)) + ")")
 
+    def copy(self) -> LineLog:
+        twin = LineLog()
+        twin.lines = self.lines[:]
+        return twin
+
 
 class Technology(Enum):
     WLAN_LIKE = "wlan-like"

@@ -10,8 +10,9 @@ exported trace file reproduces in-run values bit for bit.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import frexp, isfinite, isqrt
 from operator import add, lshift, mul, sub, truediv
 from typing import Callable, Optional, Sequence
@@ -77,6 +78,10 @@ class WindowSeries:
     def __len__(self) -> int:
         return len(self.window_start)
 
+    def head(self, m: int) -> WindowSeries:
+        """The first m windows."""
+        return WindowSeries(*(column[:m] for column in vars(self).values()))
+
 
 def _bind_id(params: EModelParams) -> Callable[[float], float]:
     """Delay impairment Id(d): linear, with a steeper slope past the knee."""
@@ -113,8 +118,8 @@ def emodel(codec: CodecProfile, params: EModelParams,
            delays: Sequence[float], ppls: Sequence[float],
            brs: Sequence[float]) -> list[float]:
     """R = r0 - Id(d_ms) - Ie_eff(ppl, burst_r) of each window, over its
-    delay, loss and burst ratio columns, with codec and params bound once;
-    not clamped (total loss can push it below 0)."""
+    delay, loss and burst ratio columns (any iterables), with codec and
+    params bound once; not clamped (total loss can push it below 0)."""
     id_, ie_eff = _bind_id(params), _bind_ie(codec, params)
     return list(map(sub, map(sub, repeat(params.r0), map(id_, delays)),
                     map(ie_eff, ppls, brs)))
@@ -147,12 +152,18 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
                   window_len_ms: float = 60.0,
                   stride_ms: Optional[float] = None,
                   params: EModelParams = DEFAULT_EMODEL,
-                  use_burst_ratio: bool = True) -> WindowSeries:
+                  use_burst_ratio: bool = True,
+                  given: Optional[WindowSeries] = None) -> WindowSeries:
     """Window the trace by generation time and compute each window's metrics.
 
     Windows tile from the first generation instant while their start does
     not pass the last one; stride defaults to the window length. With
     use_burst_ratio False every window uses burst_r = 1 (plain loss model).
+
+    given holds leading windows already computed with these settings on a
+    trace whose packets agree with this one's up to the last given window's
+    end: a sibling run's (shared_head). Up to this trace's own number of
+    windows they are taken as they are, and the pass goes on after them.
 
     One pass over the windows' packet bounds, which window_bounds takes
     from its grid memo on a run's packet grid and finds with two pointers
@@ -172,16 +183,23 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
                       * US_PER_MS)
     if window_us <= 0 or stride_us <= 0:
         raise ValueError("window and stride must be positive")
-    cum_delay = list(accumulate(
-        (0 if arrival is None else arrival - gen
-         for gen, arrival in zip(gens, packets.arrival)), initial=0))
     starts = range(gens[0], gens[-1] + 1, stride_us)
     los, his = window_bounds(gens, starts, window_us)
-    delays, ppls, brs, carried, carried_delay = [], [], [], [], []
+    head = given.head(len(starts)) if given else WindowSeries()
+    m = len(head)
+    # Delay sums from the first packet of window m on; before it, zeros.
+    first = los[m] if m < len(starts) else len(gens)
+    cum_delay = [0] * first
+    cum_delay += accumulate((
+        0 if arrival is None else arrival - gen
+        for gen, arrival in zip(gens[first:], packets.arrival[first:])),
+        initial=0)
+    delays, ppls, brs = head.mean_delay_ms, head.ppl, head.burst_r
+    carried, carried_delay = head.carried, head.carried_delay
     # The first window holds the first packet, so it sets all three; an
     # all-lost first window keeps the delay 0.0.
-    delay = ppl = br = 0.0
-    for lo, hi in zip(los, his):
+    delay, ppl, br = (delays[-1], ppls[-1], brs[-1]) if m else (0.0,) * 3
+    for lo, hi in zip(los[m:], his[m:]):
         generated = hi - lo
         if generated:
             window = causes[lo:hi]
@@ -198,9 +216,21 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
         brs.append(br)
         carried.append(not generated)
         carried_delay.append(not (generated and delivered))
-    return WindowSeries(list(starts), delays, ppls, brs,
-                        emodel(codec, params, delays, ppls, brs),
-                        carried, carried_delay)
+    r_factor = head.r_factor
+    r_factor += emodel(codec, params, *(islice(column, m, None)
+                                        for column in (delays, ppls, brs)))
+    return WindowSeries(list(starts), delays, ppls, brs, r_factor, carried,
+                        carried_delay)
+
+
+def shared_head(series: WindowSeries, rows: list[str], t_us: SimTime,
+                window_len_ms: float) -> tuple[WindowSeries, list[str]]:
+    """The windows of series that end by t_us, and their metrics rows: what
+    a run shares with a sibling whose packets agree with its own up to
+    t_us, as window_series' given and write_metrics' head."""
+    m = bisect_right(series.window_start,
+                     t_us - round(window_len_ms * US_PER_MS))
+    return series.head(m), rows[:m]
 
 
 def call_summary(trace: PacketTrace, direction: str) -> tuple[int, float]:
@@ -217,16 +247,23 @@ METRICS_COLUMNS = ("run_id", "window_start_us", "mean_delay_ms", "ppl",
                    "burst_r", "r_factor", "carried", "carried_delay")
 
 
-def write_metrics(path: str, run_id: str, series: WindowSeries) -> None:
+def write_metrics(path: str, run_id: str, series: WindowSeries,
+                  head: Sequence[str] = ()) -> list[str]:
     """One row per window (each float as its repr, each flag, a bool, as 0
-    or 1)."""
-    run = CsvFields()[run_id]
-    write_csv(path, METRICS_COLUMNS, [
-        f"{run},{start},{delay!r},{ppl!r},{br!r},{r!r},{'01'[c]},{'01'[cd]}"
-        for start, delay, ppl, br, r, c, cd in zip(
-            series.window_start, series.mean_delay_ms, series.ppl,
-            series.burst_r, series.r_factor, series.carried,
-            series.carried_delay)])
+    or 1), each behind the run id. Returns the rows' text after the run id.
+    head holds that text for the leading windows, as shared_head gives it
+    from a sibling run; only the windows after it are formatted."""
+    rows = list(head[:len(series)])
+    columns = (series.window_start, series.mean_delay_ms, series.ppl,
+               series.burst_r, series.r_factor, series.carried,
+               series.carried_delay)
+    rows += [f"{start},{delay!r},{ppl!r},{br!r},{r!r},{'01'[c]},{'01'[cd]}"
+             for start, delay, ppl, br, r, c, cd in zip(
+                 *(islice(column, len(rows), None) for column in columns))]
+    run = CsvFields()[run_id] + ","
+    write_csv(path, METRICS_COLUMNS,
+              [run + f"\n{run}".join(rows)] if rows else [])
+    return rows
 
 
 # Bits of the integer square root taken before its one rounding to a float:

@@ -31,13 +31,25 @@ equal times by insertion order, and the copy arrived on a grid point whose
 media clock entry was queued before the copy was sent (as it is for any send
 after the point before). Under hard with the trigger on the grid, a 0 ms new
 uplink loses that packet as closed-interface and a 20 or 40 ms one does not.
+
+The procedure is first read at the trigger, so the runs of one seed under
+each procedure are one run up to it. A CallGroup runs such a group (grouped
+marks its specs, and run_call hands each to it): it runs the call to the
+instant before the trigger and forks the paused call (_CallRuntime._fork)
+once per procedure. Pausing there changes nothing: every event before the
+trigger has been dispatched, and the media clock, which never runs past the
+next heap entry, cuts its stretch before the trigger's entry either way. A
+fork can rebind a pending event to its copy only if the event is a bound
+method or a partial of one, so no event the runtime schedules is a closure.
 """
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Optional, Sequence
 
 from .core import (
     DL,
@@ -134,6 +146,9 @@ class CallSpec:
     seed: int = 1
     run_id: str = "run"
     log_events: bool = False
+    # set by grouped: the CallGroup that runs this spec
+    group: Optional[CallGroup] = field(default=None, compare=False,
+                                       repr=False)
 
     def validate(self) -> list[str]:
         failed = violations(vars(self), SPEC_RULES)
@@ -207,6 +222,13 @@ class _CallRuntime:
         self._dl_at_cn_switch: Optional[int] = None  # DL packets recorded then
         self._closed = {UL: 0, DL: 0}  # media packets lost to a Closed iface
 
+        self.call_end = spec.call_start_us + spec.call_duration_us
+        # when the trigger is scheduled; state.t_trigger once it fired
+        self.t_trigger = spec.call_start_us + spec.switch_offset_us
+        if spec.switch_jitter_us:
+            self.t_trigger += substream(spec.seed, "trigger").randint(
+                -spec.switch_jitter_us, spec.switch_jitter_us)
+
     # -- signaling ---------------------------------------------------------
 
     def _message(self, method: SipMethod, sender: str, via: str,
@@ -232,17 +254,17 @@ class _CallRuntime:
                     f"MN tried to send {key} from Closed interface {iface}")
             links = self.links_ul
         arrival, cause = links[iface].transmit(
-            msg.size_bytes, on_arrive=lambda t: self._receive(msg),
+            msg.size_bytes, on_arrive=partial(self._receive, msg),
             note=f"sip-{key}")
         outcome = (f"delivered@{arrival}" if cause is None
                    else f"dropped:{cause}")
         self.signaling.record(self.engine.now, key, msg.from_uri, msg.to_uri,
                               iface, outcome)
 
-    def _receive(self, msg: SipMessage) -> None:
-        """Arrival at the core (registrar and CN) or at the MN. The
-        registrar keeps a REGISTER's binding; any other message goes to its
-        row. Every OK answers the caller's transaction and every ACK the
+    def _receive(self, msg: SipMessage, t: SimTime) -> None:
+        """Arrival, now at t, at the core (registrar and CN) or at the MN.
+        The registrar keeps a REGISTER's binding; any other message goes to
+        its row. Every OK answers the caller's transaction and every ACK the
         callee's OK; the caller ACKs the first OK, and every copy if its row
         says so. The MN's first handoff OK completes the switch."""
         if msg.method is SipMethod.REGISTER:
@@ -251,15 +273,15 @@ class _CallRuntime:
         ex = exchange_of(msg)
         progress = self.exchanges[ex.caller]
         if msg.method is SipMethod.ACK:
-            progress.ok.answer(self.engine.now, msg.via_iface)
+            progress.ok.answer(t, msg.via_iface)
             return
         if msg.method is not SipMethod.OK:
             self._on_request(ex, progress, msg)
             return
         first, progress.answered = not progress.answered, True
-        progress.request.answer(self.engine.now, msg.via_iface)
+        progress.request.answer(t, msg.via_iface)
         if first and ex.method is SipMethod.REINVITE:
-            t, state = self.engine.now, self.state
+            state = self.state
             state.phase, state.t_completed = HandoffPhase.COMPLETED, t
             self._apply_steps(PROCEDURE_STEPS[self.spec.procedure][1])
             self.handoff_log.record(t, "MN", "ok", "Switching", "Completed")
@@ -361,28 +383,32 @@ class _CallRuntime:
         t_start = spec.call_start_us
         interval = spec.codec.packet_interval_us
         size = spec.codec.payload_bytes + spec.header_overhead_bytes
-        state, closed = self.state, self._closed
+        self.engine.start_clock(
+            t_start, interval, t_start + spec.call_duration_us,
+            partial(self._segment, t_start, interval, size),
+            kind="media-tick", subjects=("ul", "dl"))
 
-        def fates(direction: str, links: dict[str, Link], times: range
-                  ) -> tuple[list[Optional[SimTime]], list[Optional[str]]]:
-            mn_iface = media_route(state, direction)
-            if mn_iface is None:
-                closed[direction] += len(times)
-                return [None] * len(times), [LOSS_CLOSED] * len(times)
-            return links[mn_iface].offer(times, size)
+    def _segment(self, t_start: SimTime, interval: int, size: int,
+                 t: SimTime, n: int) -> None:
+        """The media clock's n grid points from t on, UL's before DL's."""
+        times = range(t, t + n * interval, interval)
+        ul = self._fates(UL, self.links_ul, times, size)
+        dl = self._fates(DL, self.links_dl, times, size)
+        seq = (t - t_start) // interval
+        extend = self.trace.extend
+        extend("ul", UL, seq, times, self.state.ul_media_iface, *ul)
+        extend("dl", DL, seq, times, CN_IFACE, *dl)
 
-        def segment(t: SimTime, n: int) -> None:
-            times = range(t, t + n * interval, interval)
-            ul = fates(UL, self.links_ul, times)
-            dl = fates(DL, self.links_dl, times)
-            seq = (t - t_start) // interval
-            extend = self.trace.extend
-            extend("ul", UL, seq, times, state.ul_media_iface, *ul)
-            extend("dl", DL, seq, times, CN_IFACE, *dl)
-
-        self.engine.start_clock(t_start, interval,
-                                t_start + spec.call_duration_us, segment,
-                                kind="media-tick", subjects=("ul", "dl"))
+    def _fates(self, direction: str, links: dict[str, Link], times: range,
+               size: int
+               ) -> tuple[list[Optional[SimTime]], list[Optional[str]]]:
+        """The fates of direction's packets generated at times, on the route
+        in force now."""
+        mn_iface = media_route(self.state, direction)
+        if mn_iface is None:
+            self._closed[direction] += len(times)
+            return [None] * len(times), [LOSS_CLOSED] * len(times)
+        return links[mn_iface].offer(times, size)
 
     def _check_state(self) -> None:
         bad = check_state(self.state, self.spec.procedure)
@@ -433,13 +459,13 @@ class _CallRuntime:
     # -- run ---------------------------------------------------------------
 
     def run(self) -> RunResult:
-        spec = self.spec
-        call_end = spec.call_start_us + spec.call_duration_us
-        t_trigger = spec.call_start_us + spec.switch_offset_us
-        if spec.switch_jitter_us:
-            t_trigger += substream(spec.seed, "trigger").randint(
-                -spec.switch_jitter_us, spec.switch_jitter_us)
+        self._start()
+        return self._finish()
 
+    def _start(self) -> None:
+        """Schedule the call's events, for run or for CallGroup, which runs
+        them up to t_trigger - 1 first."""
+        spec = self.spec
         self.engine.schedule(0, self._send_register, kind="sip-send",
                              subject="register")
         self.engine.schedule(200_000, self._send_invite, kind="sip-send",
@@ -447,14 +473,18 @@ class _CallRuntime:
         self.engine.schedule(spec.call_start_us, self._setup_guard,
                              kind="setup-guard", subject="")
         self._start_media()
-        self.engine.schedule(t_trigger, self._on_trigger, kind="handoff",
-                             subject="trigger")
-        self.engine.schedule(t_trigger + spec.watchdog_us, self._watchdog,
-                             kind="handoff", subject="watchdog")
+        self.engine.schedule(self.t_trigger, self._on_trigger,
+                             kind="handoff", subject="trigger")
+        self.engine.schedule(self.t_trigger + spec.watchdog_us,
+                             self._watchdog, kind="handoff",
+                             subject="watchdog")
 
-        horizon = max(call_end, t_trigger + spec.watchdog_us) + 1_000_000
+    def _finish(self) -> RunResult:
+        """Run the started call to its end, check it and return it."""
+        horizon = max(self.call_end,
+                      self.t_trigger + self.spec.watchdog_us) + 1_000_000
         self.engine.run_until(horizon)
-        self._check_conservation(call_end)
+        self._check_conservation(self.call_end)
         self._check_closed_losses()
 
         return RunResult(
@@ -466,7 +496,88 @@ class _CallRuntime:
             t_completed=self.state.t_completed,
             setup_transaction=self.exchanges[CN_URI].request)
 
+    def _fork(self, spec: CallSpec) -> _CallRuntime:
+        """A copy of this started, paused run that goes on under spec. The
+        copy shares nothing that either run changes: lists are sliced, each
+        link's random stream is copied in its state, and every pending event
+        is rebound to the copies of the objects it calls (Engine.fork). The
+        spec and the immutable parts are shared."""
+        twin = copy.copy(self)
+        twin.spec = spec
+        swap: dict[int, object] = {id(self): twin}
+        twin.exchanges = {caller: progress.fork(swap)
+                          for caller, progress in self.exchanges.items()}
+        twin.engine = engine = self.engine.fork(swap)
+        twin.links_ul = {iface: link.fork(engine)
+                         for iface, link in self.links_ul.items()}
+        twin.links_dl = {iface: link.fork(engine)
+                         for iface, link in self.links_dl.items()}
+        twin.trace = self.trace.copy()
+        twin.signaling = self.signaling.copy()
+        twin.handoff_log = self.handoff_log.copy()
+        twin.state = copy.copy(self.state)
+        twin.bindings, twin._closed = dict(self.bindings), dict(self._closed)
+        return twin
+
 
 def run_call(spec: CallSpec) -> RunResult:
-    """Simulate one call end to end; deterministic in spec.seed."""
+    """Simulate one call end to end; deterministic in spec.seed. A spec of
+    a group (grouped) is run by its group, with the same result."""
+    if spec.group is not None:
+        return spec.group.run(spec)
     return _CallRuntime(spec).run()
+
+
+def grouped(specs: Sequence[CallSpec]) -> list[CallSpec]:
+    """specs, which differ in procedure and run id alone, as the runs of
+    one CallGroup: run_call runs each as it would run it alone, with the
+    part before the trigger simulated once."""
+    group = CallGroup(specs)
+    return [replace(spec, group=group) for spec in specs]
+
+
+class CallGroup:
+    """The calls of specs that differ in procedure and run id alone, each
+    run once, in any order, with their common part simulated once.
+
+    Each spec has the same seed, and a run first reads its procedure at the
+    trigger. So the first run simulates the call up to the instant before
+    the trigger and pauses it; each run then goes on from a fork of the
+    paused call under its own spec, and the last from the paused call
+    itself. A call that aborted before the trigger is finished once and
+    its result serves every spec. A run that raises leaves nothing behind:
+    the next run simulates the common part again. The group holds none of
+    its specs, so a group whose runs were all taken holds nothing.
+    """
+
+    def __init__(self, specs: Sequence[CallSpec]):
+        first = specs[0]
+        for spec in specs:
+            if replace(spec, procedure=first.procedure,
+                       run_id=first.run_id) != first:
+                raise ValueError(f"{spec.run_id} differs from "
+                                 f"{first.run_id} in more than its procedure")
+        self._left = len(specs)
+        self._shared: Optional[_CallRuntime | RunResult] = None
+
+    def run(self, spec: CallSpec) -> RunResult:
+        """run_call(spec) for one of the group's specs."""
+        if spec.group is not self or not self._left:
+            raise ValueError(f"{spec.run_id} is not a run the group has left")
+        self._left -= 1
+        shared = self._shared
+        if shared is None:
+            # the paused call's spec does not point back at the group
+            shared = _CallRuntime(replace(spec, group=None))
+            shared._start()
+            shared.engine.run_until(shared.t_trigger - 1)
+            if shared.aborted:
+                shared = shared._finish()
+            self._shared = shared
+        if not self._left:
+            self._shared = None
+        if isinstance(shared, RunResult):
+            return shared
+        runtime = shared._fork(spec) if self._left else shared
+        runtime.spec = spec
+        return runtime._finish()

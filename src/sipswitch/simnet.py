@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from collections import deque
 from functools import partial
 from itertools import repeat
+from types import MethodType
 from typing import Callable, Optional
 
-from .core import LOSS_QUEUE, LOSS_RANDOM, LinkParams, SimulationError
+from .core import (
+    LOSS_QUEUE,
+    LOSS_RANDOM,
+    InternalInvariantError,
+    LinkParams,
+    SimulationError,
+)
 
 
 class SchedulingInPastError(SimulationError):
@@ -125,6 +133,41 @@ class Engine:
         self._stopped = True
         self._heap.clear()
 
+    def fork(self, swap: dict[int, object]) -> Engine:
+        """A copy of this engine, paused between run_until calls, with its
+        own event log and heap. swap maps the id of each object that the
+        pending events call to that object's copy; this engine's copy joins
+        it. Each pending event is rebound to the copies (_rebound), so the
+        copy's events drive the copies and never an original."""
+        twin = swap[id(self)] = copy.copy(self)
+        twin.event_log = self.event_log[:]
+        twin._heap = [(time_us, seq, kind, subject, _rebound(fn, swap))
+                      for time_us, seq, kind, subject, fn in self._heap]
+        return twin
+
+
+def _rebound(fn, swap: dict[int, object]):
+    """fn with every object it calls or passes that swap holds (by id)
+    replaced by its copy: a partial's function and arguments, a bound
+    method's object. A closure keeps its original's cells, and a method of
+    an object swap lacks would drive the original, so either is an error."""
+    if isinstance(fn, partial):
+        return partial(_rebound(fn.func, swap),
+                       *(_rebound(arg, swap) for arg in fn.args),
+                       **fn.keywords)
+    if isinstance(fn, MethodType):
+        owner = swap.get(id(fn.__self__))
+        if owner is None:
+            raise InternalInvariantError(
+                f"a pending event calls {fn.__qualname__} of an object "
+                f"that the fork did not copy")
+        return MethodType(fn.__func__, owner)
+    if getattr(fn, "__closure__", None):
+        raise InternalInvariantError(
+            f"a pending event calls the closure {fn.__qualname__}, which "
+            f"no fork can rebind")
+    return swap.get(id(fn), fn)
+
 
 def substream(seed: int, name: str) -> random.Random:
     """A named deterministic random stream derived from one seed.
@@ -181,6 +224,17 @@ class Link:
         self.dropped = 0
         self._busy: deque[int] = deque()  # serialization finish times in system
         self._last_arrival = 0
+
+    def fork(self, engine: Engine) -> Link:
+        """A copy of this link on engine, with its own queue, counters and
+        random stream, the stream in this one's state."""
+        twin = copy.copy(self)
+        twin.engine = engine
+        # unseeded, unlike copy.copy's: the state is set at once
+        twin.rng = type(self.rng).__new__(type(self.rng))
+        twin.rng.setstate(self.rng.getstate())
+        twin._busy = deque(self._busy)
+        return twin
 
     def serialization_us(self, size_bytes: int) -> int:
         if self.bitrate_kbps is UNLIMITED:
@@ -297,6 +351,6 @@ class Link:
         arrivals, causes = self.offer(range(now, now + 1), size_bytes)
         arrival = arrivals[0]
         if on_arrive is not None and arrival is not None:
-            self.engine.schedule(arrival, lambda: on_arrive(arrival),
+            self.engine.schedule(arrival, partial(on_arrive, arrival),
                                  kind="arrival", subject=note or self.link_id)
         return arrival, causes[0]

@@ -5,6 +5,7 @@ the INVITE, plain resends for the re-INVITE and for each request's OK."""
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, replace
 from functools import partial
@@ -108,6 +109,12 @@ class ExchangeState:
     ok: Optional[Transaction] = None  # the callee's answer to every copy
     answered: bool = False  # an OK reached the caller
 
+    def fork(self, swap: dict[int, object]) -> ExchangeState:
+        """A copy with a copy of each transaction (Transaction.fork)."""
+        return ExchangeState(*(txn and txn.fork(swap)
+                               for txn in (self.request, self.ok)),
+                             self.answered)
+
 
 def build_register(uri: str, interfaces: list[InterfaceDescriptor],
                    config: SignalingConfig = SignalingConfig()) -> SipMessage:
@@ -182,7 +189,7 @@ class Transaction:
         self._send(engine, send, msg, idx, self.resends)
         if self.fallback_us is not None:
             engine.schedule_in(
-                self.fallback_us, lambda: self.start(engine, send, idx + 1),
+                self.fallback_us, partial(self.start, engine, send, idx + 1),
                 kind="sip-fallback-timeout", subject=self.subject)
 
     def _send(self, engine: Engine, send: Callable[[SipMessage], None],
@@ -208,3 +215,11 @@ class Transaction:
         if self.status == PENDING:
             self.via_iface = from_iface
             self.status, self.completed_at = DELIVERED, now
+
+    def fork(self, swap: dict[int, object]) -> Transaction:
+        """A copy with its own attempts, entered in swap under this one's
+        id so that its pending timers can be rebound to it (Engine.fork);
+        the message, targets and timers are immutable and shared."""
+        twin = swap[id(self)] = copy.copy(self)
+        twin.attempts = self.attempts[:]
+        return twin

@@ -164,6 +164,16 @@ class PacketTrace:
         packets.arrival.append(arrival_time)
         packets.cause.append(loss_cause)
 
+    def copy(self) -> PacketTrace:
+        """A copy that shares no list with this trace."""
+        twin = PacketTrace()
+        for direction, packets in self.directions.items():
+            copied = twin.directions[direction] = DirectionTrace(
+                packets.stream_id)
+            copied.gen, copied.iface = packets.gen[:], packets.iface[:]
+            copied.arrival, copied.cause = packets.arrival[:], packets.cause[:]
+        return twin
+
     @property
     def generated(self) -> int:
         return sum(len(packets.gen) for packets in self.directions.values())

@@ -1191,11 +1191,12 @@ def test_the_pool_starts_no_more_workers_than_runs(tmp_path, capsys,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     four = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'four'}\n")
     assert main(["run", four, "--parallel", "64"]) == 0
-    assert sizes == [4]   # 2 procedures x 2 repetitions
+    # 2 procedures x 2 repetitions are 2 procedure groups, one per worker
+    assert sizes == [2]
     one = write_config(tmp_path, ONE_RUN + f"out_dir: {tmp_path / 'one'}\n",
                        name="one.yaml")
     assert main(["run", one, "--parallel", "8"]) == 0
-    assert sizes == [4]   # one run needs no pool
+    assert sizes == [2]   # one run needs no pool
 
 
 def test_the_pool_starts_no_more_workers_than_cpus(tmp_path, capsys,
@@ -1203,8 +1204,8 @@ def test_the_pool_starts_no_more_workers_than_cpus(tmp_path, capsys,
     sizes = pool_sizes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     four = write_config(tmp_path, TINY + f"out_dir: {tmp_path / 'four'}\n")
-    assert main(["run", four, "--parallel", "10000"]) == 0
-    assert sizes == [2]   # 4 runs, 2 usable CPUs
+    assert main(["run", four, "--parallel", "10000", "--reps", "4"]) == 0
+    assert sizes == [2]   # 4 procedure groups, 2 usable CPUs
     assert "warning: --parallel 10000: 2 worker(s), the CPUs this process " \
         "may use" in capsys.readouterr().err
     assert main(["run", four, "--parallel", "2"]) == 0
@@ -1232,30 +1233,45 @@ interfaces:
 """
 
 
+# ABORTING's links and seed over three procedures in two directions: each
+# (direction, repetition) is a procedure group whose cells are not adjacent
+# in campaign order, so the parent keeps the cells that come early
+GROUPED = ABORTING.replace("procedures: [hard]",
+                           "procedures: [hard, hybrid, soft]").replace(
+    "directions: [wlan-to-cellular]",
+    "directions: [wlan-to-cellular, cellular-to-wlan]") + """
+switch_jitter_s: 0.5
+"""
+
+
 def test_the_chunk_split_never_changes_bytes(tmp_path, capsys, monkeypatch):
     # three workers even on a host with fewer CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    trees = {}
-    for parallel in ("1", "2", "3"):   # chunks of 3, 2+1 and 1+1+1 runs
-        out = tmp_path / f"out{parallel}"
-        cfg = write_config(tmp_path, ABORTING + f"out_dir: {out}\n")
-        assert main(["run", cfg, "--parallel", parallel]) == 2
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert [r["aborted"] for r in manifest["cells"][0]["runs"]] == [
-            False, True, False]
-        trees[parallel] = {
-            path.relative_to(out).as_posix():
-                path.read_bytes().replace(str(out).encode(), b"OUT")
-            for path in sorted(out.rglob("*")) if path.is_file()}
-    assert "G729_hard_wlan-to-cellular/aggregate_dl.csv" in trees["1"]
-    assert trees["2"] == trees["1"]
-    assert trees["3"] == trees["1"]
+    for name, text in (("cell", ABORTING), ("groups", GROUPED)):
+        trees = {}
+        for parallel in ("1", "2", "3"):   # chunks of 3, 2+1 and 1+1+1 runs
+            out = tmp_path / f"{name}{parallel}"
+            cfg = write_config(tmp_path, text + f"out_dir: {out}\n")
+            assert main(["run", cfg, "--parallel", parallel]) == 2
+            manifest = json.loads((out / "manifest.json").read_text())
+            # the middle repetition aborts at setup, in every cell
+            assert {tuple(r["aborted"] for r in cell["runs"])
+                    for cell in manifest["cells"]} == {(False, True, False)}
+            trees[parallel] = {
+                path.relative_to(out).as_posix():
+                    path.read_bytes().replace(str(out).encode(), b"OUT")
+                for path in sorted(out.rglob("*")) if path.is_file()}
+        assert "G729_hard_wlan-to-cellular/aggregate_dl.csv" in trees["1"]
+        assert trees["2"] == trees["1"]
+        assert trees["3"] == trees["1"]
+    assert "G729_soft_cellular-to-wlan/r002/trace.csv" in trees["1"]
 
 
-def _campaign_peak_bytes(tmp_path, reps: int) -> int:
-    config = load_config(write_config(tmp_path, """
+def _campaign_peak_bytes(tmp_path, reps: int,
+                         procedures: str = "[hard]") -> int:
+    config = load_config(write_config(tmp_path, f"""
 codecs: [G729]
-procedures: [hard]
+procedures: {procedures}
 directions: [wlan-to-cellular]
 call_duration_s: 12
 switch_time_s: 6
@@ -1272,6 +1288,14 @@ def test_campaign_memory_does_not_grow_with_repetitions(tmp_path, capsys):
     # each run's window series is folded into fixed-size sums and dropped
     assert (_campaign_peak_bytes(tmp_path, 8)
             <= 1.1 * _campaign_peak_bytes(tmp_path, 2))
+
+
+def test_procedure_groups_do_not_grow_memory_with_repetitions(tmp_path,
+                                                              capsys):
+    # a group's paused call, forks and shared windows go with its last run
+    procedures = "[hard, hybrid, soft]"
+    assert (_campaign_peak_bytes(tmp_path, 8, procedures)
+            <= 1.1 * _campaign_peak_bytes(tmp_path, 2, procedures))
 
 
 def test_aborted_runs_exit_two_and_are_recorded(tmp_path, capsys):

@@ -49,6 +49,7 @@ from sipswitch.metrics import (
     call_summary,
     emodel,
     fold,
+    shared_head,
     stdev,
     window_series,
     write_aggregate,
@@ -330,6 +331,53 @@ def test_one_pass_window_series_equals_the_former_one(
                                    use_burst_ratio=use_burst_ratio)
     assert len(series) == len(want)
     assert repr(window_rows(series)) == repr(want)  # every float bit for bit
+
+
+def _gen_at(packets, k):
+    """The generation time of packets[k] as build_trace records it."""
+    return sum(gap for gap, _ in packets[:k + 1]) if k < len(packets) \
+        else math.inf
+
+
+@EXACT
+# the second run ends before the first's last window that ends by t
+@example(common=[(20_000, 0)] * 10, tails=([(20_000, 0)] * 10, []),
+         back_us=0, window_ms=10.0, stride=5.0, use_burst_ratio=True)
+@given(common=st.lists(PACKET, max_size=60),
+       tails=st.tuples(st.lists(PACKET, max_size=30),
+                       st.lists(PACKET, max_size=30)),
+       back_us=st.sampled_from([0, 0, 1, 20_000, 70_000]),
+       window_ms=st.sampled_from([10.0, 20.0, 60.0, 100.5]),
+       stride=st.one_of(st.none(), st.sampled_from([5.0, 20.0, 60.0,
+                                                    250.0])),
+       use_burst_ratio=st.booleans())
+def test_a_shared_head_changes_no_window_and_no_row(
+        common, tails, back_us, window_ms, stride, use_burst_ratio):
+    # two runs whose packets agree before t, as a group's runs agree before
+    # the trigger: the second's series and rows, built on the first's
+    # windows that end by t, are those built from nothing
+    first, second = (common + tail for tail in tails)
+    t = min(_gen_at(first, len(common)), _gen_at(second, len(common)))
+    if t == math.inf:   # the same packets
+        t = _gen_at(first, len(first) - 1) + 500_000 if first else 0
+    t -= back_us
+    args = (G729, window_ms, stride, DEFAULT_EMODEL, use_burst_ratio)
+    with tempfile.TemporaryDirectory() as tmp:
+        series = window_series(build_trace(first, []), DL, *args)
+        rows = write_metrics(os.path.join(tmp, "first.csv"), "r", series)
+        head, head_rows = shared_head(series, rows, t, window_ms)
+        assert len(head) == len(head_rows) == sum(
+            start + round(window_ms * US_PER_MS) <= t
+            for start in series.window_start)
+        trace = build_trace(second, [])
+        got = window_series(trace, DL, *args, given=head)
+        want = window_series(trace, DL, *args)
+        assert repr(vars(got)) == repr(vars(want))  # column by column
+        paths = [os.path.join(tmp, name) for name in ("got.csv", "want.csv")]
+        assert write_metrics(paths[0], "r,1", got, head_rows) \
+            == write_metrics(paths[1], "r,1", want)
+        with open(paths[0], "rb") as fh_got, open(paths[1], "rb") as fh_want:
+            assert fh_got.read() == fh_want.read()
 
 
 @EXACT
