@@ -49,6 +49,7 @@ from .metrics import (
 )
 from .scenario import CallSpec, grouped, run_call
 from .traffic import (
+    agree_before,
     clear_grid_memo,
     expected_packet_count,
     read_trace,
@@ -57,37 +58,44 @@ from .traffic import (
 
 
 def _write_metrics(config: ExperimentConfig, codec, trace, run_id: str,
-                   stem: str, given: Optional[dict] = None) -> dict:
+                   stem: str, previous: Optional[tuple] = None) -> dict:
     """Each media direction's window series, written to <stem>_{ul,dl}.csv:
     the one derivation of a run's metrics files and of their recompute.
-    given maps a direction to the leading windows and rows that the run
-    shares with a sibling (shared_head); returns each direction's series
-    and rows."""
+    previous is (trace, what this returned) of an earlier run with the same
+    codec and settings: each direction takes its windows that end before
+    the two traces first differ (agree_before), and their rows, as they are
+    (shared_head). Returns each direction's series and rows."""
     written = {}
     for direction, name in ((UL, "ul"), (DL, "dl")):
-        head, head_rows = (given or {}).get(name, (None, ()))
+        given, head_rows = None, ()
+        packets = trace.directions.get(direction)
+        earlier = previous and previous[0].directions.get(direction)
+        if earlier and packets:
+            given, head_rows = shared_head(*previous[1][name],
+                                           agree_before(earlier, packets),
+                                           config.window_len_ms)
         series = window_series(trace, direction, codec,
                                config.window_len_ms, config.stride_ms,
-                               config.emodel, config.use_burst_ratio, head)
+                               config.emodel, config.use_burst_ratio, given)
         written[name] = series, write_metrics(f"{stem}_{name}.csv", run_id,
                                               series, head_rows)
     return written
 
 
 def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path,
-             shared: Optional[dict] = None) -> dict:
+             previous: Optional[tuple] = None) -> dict:
     """Execute one repetition and write its artifacts; returns what its
-    cell reads: the manifest fields, the window series and, per direction,
-    (lost packets, loss % of the call, loss % of the switch window or None
-    when there is none). A SimulationError inside the run aborts it alone,
-    with the error as its reason and no files; a broken invariant or a
-    config error still ends the campaign. shared, given for the runs of a
-    procedure group (grouped), holds the metrics windows, and their rows,
-    that they share (shared_head): the first run past the trigger fills
-    it, and the others take them from it."""
+    cell reads: the manifest fields, per direction (lost packets, loss % of
+    the call, loss % of the switch window or None when there is none) and,
+    if it wrote files, "written": its trace and _write_metrics' series and
+    rows. A SimulationError inside the run aborts it alone, with the error
+    as its reason and no files; a broken invariant or a config error still
+    ends the campaign. previous is "written" of an earlier run with the
+    same codec and settings, whose metrics windows this run takes as far as
+    their packets agree (_write_metrics)."""
     run_dir.mkdir(parents=True, exist_ok=True)
     out: dict[str, Any] = {"run_id": spec.run_id, "seed": spec.seed,
-                           "series": {}, "loss": {}}
+                           "loss": {}}
     try:
         result = run_call(spec)
     except (ConfigError, InternalInvariantError):
@@ -104,16 +112,11 @@ def _run_one(config: ExperimentConfig, spec: CallSpec, run_dir: Path,
         (run_dir / name).write_text("\n".join(lines) + "\n" if lines else "")
 
     written = _write_metrics(config, spec.codec, result.trace, spec.run_id,
-                             str(run_dir / "metrics"), shared)
-    if shared == {} and result.t_trigger is not None:
-        # every run of the group has the packets generated before it
-        shared.update((name, shared_head(*pair, result.t_trigger,
-                                         config.window_len_ms))
-                      for name, pair in written.items())
+                             str(run_dir / "metrics"), previous)
     out.update(aborted=result.aborted, abort_reason=result.abort_reason,
-               series={name: series for name, (series, _) in written.items()})
+               written=(result.trace, written))
     for direction, name in ((UL, "ul"), (DL, "dl")):
-        if not out["series"][name]:
+        if not written[name][0]:
             continue
         lost, ppl = call_summary(result.trace, direction)
         pct_switch = None
@@ -138,25 +141,28 @@ def _run_chunk(task: tuple
                ) -> list[tuple[dict[str, WindowSums], list[dict]]]:
     """Run a contiguous chunk of one (codec, direction)'s repetitions, each
     over every procedure of the campaign: a procedure group (grouped), or
-    with one procedure its one run. Each good run's window series is folded
-    into its cell's sums per media direction, and the rest of its result
-    kept. Returns each procedure's cell's sums and runs, in the config's
-    order. Module-level for multiprocessing."""
+    with one procedure its one run. Each run takes the metrics windows it
+    shares with the chunk's last run that wrote files, as far as their
+    packets agree (_run_one), and only that run's trace, series and rows
+    are kept for the next. Each good run's window series is folded into
+    its cell's sums per media direction, and the rest of its result kept.
+    Returns each procedure's cell's sums and runs, in the config's order.
+    Module-level for multiprocessing."""
     config, (codec, direction), reps = task
     cells = [(codec, procedure, direction) for procedure in config.procedures]
     chunks = [({"ul": WindowSums(), "dl": WindowSums()}, []) for _ in cells]
+    previous = None
     for rep in reps:
         specs = [build_call_spec(config, *cell, rep) for cell in cells]
-        shared = None
         if len(specs) > 1:
-            specs, shared = grouped(specs), {}
+            specs = grouped(specs)
         for cell, spec, (sums, runs) in zip(cells, specs, chunks):
             run = _run_one(config, spec, Path(config.out_dir)
-                           / cell_id(*cell) / f"r{rep:03d}", shared)
-            series = run.pop("series")
+                           / cell_id(*cell) / f"r{rep:03d}", previous)
+            previous = run.pop("written", previous)
             if not run["aborted"]:
                 for name, cell_sums in sums.items():
-                    fold(cell_sums, series[name])
+                    fold(cell_sums, previous[1][name][0])
             runs.append(run)
     return chunks
 
@@ -201,7 +207,8 @@ def run_campaign(config: ExperimentConfig,
     the trigger (_run_chunk). A (codec, direction)'s repetitions are split
     into contiguous chunks, at most one per worker (serially, one). A chunk
     folds each run's window series into its cell's exact sums once the
-    run's files are written and drops them. Chunks arrive in task order,
+    run's files are written, and drops them, and the run's trace, once the
+    next run has taken the windows they share. Chunks arrive in task order,
     so a (codec, direction)'s chunks arrive together, with its cells; the
     parent finishes the cells in campaign order, keeping those that come
     early (at most one codec's), merges each cell's chunks, writes its

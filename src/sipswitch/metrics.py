@@ -162,7 +162,8 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
 
     given holds leading windows already computed with these settings on a
     trace whose packets agree with this one's up to the last given window's
-    end: a sibling run's (shared_head). Up to this trace's own number of
+    end: an earlier run's, cut by shared_head at the time before which the
+    two traces agree (agree_before). Up to this trace's own number of
     windows they are taken as they are, and the pass goes on after them.
 
     One pass over the windows' packet bounds, which window_bounds takes
@@ -226,8 +227,9 @@ def window_series(trace: PacketTrace, direction: str, codec: CodecProfile,
 def shared_head(series: WindowSeries, rows: list[str], t_us: SimTime,
                 window_len_ms: float) -> tuple[WindowSeries, list[str]]:
     """The windows of series that end by t_us, and their metrics rows: what
-    a run shares with a sibling whose packets agree with its own up to
-    t_us, as window_series' given and write_metrics' head."""
+    a run whose packets agree with those of series' run before t_us
+    (agree_before) takes as window_series' given and write_metrics' head.
+    Each of those windows holds only packets generated before t_us."""
     m = bisect_right(series.window_start,
                      t_us - round(window_len_ms * US_PER_MS))
     return series.head(m), rows[:m]
@@ -252,7 +254,7 @@ def write_metrics(path: str, run_id: str, series: WindowSeries,
     """One row per window (each float as its repr, each flag, a bool, as 0
     or 1), each behind the run id. Returns the rows' text after the run id.
     head holds that text for the leading windows, as shared_head gives it
-    from a sibling run; only the windows after it are formatted."""
+    from an earlier run; only the windows after it are formatted."""
     rows = list(head[:len(series)])
     columns = (series.window_start, series.mean_delay_ms, series.ppl,
                series.burst_r, series.r_factor, series.carried,

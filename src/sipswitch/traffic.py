@@ -7,8 +7,9 @@ from __future__ import annotations
 import csv
 import io
 from functools import lru_cache
-from itertools import repeat
-from operator import ge
+from itertools import compress, count, repeat
+from math import inf
+from operator import ge, ne
 from typing import Optional, Sequence
 
 from .core import DL, LOSS_CAUSES, UL, InternalInvariantError, SimTime
@@ -42,6 +43,19 @@ class DirectionTrace:
         self.iface: list[str] = []
         self.arrival: list[Optional[SimTime]] = []
         self.cause: list[Optional[str]] = []
+
+
+def agree_before(a: DirectionTrace, b: DirectionTrace) -> float:
+    """The time before which a and b hold the same packets: the generation
+    time of the first packet whose gen, arrival or cause differs between
+    them, the earlier of the two, or that one of them lacks; inf when
+    neither has one. Every packet generated before it is the same in both,
+    since both lists are in generation order."""
+    n = min(len(a.gen), len(b.gen))
+    for x, y in ((a.arrival, b.arrival), (a.gen, b.gen), (a.cause, b.cause)):
+        if x[:n] != y[:n]:   # compared in C; scanned only to find where
+            n = next(compress(count(), map(ne, x, y)))
+    return min((d.gen[n] for d in (a, b) if n < len(d.gen)), default=inf)
 
 
 class PacketTrace:

@@ -1244,19 +1244,38 @@ switch_jitter_s: 0.5
 """
 
 
+# campaign-A's lossless links: media starts on the WLAN link, whose fixed
+# delay and zero loss leave a repetition's seed no draw on a media packet
+# before the trigger, so the repetitions agree up to it. At --parallel 1
+# the later ones take their windows before it from the one before; at
+# --parallel 3 none does.
+LOSSLESS = """
+codecs: [G729]
+procedures: [hard]
+directions: [wlan-to-cellular]
+repetitions: 3
+call_duration_s: 3
+switch_time_s: 1.5
+"""
+
+
 def test_the_chunk_split_never_changes_bytes(tmp_path, capsys, monkeypatch):
     # three workers even on a host with fewer CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    for name, text in (("cell", ABORTING), ("groups", GROUPED)):
+    # the middle repetition of ABORTING and GROUPED aborts at setup, in
+    # every cell
+    for name, text, code, aborted in (
+            ("lossless", LOSSLESS, 0, (False, False, False)),
+            ("cell", ABORTING, 2, (False, True, False)),
+            ("groups", GROUPED, 2, (False, True, False))):
         trees = {}
         for parallel in ("1", "2", "3"):   # chunks of 3, 2+1 and 1+1+1 runs
             out = tmp_path / f"{name}{parallel}"
             cfg = write_config(tmp_path, text + f"out_dir: {out}\n")
-            assert main(["run", cfg, "--parallel", parallel]) == 2
+            assert main(["run", cfg, "--parallel", parallel]) == code
             manifest = json.loads((out / "manifest.json").read_text())
-            # the middle repetition aborts at setup, in every cell
             assert {tuple(r["aborted"] for r in cell["runs"])
-                    for cell in manifest["cells"]} == {(False, True, False)}
+                    for cell in manifest["cells"]} == {aborted}
             trees[parallel] = {
                 path.relative_to(out).as_posix():
                     path.read_bytes().replace(str(out).encode(), b"OUT")
@@ -1265,6 +1284,45 @@ def test_the_chunk_split_never_changes_bytes(tmp_path, capsys, monkeypatch):
         assert trees["2"] == trees["1"]
         assert trees["3"] == trees["1"]
     assert "G729_soft_cellular-to-wlan/r002/trace.csv" in trees["1"]
+
+
+def test_a_run_takes_the_windows_before_the_trigger_from_the_last(
+        tmp_path, capsys, monkeypatch):
+    # in one chunk, every run after the first is given at least the
+    # windows that end by its trigger, and its metrics files are still
+    # those that recompute-metrics builds from nothing
+    triggers, calls = [], []
+
+    def run_spy(spec, _fn=cli.run_call):
+        result = _fn(spec)
+        triggers.append(result.t_trigger)
+        return result
+
+    def windows_spy(*args, _fn=cli.window_series):
+        series = _fn(*args)
+        calls.append((len(args[7] or ()), series.window_start))
+        return series
+
+    monkeypatch.setattr(cli, "run_call", run_spy)
+    monkeypatch.setattr(cli, "window_series", windows_spy)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, LOSSLESS + f"out_dir: {out}\n")
+    assert main(["run", cfg]) == 0
+    window_us = 60_000   # the default window
+    assert len(calls) == 2 * len(triggers) == 6   # a UL and a DL series
+    for run, t_trigger in enumerate(triggers):
+        for given, starts in calls[2 * run:2 * run + 2]:
+            by_trigger = sum(start + window_us <= t_trigger
+                             for start in starts)
+            assert by_trigger > 0
+            assert given >= by_trigger if run else given == 0
+    runs = sorted(out.glob("*/r*"))
+    assert len(runs) == 3
+    for run_dir in runs:
+        assert main(["recompute-metrics", str(run_dir / "trace.csv")]) == 0
+        for name in ("ul", "dl"):
+            assert (run_dir / f"metrics_{name}.csv").read_bytes() == (
+                run_dir / f"recomputed_metrics_{name}.csv").read_bytes()
 
 
 def _campaign_peak_bytes(tmp_path, reps: int,
@@ -1292,7 +1350,8 @@ def test_campaign_memory_does_not_grow_with_repetitions(tmp_path, capsys):
 
 def test_procedure_groups_do_not_grow_memory_with_repetitions(tmp_path,
                                                               capsys):
-    # a group's paused call, forks and shared windows go with its last run
+    # a group's paused call and forks go with its last run, and a chunk
+    # keeps one run's trace and windows for the next
     procedures = "[hard, hybrid, soft]"
     assert (_campaign_peak_bytes(tmp_path, 8, procedures)
             <= 1.1 * _campaign_peak_bytes(tmp_path, 2, procedures))

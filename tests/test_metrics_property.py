@@ -58,7 +58,9 @@ from sipswitch.metrics import (
 from sipswitch.traffic import (
     TRACE_COLUMNS,
     CsvFields,
+    DirectionTrace,
     PacketTrace,
+    agree_before,
     grid_of,
     write_csv,
     write_trace,
@@ -333,12 +335,6 @@ def test_one_pass_window_series_equals_the_former_one(
     assert repr(window_rows(series)) == repr(want)  # every float bit for bit
 
 
-def _gen_at(packets, k):
-    """The generation time of packets[k] as build_trace records it."""
-    return sum(gap for gap, _ in packets[:k + 1]) if k < len(packets) \
-        else math.inf
-
-
 @EXACT
 # the second run ends before the first's last window that ends by t
 @example(common=[(20_000, 0)] * 10, tails=([(20_000, 0)] * 10, []),
@@ -353,23 +349,21 @@ def _gen_at(packets, k):
        use_burst_ratio=st.booleans())
 def test_a_shared_head_changes_no_window_and_no_row(
         common, tails, back_us, window_ms, stride, use_burst_ratio):
-    # two runs whose packets agree before t, as a group's runs agree before
-    # the trigger: the second's series and rows, built on the first's
-    # windows that end by t, are those built from nothing
-    first, second = (common + tail for tail in tails)
-    t = min(_gen_at(first, len(common)), _gen_at(second, len(common)))
-    if t == math.inf:   # the same packets
-        t = _gen_at(first, len(first) - 1) + 500_000 if first else 0
-    t -= back_us
+    # two runs whose packets agree before t (agree_before, or earlier): the
+    # second's series and rows, built on the first's windows that end by t,
+    # are those built from nothing
+    traces = [build_trace(common + tail, []) for tail in tails]
+    t = agree_before(*(trace.directions.get(DL, DirectionTrace("dl"))
+                       for trace in traces)) - back_us
     args = (G729, window_ms, stride, DEFAULT_EMODEL, use_burst_ratio)
     with tempfile.TemporaryDirectory() as tmp:
-        series = window_series(build_trace(first, []), DL, *args)
+        series = window_series(traces[0], DL, *args)
         rows = write_metrics(os.path.join(tmp, "first.csv"), "r", series)
         head, head_rows = shared_head(series, rows, t, window_ms)
         assert len(head) == len(head_rows) == sum(
             start + round(window_ms * US_PER_MS) <= t
             for start in series.window_start)
-        trace = build_trace(second, [])
+        trace = traces[1]
         got = window_series(trace, DL, *args, given=head)
         want = window_series(trace, DL, *args)
         assert repr(vars(got)) == repr(vars(want))  # column by column

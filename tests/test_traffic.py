@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from sipswitch.traffic import (
     DirectionTrace,
     PacketTrace,
     TraceConservationError,
+    agree_before,
     expected_packet_count,
     read_trace,
     write_trace,
@@ -495,3 +497,75 @@ def test_extend_needs_one_fate_per_time():
         trace.extend("ul", UL, 0, range(0, 40_000, 20_000), "wlan",
                      [5_000], [None, None])
     assert trace.directions == {}
+
+
+# ---------------------------------------------------------------------------
+# agree_before: the time before which two directions' packets agree
+
+
+# One packet: its gap in us after the one before it (0 ties the two), and
+# its delay in us or, if it was lost, its loss cause.
+FATE = st.one_of(st.integers(0, 50_000), st.sampled_from(LOSS_CAUSES))
+AGREEING_PACKET = st.tuples(st.sampled_from([0, 0, 1, 20_000, 30_000]), FATE)
+
+
+@st.composite
+def diverging_tails(draw):
+    """Two tails to follow a common prefix: drawn apart, cut short, the
+    same, or the same but for their first packet, which differs in its
+    arrival alone, its cause alone or its generation time alone."""
+    tail = draw(st.lists(AGREEING_PACKET, max_size=8))
+    how = draw(st.sampled_from(["apart", "cut", "same", "arrival", "cause",
+                                "gen"]))
+    if how == "apart":
+        return tail, draw(st.lists(AGREEING_PACKET, max_size=8))
+    if how == "cut":
+        return tail, tail[:draw(st.integers(0, len(tail)))]
+    if how == "same":
+        return tail, list(tail)
+    gap, fate = draw(AGREEING_PACKET)
+    if how == "arrival":
+        delay = draw(st.integers(0, 50_000))
+        pair = (gap, delay), (gap, delay + draw(st.sampled_from([1, 20_000])))
+    elif how == "cause":
+        pair = tuple((gap, cause) for cause in draw(st.permutations(
+            LOSS_CAUSES))[:2])
+    else:
+        pair = (gap, fate), (gap + draw(st.sampled_from([1, 20_000])), fate)
+    return [pair[0], *tail], [pair[1], *tail]
+
+
+def direction_of(packets):
+    """A DirectionTrace of (gap, delay or cause) packets."""
+    trace, gen = DirectionTrace("dl"), 0
+    for gap, fate in packets:
+        gen += gap
+        lost = isinstance(fate, str)
+        trace.gen.append(gen)
+        trace.iface.append("wlan")
+        trace.arrival.append(None if lost else gen + fate)
+        trace.cause.append(fate if lost else None)
+    return trace
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(common=st.lists(AGREEING_PACKET, max_size=8), tails=diverging_tails())
+# they differ at the first packet, in its arrival alone, at a tie
+@example(common=[], tails=([(0, 5), (0, 5)], [(0, 6), (0, 5)]))
+# a cause alone, tied with the last packet they share
+@example(common=[(20_000, 5)], tails=([(0, LOSS_CLOSED)], [(0, LOSS_RANDOM)]))
+def test_agree_before_is_the_latest_time_before_which_packets_agree(
+        common, tails):
+    a, b = (direction_of(common + tail) for tail in tails)
+    t = agree_before(a, b)
+    assert agree_before(b, a) == t
+    packets = [list(zip(d.gen, d.arrival, d.cause)) for d in (a, b)]
+    before, upto = ([[p for p in ps if keep(p[0])] for ps in packets]
+                    for keep in (t.__gt__, t.__ge__))
+    # every packet generated before t is the same in both
+    assert before[0] == before[1]
+    # and t is the latest such time: the packets at t already differ,
+    # unless the two are the same to the end
+    assert (t == math.inf) == (packets[0] == packets[1])
+    if t != math.inf:
+        assert upto[0] != upto[1]
